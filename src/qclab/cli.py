@@ -138,7 +138,7 @@ def cmd_build_instance(args, emit: _Emitter) -> None:
     )
     inst = build_instance(f, g, mu, lam, epsilon=eps, theta=theta)
     out_dir = Path(args.out) if args.out else Path("instance")
-    manifest = write_instance(inst, out_dir, seed=args.seed)
+    manifest = write_instance(inst, out_dir)
     emit.emit({
         "record": "build-instance",
         "manifest": str(manifest),
@@ -252,7 +252,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--lambda", dest="lam", help="outer distribution file")
     p.add_argument("--tree", help="decision tree file")
     p.add_argument("--instance", help="instance manifest (JSON)")
-    p.add_argument("--n", type=int, help="number of inner copies")
     p.add_argument("--m", type=int, help="inner arity / sweep arity bound")
     p.add_argument("--t", type=int, default=2, help="stack height")
     p.add_argument("--eps", help="error bound as p/q")
@@ -260,7 +259,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tol", default="1/100", help="game value tolerance as p/q")
     p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=0)
     p.add_argument("--out", help="output path (report file or directory)")
 
 

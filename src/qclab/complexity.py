@@ -2,8 +2,10 @@
 subcubes, and randomized query complexity via best-response dynamics on the
 input-vs-algorithm zero-sum game.
 
-The DP is exact: distribution masses are carried as integer numerators over
-one common denominator, so every comparison is integer arithmetic.  The game
+The DP runs on the subcube lattice of :mod:`qclab.lattice` and is exact:
+distribution masses are integer numerators over one common denominator, in
+numpy int64 only while that denominator is below 2^62 and in Python ints
+above it, so every comparison is exact integer arithmetic.  The game
 solver is approximate but bracketed, and every accept/reject decision it
 makes is backed by an exact quantity (a best-response value below the target
 rejects a depth; the rejecting distribution is an exact certificate for the
@@ -14,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import count
 from typing import Union
 
+import numpy as np
+
+from . import lattice
 from .core import (
     CapExceeded,
     Dist,
@@ -40,11 +45,6 @@ def _as_relation(h: Problem) -> Relation:
     return h
 
 
-def _int_weights(mu: Dist) -> tuple[list[int], int]:
-    den = lcm(*(p.denominator for p in mu.probs))
-    return [p.numerator * (den // p.denominator) for p in mu.probs], den
-
-
 @dataclass(frozen=True)
 class DPResult:
     success: Fraction
@@ -52,7 +52,8 @@ class DPResult:
 
 
 class _TreeDP:
-    """Memoized optimum of depth-bounded trees for a fixed (h, mu).
+    """Optimal depth-bounded trees for a fixed (h, mu), solved once over the
+    subcube lattice; depths are added on demand.
 
     Tie-breaking is deterministic: answering beats querying at equal value,
     lower variable index beats higher, lower label beats higher.
@@ -63,68 +64,45 @@ class _TreeDP:
             raise QclabError("relation and distribution arity mismatch")
         if h.arity > caps()["dp"]:
             raise CapExceeded(f"arity {h.arity} exceeds the DP cap")
-        self.h = h
         self.arity = h.arity
-        self.nums, self.den = _int_weights(mu)
-        self.memo: dict = {}
+        weights, self.den = lattice.int_weights(mu)
+        accepts = np.array([[r in acc for acc in h.accepted] for r in range(h.alphabet_size)])
+        self.label_mass = lattice.masses(weights * accepts, h.arity)
+        self._deeper = lattice.layers(self.label_mass.max(axis=0), h.arity)
+        self.values: list[np.ndarray] = []
 
-    def _best_answer(self, points) -> tuple[int, int]:
-        counts = [0] * self.h.alphabet_size
-        acc = self.h.accepted
-        nums = self.nums
-        for x in points:
-            w = nums[x]
-            if w:
-                for r in acc[x]:
-                    counts[r] += w
-        best = max(counts)
-        return best, counts.index(best)
+    def _layer(self, depth: int) -> np.ndarray:
+        while len(self.values) <= depth:
+            self.values.append(next(self._deeper))
+        return self.values[depth]
 
-    def value(self, fixed: frozenset, points: tuple, depth: int) -> tuple[int, tuple]:
-        free = self.arity - len(fixed)
-        depth = min(depth, free)
-        key = (fixed, depth)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        best, label = self._best_answer(points)
-        action = ("answer", label)
-        if depth > 0:
-            fixed_vars = {var for var, _ in fixed}
-            for var in range(self.arity):
-                if var in fixed_vars:
-                    continue
-                pts0 = tuple(x for x in points if not (x >> var) & 1)
-                pts1 = tuple(x for x in points if (x >> var) & 1)
-                v0, _ = self.value(fixed | {(var, 0)}, pts0, depth - 1)
-                v1, _ = self.value(fixed | {(var, 1)}, pts1, depth - 1)
-                if v0 + v1 > best:
-                    best = v0 + v1
-                    action = ("query", var)
-        self.memo[key] = (best, action)
-        return best, action
+    def value(self, depth: int) -> int:
+        """Best success numerator (over ``den``) of depth-``depth`` trees."""
+        return int(self._layer(min(depth, self.arity))[0])
 
     def witness(self, depth: int) -> DecisionTree:
-        counter = [0]
+        root = self._node(0, min(depth, self.arity), count())
+        return DecisionTree(self.arity, root)
 
-        def build(fixed: frozenset, points: tuple, d: int):
-            _, action = self.value(fixed, points, d)
-            if action[0] == "answer":
-                leaf = Leaf(action[1], counter[0])
-                counter[0] += 1
-                return leaf
-            var = action[1]
-            pts0 = tuple(x for x in points if not (x >> var) & 1)
-            pts1 = tuple(x for x in points if (x >> var) & 1)
+    def _node(self, index: int, d: int, leaf_ids):
+        # a method, not a closure: a self-referencing closure would keep
+        # the lattice arrays alive until the cyclic collector runs
+        best = self._layer(d)[index]
+        if self.values[0][index] < best:  # some query beats every answer
+            below = self.values[d - 1]
+            var = next(
+                v for v in range(self.arity)
+                if index // 3**v % 3 == 0  # v is free here
+                and below[index + 3**v] + below[index + 2 * 3**v] == best
+            )
+            step = 3**var
             return InternalNode(
                 var,
-                build(fixed | {(var, 0)}, pts0, d - 1),
-                build(fixed | {(var, 1)}, pts1, d - 1),
+                self._node(index + step, d - 1, leaf_ids),
+                self._node(index + 2 * step, d - 1, leaf_ids),
             )
-
-        free = self.arity
-        depth = min(depth, free)
-        return DecisionTree(self.arity, build(frozenset(), tuple(range(1 << self.arity)), depth))
+        counts = self.label_mass[:, index].tolist()
+        return Leaf(counts.index(max(counts)), next(leaf_ids))
 
 
 def best_success(h: Problem, mu: Dist, depth: int, with_witness: bool = True) -> DPResult:
@@ -134,10 +112,8 @@ def best_success(h: Problem, mu: Dist, depth: int, with_witness: bool = True) ->
         raise QclabError("depth must be >= 0")
     rel = _as_relation(h)
     dp = _TreeDP(rel, mu)
-    depth = min(depth, rel.arity)
-    value, _ = dp.value(frozenset(), tuple(range(1 << rel.arity)), depth)
     witness = dp.witness(depth) if with_witness else None
-    return DPResult(success=Fraction(value, dp.den), witness=witness)
+    return DPResult(success=Fraction(dp.value(depth), dp.den), witness=witness)
 
 
 def dist_complexity(h: Problem, mu: Dist, eps) -> int:
@@ -149,10 +125,8 @@ def dist_complexity(h: Problem, mu: Dist, eps) -> int:
     dp = _TreeDP(rel, mu)
     target_num = (1 - eps).numerator * dp.den
     target_den = (1 - eps).denominator
-    all_points = tuple(range(1 << rel.arity))
     for d in range(rel.arity + 1):
-        value, _ = dp.value(frozenset(), all_points, d)
-        if value * target_den >= target_num:
+        if dp.value(d) * target_den >= target_num:
             return d
     raise Unachievable("full-depth success below 1 - eps")
 

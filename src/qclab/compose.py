@@ -202,6 +202,8 @@ class ComposedInstance:
 
 
 def default_epsilon(n: int) -> Fraction:
+    if n < 2:
+        raise QclabError("no default epsilon for a 1-bit outer relation; pass --eps")
     return Fraction(1, 2) - Fraction(1, n**4)
 
 

@@ -8,6 +8,7 @@ verdict-bearing field is ever a float.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,9 @@ def parse_fraction(text: str) -> Fraction:
 
 
 def format_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    # Decimal prints ints of any length; str() stops at the interpreter's
+    # digit limit, which stays in place because it guards parsing
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def _lines(text: str) -> list[str]:
@@ -160,7 +163,7 @@ def parse_tree(text: str, arity: int) -> DecisionTree:
         pos[0] += 1
         return value
 
-    def parse_node() -> Node:
+    def parse_node(depth: int) -> Node:
         expect("(")
         if pos[0] >= len(tokens):
             raise ParseError("unexpected end of tree text")
@@ -173,16 +176,19 @@ def parse_tree(text: str, arity: int) -> DecisionTree:
             counter[0] += 1
             return leaf
         if kind == "q":
+            # read-once trees are at most ``arity`` deep; this bounds the recursion
+            if depth >= arity:
+                raise ParseError(f"tree deeper than its arity {arity}")
             var = parse_int()
             if not 1 <= var <= arity:
                 raise ParseError(f"variable {var} out of range 1..{arity}")
-            child0 = parse_node()
-            child1 = parse_node()
+            child0 = parse_node(depth + 1)
+            child1 = parse_node(depth + 1)
             expect(")")
             return InternalNode(var - 1, child0, child1)
         raise ParseError(f"unknown node kind {kind!r}")
 
-    root = parse_node()
+    root = parse_node(0)
     if pos[0] != len(tokens):
         raise ParseError("trailing tokens after tree")
     return DecisionTree(arity, root).require_valid()
@@ -200,7 +206,7 @@ def format_tree(tree: DecisionTree) -> str:
 # --- instance manifests -----------------------------------------------------
 
 
-def write_instance(inst: ComposedInstance, directory: Path, seed: int = 0) -> Path:
+def write_instance(inst: ComposedInstance, directory: Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "g.tt").write_text(format_truth_table(inst.g))
@@ -217,7 +223,6 @@ def write_instance(inst: ComposedInstance, directory: Path, seed: int = 0) -> Pa
         "epsilon": format_fraction(inst.epsilon),
         "theta": format_fraction(inst.theta),
         "inner_complexity": inst.inner_complexity,
-        "seed": seed,
     }
     path = directory / "instance.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -231,6 +236,9 @@ def read_instance(manifest_path: Path) -> ComposedInstance:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad manifest JSON: {exc}") from exc
+    keys = ("g", "f", "mu", "lambda", "epsilon", "theta")
+    if not isinstance(manifest, dict) or not all(isinstance(manifest.get(k), str) for k in keys):
+        raise ParseError(f"manifest must be a JSON object with string fields {', '.join(keys)}")
     g = parse_truth_table((base / manifest["g"]).read_text())
     f = parse_relation((base / manifest["f"]).read_text())
     mu = parse_dist((base / manifest["mu"]).read_text())
@@ -240,7 +248,7 @@ def read_instance(manifest_path: Path) -> ComposedInstance:
         epsilon=parse_fraction(manifest["epsilon"]),
         theta=parse_fraction(manifest["theta"]),
     )
-    if inst.inner_complexity != manifest["inner_complexity"]:
+    if inst.inner_complexity != manifest.get("inner_complexity"):
         raise ParseError(
             "manifest inner_complexity disagrees with the recomputed value"
         )

@@ -22,7 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
+from . import lattice
 from .core import (
+    ArityMismatch,
     Dist,
     HypothesisViolated,
     QclabError,
@@ -344,13 +348,15 @@ def leaf_reports(
 # claim verifiers
 
 
-def _all_subcubes(arity: int):
-    from itertools import product
-
-    for choice in product((None, 0, 1), repeat=arity):
-        yield Subcube.from_mapping(
-            arity, {v: b for v, b in enumerate(choice) if b is not None}
-        )
+def _g_masses(g: TruthTable, mu: Dist) -> tuple[list, list, int]:
+    """Mass of g=0 and of g=1 on every subcube of the lattice, as integer
+    numerators over the common denominator of ``mu``."""
+    if g.arity != mu.arity:
+        raise ArityMismatch(f"arity mismatch: {g.arity} != {mu.arity}")
+    weights, den = lattice.int_weights(mu)
+    ones = np.array(g.outputs, dtype=bool)
+    m0, m1 = lattice.masses(np.stack((weights * ~ones, weights * ones)), g.arity).tolist()
+    return m0, m1, den
 
 
 @dataclass(frozen=True)
@@ -373,36 +379,31 @@ def verify_unbias(g: TruthTable, mu: Dist, delta) -> UnbiasReport:
     delta = Fraction(delta)
     if not 0 < delta <= Fraction(1, 2):
         raise HypothesisViolated("delta must lie in (0, 1/2]")
-    full = Subcube.full(g.arity)
-    if bias(g, mu, full) > delta:
+    m0, m1, den = _g_masses(g, mu)
+    mass_b = (m0[0], m1[0])  # index 0 is the full cube
+    if Fraction(abs(mass_b[0] - mass_b[1]), den) > delta:
         raise HypothesisViolated("full-cube bias exceeds delta")
-    mass_b = [
-        mu.mass_where(lambda x, b=b: g.outputs[x] == b) for b in (0, 1)
-    ]
     hi = 1 + 4 * delta
     lo = 1 - 4 * delta
     violations = []
     checked = 0
-    min_ratio = max_ratio = None
-    for cube in _all_subcubes(g.arity):
-        pc = subcube_prob(mu, cube)
-        if pc == 0 or bias(g, mu, cube) > delta:
+    ratios = []
+    for index, (c0, c1) in enumerate(zip(m0, m1)):
+        if c0 + c1 == 0 or Fraction(abs(c0 - c1), c0 + c1) > delta:
             continue
         checked += 1
-        for b in (0, 1):
-            pb = sum(
-                (mu.probs[x] for x in cube.points() if g.outputs[x] == b), ZERO
-            ) / mass_b[b]
-            ratio = pc / pb
-            if min_ratio is None or ratio < min_ratio:
-                min_ratio = ratio
-            if max_ratio is None or ratio > max_ratio:
-                max_ratio = ratio
+        pc = Fraction(c0 + c1, den)
+        fixed = lattice.assignment(index, g.arity)
+        for b, cube_b in ((0, c0), (1, c1)):
+            pb = Fraction(cube_b, mass_b[b])
+            ratios.append(pc / pb)
             if pc > hi * pb:
-                violations.append((cube.fixed, b, "upper", pc, pb))
+                violations.append((fixed, b, "upper", pc, pb))
             if pc < lo * pb:
-                violations.append((cube.fixed, b, "lower", pc, pb))
-    return UnbiasReport(delta, checked, tuple(violations), min_ratio, max_ratio)
+                violations.append((fixed, b, "lower", pc, pb))
+    return UnbiasReport(
+        delta, checked, tuple(violations), min(ratios, default=None), max(ratios, default=None)
+    )
 
 
 @dataclass(frozen=True)
@@ -435,26 +436,24 @@ def verify_rbias(g: TruthTable, mu: Dist, eps, tree: DecisionTree) -> RbiasRepor
     c = dist_complexity(g, mu, eps)
     if c == 0:
         raise HypothesisViolated("distributional complexity is zero")
-    event_mu = ZERO
-    event_b = [ZERO, ZERO]
-    mass_b = [
-        mu.mass_where(lambda x, b=b: g.outputs[x] == b) for b in (0, 1)
-    ]
+    m0, m1, den = _g_masses(g, mu)
+    mass_b = (m0[0], m1[0])
+    event = [0, 0]  # g=0 and g=1 mass numerators of the shallow high-bias leaves
     for _, path in tree.leaf_paths():
-        cube = Subcube.from_mapping(g.arity, dict(path))
-        if cube.codim >= c:
+        fixed = dict(path)
+        if len(fixed) >= c:
             continue
-        mass = subcube_prob(mu, cube)
+        index = lattice.index_of(fixed.items())
+        mass = m0[index] + m1[index]
         if mass == 0:
             continue
-        leaf_bias = bias(g, mu, cube)
+        leaf_bias = Fraction(m0[index] - m1[index], mass)
         if leaf_bias * leaf_bias < 4 * delta:  # bias < 2*sqrt(delta)
             continue
-        event_mu += mass
-        for b in (0, 1):
-            event_b[b] += sum(
-                (mu.probs[x] for x in cube.points() if g.outputs[x] == b), ZERO
-            ) / mass_b[b]
+        event[0] += m0[index]
+        event[1] += m1[index]
+    event_mu = Fraction(event[0] + event[1], den)
+    event_b = [Fraction(event[b], mass_b[b]) for b in (0, 1)]
     part_a = event_mu * event_mu < delta  # event_mu < sqrt(delta)
     part_b = tuple(e * e < 16 * delta for e in event_b)
     return RbiasReport(

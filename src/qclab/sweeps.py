@@ -2,13 +2,16 @@
 
 These sweeps cover every Boolean function on up to 3 bits, a rational grid
 of distributions, and (where relevant) every canonical read-once tree of
-bounded depth.  Distribution masses are carried as integer numerators over
-one common total and all comparisons are integer comparisons (via numpy
-int64, whose products stay far below overflow here), so the verdicts are
-exact; irrational square-root thresholds are compared through squares.
+bounded depth.  Subcube masses and complexities come from the lattice
+kernel of :mod:`qclab.lattice`, solved for every function at once.
+Distribution masses are integer numerators over one common total and all
+comparisons are numpy int64 comparisons; each sweep checks before it runs
+that its largest product stays below 2^63, so nothing can wrap and the
+verdicts are exact.  Irrational square-root thresholds are compared through
+squares.
 
 The single-instance verifiers in :mod:`qclab.simulate` recheck samples of
-these sweeps with Fraction arithmetic; the two routes are independent.
+these sweeps with Fraction thresholds on the same lattice masses.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+
+from . import lattice
+from .core import CapExceeded
 
 # grid denominator per arity: the 3-bit cube already has 3^3 subcubes and
 # 256 functions, so its grid is coarser to keep sweeps in budget
@@ -57,102 +63,33 @@ def all_output_tables(m: int) -> list[tuple[int, ...]]:
     return [tuple((g >> x) & 1 for x in range(size)) for g in range(1 << size)]
 
 
-def readonce_shapes(m: int, depth: int) -> list:
-    """Canonical read-once tree shapes (labels irrelevant): ``None`` is a
-    leaf, ``(var, shape0, shape1)`` an internal node."""
+def readonce_leaves(m: int, depth: int) -> np.ndarray:
+    """Leaf subcubes of every canonical read-once tree shape of bounded
+    depth, as a 0/1 matrix of shape (3^m, shapes): column s marks the
+    lattice indices of the leaves of shape s."""
 
-    def rec(avail: tuple, d: int):
-        shapes = [None]
+    def rec(avail: tuple, d: int, index: int) -> list[tuple[int, ...]]:
+        shapes = [(index,)]
         if d > 0:
             for i, v in enumerate(avail):
                 rest = avail[:i] + avail[i + 1:]
-                subs = rec(rest, d - 1)
-                for s0 in subs:
-                    for s1 in subs:
-                        shapes.append((v, s0, s1))
+                low = rec(rest, d - 1, index + 3**v)
+                high = rec(rest, d - 1, index + 2 * 3**v)
+                shapes += [s0 + s1 for s0 in low for s1 in high]
         return shapes
 
-    return rec(tuple(range(m)), min(depth, m))
+    shapes = rec(tuple(range(m)), min(depth, m), 0)
+    incidence = np.zeros((3**m, len(shapes)), dtype=np.int64)
+    for s, leaves in enumerate(shapes):
+        incidence[list(leaves), s] = 1
+    return incidence
 
 
-def shape_leaves(shape, m: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Leaf subcubes of a shape as (codim, tuple of member points)."""
-    out = []
-
-    def rec(node, fixed: dict):
-        if node is None:
-            pts = tuple(
-                x for x in range(1 << m)
-                if all((x >> v) & 1 == b for v, b in fixed.items())
-            )
-            out.append((len(fixed), pts))
-            return
-        var, s0, s1 = node
-        rec(s0, {**fixed, var: 0})
-        rec(s1, {**fixed, var: 1})
-
-    rec(shape, {})
-    return out
-
-
-def depth_successes(outputs: tuple[int, ...], weights: tuple[int, ...], m: int) -> list[int]:
-    """Best depth-d success numerators (over the weight total) of the
-    function ``outputs`` for every d in 0..m.  Lean integer twin of the
-    general tree DP, for sweep-scale workloads."""
-    memo: dict = {}
-
-    def val(fixed: frozenset, points: tuple, d: int) -> int:
-        d = min(d, m - len(fixed))
-        key = (fixed, d)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        s1 = sum(weights[x] for x in points if outputs[x])
-        s0 = sum(weights[x] for x in points) - s1
-        best = s0 if s0 >= s1 else s1
-        if d > 0:
-            fixed_vars = {v for v, _ in fixed}
-            for var in range(m):
-                if var in fixed_vars:
-                    continue
-                p0 = tuple(x for x in points if not (x >> var) & 1)
-                p1 = tuple(x for x in points if (x >> var) & 1)
-                v = val(fixed | {(var, 0)}, p0, d - 1) + val(fixed | {(var, 1)}, p1, d - 1)
-                if v > best:
-                    best = v
-        memo[key] = best
-        return best
-
-    all_points = tuple(range(1 << m))
-    return [val(frozenset(), all_points, d) for d in range(m + 1)]
-
-
-def complexity_from_successes(successes: list[int], total: int, eps: Fraction) -> int:
-    """Smallest depth with success >= 1 - eps, from numerators over total."""
-    num, den = (1 - eps).numerator, (1 - eps).denominator
-    for d, s in enumerate(successes):
-        if s * den >= num * total:
-            return d
-    raise AssertionError("full-depth success below target")  # unreachable
-
-
-def _all_subcube_matrix(m: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Membership matrix of all 3^m subcubes, their codims, and their
-    fixed-assignment descriptions."""
-    from itertools import product
-
-    rows = []
-    codims = []
-    descs = []
-    for choice in product((None, 0, 1), repeat=m):
-        fixed = {v: b for v, b in enumerate(choice) if b is not None}
-        rows.append([
-            1 if all((x >> v) & 1 == b for v, b in fixed.items()) else 0
-            for x in range(1 << m)
-        ])
-        codims.append(len(fixed))
-        descs.append(tuple(sorted(fixed.items())))
-    return np.array(rows, dtype=np.int64), np.array(codims, dtype=np.int64), descs
+def _check_int64(bound: int) -> None:
+    """Every int64 product of a sweep is at most ``bound``; refuse to run
+    where one could wrap."""
+    if bound >= 1 << 63:
+        raise CapExceeded(f"sweep products up to {bound} would overflow int64")
 
 
 @dataclass(frozen=True)
@@ -176,18 +113,18 @@ def sweep_unbias(
     for all functions on up to 3 bits, plus sampled 4-bit fixtures."""
     violations = []
     cases = 0
+    total4 = lcm(*range(1, max_denominator + 1))  # the grid total of every arity
+    _check_int64(total4**2 * max(d.denominator + 4 * d.numerator for d in deltas))
 
     def run(m: int, g_rows: np.ndarray, mus: list[tuple[int, ...]], total: int):
         nonlocal cases
-        S, _, descs = _all_subcube_matrix(m)
         for w in mus:
             wv = np.array(w, dtype=np.int64)
-            mt = S @ wv                       # subcube masses
-            M1 = g_rows @ wv                  # g=1 masses, per function
-            M0 = total - M1
-            W = S * wv                        # per-subcube masked weights
-            m1 = g_rows @ W.T                 # (n_g, n_cubes)
+            mt = lattice.masses(wv, m)            # subcube masses
+            m1 = lattice.masses(g_rows * wv, m)   # g=1 masses, (n_g, n_cubes)
             m0 = mt[None, :] - m1
+            M1 = m1[:, 0]                         # index 0 is the full cube
+            M0 = total - M1
             for delta in deltas:
                 nd, dd = delta.numerator, delta.denominator
                 hyp = np.abs(M0 - M1) * dd <= nd * total
@@ -205,9 +142,10 @@ def sweep_unbias(
                     bad = active & ~(up_ok & lo_ok)
                     if bad.any():
                         for gi, ci in zip(*np.nonzero(bad)):
-                            violations.append(
-                                (m, tuple(int(v) for v in g_rows[gi]), w, str(delta), descs[ci])
-                            )
+                            violations.append((
+                                m, tuple(int(v) for v in g_rows[gi]), w, str(delta),
+                                lattice.assignment(int(ci), m),
+                            ))
 
     for m in (1, 2, 3):
         g_rows = np.array(all_output_tables(m), dtype=np.int64)
@@ -215,16 +153,12 @@ def sweep_unbias(
         run(m, g_rows, mus, total)
 
     rng = _random.Random(seed)
-    total4 = lcm(*range(1, max_denominator + 1))
-    fixtures = []
     for _ in range(sampled_m4):
         g = tuple(rng.randrange(2) for _ in range(16))
         q = rng.randrange(1, max_denominator + 1)
         cuts = sorted(rng.randrange(q + 1) for _ in range(15))
         comp = [b - a for a, b in zip([0] + cuts, cuts + [q])]
-        fixtures.append((g, tuple(c * (total4 // q) for c in comp)))
-    for g, w in fixtures:
-        run(4, np.array([g], dtype=np.int64), [w], total4)
+        run(4, np.array([g], dtype=np.int64), [tuple(c * (total4 // q) for c in comp)], total4)
 
     return SweepReport("unbias", cases, tuple(violations))
 
@@ -243,56 +177,42 @@ def sweep_rbias(
         tables = all_output_tables(m)
         g_rows = np.array(tables, dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
-        shapes = [shape_leaves(s, m) for s in readonce_shapes(m, tree_depth)]
-        shape_data = []
-        for leaves in shapes:
-            codims = np.array([cd for cd, _ in leaves], dtype=np.int64)
-            members = np.array(
-                [[1 if x in pts else 0 for x in range(1 << m)] for _, pts in leaves],
-                dtype=np.int64,
-            )
-            shape_data.append((codims, members))
+        for eps in eps_list:
+            delta = Fraction(1, 2) - eps
+            _check_int64(total**2 * max((1 - eps).denominator, delta.denominator, 16 * delta.numerator))
+        codim = np.array([len(lattice.assignment(i, m)) for i in range(3**m)])
+        incidence = readonce_leaves(m, tree_depth)
         for w in mus:
             wv = np.array(w, dtype=np.int64)
-            M1 = g_rows @ wv
-            M0 = total - M1
-            maxM = np.maximum(M0, M1)
-            c_by_eps = {}
+            mt = lattice.masses(wv, m)
+            m1 = lattice.masses(g_rows * wv, m)   # (n_g, n_cubes)
+            m0 = mt[None, :] - m1
+            # best depth-d success of every function, d = 0..m
+            roots = np.array([v[:, 0] for v in lattice.layers(np.maximum(m0, m1), m)])
             for eps in eps_list:
                 ne, de = (1 - eps).numerator, (1 - eps).denominator
-                # positive complexity iff the best constant answer misses 1-eps
-                surv = maxM * de < ne * total
-                c_arr = np.zeros(len(tables), dtype=np.int64)
-                for gi in np.nonzero(surv)[0]:
-                    succ = depth_successes(tables[gi], w, m)
-                    c_arr[gi] = complexity_from_successes(succ, total, eps)
-                c_by_eps[eps] = c_arr
-            for codims, members in shape_data:
-                Wl = members * wv
-                mt = Wl.sum(axis=1)
-                m1 = g_rows @ Wl.T            # (n_g, n_leaves)
-                diff = mt[None, :] - 2 * m1   # m0 - m1 within each leaf
-                for eps in eps_list:
-                    c_arr = c_by_eps[eps]
-                    if not c_arr.any():
-                        continue
-                    delta = Fraction(1, 2) - eps
-                    nd, dd = delta.numerator, delta.denominator
-                    shallow = codims[None, :] < c_arr[:, None]
-                    high_bias = diff * diff * dd >= 4 * nd * mt[None, :] ** 2
-                    active = shallow & high_bias & (mt[None, :] > 0)
-                    event_mu = (active * mt[None, :]).sum(axis=1)
-                    event_1 = (active * m1).sum(axis=1)
-                    event_0 = (active * (mt[None, :] - m1)).sum(axis=1)
-                    live = c_arr > 0
-                    cases += int(live.sum())
-                    ok_a = event_mu**2 * dd < nd * total**2
-                    ok_b0 = event_0**2 * dd < 16 * nd * M0**2
-                    ok_b1 = event_1**2 * dd < 16 * nd * M1**2
-                    bad = live & ~(ok_a & ok_b0 & ok_b1)
-                    if bad.any():
-                        for gi in np.nonzero(bad)[0]:
-                            violations.append((m, tables[gi], w, str(eps), int(c_arr[gi])))
+                # distributional complexity: the first depth reaching 1 - eps
+                c_arr = np.argmax(roots * de >= ne * total, axis=0)
+                live = np.nonzero(c_arr)[0]
+                if not live.size:
+                    continue
+                delta = Fraction(1, 2) - eps
+                nd, dd = delta.numerator, delta.denominator
+                lm0, lm1 = m0[live], m1[live]
+                shallow = codim[None, :] < c_arr[live, None]
+                high_bias = (lm0 - lm1) ** 2 * dd >= 4 * nd * mt[None, :] ** 2
+                active = shallow & high_bias & (mt[None, :] > 0)
+                # leaf-event masses of every (function, shape) pair
+                event_0, event_1 = np.stack((active * lm0, active * lm1)) @ incidence
+                event_mu = event_0 + event_1
+                cases += live.size * incidence.shape[1]
+                ok_a = event_mu**2 * dd < nd * total**2
+                ok_b0 = event_0**2 * dd < 16 * nd * lm0[:, :1] ** 2
+                ok_b1 = event_1**2 * dd < 16 * nd * lm1[:, :1] ** 2
+                bad = ~(ok_a & ok_b0 & ok_b1)
+                for li, _ in zip(*np.nonzero(bad)):
+                    gi = live[li]
+                    violations.append((m, tables[gi], w, str(eps), int(c_arr[gi])))
     return SweepReport("rbias", cases, tuple(violations))
 
 
@@ -308,6 +228,9 @@ def sweep_fullbias(
         tables = all_output_tables(m)
         g_rows = np.array(tables, dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
+        for eps in eps_list:
+            _check_int64(total * max((1 - eps).denominator, eps.denominator,
+                                     (1 - 2 * eps).denominator))
         for w in mus:
             wv = np.array(w, dtype=np.int64)
             M1 = g_rows @ wv

@@ -74,6 +74,17 @@ class TestRqc:
         assert record["certified_depth"] >= 2
         assert not record["limit_hit"]
 
+    def test_long_game_prints_exact_values(self, tmp_path):
+        # 169 game rounds: upper_value's terms pass 4,300 decimal digits
+        g = tmp_path / "g.tt"
+        g.write_text("arity=4\n1110110000100110\n")
+        out = tmp_path / "out.jsonl"
+        code = main(["rqc", "--g", str(g), "--eps", "1/3", "--out", str(out)])
+        assert code == 0
+        (record,) = read_records(out)
+        assert record["passed"] is True
+        assert len(record["upper_value"]) > 4300
+
 
 class TestBuildInstance:
     def test_manifest_written(self, files, tmp_path, capsys):
@@ -90,6 +101,52 @@ class TestBuildInstance:
                      "--mu", files["mu_u2"], "--eps", "1/3"])
         assert code == 2
         assert "zero-query" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Malformed input ends as exit 2 with an ``error:`` line."""
+
+    @pytest.fixture()
+    def manifest(self, files, tmp_path):
+        out_dir = tmp_path / "inst"
+        assert main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--mu", files["mu_u2"], "--eps", "1/4", "--out", str(out_dir)]) == 0
+        return out_dir / "instance.json"
+
+    def simulate(self, manifest, files, capsys):
+        capsys.readouterr()
+        code = main(["simulate", "--instance", str(manifest), "--tree", files["tree"]])
+        return code, capsys.readouterr().err
+
+    def test_manifest_without_f(self, manifest, files, capsys):
+        data = json.loads(manifest.read_text())
+        del data["f"]
+        manifest.write_text(json.dumps(data))
+        code, err = self.simulate(manifest, files, capsys)
+        assert code == 2
+        assert err.startswith("error: manifest")
+
+    def test_manifest_not_an_object(self, manifest, files, capsys):
+        manifest.write_text("[1, 2]")
+        code, err = self.simulate(manifest, files, capsys)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_tree_nested_deeper_than_arity(self, files, tmp_path, capsys):
+        deep = tmp_path / "deep.sexp"
+        deep.write_text("(q 1 " * 3000 + "(leaf 0)" + " (leaf 1))" * 3000)
+        code = main(["simulate", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--mu", files["mu_u2"], "--tree", str(deep),
+                     "--eps", "1/4", "--theta", "1/2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: tree deeper")
+
+    def test_one_bit_outer_needs_eps(self, files, tmp_path, capsys):
+        code = main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--out", str(tmp_path / "inst")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "pass --eps" in err
 
 
 class TestSimulate:

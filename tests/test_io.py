@@ -33,9 +33,15 @@ class TestFractions:
         assert parse_fraction(" 3 ") == 3
 
     def test_bad_input(self):
-        for text in ("a/b", "1/0", "1/2/3", ""):
+        # the last one passes the interpreter's int-parsing digit limit
+        for text in ("a/b", "1/0", "1/2/3", "", "9" * 5000):
             with pytest.raises(ParseError):
                 parse_fraction(text)
+
+    def test_format_beyond_int_str_limit(self):
+        big = 10**4999 + 1  # 5,000 digits
+        assert format_fraction(F(big, 7)) == "1" + "0" * 4998 + "1/7"
+        assert format_fraction(F(-big, 7)) == "-1" + "0" * 4998 + "1/7"
 
 
 class TestTruthTableFormat:
@@ -130,7 +136,7 @@ class TestInstanceManifest:
             Relation.from_function(xor_fn(2)), xor_fn(2),
             Dist.uniform(2), Dist.uniform(2), epsilon=F(1, 4),
         )
-        manifest = write_instance(inst, tmp_path / "inst", seed=7)
+        manifest = write_instance(inst, tmp_path / "inst")
         again = read_instance(manifest)
         assert again == inst
 
