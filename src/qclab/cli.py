@@ -29,8 +29,10 @@ from .io import (
     write_instance,
 )
 from .simulate import (
-    leaf_reports,
+    exact_p,
+    exact_q,
     run_Aprime,
+    snip_labels,
     success_chain,
     verify_lilsnip,
     verify_simileaf,
@@ -156,10 +158,12 @@ def cmd_simulate(args, emit: _Emitter) -> None:
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     budget = tree.depth() // inst.inner_complexity
+    snips = snip_labels(inst, tree)
     for z in range(1 << inst.n):
         if inst.lam.prob(z) == 0:
             continue
-        reports = leaf_reports(inst, tree, z)
+        p = exact_p(inst, tree, z)
+        q = exact_q(inst, tree, z)
         trace = run_Aprime(inst, tree, z, args.seed + z)
         emit.emit({
             "record": "simulate-z",
@@ -169,12 +173,8 @@ def cmd_simulate(args, emit: _Emitter) -> None:
             "trace_z_queries": list(trace.z_queries),
             "budget": budget,
             "leaves": {
-                lid: {
-                    "p": r.p,
-                    "q": r.q,
-                    "snip": r.snip,
-                }
-                for lid, r in sorted(reports.items())
+                lid: {"p": p[lid], "q": q[lid], "snip": 1 if any(snips[lid]) else 0}
+                for lid in sorted(p)
             },
             "passed": len(trace.z_queries) <= budget,
         })

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-
+from . import lattice
 from .core import (
     CapExceeded,
     Dist,
@@ -190,6 +191,11 @@ class ComposedInstance:
 
     def mu_z(self, b: int) -> Dist:
         return restrict_dist(self.mu, self.g, b)
+
+    @cached_property
+    def g_masses(self) -> tuple[list, list, int]:
+        """``lattice.g_masses(g, mu)``, built on first use."""
+        return lattice.g_masses(self.g, self.mu)
 
     def composed_relation(self) -> Relation:
         return compose_relation(self.f, self.g, self.n)

@@ -1,5 +1,6 @@
-"""The subcube lattice of {0,1}^m behind the exact tree DP, the sweeps and
-the bias verifiers: one indexing, one mass computation, one optimal-tree DP.
+"""The subcube lattice of {0,1}^m behind the exact tree DP, the sweeps, the
+bias verifiers and the simulator's exact laws: one indexing, one mass
+computation, one optimal-tree DP.
 
 Subcube indices carry one trit per variable: 0 leaves variable j free, 1
 fixes it to 0, 2 fixes it to 1.  Trit j has weight 3^j, as variable j is
@@ -18,7 +19,7 @@ from math import lcm
 
 import numpy as np
 
-from .core import Dist
+from .core import ArityMismatch, Dist, TruthTable
 
 INT64_LIMIT = 1 << 62
 
@@ -40,6 +41,17 @@ def masses(weights: np.ndarray, m: int) -> np.ndarray:
     for axis in range(-m, 0):
         a = np.concatenate((a.sum(axis=axis, keepdims=True), a), axis=axis)
     return a.reshape(lead + (3**m,))
+
+
+def g_masses(g: TruthTable, mu: Dist) -> tuple[list, list, int]:
+    """Mass of g=0 and of g=1 on every subcube, as lists of integer
+    numerators over the common denominator of ``mu``."""
+    if g.arity != mu.arity:
+        raise ArityMismatch(f"arity mismatch: {g.arity} != {mu.arity}")
+    weights, den = int_weights(mu)
+    ones = np.array(g.outputs, dtype=bool)
+    m0, m1 = masses(np.stack((weights * ~ones, weights * ones)), g.arity).tolist()
+    return m0, m1, den
 
 
 def _fixing(j: int, t: int) -> tuple:

@@ -10,19 +10,27 @@ Simulation semantics (per copy i, with c = inner complexity):
   all later copy-i outcomes are sampled from the conditional marginals of
   the inner distribution restricted to ``g = z_i``.
 
-Branch decisions compare an exact rational threshold against a 128-bit
-uniform integer drawn from a seeded Mersenne Twister, so the only sampling
-bias is below 2^-128 per branch and identical seeds give identical traces.
+Every law is a ratio of entries of the instance's lattice tables
+``g_masses``, the masses of g=0 and of g=1 on each inner subcube: a
+subcube's mass is the sum of its two entries, its mass restricted to g=b is
+entry b over entry b of the full cube, and its bias is their difference
+over their sum.  Tree walks carry, per copy, the ``lattice.index_of``
+index of the copy's subcube after each of its answers.
+
+Branch decisions compare a 128-bit uniform integer drawn from a seeded
+Mersenne Twister against the exact branch probability scaled by 2^128, so
+the only sampling bias is below 2^-128 per branch and identical seeds give
+identical traces.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
+from math import prod
 from typing import Optional
-
-import numpy as np
 
 from . import lattice
 from .core import (
@@ -30,22 +38,62 @@ from .core import (
     Dist,
     HypothesisViolated,
     QclabError,
-    Subcube,
     TruthTable,
     ZeroConditioningMass,
-    bias,
-    subcube_prob,
+    subcube_prob,  # noqa: F401  -- unused; perfbench's tracer self-test checks this binding
 )
 from .complexity import dist_complexity
 from .compose import ComposedInstance
 from .dtree import DecisionTree, Leaf
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def _cube_mass(dist: Dist, assigns: dict) -> Fraction:
-    return subcube_prob(dist, Subcube.from_mapping(dist.arity, assigns))
+def _restricted(inst: ComposedInstance, z: int) -> list[list]:
+    """Per copy i, the mass table of g = bit i of ``z``, which copy i is
+    conditioned on."""
+    tables = [inst.g_masses[(z >> i) & 1] for i in range(inst.n)]
+    for i, table in enumerate(tables):
+        if table[0] == 0:
+            raise ZeroConditioningMass(f"Pr[g={(z >> i) & 1}] = 0")
+    return tables
+
+
+def _branches(inst: ComposedInstance, node, state: tuple):
+    """The copy that ``node`` queries, and each child with the per-copy
+    state below it.  A copy's state is its history: the lattice index of
+    the copy's subcube after each of its answers so far, starting from the
+    full cube, so entry k fixes its first k answers."""
+    i, j = inst.block.copy_of(node.query_var)
+    hist = state[i]
+    return i, [
+        (child, state[:i] + (hist + (hist[-1] + (b + 1) * 3**j,),) + state[i + 1:])
+        for b, child in ((0, node.child0), (1, node.child1))
+    ]
+
+
+def _paths(inst: ComposedInstance, tree: DecisionTree) -> list:
+    """One walk of ``tree`` on the inner lattice: every leaf with the
+    per-copy states of the nodes on its path, root first."""
+    if tree.arity != inst.total_arity:
+        raise ArityMismatch("tree arity does not match block structure")
+    out = []
+
+    def walk(node, path):
+        if isinstance(node, Leaf):
+            out.append((node, path))
+            return
+        for child, sub in _branches(inst, node, path[-1])[1]:
+            walk(child, path + (sub,))
+
+    walk(tree.root, (((0,),) * inst.n,))
+    return out
+
+
+def _threshold(num: int, den: int) -> int:
+    """The ceiling of ``2^128 * num / den``: an integer draw lies below it
+    exactly when it lies below the branch probability num/den times 2^128."""
+    return -((-(num << 128)) // den)
 
 
 # ---------------------------------------------------------------------------
@@ -63,33 +111,13 @@ class SimulationTrace:
     rng_seed: int
 
 
-class _CNode:
-    __slots__ = ("copy", "p1", "query_z", "dead", "child0", "child1")
-
-    def __init__(self, copy, p1, query_z, dead, child0, child1):
-        self.copy = copy
-        self.p1 = p1
-        self.query_z = query_z
-        self.dead = dead
-        self.child0 = child0
-        self.child1 = child1
-
-
-class _CLeaf:
-    __slots__ = ("label", "leaf_id", "per_copy_codims", "path_length")
-
-    def __init__(self, label, leaf_id, per_copy_codims, path_length):
-        self.label = label
-        self.leaf_id = leaf_id
-        self.per_copy_codims = per_copy_codims
-        self.path_length = path_length
-
-
 class AprimeSimulator:
     """Compiled simulation of one outer tree on one input ``z``.
 
-    All branch thresholds are precomputed once, so repeated runs only walk
-    the tree and draw random bits.
+    Every branch compiles to a ``(threshold, child0, child1)`` tuple and
+    every leaf to its trace with seed 0, so repeated runs only walk the tree
+    and draw random bits.  A node whose subcube has no mass under its
+    sampling law compiles to ``None``, and a walk that reaches it raises.
     """
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree, z: int):
@@ -101,62 +129,48 @@ class AprimeSimulator:
         self.inst = inst
         self.tree = tree
         self.z = z
-        self.c = inst.inner_complexity
-        mu_z = [inst.mu_z((z >> i) & 1) for i in range(inst.n)]
+        self.c = c = inst.inner_complexity
+        restricted = _restricted(inst, z)
+        m0, m1, _ = inst.g_masses
 
-        def compile_node(node, assigns, counts, depth):
+        def compile_node(node, state, z_queries):
             if isinstance(node, Leaf):
-                codims = tuple(counts)
-                return _CLeaf(node.label, node.leaf_id, codims, depth)
-            i, j = inst.block.copy_of(node.query_var)
-            nth = counts[i] + 1  # this is the nth query into copy i
-            regime = inst.mu if nth <= self.c - 1 else mu_z[i]
-            denom = _cube_mass(regime, assigns[i])
-            dead = denom == 0
-            p1 = None
-            if not dead:
-                hi = dict(assigns[i])
-                hi[j] = 1
-                p1 = _cube_mass(regime, hi) / denom
-            children = []
-            for b, child in ((0, node.child0), (1, node.child1)):
-                sub = [dict(a) for a in assigns]
-                sub[i][j] = b
-                sub_counts = list(counts)
-                sub_counts[i] += 1
-                children.append(compile_node(child, sub, sub_counts, depth + 1))
-            return _CNode(i, p1, nth == self.c, dead, children[0], children[1])
-
-        self.root = compile_node(
-            tree.root, [dict() for _ in range(inst.n)], [0] * inst.n, 0
-        )
-
-    def _walk(self, rng: random.Random, seed: int) -> SimulationTrace:
-        node = self.root
-        z_queries: list[int] = []
-        while isinstance(node, _CNode):
-            if node.dead:
-                raise ZeroConditioningMass(
-                    "conditioning event has zero probability during simulation"
+                codims = tuple(len(hist) - 1 for hist in state)
+                return SimulationTrace(
+                    z, node.leaf_id, node.label, z_queries, codims, sum(codims), 0
                 )
-            if node.query_z:
-                z_queries.append(node.copy)
-            p1 = node.p1
-            draw = rng.getrandbits(128)
-            go1 = draw * p1.denominator < p1.numerator << 128
-            node = node.child1 if go1 else node.child0
-        return SimulationTrace(
-            z=self.z,
-            leaf_id=node.leaf_id,
-            output=node.label,
-            z_queries=tuple(z_queries),
-            per_copy_codims=node.per_copy_codims,
-            path_length=node.path_length,
-            rng_seed=seed,
-        )
+            i, ((child0, state0), (child1, state1)) = _branches(inst, node, state)
+            cube, cube1, nth = state[i][-1], state1[i][-1], len(state[i])
+            if nth <= c - 1:
+                denom, num = m0[cube] + m1[cube], m0[cube1] + m1[cube1]
+            else:
+                denom, num = restricted[i][cube], restricted[i][cube1]
+            if denom == 0:
+                return None
+            if nth == c:
+                z_queries += (i,)
+            return (
+                _threshold(num, denom),
+                compile_node(child0, state0, z_queries),
+                compile_node(child1, state1, z_queries),
+            )
+
+        self.root = compile_node(tree.root, ((0,),) * inst.n, ())
+
+    def _walk(self, rng: random.Random) -> SimulationTrace:
+        node = self.root
+        draw = rng.getrandbits
+        while type(node) is tuple:
+            threshold, child0, child1 = node
+            node = child1 if draw(128) < threshold else child0
+        if node is None:
+            raise ZeroConditioningMass(
+                "conditioning event has zero probability during simulation"
+            )
+        return node
 
     def run(self, seed: int) -> SimulationTrace:
-        return self._walk(random.Random(seed), seed)
+        return replace(self._walk(random.Random(seed)), rng_seed=seed)
 
     def run_stream(self, samples: int, seed: int) -> dict[int, int]:
         """Leaf-id frequency counts over ``samples`` runs sharing one seeded
@@ -164,8 +178,8 @@ class AprimeSimulator:
         rng = random.Random(seed)
         counts: dict[int, int] = {}
         for _ in range(samples):
-            trace = self._walk(rng, seed)
-            counts[trace.leaf_id] = counts.get(trace.leaf_id, 0) + 1
+            lid = self._walk(rng).leaf_id
+            counts[lid] = counts.get(lid, 0) + 1
         return counts
 
 
@@ -205,6 +219,37 @@ def best_fixed_seed(
 # exact leaf distributions
 
 
+def _q_law(inst: ComposedInstance, restricted: list, paths: list) -> dict[int, Fraction]:
+    c = inst.inner_complexity
+    m0, m1, den = inst.g_masses
+    out: dict[int, Fraction] = {}
+    for leaf, path in paths:
+        num, dnm = 1, den ** inst.n
+        for i, hist in enumerate(path[-1]):
+            prefix = hist[:c][-1]  # after its first c - 1 answers, or all if fewer
+            num *= m0[prefix] + m1[prefix]
+            if num and len(hist) > c:
+                table = restricted[i]
+                if table[prefix] == 0:
+                    raise ZeroConditioningMass(
+                        f"restricted distribution has no mass on a copy-{i} prefix"
+                    )
+                num *= table[hist[-1]]
+                dnm *= table[prefix]
+            if num == 0:
+                break
+        out[leaf.leaf_id] = Fraction(num, dnm)
+    return out
+
+
+def _p_law(restricted: list, paths: list) -> dict[int, Fraction]:
+    den = prod(table[0] for table in restricted)
+    return {
+        leaf.leaf_id: Fraction(prod(t[h[-1]] for t, h in zip(restricted, path[-1])), den)
+        for leaf, path in paths
+    }
+
+
 def exact_q(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
     """Exact probability of the simulation on ``z`` terminating at each leaf.
 
@@ -213,41 +258,13 @@ def exact_q(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fra
     the conditional mass of the remaining outcomes under the restricted
     distribution (an empty remainder contributes 1).
     """
-    c = inst.inner_complexity
-    mu = inst.mu
-    mu_z = [inst.mu_z((z >> i) & 1) for i in range(inst.n)]
-    out: dict[int, Fraction] = {}
-    for leaf, path in tree.leaf_paths():
-        q = ONE
-        for i, assigns in enumerate(inst.block.split_assignments(path)):
-            prefix = dict(assigns[: c - 1])
-            full = dict(assigns)
-            mu_prefix = _cube_mass(mu, prefix)
-            if mu_prefix == 0:
-                q = ZERO
-                break
-            factor = mu_prefix
-            if len(assigns) >= c:
-                rest_denom = _cube_mass(mu_z[i], prefix)
-                if rest_denom == 0:
-                    raise ZeroConditioningMass(
-                        f"restricted distribution has no mass on a copy-{i} prefix"
-                    )
-                factor *= _cube_mass(mu_z[i], full) / rest_denom
-            q *= factor
-            if q == 0:
-                break
-        out[leaf.leaf_id] = q
-    return out
+    return _q_law(inst, _restricted(inst, z), _paths(inst, tree))
 
 
 def exact_p(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
     """Exact leaf-reach probabilities of the outer tree on an input drawn
     from the per-z product distribution."""
-    from .dtree import reach_probs_product
-
-    mu_z = [inst.mu_z((z >> i) & 1) for i in range(inst.n)]
-    return reach_probs_product(tree, inst.block, mu_z)
+    return _p_law(_restricted(inst, z), _paths(inst, tree))
 
 
 # ---------------------------------------------------------------------------
@@ -263,34 +280,19 @@ def snip_labels(
     no probability ever flows through them."""
     theta = inst.theta if theta is None else Fraction(theta)
     c = inst.inner_complexity
-    out: dict[int, tuple[int, ...]] = {}
+    m0, m1, _ = inst.g_masses
 
-    def copy_flag(assigns: dict) -> bool:
-        if len(assigns) >= c:
-            return False
-        cube = Subcube.from_mapping(inst.m, assigns)
-        if subcube_prob(inst.mu, cube) == 0:
-            return False
-        return bias(inst.g, inst.mu, cube) >= theta
+    def flagged(hist) -> int:
+        for cube in hist[:c]:  # the subcubes of fewer than c answers
+            mass = m0[cube] + m1[cube]
+            if mass and abs(m0[cube] - m1[cube]) * theta.denominator >= theta.numerator * mass:
+                return 1
+        return 0
 
-    def walk(node, assigns: list[dict], flags: tuple[int, ...]):
-        if isinstance(node, Leaf):
-            out[node.leaf_id] = flags
-            return
-        i, j = inst.block.copy_of(node.query_var)
-        for b, child in ((0, node.child0), (1, node.child1)):
-            sub = [dict(a) for a in assigns]
-            sub[i][j] = b
-            new_flags = flags
-            if not flags[i] and copy_flag(sub[i]):
-                new_flags = flags[:i] + (1,) + flags[i + 1:]
-            walk(child, sub, new_flags)
-
-    root_flags = tuple(
-        1 if copy_flag({}) else 0 for _ in range(inst.n)
-    )
-    walk(tree.root, [dict() for _ in range(inst.n)], root_flags)
-    return out
+    return {
+        leaf.leaf_id: tuple(flagged(hist) for hist in path[-1])
+        for leaf, path in _paths(inst, tree)
+    }
 
 
 @dataclass(frozen=True)
@@ -314,49 +316,27 @@ def leaf_reports(
     p = exact_p(inst, tree, z)
     q = exact_q(inst, tree, z)
     snips = snip_labels(inst, tree, theta)
-    traces: dict[int, tuple] = {}
+    m0, m1, _ = inst.g_masses
 
-    def node_biases(assigns: list[dict]) -> tuple:
-        row = []
-        for a in assigns:
-            cube = Subcube.from_mapping(inst.m, a)
-            if subcube_prob(inst.mu, cube) == 0:
-                row.append(None)
-            else:
-                row.append(bias(inst.g, inst.mu, cube))
-        return tuple(row)
+    @cache  # one row per node, shared by the paths through it
+    def node_biases(state) -> tuple:
+        return tuple(
+            Fraction(abs(m0[cube] - m1[cube]), m0[cube] + m1[cube])
+            if m0[cube] + m1[cube] else None
+            for cube in (hist[-1] for hist in state)
+        )
 
-    def walk(node, assigns, trace):
-        trace = trace + (node_biases(assigns),)
-        if isinstance(node, Leaf):
-            traces[node.leaf_id] = trace
-            return
-        i, j = inst.block.copy_of(node.query_var)
-        for b, child in ((0, node.child0), (1, node.child1)):
-            sub = [dict(a) for a in assigns]
-            sub[i][j] = b
-            walk(child, sub, trace)
-
-    walk(tree.root, [dict() for _ in range(inst.n)], ())
     return {
-        lid: LeafReport(lid, p[lid], q[lid], snips[lid], traces[lid])
-        for lid in p
+        leaf.leaf_id: LeafReport(
+            leaf.leaf_id, p[leaf.leaf_id], q[leaf.leaf_id], snips[leaf.leaf_id],
+            tuple(node_biases(state) for state in path),
+        )
+        for leaf, path in _paths(inst, tree)
     }
 
 
 # ---------------------------------------------------------------------------
 # claim verifiers
-
-
-def _g_masses(g: TruthTable, mu: Dist) -> tuple[list, list, int]:
-    """Mass of g=0 and of g=1 on every subcube of the lattice, as integer
-    numerators over the common denominator of ``mu``."""
-    if g.arity != mu.arity:
-        raise ArityMismatch(f"arity mismatch: {g.arity} != {mu.arity}")
-    weights, den = lattice.int_weights(mu)
-    ones = np.array(g.outputs, dtype=bool)
-    m0, m1 = lattice.masses(np.stack((weights * ~ones, weights * ones)), g.arity).tolist()
-    return m0, m1, den
 
 
 @dataclass(frozen=True)
@@ -379,7 +359,7 @@ def verify_unbias(g: TruthTable, mu: Dist, delta) -> UnbiasReport:
     delta = Fraction(delta)
     if not 0 < delta <= Fraction(1, 2):
         raise HypothesisViolated("delta must lie in (0, 1/2]")
-    m0, m1, den = _g_masses(g, mu)
+    m0, m1, den = lattice.g_masses(g, mu)
     mass_b = (m0[0], m1[0])  # index 0 is the full cube
     if Fraction(abs(mass_b[0] - mass_b[1]), den) > delta:
         raise HypothesisViolated("full-cube bias exceeds delta")
@@ -436,7 +416,7 @@ def verify_rbias(g: TruthTable, mu: Dist, eps, tree: DecisionTree) -> RbiasRepor
     c = dist_complexity(g, mu, eps)
     if c == 0:
         raise HypothesisViolated("distributional complexity is zero")
-    m0, m1, den = _g_masses(g, mu)
+    m0, m1, den = lattice.g_masses(g, mu)
     mass_b = (m0[0], m1[0])
     event = [0, 0]  # g=0 and g=1 mass numerators of the shallow high-bias leaves
     for _, path in tree.leaf_paths():
@@ -488,7 +468,8 @@ def verify_simileaf(
     theta = inst.theta if theta is None else Fraction(theta)
     if theta > Fraction(1, 2):
         raise HypothesisViolated("theta must be at most 1/2")
-    if bias(inst.g, inst.mu, Subcube.full(inst.m)) > theta:
+    m0, m1, den = inst.g_masses
+    if Fraction(abs(m0[0] - m1[0]), den) > theta:
         raise HypothesisViolated("full-cube bias exceeds theta")
     n = inst.n
     lower = max(ZERO, 1 - 4 * theta) ** n
@@ -564,6 +545,11 @@ def verify_lilsnip(inst: ComposedInstance, tree: DecisionTree, z: int) -> Lilsni
 
 @dataclass(frozen=True)
 class ChainReport:
+    """End-to-end success accounting.  ``passed`` also compares
+    ``worst_z_queries`` with ``budget = depth // c``, which holds by
+    construction: a path of length at most ``depth`` has at most
+    ``depth // c`` copies with ``c`` or more queries."""
+
     success_outer: Fraction        # outer tree on the mixture distribution
     success_sim: Fraction          # simulation, averaged over the outer input
     lower_bound: Fraction          # parametric bound from the claim chain
@@ -580,44 +566,34 @@ class ChainReport:
 def success_chain(inst: ComposedInstance, tree: DecisionTree) -> ChainReport:
     """Exact end-to-end accounting of the simulation's success probability
     against the outer tree's, plus the inner-query budget."""
-    n = inst.n
-    theta = inst.theta
-    lower_factor = max(ZERO, 1 - 4 * theta) ** n
     c = inst.inner_complexity
-    success_outer = ZERO
-    success_sim = ZERO
-    snipped = ZERO
-    expected_zq = ZERO
-    worst_zq = 0
-    snips = snip_labels(inst, tree, theta)
-    for z in range(1 << n):
+    success_outer = success_sim = snipped = expected_zq = ZERO
+    snips = snip_labels(inst, tree, inst.theta)
+    paths = _paths(inst, tree)
+    z_queries = {leaf.leaf_id: sum(len(h) > c for h in path[-1]) for leaf, path in paths}
+    for z in range(1 << inst.n):
         w = inst.lam.prob(z)
         if w == 0:
             continue
-        p = exact_p(inst, tree, z)
-        q = exact_q(inst, tree, z)
+        restricted = _restricted(inst, z)
+        p = _p_law(restricted, paths)
+        q = _q_law(inst, restricted, paths)
         acc = inst.f.accepted[z]
-        for leaf, path in tree.leaf_paths():
+        for leaf, _ in paths:
             lid = leaf.leaf_id
-            correct = leaf.label in acc
-            if correct:
+            if leaf.label in acc:
                 success_outer += w * p[lid]
                 success_sim += w * q[lid]
             if any(snips[lid]):
                 snipped += w * p[lid]
-            zq = sum(
-                1 for assigns in inst.block.split_assignments(path)
-                if len(assigns) >= c
-            )
-            worst_zq = max(worst_zq, zq)
-            expected_zq += w * q[lid] * zq
-    bound = lower_factor * (success_outer - snipped)
+            expected_zq += w * q[lid] * z_queries[lid]
+    bound = max(ZERO, 1 - 4 * inst.theta) ** inst.n * (success_outer - snipped)
     return ChainReport(
         success_outer=success_outer,
         success_sim=success_sim,
         lower_bound=bound,
         bound_holds=success_sim >= bound,
-        worst_z_queries=worst_zq,
+        worst_z_queries=max(z_queries.values()),
         expected_z_queries=expected_zq,
         budget=tree.depth() // c,
     )

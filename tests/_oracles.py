@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qclab.core import Dist, Relation, Subcube, TruthTable, subcube_prob
+from qclab.core import Dist, Relation, Subcube, TruthTable, bias, subcube_prob
 from qclab.dtree import DecisionTree, InternalNode, Leaf
 
 
@@ -93,6 +93,43 @@ def brute_simulation_law(inst, tree: DecisionTree, z: int) -> dict[int, Fraction
             walk(child, sub, sub_counts, prob * step)
 
     walk(tree.root, [dict() for _ in range(inst.n)], [0] * inst.n, Fraction(1))
+    return out
+
+
+def brute_bias_traces(inst, tree: DecisionTree) -> dict[int, tuple]:
+    """Per leaf, per node on its path (root first), per copy: the bias of
+    the copy's path subcube, or None where the subcube has no mass, by
+    summing the inner distribution point by point."""
+    out: dict[int, tuple] = {}
+    for leaf, path in tree.leaf_paths():
+        rows = []
+        for k in range(len(path) + 1):
+            row = []
+            for assigns in inst.block.split_assignments(path[:k]):
+                cube = Subcube.from_mapping(inst.m, dict(assigns))
+                row.append(bias(inst.g, inst.mu, cube) if subcube_prob(inst.mu, cube) else None)
+            rows.append(tuple(row))
+        out[leaf.leaf_id] = tuple(rows)
+    return out
+
+
+def brute_snip_labels(inst, tree: DecisionTree, theta: Fraction) -> dict[int, tuple[int, ...]]:
+    """Snip flags from the definition: copy i of a leaf is flagged when a
+    node on its path fixes fewer than c copy-i variables on a subcube of
+    positive mass and bias at least ``theta``."""
+    out: dict[int, tuple[int, ...]] = {}
+    for leaf, path in tree.leaf_paths():
+        flags = [0] * inst.n
+        for k in range(len(path) + 1):
+            for i, assigns in enumerate(inst.block.split_assignments(path[:k])):
+                cube = Subcube.from_mapping(inst.m, dict(assigns))
+                if (
+                    len(assigns) < inst.inner_complexity
+                    and subcube_prob(inst.mu, cube) > 0
+                    and bias(inst.g, inst.mu, cube) >= theta
+                ):
+                    flags[i] = 1
+        out[leaf.leaf_id] = tuple(flags)
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -6,18 +7,22 @@ import pytest
 from qclab.core import (
     Dist,
     HypothesisViolated,
+    QclabError,
     Relation,
     TruthTable,
+    ZeroConditioningMass,
     and_fn,
     bias,
     identity1,
     maj3,
     xor_fn,
 )
+from qclab import lattice
 from qclab.compose import build_instance
 from qclab.dtree import make_tree
 from qclab.simulate import (
     AprimeSimulator,
+    _threshold,
     best_fixed_seed,
     exact_p,
     exact_q,
@@ -31,7 +36,15 @@ from qclab.simulate import (
     verify_unbias,
 )
 
-from _oracles import brute_simulation_law, random_tree
+from _oracles import (
+    brute_bias_traces,
+    brute_reach_probs,
+    brute_simulation_law,
+    brute_snip_labels,
+    random_relation,
+    random_tree,
+    random_truth_table,
+)
 
 
 def rel(g):
@@ -54,6 +67,45 @@ def tilted_and_instance():
         rel(identity1()), and_fn(2), mu, Dist.uniform(1),
         epsilon=F(1, 4), theta=F(1, 2),
     )
+
+
+def and_uniform_instance(n=1):
+    """Inner AND on 2 bits under uniform at eps = 1/8: c = 2, and the
+    restriction to g = 1 is the point mass on 11."""
+    f = rel(xor_fn(n)) if n > 1 else rel(identity1())
+    return build_instance(
+        f, and_fn(2), Dist.uniform(2), Dist.uniform(n),
+        epsilon=F(1, 8), theta=F(3, 4),
+    )
+
+
+def random_instances(rng, count):
+    """Random instances with n <= 2 and m in {2, 3}.  They cycle through
+    inner distributions with zero-mass points, with a common denominator of
+    at least 2^62, and with both."""
+    instances = []
+    while len(instances) < count:
+        kind = len(instances) % 3
+        n, m = rng.randint(1, 2), rng.randint(2, 3)
+        top = 7 if kind == 0 else 1 << 70
+        weights = [rng.randrange(1, top) for _ in range(1 << m)]
+        if kind != 1:
+            for x in rng.sample(range(1 << m), 1 << (m - 2)):
+                weights[x] = 0
+        try:
+            inst = build_instance(
+                random_relation(rng, n, 2), random_truth_table(rng, m),
+                Dist.from_weights(weights),
+                Dist.from_weights([rng.randrange(1, 4) for _ in range(1 << n)]),
+                epsilon=rng.choice([F(1, 8), F(1, 4), F(1, 3), F(7, 16)]),
+                theta=rng.choice([F(0), F(1, 8), F(1, 2), F(3, 4)]),
+            )
+        except QclabError:
+            continue
+        instances.append(inst)
+    assert any(lattice.int_weights(i.mu)[1] >= lattice.INT64_LIMIT for i in instances)
+    assert any(0 in i.mu.probs for i in instances)
+    return instances
 
 
 def full_parity_tree(arity):
@@ -105,6 +157,42 @@ class TestRunAprime:
                     assert sum(trace.per_copy_codims) == trace.path_length
 
 
+    def test_walk_into_dead_node_raises(self):
+        # on z = 1 the second copy-0 query is sampled from the point mass on
+        # 11, which has no mass on x0 = 0
+        inst = and_uniform_instance()
+        tree = make_tree(2, (0, (1, 0, 1), 1))
+        sim = AprimeSimulator(inst, tree, 1)
+        seen = set()
+        for seed in range(24):
+            dead = random.Random(seed).getrandbits(128) >= 1 << 127  # Pr[x0 = 1] = 1/2
+            seen.add(dead)
+            if dead:
+                with pytest.raises(ZeroConditioningMass, match="during simulation"):
+                    sim.run(seed)
+            else:
+                assert sim.run(seed).leaf_id == 2
+        assert seen == {False, True}
+        with pytest.raises(ZeroConditioningMass, match="during simulation"):
+            sim.run_stream(50, seed=0)
+
+    def test_threshold_matches_fraction_rule(self):
+        rng = random.Random(97)
+        probs = [F(0), F(1)]
+        for bits in (3, 64, 200):
+            for _ in range(100):
+                den = rng.randrange(1, 1 << bits)
+                probs.append(F(rng.randrange(den + 1), den))
+        for p1 in probs:
+            k = rng.randrange(1, 5)  # compile passes unreduced masses
+            t = _threshold(k * p1.numerator, k * p1.denominator)
+            for draw in (t - 1, t):
+                if 0 <= draw < 1 << 128:
+                    assert (draw < t) == (draw * p1.denominator < p1.numerator << 128)
+        assert _threshold(0, 3) == 0
+        assert _threshold(3, 3) == 1 << 128
+
+
 class TestExactQ:
     def test_single_leaf(self):
         inst = xor_instance()
@@ -137,6 +225,24 @@ class TestExactQ:
                     for lid, value in law.items():
                         assert value == oracle.get(lid, F(0))
 
+    def test_prefix_without_restricted_mass_raises(self):
+        inst = and_uniform_instance(n=2)
+        tree = make_tree(4, (2, (3, 0, 1), (3, 1, 0)))  # both copy-1 bits
+        for z in (0, 1):  # g = 0 has mass on x2 = 0 and on x2 = 1
+            assert sum(exact_q(inst, tree, z).values()) == 1
+        for z in (2, 3):  # g = 1 has none on x2 = 0
+            with pytest.raises(ZeroConditioningMass, match="no mass on a copy-1 prefix"):
+                exact_q(inst, tree, z)
+
+    def test_zero_restriction_raises_where_used(self):
+        inst = replace(and_uniform_instance(), mu=Dist.from_weights([1, 1, 1, 0]))
+        tree = full_parity_tree(2)
+        assert sum(exact_q(inst, tree, 0).values()) == 1
+        for law in (exact_q, exact_p, AprimeSimulator):
+            with pytest.raises(ZeroConditioningMass, match=r"Pr\[g=1\] = 0"):
+                law(inst, tree, 1)
+        assert set(snip_labels(inst, tree)) == {0, 1, 2, 3}
+
     def test_monte_carlo_agreement(self):
         inst = tilted_and_instance()
         tree = full_parity_tree(2)
@@ -150,7 +256,39 @@ class TestExactQ:
             assert abs(counts.get(lid, 0) / samples - p) <= max(4 * sigma, 1e-9)
 
 
+class TestExactP:
+    def test_matches_flat_reach_probs(self):
+        rng = random.Random(83)
+        for inst in random_instances(rng, 9):
+            for _ in range(3):
+                tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
+                for z in range(1 << inst.n):
+                    flat = brute_reach_probs(tree, inst.gamma_z(z).expand())
+                    assert exact_p(inst, tree, z) == flat
+
+
 class TestSnipLabels:
+    def test_flags_and_bias_traces_match_point_sums(self):
+        rng = random.Random(89)
+        zero_mass_seen = 0
+        traced = 0
+        for inst in random_instances(rng, 9):
+            for _ in range(3):
+                tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
+                for theta in (inst.theta, F(0), F(1, 3)):
+                    assert snip_labels(inst, tree, theta) == brute_snip_labels(inst, tree, theta)
+                traces = brute_bias_traces(inst, tree)
+                zero_mass_seen += any(None in row for t in traces.values() for row in t)
+                for z in range(1 << inst.n):
+                    try:
+                        reports = leaf_reports(inst, tree, z)
+                    except ZeroConditioningMass:  # exact_q has no law on z
+                        continue
+                    traced += 1
+                    assert {lid: r.bias_trace for lid, r in reports.items()} == traces
+        assert zero_mass_seen and traced
+
+
     def test_zero_threshold_flags_everything_touched_early(self):
         inst = tilted_and_instance()
         tree = make_tree(2, (0, 0, 1))
