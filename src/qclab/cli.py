@@ -29,13 +29,12 @@ from .io import (
     write_instance,
 )
 from .simulate import (
+    _instance_checks,
     exact_p,
     exact_q,
     run_Aprime,
     snip_labels,
     success_chain,
-    verify_lilsnip,
-    verify_simileaf,
 )
 from .sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
@@ -207,11 +206,7 @@ def cmd_verify(args, emit: _Emitter) -> None:
     if args.g and args.f and args.mu and args.tree:
         inst = _load_instance(args)
         tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
-        for z in range(1 << inst.n):
-            if inst.lam.prob(z) == 0:
-                continue
-            sim = verify_simileaf(inst, tree, z)
-            lil = verify_lilsnip(inst, tree, z)
+        for z, sim, lil in _instance_checks(inst, tree):
             emit.emit({
                 "record": "verify-instance",
                 "z": z,

@@ -231,6 +231,8 @@ def rand_complexity(
         raise HypothesisViolated("eps must lie in [0, 1/2)")
     if tol <= 0 or not 0 < eta < 1:
         raise QclabError("tol must be positive and eta in (0, 1)")
+    if max_iter < 1:
+        raise QclabError("max_iter must be at least 1")
     rel = _as_relation(h)
     target = 1 - eps
     cert_mu: Dist | None = None

@@ -87,10 +87,6 @@ def bit(x: int, j: int) -> int:
     return (x >> j) & 1
 
 
-def bits(x: int, k: int) -> tuple[int, ...]:
-    return tuple((x >> j) & 1 for j in range(k))
-
-
 def index_of(bitseq: Iterable[int]) -> int:
     x = 0
     for j, b in enumerate(bitseq):
@@ -115,10 +111,6 @@ class TruthTable:
             raise QclabError("outputs length must be 2^arity")
         if any(b not in (0, 1) for b in self.outputs):
             raise QclabError("outputs must be bits")
-
-    @classmethod
-    def from_callable(cls, arity: int, fn) -> "TruthTable":
-        return cls(arity, tuple(fn(bits(x, arity)) for x in range(1 << arity)))
 
     def value(self, x: int) -> int:
         if not 0 <= x < (1 << self.arity):

@@ -12,7 +12,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Dist, ParseError, Relation, TruthTable
+from .core import CapExceeded, Dist, ParseError, Relation, TruthTable, caps
 from .compose import ComposedInstance, build_instance
 from .dtree import DecisionTree, InternalNode, Leaf, Node
 
@@ -38,6 +38,14 @@ def _lines(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
+def _check_arity(arity: int, lowest: int) -> None:
+    """Reject a header arity before anything of size 2^arity is built."""
+    if arity < lowest:
+        raise ParseError(f"arity {arity} is below {lowest} (line 1)")
+    if arity > caps()["arity"]:
+        raise CapExceeded(f"arity {arity} exceeds cap")
+
+
 # --- truth tables -----------------------------------------------------------
 # line 1: "arity=<m>"; line 2: 2^m characters of 0/1 in index order
 
@@ -50,6 +58,7 @@ def parse_truth_table(text: str) -> TruthTable:
         arity = int(lines[0][len("arity="):])
     except ValueError as exc:
         raise ParseError(f"bad arity line {lines[0]!r} (line 1)") from exc
+    _check_arity(arity, 1)
     if len(lines[1]) != 1 << arity or set(lines[1]) - {"0", "1"}:
         raise ParseError(f"value line must be 2^{arity} bits (line 2)")
     return TruthTable(arity, tuple(int(ch) for ch in lines[1]))
@@ -80,6 +89,7 @@ def parse_relation(text: str) -> Relation:
         alphabet = int(header[1][len("alphabet="):])
     except ValueError as exc:
         raise ParseError(f"bad relation header {lines[0]!r} (line 1)") from exc
+    _check_arity(arity, 1)
     accepted: dict[int, frozenset] = {}
     for ln_no, line in enumerate(lines[1:], start=2):
         key, _, vals = line.partition(":")
@@ -94,7 +104,7 @@ def parse_relation(text: str) -> Relation:
         except ValueError as exc:
             raise ParseError(f"bad label list on line {ln_no}") from exc
         accepted[x] = labels
-    if set(accepted) != set(range(1 << arity)):
+    if len(accepted) != 1 << arity:  # keys are distinct and below 2^arity
         raise ParseError("relation file must list every input exactly once")
     return Relation(arity, alphabet, tuple(accepted[x] for x in range(1 << arity)))
 
@@ -119,6 +129,7 @@ def parse_dist(text: str) -> Dist:
         arity = int(lines[0][len("arity="):])
     except ValueError as exc:
         raise ParseError(f"bad arity line {lines[0]!r} (line 1)") from exc
+    _check_arity(arity, 0)
     if len(lines) != 1 + (1 << arity):
         raise ParseError(f"expected {1 << arity} probability lines")
     probs = []

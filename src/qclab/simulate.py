@@ -219,11 +219,13 @@ def best_fixed_seed(
 # exact leaf distributions
 
 
-def _q_law(inst: ComposedInstance, restricted: list, paths: list) -> dict[int, Fraction]:
+def _q_terms(inst: ComposedInstance, restricted: list, paths: list) -> list[tuple[int, int]]:
+    """Per path, the simulation's probability of its leaf as an unreduced
+    ``(numerator, denominator)`` pair."""
     c = inst.inner_complexity
     m0, m1, den = inst.g_masses
-    out: dict[int, Fraction] = {}
-    for leaf, path in paths:
+    out = []
+    for _, path in paths:
         num, dnm = 1, den ** inst.n
         for i, hist in enumerate(path[-1]):
             prefix = hist[:c][-1]  # after its first c - 1 answers, or all if fewer
@@ -238,16 +240,15 @@ def _q_law(inst: ComposedInstance, restricted: list, paths: list) -> dict[int, F
                 dnm *= table[prefix]
             if num == 0:
                 break
-        out[leaf.leaf_id] = Fraction(num, dnm)
+        out.append((num, dnm))
     return out
 
 
-def _p_law(restricted: list, paths: list) -> dict[int, Fraction]:
+def _p_terms(restricted: list, paths: list) -> tuple[list[int], int]:
+    """Per path, the numerator of the outer tree's probability of its leaf,
+    and the denominator they share."""
     den = prod(table[0] for table in restricted)
-    return {
-        leaf.leaf_id: Fraction(prod(t[h[-1]] for t, h in zip(restricted, path[-1])), den)
-        for leaf, path in paths
-    }
+    return [prod(t[h[-1]] for t, h in zip(restricted, path[-1])) for _, path in paths], den
 
 
 def exact_q(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
@@ -258,13 +259,44 @@ def exact_q(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fra
     the conditional mass of the remaining outcomes under the restricted
     distribution (an empty remainder contributes 1).
     """
-    return _q_law(inst, _restricted(inst, z), _paths(inst, tree))
+    restricted = _restricted(inst, z)
+    paths = _paths(inst, tree)
+    return {
+        leaf.leaf_id: Fraction(num, dnm)
+        for (leaf, _), (num, dnm) in zip(paths, _q_terms(inst, restricted, paths))
+    }
 
 
 def exact_p(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
     """Exact leaf-reach probabilities of the outer tree on an input drawn
     from the per-z product distribution."""
-    return _p_law(_restricted(inst, z), _paths(inst, tree))
+    restricted = _restricted(inst, z)
+    paths = _paths(inst, tree)
+    nums, den = _p_terms(restricted, paths)
+    return {leaf.leaf_id: Fraction(num, den) for (leaf, _), num in zip(paths, nums)}
+
+
+class _Laws:
+    """The exact laws and snip flags of one tree on one instance, each
+    computed on first use and then kept: p and q per z, flags per theta."""
+
+    def __init__(self, inst: ComposedInstance, tree: DecisionTree):
+        self.inst, self.tree = inst, tree
+        self._memo: dict = {}
+
+    def _get(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def p(self, z: int) -> dict[int, Fraction]:
+        return self._get(("p", z), lambda: exact_p(self.inst, self.tree, z))
+
+    def q(self, z: int) -> dict[int, Fraction]:
+        return self._get(("q", z), lambda: exact_q(self.inst, self.tree, z))
+
+    def snips(self, theta: Fraction) -> dict[int, tuple[int, ...]]:
+        return self._get(("snips", theta), lambda: snip_labels(self.inst, self.tree, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +497,11 @@ def verify_simileaf(
     probability is within the parametric per-copy distortion factors
     ``max(0, 1 - 4*theta)^n`` and ``(1 + 4*theta)^n`` of the outer tree's
     reach probability."""
+    return _simileaf(_Laws(inst, tree), z, theta)
+
+
+def _simileaf(laws: _Laws, z: int, theta: Optional[Fraction]) -> SimileafReport:
+    inst = laws.inst
     theta = inst.theta if theta is None else Fraction(theta)
     if theta > Fraction(1, 2):
         raise HypothesisViolated("theta must be at most 1/2")
@@ -474,9 +511,7 @@ def verify_simileaf(
     n = inst.n
     lower = max(ZERO, 1 - 4 * theta) ** n
     upper = (1 + 4 * theta) ** n
-    p = exact_p(inst, tree, z)
-    q = exact_q(inst, tree, z)
-    snips = snip_labels(inst, tree, theta)
+    p, q, snips = laws.p(z), laws.q(z), laws.snips(theta)
     violations = []
     checked = 0
     fixed_ok = True
@@ -519,14 +554,18 @@ def verify_lilsnip(inst: ComposedInstance, tree: DecisionTree, z: int) -> Lilsni
     in aggregate at most ``n * 4 * sqrt(delta0)`` with
     ``delta0 = 1/2 - epsilon``.  Requires the instance threshold to equal
     ``2 * sqrt(delta0)`` (checked through squares)."""
+    return _lilsnip(_Laws(inst, tree), z)
+
+
+def _lilsnip(laws: _Laws, z: int) -> LilsnipReport:
+    inst = laws.inst
     eps = inst.epsilon
     if eps < Fraction(1, 4):
         raise HypothesisViolated("epsilon must be at least 1/4")
     delta0 = Fraction(1, 2) - eps
     if inst.theta * inst.theta != 4 * delta0:
         raise HypothesisViolated("instance theta is not 2*sqrt(1/2 - epsilon)")
-    p = exact_p(inst, tree, z)
-    snips = snip_labels(inst, tree, inst.theta)
+    p, snips = laws.p(z), laws.snips(inst.theta)
     per_copy = []
     for i in range(inst.n):
         per_copy.append(sum((p[lid] for lid, f in snips.items() if f[i]), ZERO))
@@ -541,6 +580,16 @@ def verify_lilsnip(inst: ComposedInstance, tree: DecisionTree, z: int) -> Lilsni
         aggregate_holds=aggregate_holds,
         coarse_aggregate_bound=Fraction(4, inst.n),
     )
+
+
+def _instance_checks(inst: ComposedInstance, tree: DecisionTree):
+    """``(z, verify_simileaf, verify_lilsnip)`` at the instance's theta for
+    every z of positive outer mass, on one set of laws: the snip flags are
+    computed once and exact_p once per z."""
+    laws = _Laws(inst, tree)
+    for z in range(1 << inst.n):
+        if inst.lam.prob(z) != 0:
+            yield z, _simileaf(laws, z, None), _lilsnip(laws, z)
 
 
 @dataclass(frozen=True)
@@ -563,6 +612,16 @@ class ChainReport:
         return self.bound_holds and self.worst_z_queries <= self.budget
 
 
+def _sum_terms(terms) -> Fraction:
+    """The exact sum of ``(numerator, denominator)`` terms: numerators over
+    one denominator are added as integers, then each group once as a
+    Fraction."""
+    by_den: dict[int, int] = {}
+    for num, den in terms:
+        by_den[den] = by_den.get(den, 0) + num
+    return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
+
+
 def success_chain(inst: ComposedInstance, tree: DecisionTree) -> ChainReport:
     """Exact end-to-end accounting of the simulation's success probability
     against the outer tree's, plus the inner-query budget."""
@@ -570,30 +629,28 @@ def success_chain(inst: ComposedInstance, tree: DecisionTree) -> ChainReport:
     success_outer = success_sim = snipped = expected_zq = ZERO
     snips = snip_labels(inst, tree, inst.theta)
     paths = _paths(inst, tree)
-    z_queries = {leaf.leaf_id: sum(len(h) > c for h in path[-1]) for leaf, path in paths}
+    z_queries = [sum(len(h) > c for h in path[-1]) for _, path in paths]
+    snipped_leaves = [any(snips[leaf.leaf_id]) for leaf, _ in paths]
     for z in range(1 << inst.n):
         w = inst.lam.prob(z)
         if w == 0:
             continue
         restricted = _restricted(inst, z)
-        p = _p_law(restricted, paths)
-        q = _q_law(inst, restricted, paths)
-        acc = inst.f.accepted[z]
-        for leaf, _ in paths:
-            lid = leaf.leaf_id
-            if leaf.label in acc:
-                success_outer += w * p[lid]
-                success_sim += w * q[lid]
-            if any(snips[lid]):
-                snipped += w * p[lid]
-            expected_zq += w * q[lid] * z_queries[lid]
+        p_nums, p_den = _p_terms(restricted, paths)
+        q_terms = _q_terms(inst, restricted, paths)
+        acc = [leaf.label in inst.f.accepted[z] for leaf, _ in paths]
+        # per z, numerators over a shared denominator add as integers first
+        success_outer += w * Fraction(sum(n for n, a in zip(p_nums, acc) if a), p_den)
+        snipped += w * Fraction(sum(n for n, s in zip(p_nums, snipped_leaves) if s), p_den)
+        success_sim += w * _sum_terms(t for t, a in zip(q_terms, acc) if a)
+        expected_zq += w * _sum_terms((n * k, d) for (n, d), k in zip(q_terms, z_queries))
     bound = max(ZERO, 1 - 4 * inst.theta) ** inst.n * (success_outer - snipped)
     return ChainReport(
         success_outer=success_outer,
         success_sim=success_sim,
         lower_bound=bound,
         bound_holds=success_sim >= bound,
-        worst_z_queries=max(z_queries.values()),
+        worst_z_queries=max(z_queries),
         expected_z_queries=expected_zq,
         budget=tree.depth() // c,
     )

@@ -7,8 +7,11 @@ kernel of :mod:`qclab.lattice`, solved for every function at once.
 Distribution masses are integer numerators over one common total and all
 comparisons are numpy int64 comparisons; each sweep checks before it runs
 that its largest product stays below 2^63, so nothing can wrap and the
-verdicts are exact.  Irrational square-root thresholds are compared through
-squares.
+verdicts are exact.  The rbias leaf-event sums are the one float64 step,
+so that they run through BLAS: their terms are nonnegative integers and
+every partial sum is at most the grid total, which is checked to be below
+2^53, so each is exact and converts back to int64 unchanged.  Irrational
+square-root thresholds are compared through squares.
 
 The single-instance verifiers in :mod:`qclab.simulate` recheck samples of
 these sweeps with Fraction thresholds on the same lattice masses.
@@ -92,6 +95,13 @@ def _check_int64(bound: int) -> None:
         raise CapExceeded(f"sweep products up to {bound} would overflow int64")
 
 
+def _check_float64(bound: int) -> None:
+    """Every float64 sum of a sweep is an integer of at most ``bound``;
+    refuse to run where one could round."""
+    if bound >= 1 << 53:
+        raise CapExceeded(f"sweep sums up to {bound} are not exact in float64")
+
+
 @dataclass(frozen=True)
 class SweepReport:
     name: str
@@ -115,36 +125,44 @@ def sweep_unbias(
     cases = 0
     total4 = lcm(*range(1, max_denominator + 1))  # the grid total of every arity
     _check_int64(total4**2 * max(d.denominator + 4 * d.numerator for d in deltas))
+    loosest = max(deltas)
+    consts = [(str(d), d.numerator, d.denominator) for d in deltas]
 
     def run(m: int, g_rows: np.ndarray, mus: list[tuple[int, ...]], total: int):
         nonlocal cases
         for w in mus:
             wv = np.array(w, dtype=np.int64)
-            mt = lattice.masses(wv, m)            # subcube masses
-            m1 = lattice.masses(g_rows * wv, m)   # g=1 masses, (n_g, n_cubes)
-            m0 = mt[None, :] - m1
-            M1 = m1[:, 0]                         # index 0 is the full cube
+            M1 = g_rows @ wv                      # g=1 masses of the full cube
+            gap = np.abs(total - 2 * M1)          # |M0 - M1|
+            # only functions meeting the loosest hypothesis can be checked
+            sel = np.nonzero(gap * loosest.denominator <= loosest.numerator * total)[0]
+            if not sel.size:
+                continue
+            rows, gap, M1 = g_rows[sel], gap[sel], M1[sel]
             M0 = total - M1
-            for delta in deltas:
-                nd, dd = delta.numerator, delta.denominator
-                hyp = np.abs(M0 - M1) * dd <= nd * total
+            mt = lattice.masses(wv, m)            # subcube masses
+            m1 = lattice.masses(rows * wv, m)     # g=1 masses, (n_sel, n_cubes)
+            m0 = mt - m1
+            cube_gap = np.abs(m0 - m1)
+            positive = mt > 0
+            for label, nd, dd in consts:
+                hyp = gap * dd <= nd * total
                 if not hyp.any():
                     continue
-                low_bias = (np.abs(m0 - m1) * dd <= nd * mt[None, :]) & (mt[None, :] > 0)
-                active = low_bias & hyp[:, None]
-                cases += int(active.sum())
+                low_bias = (cube_gap * dd <= nd * mt) & positive
+                gi, ci = np.nonzero(low_bias & hyp[:, None])  # row-major
+                cases += gi.size
+                lhs_c = mt[ci] * dd
                 for mb_cube, Mb in ((m0, M0), (m1, M1)):
                     # Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C], and the lower twin
-                    lhs = mt[None, :] * Mb[:, None] * dd
-                    rhs = mb_cube * total
-                    up_ok = lhs <= (dd + 4 * nd) * rhs
-                    lo_ok = lhs >= (dd - 4 * nd) * rhs
-                    bad = active & ~(up_ok & lo_ok)
+                    lhs = lhs_c * Mb[gi]
+                    rhs = mb_cube[gi, ci] * total
+                    bad = (lhs > (dd + 4 * nd) * rhs) | (lhs < (dd - 4 * nd) * rhs)
                     if bad.any():
-                        for gi, ci in zip(*np.nonzero(bad)):
+                        for k in np.nonzero(bad)[0]:
                             violations.append((
-                                m, tuple(int(v) for v in g_rows[gi]), w, str(delta),
-                                lattice.assignment(int(ci), m),
+                                m, tuple(int(v) for v in rows[gi[k]]), w, label,
+                                lattice.assignment(int(ci[k]), m),
                             ))
 
     for m in (1, 2, 3):
@@ -173,15 +191,20 @@ def sweep_rbias(
     read-once tree of bounded depth."""
     violations = []
     cases = 0
+    consts = []
+    for eps in eps_list:
+        delta = Fraction(1, 2) - eps
+        consts.append((str(eps), (1 - eps).numerator, (1 - eps).denominator,
+                       delta.numerator, delta.denominator))
     for m in range(1, max_m + 1):
         tables = all_output_tables(m)
         g_rows = np.array(tables, dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
-        for eps in eps_list:
-            delta = Fraction(1, 2) - eps
-            _check_int64(total**2 * max((1 - eps).denominator, delta.denominator, 16 * delta.numerator))
+        _check_float64(total)
+        for _, _, de, nd, dd in consts:
+            _check_int64(total**2 * max(de, dd, 16 * nd))
         codim = np.array([len(lattice.assignment(i, m)) for i in range(3**m)])
-        incidence = readonce_leaves(m, tree_depth)
+        incidence = readonce_leaves(m, tree_depth).astype(np.float64)
         for w in mus:
             wv = np.array(w, dtype=np.int64)
             mt = lattice.masses(wv, m)
@@ -189,30 +212,30 @@ def sweep_rbias(
             m0 = mt[None, :] - m1
             # best depth-d success of every function, d = 0..m
             roots = np.array([v[:, 0] for v in lattice.layers(np.maximum(m0, m1), m)])
-            for eps in eps_list:
-                ne, de = (1 - eps).numerator, (1 - eps).denominator
+            for label, ne, de, nd, dd in consts:
                 # distributional complexity: the first depth reaching 1 - eps
                 c_arr = np.argmax(roots * de >= ne * total, axis=0)
                 live = np.nonzero(c_arr)[0]
                 if not live.size:
                     continue
-                delta = Fraction(1, 2) - eps
-                nd, dd = delta.numerator, delta.denominator
                 lm0, lm1 = m0[live], m1[live]
                 shallow = codim[None, :] < c_arr[live, None]
                 high_bias = (lm0 - lm1) ** 2 * dd >= 4 * nd * mt[None, :] ** 2
                 active = shallow & high_bias & (mt[None, :] > 0)
-                # leaf-event masses of every (function, shape) pair
-                event_0, event_1 = np.stack((active * lm0, active * lm1)) @ incidence
+                # leaf-event masses of every (function, shape) pair, exact in
+                # float64: sums of leaf masses of one tree, each <= total
+                events = np.stack((active * lm0, active * lm1)).astype(np.float64) @ incidence
+                event_0, event_1 = events.astype(np.int64)
                 event_mu = event_0 + event_1
                 cases += live.size * incidence.shape[1]
                 ok_a = event_mu**2 * dd < nd * total**2
                 ok_b0 = event_0**2 * dd < 16 * nd * lm0[:, :1] ** 2
                 ok_b1 = event_1**2 * dd < 16 * nd * lm1[:, :1] ** 2
                 bad = ~(ok_a & ok_b0 & ok_b1)
-                for li, _ in zip(*np.nonzero(bad)):
-                    gi = live[li]
-                    violations.append((m, tables[gi], w, str(eps), int(c_arr[gi])))
+                if bad.any():
+                    for li, _ in zip(*np.nonzero(bad)):
+                        gi = live[li]
+                        violations.append((m, tables[gi], w, label, int(c_arr[gi])))
     return SweepReport("rbias", cases, tuple(violations))
 
 

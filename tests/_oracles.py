@@ -133,6 +133,92 @@ def brute_snip_labels(inst, tree: DecisionTree, theta: Fraction) -> dict[int, tu
     return out
 
 
+def _subcube_points(m: int, fixed) -> list[int]:
+    return [x for x in range(1 << m) if all((x >> var) & 1 == b for var, b in fixed)]
+
+
+def _all_fixings(m: int) -> list[tuple]:
+    """The fixed ``(var, bit)`` pairs of every subcube in lattice order:
+    digit j of the index in base 3 leaves variable j free (0) or fixes it
+    to 0 (1) or 1 (2)."""
+    return [
+        tuple((j, index // 3**j % 3 - 1) for j in range(m) if index // 3**j % 3)
+        for index in range(3**m)
+    ]
+
+
+def _shape_leaves(shape, fixed=()) -> list[tuple]:
+    """The fixed ``(var, bit)`` pairs of every leaf of an enumerated shape."""
+    if shape is None:
+        return [fixed]
+    var, s0, s1 = shape
+    return _shape_leaves(s0, fixed + ((var, 0),)) + _shape_leaves(s1, fixed + ((var, 1),))
+
+
+def brute_sweep_unbias(grids, deltas) -> tuple[int, list]:
+    """The cases and violations of ``sweep_unbias`` by summing points, over
+    ``grids``: ``(m, tables, weight vectors, total)`` entries in sweep order."""
+    cases, violations = 0, []
+    for m, tables, mus, total in grids:
+        cubes = [(fixed, _subcube_points(m, fixed)) for fixed in _all_fixings(m)]
+        for w in mus:
+            for delta in deltas:
+                for b in (0, 1):
+                    for g in tables:
+                        full = [sum(w[x] for x in range(1 << m) if g[x] == v) for v in (0, 1)]
+                        if Fraction(abs(full[0] - full[1]), total) > delta:
+                            continue
+                        for fixed, points in cubes:
+                            cube = [sum(w[x] for x in points if g[x] == v) for v in (0, 1)]
+                            mass = cube[0] + cube[1]
+                            if mass == 0 or Fraction(abs(cube[0] - cube[1]), mass) > delta:
+                                continue
+                            cases += b == 0
+                            # Pr_mu[C] = mass/total against Pr_mu_b[C] = cube[b]/full[b]
+                            scaled = Fraction(mass, total) * full[b]
+                            if not (1 - 4 * delta) * cube[b] <= scaled <= (1 + 4 * delta) * cube[b]:
+                                violations.append((m, tuple(g), w, str(delta), fixed))
+    return cases, violations
+
+
+def brute_sweep_rbias(grids, eps_list, tree_depth: int, every_cube: bool = False) -> tuple[int, list]:
+    """The cases and violations of ``sweep_rbias`` by enumerating tree shapes
+    and summing points, over ``grids`` as in :func:`brute_sweep_unbias`.
+    ``every_cube`` adds one leaf set that is not a tree: every subcube."""
+    cases, violations = 0, []
+    for m, tables, mus, total in grids:
+        shapes = [_shape_leaves(s) for s in enumerate_shapes(m, min(tree_depth, m))]
+        if every_cube:
+            shapes.append(_all_fixings(m))
+        for w in mus:
+            mu = Dist(m, tuple(Fraction(x, total) for x in w))
+            successes = {g: [brute_best_success(TruthTable(m, g), mu, d) for d in range(m + 1)]
+                         for g in tables}
+            for eps in eps_list:
+                delta = Fraction(1, 2) - eps
+                for g in tables:
+                    c = next(d for d, s in enumerate(successes[g]) if s >= 1 - eps)
+                    if c == 0:
+                        continue
+                    cases += len(shapes)
+                    full = [sum(w[x] for x in range(1 << m) if g[x] == v) for v in (0, 1)]
+                    for leaves in shapes:
+                        event = [0, 0]
+                        for fixed in leaves:
+                            points = _subcube_points(m, fixed)
+                            leaf = [sum(w[x] for x in points if g[x] == v) for v in (0, 1)]
+                            mass = leaf[0] + leaf[1]
+                            # shallow, and bias at least 2*sqrt(delta)
+                            if len(fixed) < c and mass and Fraction(leaf[0] - leaf[1], mass) ** 2 >= 4 * delta:
+                                event = [event[0] + leaf[0], event[1] + leaf[1]]
+                        if not (
+                            Fraction(event[0] + event[1], total) ** 2 < delta
+                            and all(Fraction(event[b], full[b]) ** 2 < 16 * delta for b in (0, 1))
+                        ):
+                            violations.append((m, g, w, str(eps), c))
+    return cases, violations
+
+
 def random_tree(rng, arity: int, depth: int, labels: int) -> DecisionTree:
     """A random valid tree with leaves labeled uniformly from ``range(labels)``."""
     counter = [0]

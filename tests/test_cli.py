@@ -148,6 +148,13 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "pass --eps" in err
 
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_game_needs_a_round(self, files, capsys, max_iter):
+        # 0 rounds divided by zero and -1 read an empty mixture (exit 1)
+        code = main(["rqc", "--g", files["g_xor2"], "--eps", "1/3", "--max-iter", max_iter])
+        assert code == 2
+        assert capsys.readouterr().err == "error: max_iter must be at least 1\n"
+
 
 class TestSimulate:
     def test_reports_and_chain(self, files):

@@ -22,6 +22,8 @@ from qclab.compose import build_instance
 from qclab.dtree import make_tree
 from qclab.simulate import (
     AprimeSimulator,
+    ChainReport,
+    _instance_checks,
     _threshold,
     best_fixed_seed,
     exact_p,
@@ -450,13 +452,81 @@ class TestVerifyLilsnip:
                     snipped_seen = True
         assert snipped_seen
 
+    def test_shared_laws_match_the_public_verifiers(self):
+        # the per-z loop of `qclab verify`, which computes snip flags once
+        # and exact_p once per z
+        rng = random.Random(23)
+        instances = [snippy_instance(), xor_instance(epsilon=F(7, 16), theta=F(1, 2)),
+                     xor_instance(n=1, epsilon=F(7, 16), theta=F(1, 2))]
+        tight = False  # q leaves the fixed 8/9..10/9 band of p somewhere
+        for inst in instances:
+            for tree in [full_parity_tree(inst.total_arity)] + [
+                random_tree(rng, inst.total_arity, inst.total_arity, 2) for _ in range(3)
+            ]:
+                expected = [
+                    (z, verify_simileaf(inst, tree, z), verify_lilsnip(inst, tree, z))
+                    for z in range(1 << inst.n)
+                ]
+                assert list(_instance_checks(inst, tree)) == expected
+                tight |= any(not sim.fixed_constants_hold for _, sim, _ in expected)
+        assert tight
+        for inst, message in ((xor_instance(theta=F(3, 4)), "theta must be at most 1/2"),
+                              (xor_instance(epsilon=F(7, 16), theta=F(1, 4)), "2*sqrt")):
+            with pytest.raises(HypothesisViolated, match=message):
+                list(_instance_checks(inst, full_parity_tree(4)))
+
     def test_theta_mismatch_guard(self):
         inst = xor_instance(epsilon=F(7, 16), theta=F(1, 4))
         with pytest.raises(HypothesisViolated):
             verify_lilsnip(inst, full_parity_tree(4), 0)
 
 
+def chain_by_leaves(inst, tree) -> ChainReport:
+    """success_chain from the public per-leaf laws, one Fraction term per
+    leaf and z."""
+    c = inst.inner_complexity
+    snips = snip_labels(inst, tree, inst.theta)
+    z_queries = {
+        leaf.leaf_id: sum(len(a) >= c for a in inst.block.split_assignments(path))
+        for leaf, path in tree.leaf_paths()
+    }
+    outer = sim = snipped = expected = F(0)
+    for z in range(1 << inst.n):
+        w = inst.lam.prob(z)
+        if w == 0:
+            continue
+        p, q = exact_p(inst, tree, z), exact_q(inst, tree, z)
+        for leaf, _ in tree.leaf_paths():
+            lid = leaf.leaf_id
+            if leaf.label in inst.f.accepted[z]:
+                outer += w * p[lid]
+                sim += w * q[lid]
+            if any(snips[lid]):
+                snipped += w * p[lid]
+            expected += w * q[lid] * z_queries[lid]
+    bound = max(F(0), 1 - 4 * inst.theta) ** inst.n * (outer - snipped)
+    return ChainReport(outer, sim, bound, sim >= bound, max(z_queries.values()), expected,
+                       tree.depth() // c)
+
+
 class TestSuccessChain:
+    def test_matches_per_leaf_sums(self):
+        def outcome(chain, inst, tree):
+            try:
+                return chain(inst, tree)
+            except ZeroConditioningMass as exc:
+                return str(exc)
+
+        rng = random.Random(29)
+        reports = 0
+        for inst in random_instances(rng, 30):
+            for depth in (inst.total_arity, 2):
+                tree = random_tree(rng, inst.total_arity, depth, 2)
+                got = outcome(success_chain, inst, tree)
+                assert got == outcome(chain_by_leaves, inst, tree)
+                reports += isinstance(got, ChainReport)
+        assert reports >= 40
+
     def test_constant_algorithm(self):
         inst = xor_instance()
         tree = make_tree(4, 0)  # always answers 0
