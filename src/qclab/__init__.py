@@ -13,7 +13,6 @@ from .core import (
     ArityMismatch,
     CapExceeded,
     ZeroConditioningMass,
-    NotARefinement,
     HypothesisViolated,
     Unachievable,
     InnerComplexityZero,
@@ -22,7 +21,6 @@ from .core import (
     bias,
     caps,
     check_fullbias,
-    cond_prob,
     constant_fn,
     identity1,
     maj3,
@@ -36,10 +34,7 @@ from .dtree import (
     DecisionTree,
     InternalNode,
     Leaf,
-    block_subcubes,
     make_tree,
-    path_subcube,
-    reach_probs_product,
 )
 from .complexity import (
     DPResult,
@@ -51,15 +46,10 @@ from .complexity import (
 )
 from .compose import (
     ComposedInstance,
-    MixtureDist,
-    ProductDist,
     build_instance,
     compose_relation,
     default_epsilon,
     default_theta,
-    gamma,
-    gamma_z,
-    inner_values,
     xor_stack,
 )
 from .simulate import (

@@ -59,24 +59,20 @@ class _Emitter:
 
 
 def _load_problem(args) -> Relation | TruthTable:
-    if getattr(args, "g", None):
+    if args.g:
         return parse_truth_table(Path(args.g).read_text())
-    if getattr(args, "f", None):
+    if args.f:
         return parse_relation(Path(args.f).read_text())
     raise QclabError("need --g or --f")
 
 
 def _load_instance(args):
-    if getattr(args, "instance", None):
+    if args.instance:
         return read_instance(Path(args.instance))
     g = parse_truth_table(Path(args.g).read_text())
     f = parse_relation(Path(args.f).read_text())
     mu = parse_dist(Path(args.mu).read_text())
-    lam = (
-        parse_dist(Path(getattr(args, "lam")).read_text())
-        if getattr(args, "lam", None)
-        else Dist.uniform(f.arity)
-    )
+    lam = parse_dist(Path(args.lam).read_text()) if args.lam else Dist.uniform(f.arity)
     eps = parse_fraction(args.eps) if args.eps else None
     theta = parse_fraction(args.theta) if args.theta else None
     return build_instance(f, g, mu, lam, epsilon=eps, theta=theta)
@@ -203,7 +199,7 @@ def cmd_verify(args, emit: _Emitter) -> None:
             "violations": len(report.violations),
             "passed": report.passed,
         })
-    if args.g and args.f and args.mu and args.tree:
+    if args.tree and (args.instance or (args.g and args.f and args.mu)):
         inst = _load_instance(args)
         tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
         for z, sim, lil in _instance_checks(inst, tree):
@@ -240,21 +236,34 @@ def cmd_xor_stack(args, emit: _Emitter) -> None:
         emit.out_path = None  # table written; record goes to stdout
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--g", help="truth table file for the inner function")
-    p.add_argument("--f", help="relation file for the outer problem")
-    p.add_argument("--mu", help="inner distribution file")
-    p.add_argument("--lambda", dest="lam", help="outer distribution file")
-    p.add_argument("--tree", help="decision tree file")
-    p.add_argument("--instance", help="instance manifest (JSON)")
-    p.add_argument("--m", type=int, help="inner arity / sweep arity bound")
-    p.add_argument("--t", type=int, default=2, help="stack height")
-    p.add_argument("--eps", help="error bound as p/q")
-    p.add_argument("--theta", help="bias threshold as p/q")
-    p.add_argument("--tol", default="1/100", help="game value tolerance as p/q")
-    p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output path (report file or directory)")
+_FLAGS = {
+    "g": ("--g", dict(help="truth table file for the inner function")),
+    "f": ("--f", dict(help="relation file for the outer problem")),
+    "mu": ("--mu", dict(help="inner distribution file")),
+    "lam": ("--lambda", dict(dest="lam", help="outer distribution file")),
+    "tree": ("--tree", dict(help="decision tree file")),
+    "instance": ("--instance", dict(help="instance manifest (JSON)")),
+    "m": ("--m", dict(type=int, help="inner arity / sweep arity bound")),
+    "t": ("--t", dict(type=int, default=2, help="stack height")),
+    "eps": ("--eps", dict(help="error bound as p/q")),
+    "theta": ("--theta", dict(help="bias threshold as p/q")),
+    "tol": ("--tol", dict(default="1/100", help="game value tolerance as p/q")),
+    "max_iter": ("--max-iter", dict(type=int, default=5000)),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "out": ("--out", dict(help="output path (report file or directory)")),
+}
+
+# each command with the flags it reads (_load_instance reads _INSTANCE)
+_INSTANCE = ("instance", "g", "f", "mu", "lam", "eps", "theta")
+_COMMANDS = {
+    "dce": (cmd_dce, ("g", "f", "mu", "eps", "out")),
+    "rqc": (cmd_rqc, ("g", "f", "eps", "tol", "max_iter", "out")),
+    "build-instance": (cmd_build_instance,
+                       ("g", "f", "mu", "lam", "eps", "theta", "tol", "max_iter", "out")),
+    "simulate": (cmd_simulate, _INSTANCE + ("tree", "seed", "out")),
+    "verify": (cmd_verify, _INSTANCE + ("tree", "m", "out")),
+    "xor-stack": (cmd_xor_stack, ("g", "t", "eps", "tol", "max_iter", "out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,17 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact decision-tree complexity laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "dce": cmd_dce,
-        "rqc": cmd_rqc,
-        "build-instance": cmd_build_instance,
-        "simulate": cmd_simulate,
-        "verify": cmd_verify,
-        "xor-stack": cmd_xor_stack,
-    }
-    for name, handler in handlers.items():
-        p = sub.add_parser(name)
-        _add_common(p)
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)  # else --m would pass as --mu
+        for flag, (option, kwargs) in _FLAGS.items():
+            if flag in flags:
+                p.add_argument(option, **kwargs)
         p.set_defaults(handler=handler)
     return parser
 

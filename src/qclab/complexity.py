@@ -37,6 +37,7 @@ from .dtree import DecisionTree, InternalNode, Leaf
 Problem = Union[Relation, TruthTable]
 
 WEIGHT_DENOM_LIMIT = 10**6
+ETA = Fraction(1, 8)  # multiplicative-weights step of the game solver
 
 
 def _as_relation(h: Problem) -> Relation:
@@ -172,14 +173,13 @@ def _solve_game(
     depth: int,
     target: Fraction,
     tol: Fraction,
-    eta: Fraction,
     max_iter: int,
 ) -> _GameStatus:
     n_inputs = 1 << rel.arity
     weights = [Fraction(1)] * n_inputs
     payoff_sums = [0] * n_inputs
     br_value_sum = Fraction(0)
-    shrink = 1 - eta
+    shrink = 1 - ETA
     mu_t = Dist.uniform(rel.arity)
     tree = None
     for t in range(1, max_iter + 1):
@@ -212,7 +212,6 @@ def rand_complexity(
     eps,
     tol=Fraction(1, 100),
     max_iter: int = 5000,
-    eta=Fraction(1, 8),
 ) -> GameResult:
     """Approximate randomized query complexity via the minimax principle.
 
@@ -226,18 +225,17 @@ def rand_complexity(
     """
     eps = Fraction(eps)
     tol = Fraction(tol)
-    eta = Fraction(eta)
     if not 0 <= eps < Fraction(1, 2):
         raise HypothesisViolated("eps must lie in [0, 1/2)")
-    if tol <= 0 or not 0 < eta < 1:
-        raise QclabError("tol must be positive and eta in (0, 1)")
+    if tol <= 0:
+        raise QclabError("tol must be positive")
     if max_iter < 1:
         raise QclabError("max_iter must be at least 1")
     rel = _as_relation(h)
     target = 1 - eps
     cert_mu: Dist | None = None
     for depth in range(rel.arity + 1):
-        status = _solve_game(rel, depth, target, tol, eta, max_iter)
+        status = _solve_game(rel, depth, target, tol, max_iter)
         if status.accepted or not status.decided:
             hard = cert_mu if cert_mu is not None else status.final_mu
             return GameResult(

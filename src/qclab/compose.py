@@ -1,11 +1,7 @@
-"""Composition of an outer relation with inner Boolean functions, the
-product/mixture input distributions for the composed problem, and the XOR
-stacking construction.
-
-Product and mixture distributions are kept in structured form (per-copy
-factors, weighted terms); flat expansion is available for oracle
-cross-checks but capped, since ``2^(n*m)`` vectors stop being feasible
-quickly.
+"""Composition of an outer relation with an inner Boolean function: the
+composed relation, composed instances (the outer and inner distributions
+and the two thresholds the simulator uses), and the XOR stacking
+construction.
 """
 
 from __future__ import annotations
@@ -24,83 +20,9 @@ from .core import (
     TruthTable,
     ZeroConditioningMass,
     caps,
-    restrict_dist,
 )
 from .complexity import dist_complexity
 from .dtree import BlockStructure
-
-
-@dataclass(frozen=True)
-class ProductDist:
-    """Independent product of per-copy distributions of equal arity."""
-
-    factors: tuple[Dist, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise QclabError("need at least one factor")
-        w = self.factors[0].arity
-        if any(f.arity != w for f in self.factors):
-            raise QclabError("all factors must have equal arity")
-
-    @property
-    def blocks(self) -> int:
-        return len(self.factors)
-
-    @property
-    def block_width(self) -> int:
-        return self.factors[0].arity
-
-    @property
-    def arity(self) -> int:
-        return self.blocks * self.block_width
-
-    def block(self) -> BlockStructure:
-        return BlockStructure(self.blocks, self.block_width)
-
-    def prob(self, x: int) -> Fraction:
-        structure = self.block()
-        p = Fraction(1)
-        for i, factor in enumerate(self.factors):
-            p *= factor.prob(structure.extract(x, i))
-            if p == 0:
-                break
-        return p
-
-    def expand(self) -> Dist:
-        if self.arity > caps()["flat"]:
-            raise CapExceeded(f"arity {self.arity} exceeds the flat-expansion cap")
-        return Dist(self.arity, tuple(self.prob(x) for x in range(1 << self.arity)))
-
-
-@dataclass(frozen=True)
-class MixtureDist:
-    """Weighted mixture of product distributions on a common cube."""
-
-    terms: tuple[tuple[Fraction, ProductDist], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise QclabError("need at least one term")
-        arity = self.terms[0][1].arity
-        if any(t.arity != arity for _, t in self.terms):
-            raise QclabError("mixture terms must share arity")
-        if any(w < 0 for w, _ in self.terms):
-            raise QclabError("negative mixture weight")
-        if sum(w for w, _ in self.terms) != 1:
-            raise QclabError("mixture weights must sum to exactly 1")
-
-    @property
-    def arity(self) -> int:
-        return self.terms[0][1].arity
-
-    def prob(self, x: int) -> Fraction:
-        return sum((w * t.prob(x) for w, t in self.terms if w), Fraction(0))
-
-    def expand(self) -> Dist:
-        if self.arity > caps()["flat"]:
-            raise CapExceeded(f"arity {self.arity} exceeds the flat-expansion cap")
-        return Dist(self.arity, tuple(self.prob(x) for x in range(1 << self.arity)))
 
 
 def compose_relation(f: Relation, g: TruthTable, n: int) -> Relation:
@@ -120,35 +42,6 @@ def compose_relation(f: Relation, g: TruthTable, n: int) -> Relation:
                 z |= 1 << i
         accepted.append(f.accepted[z])
     return Relation(total, f.alphabet_size, tuple(accepted))
-
-
-def inner_values(g: TruthTable, block: BlockStructure, x: int) -> int:
-    """The n-bit point of per-copy values of ``g`` on the flat point ``x``."""
-    z = 0
-    for i in range(block.blocks):
-        if g.outputs[block.extract(x, i)]:
-            z |= 1 << i
-    return z
-
-
-def gamma_z(mu: Dist, g: TruthTable, z: int, n: int) -> ProductDist:
-    """Product distribution with copy i conditioned on the inner value
-    ``bit i of z``."""
-    mu_b = (restrict_dist(mu, g, 0), restrict_dist(mu, g, 1))
-    return ProductDist(tuple(mu_b[(z >> i) & 1] for i in range(n)))
-
-
-def gamma(lam: Dist, mu: Dist, g: TruthTable) -> MixtureDist:
-    """Mixture of the per-z products, weighted by the outer distribution."""
-    n = lam.arity
-    mu_b = (restrict_dist(mu, g, 0), restrict_dist(mu, g, 1))
-    terms = []
-    for z in range(1 << n):
-        w = lam.prob(z)
-        if w == 0:
-            continue
-        terms.append((w, ProductDist(tuple(mu_b[(z >> i) & 1] for i in range(n)))))
-    return MixtureDist(tuple(terms))
 
 
 def xor_stack(g: TruthTable, t: int) -> TruthTable:
@@ -189,22 +82,10 @@ class ComposedInstance:
     def total_arity(self) -> int:
         return self.n * self.m
 
-    def mu_z(self, b: int) -> Dist:
-        return restrict_dist(self.mu, self.g, b)
-
     @cached_property
     def g_masses(self) -> tuple[list, list, int]:
         """``lattice.g_masses(g, mu)``, built on first use."""
         return lattice.g_masses(self.g, self.mu)
-
-    def composed_relation(self) -> Relation:
-        return compose_relation(self.f, self.g, self.n)
-
-    def gamma_z(self, z: int) -> ProductDist:
-        return gamma_z(self.mu, self.g, z, self.n)
-
-    def gamma(self) -> MixtureDist:
-        return gamma(self.lam, self.mu, self.g)
 
 
 def default_epsilon(n: int) -> Fraction:

@@ -1,5 +1,8 @@
 """Exact building blocks: hypercube points, Boolean functions, relations,
-distributions and subcubes, plus the bias / conditioning machinery.
+distributions and subcubes, plus point-sum subcube masses, biases and
+conditioning on ``g``.  The commands compute those quantities on the
+subcube lattice of :mod:`qclab.lattice`; the point-sum forms here are the
+reference the tests check it against.
 
 Conventions used throughout the package:
 
@@ -63,10 +66,6 @@ class ZeroConditioningMass(QclabError):
     """A conditioning event has probability zero."""
 
 
-class NotARefinement(QclabError):
-    """Conditional probability requested for a non-nested subcube pair."""
-
-
 class HypothesisViolated(QclabError):
     """A verifier was invoked outside its hypothesis."""
 
@@ -122,11 +121,6 @@ class TruthTable:
 
     def complement(self) -> "TruthTable":
         return TruthTable(self.arity, tuple(1 - v for v in self.outputs))
-
-
-def eval_fn(g: TruthTable, x: int) -> int:
-    """Evaluate ``g`` at point ``x``."""
-    return g.value(x)
 
 
 # A few standard functions used all over the test fixtures and CLI demos.
@@ -220,25 +214,8 @@ class Subcube:
     def codim(self) -> int:
         return len(self.fixed)
 
-    @property
-    def assignment(self) -> dict:
-        return dict(self.fixed)
-
     def contains(self, x: int) -> bool:
         return all((x >> var) & 1 == b for var, b in self.fixed)
-
-    def refine(self, var: int, b: int) -> "Subcube":
-        fixed = self.assignment
-        if var in fixed:
-            raise QclabError(f"variable {var} already fixed")
-        fixed[var] = b
-        return Subcube.from_mapping(self.arity, fixed)
-
-    def extends(self, other: "Subcube") -> bool:
-        """True when this subcube refines ``other`` (fixes a superset,
-        consistently)."""
-        mine = self.assignment
-        return all(mine.get(var) == b for var, b in other.fixed)
 
     def points(self) -> Iterator[int]:
         fixed_vars = {var for var, _ in self.fixed}
@@ -321,16 +298,6 @@ def restrict_dist(mu: Dist, g: TruthTable, b: int) -> Dist:
 def subcube_prob(mu: Dist, cube: Subcube) -> Fraction:
     _check_arity(mu.arity, cube.arity)
     return sum((mu.probs[x] for x in cube.points()), ZERO)
-
-
-def cond_prob(mu: Dist, c2: Subcube, c1: Subcube) -> Fraction:
-    """Exact ``Pr_mu[c2 | c1]``; ``c2`` must refine ``c1``."""
-    if not c2.extends(c1):
-        raise NotARefinement("second subcube does not extend the first")
-    denom = subcube_prob(mu, c1)
-    if denom == 0:
-        raise ZeroConditioningMass("conditioning subcube has zero mass")
-    return subcube_prob(mu, c2) / denom
 
 
 def bias(g: TruthTable, mu: Dist, cube: Subcube) -> Fraction:

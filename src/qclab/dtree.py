@@ -1,23 +1,17 @@
-"""Deterministic decision trees as explicit binary trees.
+"""Deterministic decision trees as explicit binary trees, and the block
+structure that splits a composed input into its copies.
 
 Trees are immutable after validation.  Paths are read-once: no variable is
-queried twice on a root-to-leaf path, so the codimension of a path subcube
-always equals the path length.
+queried twice on a root-to-leaf path, so the subcube a leaf's path fixes
+has as many fixed variables as the path has queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Union
 
-from .core import (
-    ArityMismatch,
-    Dist,
-    QclabError,
-    Subcube,
-    subcube_prob,
-)
+from .core import ArityMismatch, QclabError
 
 
 @dataclass(frozen=True)
@@ -112,24 +106,6 @@ class DecisionTree:
 
         yield from walk(self.root, ())
 
-    def path_to(self, target: Node) -> tuple[tuple[int, int], ...]:
-        """Assignment sequence leading to ``target`` (matched by identity)."""
-
-        def walk(node: Node, path: tuple):
-            if node is target:
-                return path
-            if isinstance(node, InternalNode):
-                found = walk(node.child0, path + ((node.query_var, 0),))
-                if found is not None:
-                    return found
-                return walk(node.child1, path + ((node.query_var, 1),))
-            return None
-
-        path = walk(self.root, ())
-        if path is None:
-            raise QclabError("node does not belong to this tree")
-        return path
-
 
 def make_tree(arity: int, root_spec) -> DecisionTree:
     """Build a tree from a nested spec: a leaf label ``int`` or a triple
@@ -145,12 +121,6 @@ def make_tree(arity: int, root_spec) -> DecisionTree:
         return InternalNode(var, build(s0), build(s1))
 
     return DecisionTree(arity, build(root_spec)).require_valid()
-
-
-def path_subcube(tree: DecisionTree, node: Node) -> Subcube:
-    """Subcube of inputs routed through ``node``."""
-    path = tree.path_to(node)
-    return Subcube.from_mapping(tree.arity, dict(path))
 
 
 @dataclass(frozen=True)
@@ -176,47 +146,3 @@ class BlockStructure:
     def extract(self, x: int, copy: int) -> int:
         """Copy-local point of the flat point ``x``."""
         return (x >> (copy * self.block_width)) & ((1 << self.block_width) - 1)
-
-    def split_assignments(self, path) -> list[list[tuple[int, int]]]:
-        """Split a flat assignment sequence into per-copy sequences of
-        ``(within_var, bit)`` pairs, preserving order."""
-        per_copy: list[list[tuple[int, int]]] = [[] for _ in range(self.blocks)]
-        for var, b in path:
-            i, j = self.copy_of(var)
-            per_copy[i].append((j, b))
-        return per_copy
-
-
-def block_subcubes(tree: DecisionTree, node: Node, block: BlockStructure) -> list[Subcube]:
-    """Per-copy factors of the path subcube of ``node``."""
-    if tree.arity != block.total_arity:
-        raise ArityMismatch("tree arity does not match block structure")
-    path = tree.path_to(node)
-    return [
-        Subcube.from_mapping(block.block_width, dict(assigns))
-        for assigns in block.split_assignments(path)
-    ]
-
-
-def reach_probs_product(
-    tree: DecisionTree, block: BlockStructure, per_copy_dists: list[Dist]
-) -> dict[int, Fraction]:
-    """Exact leaf-reach probabilities when the copies are independent, copy i
-    distributed by ``per_copy_dists[i]``."""
-    if tree.arity != block.total_arity:
-        raise ArityMismatch("tree arity does not match block structure")
-    if len(per_copy_dists) != block.blocks:
-        raise ArityMismatch("need one distribution per copy")
-    for d in per_copy_dists:
-        if d.arity != block.block_width:
-            raise ArityMismatch("copy distribution arity mismatch")
-    out: dict[int, Fraction] = {}
-    for leaf, path in tree.leaf_paths():
-        prob = Fraction(1)
-        for i, assigns in enumerate(block.split_assignments(path)):
-            cube = Subcube.from_mapping(block.block_width, dict(assigns))
-            prob *= subcube_prob(per_copy_dists[i], cube)
-            if prob == 0:
-                break
-        out[leaf.leaf_id] = prob
-    return out

@@ -386,8 +386,14 @@ class UnbiasReport:
 
 def verify_unbias(g: TruthTable, mu: Dist, delta) -> UnbiasReport:
     """Check, over every subcube with positive mass and bias at most delta,
-    that the unrestricted mass of the subcube is within a (1 +- 4*delta)
-    factor of its mass under either restriction of the distribution."""
+    that the unrestricted mass of the subcube is at most (1 + 4*delta) times
+    its mass under either restriction of the distribution.
+
+    The lower twin, at least (1 - 4*delta) times, cannot fail: full-cube
+    bias at most delta gives Pr[g=b] >= (1 - delta)/2 and cube bias at most
+    delta gives Pr[C, g=b] <= (1 + delta)/2 Pr[C], so the ratio is at least
+    (1 - delta)/(1 + delta) >= 1 - 4*delta.
+    """
     delta = Fraction(delta)
     if not 0 < delta <= Fraction(1, 2):
         raise HypothesisViolated("delta must lie in (0, 1/2]")
@@ -396,7 +402,6 @@ def verify_unbias(g: TruthTable, mu: Dist, delta) -> UnbiasReport:
     if Fraction(abs(mass_b[0] - mass_b[1]), den) > delta:
         raise HypothesisViolated("full-cube bias exceeds delta")
     hi = 1 + 4 * delta
-    lo = 1 - 4 * delta
     violations = []
     checked = 0
     ratios = []
@@ -411,8 +416,6 @@ def verify_unbias(g: TruthTable, mu: Dist, delta) -> UnbiasReport:
             ratios.append(pc / pb)
             if pc > hi * pb:
                 violations.append((fixed, b, "upper", pc, pb))
-            if pc < lo * pb:
-                violations.append((fixed, b, "lower", pc, pb))
     return UnbiasReport(
         delta, checked, tuple(violations), min(ratios, default=None), max(ratios, default=None)
     )

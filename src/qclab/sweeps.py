@@ -13,8 +13,9 @@ every partial sum is at most the grid total, which is checked to be below
 2^53, so each is exact and converts back to int64 unchanged.  Irrational
 square-root thresholds are compared through squares.
 
-The single-instance verifiers in :mod:`qclab.simulate` recheck samples of
-these sweeps with Fraction thresholds on the same lattice masses.
+The single-instance verifiers in :mod:`qclab.simulate` check the same
+claims for one given function and distribution, with Fraction thresholds on
+the same lattice masses; no command calls them.
 """
 
 from __future__ import annotations
@@ -119,8 +120,16 @@ def sweep_unbias(
     sampled_m4: int = 200,
     seed: int = 20240811,
 ) -> SweepReport:
-    """Both restriction-mass inequalities over every subcube, exhaustively
-    for all functions on up to 3 bits, plus sampled 4-bit fixtures."""
+    """The restriction-mass inequality Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
+    over every subcube C, exhaustively for all functions on up to 3 bits,
+    plus sampled 4-bit fixtures.
+
+    The lower twin Pr_mu[C] >= (1 - 4 delta) Pr_mu_b[C] is not checked
+    because it cannot fail: full-cube bias at most delta gives
+    Pr[g=b] >= (1 - delta)/2 and cube bias at most delta gives
+    Pr[C, g=b] <= (1 + delta)/2 Pr[C], so Pr_mu[C]/Pr_mu_b[C] >=
+    (1 - delta)/(1 + delta) >= 1 - 4 delta for every delta >= 0.
+    """
     violations = []
     cases = 0
     total4 = lcm(*range(1, max_denominator + 1))  # the grid total of every arity
@@ -154,10 +163,8 @@ def sweep_unbias(
                 cases += gi.size
                 lhs_c = mt[ci] * dd
                 for mb_cube, Mb in ((m0, M0), (m1, M1)):
-                    # Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C], and the lower twin
-                    lhs = lhs_c * Mb[gi]
-                    rhs = mb_cube[gi, ci] * total
-                    bad = (lhs > (dd + 4 * nd) * rhs) | (lhs < (dd - 4 * nd) * rhs)
+                    # Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
+                    bad = lhs_c * Mb[gi] > (dd + 4 * nd) * mb_cube[gi, ci] * total
                     if bad.any():
                         for k in np.nonzero(bad)[0]:
                             violations.append((

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qclab.core import Dist, Relation, Subcube, TruthTable, bias, subcube_prob
+from qclab.core import Dist, Relation, Subcube, TruthTable, bias, restrict_dist, subcube_prob
 from qclab.dtree import DecisionTree, InternalNode, Leaf
 
 
@@ -63,11 +63,43 @@ def brute_reach_probs(tree: DecisionTree, dist: Dist) -> dict[int, Fraction]:
     return out
 
 
+def inner_values(g: TruthTable, block, x: int) -> int:
+    """The n-bit point of per-copy values of ``g`` on the flat point ``x``."""
+    z = 0
+    for i in range(block.blocks):
+        if g.outputs[block.extract(x, i)]:
+            z |= 1 << i
+    return z
+
+
+def split_assignments(block, path) -> list[list[tuple[int, int]]]:
+    """Split a flat assignment sequence into per-copy sequences of
+    ``(within_var, bit)`` pairs, preserving order."""
+    per_copy: list[list[tuple[int, int]]] = [[] for _ in range(block.blocks)]
+    for var, b in path:
+        i, j = block.copy_of(var)
+        per_copy[i].append((j, b))
+    return per_copy
+
+
+def brute_gamma_z(inst, z: int) -> Dist:
+    """The flat product distribution gamma_z: copy i drawn from ``mu``
+    conditioned on g = bit i of ``z``, point by point."""
+    mu_b = [restrict_dist(inst.mu, inst.g, b) for b in (0, 1)]
+    probs = []
+    for x in range(1 << inst.total_arity):
+        p = Fraction(1)
+        for i in range(inst.n):
+            p *= mu_b[(z >> i) & 1].probs[inst.block.extract(x, i)]
+        probs.append(p)
+    return Dist(inst.total_arity, tuple(probs))
+
+
 def brute_simulation_law(inst, tree: DecisionTree, z: int) -> dict[int, Fraction]:
     """Leaf law of the simulation by enumerating its branch choices one
     query at a time, multiplying stepwise conditional probabilities."""
     c = inst.inner_complexity
-    mu_z = [inst.mu_z((z >> i) & 1) for i in range(inst.n)]
+    mu_z = [restrict_dist(inst.mu, inst.g, (z >> i) & 1) for i in range(inst.n)]
     out: dict[int, Fraction] = {}
 
     def cube_mass(dist: Dist, assigns: dict) -> Fraction:
@@ -105,7 +137,7 @@ def brute_bias_traces(inst, tree: DecisionTree) -> dict[int, tuple]:
         rows = []
         for k in range(len(path) + 1):
             row = []
-            for assigns in inst.block.split_assignments(path[:k]):
+            for assigns in split_assignments(inst.block, path[:k]):
                 cube = Subcube.from_mapping(inst.m, dict(assigns))
                 row.append(bias(inst.g, inst.mu, cube) if subcube_prob(inst.mu, cube) else None)
             rows.append(tuple(row))
@@ -121,7 +153,7 @@ def brute_snip_labels(inst, tree: DecisionTree, theta: Fraction) -> dict[int, tu
     for leaf, path in tree.leaf_paths():
         flags = [0] * inst.n
         for k in range(len(path) + 1):
-            for i, assigns in enumerate(inst.block.split_assignments(path[:k])):
+            for i, assigns in enumerate(split_assignments(inst.block, path[:k])):
                 cube = Subcube.from_mapping(inst.m, dict(assigns))
                 if (
                     len(assigns) < inst.inner_complexity

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qclab.cli import main
+from qclab.cli import build_parser, main
 from qclab.core import Dist, Relation, and_fn, identity1, xor_fn
 from qclab.io import format_dist, format_relation, format_truth_table
 
@@ -189,6 +189,48 @@ class TestVerify:
         names = {r["record"] for r in records}
         assert names == {"sweep-unbias", "sweep-rbias", "sweep-fullbias"}
         assert all(r["violations"] == 0 for r in records)
+
+    def test_instance_and_tree_run_instance_checks(self, files, tmp_path):
+        out_dir = tmp_path / "inst"
+        assert main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--mu", files["mu_u2"], "--eps", "7/16", "--theta", "1/2",
+                     "--out", str(out_dir)]) == 0
+        by_instance, by_files = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main(["verify", "--m", "1", "--instance", str(out_dir / "instance.json"),
+                     "--tree", files["tree"], "--out", str(by_instance)]) == 0
+        assert main(["verify", "--m", "1", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--mu", files["mu_u2"], "--eps", "7/16", "--theta", "1/2",
+                     "--tree", files["tree"], "--out", str(by_files)]) == 0
+        records = read_records(by_instance)
+        assert [r["z"] for r in records if r["record"] == "verify-instance"] == [0, 1]
+        assert by_instance.read_bytes() == by_files.read_bytes()
+
+
+READS = {
+    "dce": {"--g", "--f", "--mu", "--eps", "--out"},
+    "rqc": {"--g", "--f", "--eps", "--tol", "--max-iter", "--out"},
+    "build-instance": {"--g", "--f", "--mu", "--lambda", "--eps", "--theta", "--tol",
+                       "--max-iter", "--out"},
+    "simulate": {"--instance", "--g", "--f", "--mu", "--lambda", "--eps", "--theta",
+                 "--tree", "--seed", "--out"},
+    "verify": {"--instance", "--g", "--f", "--mu", "--lambda", "--eps", "--theta",
+               "--tree", "--m", "--out"},
+    "xor-stack": {"--g", "--t", "--eps", "--tol", "--max-iter", "--out"},
+}
+
+
+def test_commands_accept_only_the_flags_they_read(capsys):
+    flags = set().union(*READS.values())
+    assert len(flags) == 14 and sum(map(len, READS.values())) == 46
+    for command, reads in READS.items():
+        for flag in sorted(flags):
+            if flag in reads:
+                build_parser().parse_args([command, flag, "1"])
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestXorStack:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -14,24 +15,42 @@ from qclab.core import (
     xor_fn,
 )
 from qclab.compose import (
-    MixtureDist,
-    ProductDist,
     build_instance,
     compose_relation,
     default_epsilon,
     default_theta,
-    gamma,
-    gamma_z,
-    inner_values,
     xor_stack,
 )
-from qclab.dtree import BlockStructure
+from qclab.dtree import BlockStructure, make_tree
+from qclab.simulate import exact_p
 
-from _oracles import random_full_support_dist, random_truth_table
+from _oracles import (
+    brute_gamma_z,
+    brute_reach_probs,
+    inner_values,
+    random_full_support_dist,
+    random_tree,
+    random_truth_table,
+)
 
 
 def rel(g):
     return Relation.from_function(g)
+
+
+def instance(g, mu, lam):
+    """A composed instance of ``g`` under an outer XOR (identity for one
+    copy) at epsilon 0, which any g non-constant on mu's support admits."""
+    f = xor_fn(lam.arity) if lam.arity > 1 else identity1()
+    return build_instance(rel(f), g, mu, lam, epsilon=F(0))
+
+
+def gamma(inst) -> Dist:
+    """The flat mixture of the gamma_z weighted by the outer distribution."""
+    parts = [(w, brute_gamma_z(inst, z)) for z, w in enumerate(inst.lam.probs) if w]
+    return Dist(inst.total_arity, tuple(
+        sum((w * d.probs[x] for w, d in parts), F(0)) for x in range(1 << inst.total_arity)
+    ))
 
 
 class TestComposeRelation:
@@ -67,15 +86,14 @@ class TestComposeRelation:
 
 class TestGammaZ:
     def test_point_mass_side(self):
-        product = gamma_z(Dist.uniform(2), and_fn(2), 1, 1)
-        assert product.expand().probs == (F(0), F(0), F(0), F(1))
+        inst = instance(and_fn(2), Dist.uniform(2), Dist.uniform(1))
+        assert brute_gamma_z(inst, 1).probs == (F(0), F(0), F(0), F(1))
 
     def test_both_copies_zero_side(self):
-        mu = Dist.uniform(2)
-        product = gamma_z(mu, and_fn(2), 0, 2)
-        mu0 = product.factors[0]
-        assert product.factors[1] == mu0
-        assert mu0.probs == (F(1, 3), F(1, 3), F(1, 3), F(0))
+        inst = instance(and_fn(2), Dist.uniform(2), Dist.uniform(2))
+        mu0 = (F(1, 3), F(1, 3), F(1, 3), F(0))
+        flat = brute_gamma_z(inst, 0)
+        assert flat.probs == tuple(mu0[x & 3] * mu0[x >> 2] for x in range(16))
 
     def test_support_property(self):
         # every point in the support has exactly z as its inner value vector
@@ -88,29 +106,27 @@ class TestGammaZ:
             block = BlockStructure(2, 2)
             f = rel(xor_fn(2))
             composed = compose_relation(f, g, 2)
+            inst = instance(g, mu, Dist.uniform(2))
             for z in range(4):
-                flat = gamma_z(mu, g, z, 2).expand()
+                flat = brute_gamma_z(inst, z)
                 for x in flat.support():
                     assert inner_values(g, block, x) == z
                     assert composed.accepted[x] == f.accepted[z]
 
     def test_degenerate_mu_errors(self):
+        inst = instance(and_fn(2), Dist.uniform(2), Dist.uniform(1))
         with pytest.raises(ZeroConditioningMass):
-            gamma_z(Dist.point_mass(2, 3), and_fn(2), 0, 1)
+            exact_p(replace(inst, mu=Dist.point_mass(2, 3)), make_tree(2, 0), 0)
 
 
 class TestGamma:
     def test_point_mass_outer(self):
-        mu = Dist.uniform(2)
-        lam = Dist.point_mass(2, 0b10)
-        mix = gamma(lam, mu, and_fn(2))
-        assert mix.expand() == gamma_z(mu, and_fn(2), 0b10, 2).expand()
+        inst = instance(and_fn(2), Dist.uniform(2), Dist.point_mass(2, 0b10))
+        assert gamma(inst) == brute_gamma_z(inst, 0b10)
 
     def test_balanced_recovers_mu(self):
         mu = Dist.uniform(2)
-        g = xor_fn(2)
-        mix = gamma(Dist.uniform(1), mu, g)
-        assert mix.expand() == mu
+        assert gamma(instance(xor_fn(2), mu, Dist.uniform(1))) == mu
 
     def test_total_mass_one(self):
         rng = random.Random(29)
@@ -120,7 +136,14 @@ class TestGamma:
                 continue
             mu = random_full_support_dist(rng, 2)
             lam = random_full_support_dist(rng, 2)
-            assert sum(gamma(lam, mu, g).expand().probs) == 1
+            inst = instance(g, mu, lam)
+            flat = gamma(inst)
+            assert sum(flat.probs) == 1
+            # the exact_p laws mixed by lambda are the leaf law of gamma
+            tree = random_tree(rng, 4, 4, 2)
+            mixed = {lid: sum(lam.probs[z] * exact_p(inst, tree, z)[lid] for z in range(4))
+                     for lid in exact_p(inst, tree, 0)}
+            assert mixed == brute_reach_probs(tree, flat)
 
     def test_conditioning_recovers_gamma_z(self):
         rng = random.Random(37)
@@ -128,7 +151,8 @@ class TestGamma:
         mu = random_full_support_dist(rng, 2)
         lam = random_full_support_dist(rng, 2)
         block = BlockStructure(2, 2)
-        flat = gamma(lam, mu, g).expand()
+        inst = instance(g, mu, lam)
+        flat = gamma(inst)
         for z in range(4):
             mass = flat.mass_where(lambda x: inner_values(g, block, x) == z)
             assert mass == lam.probs[z]
@@ -136,7 +160,7 @@ class TestGamma:
                 p / mass if inner_values(g, block, x) == z else F(0)
                 for x, p in enumerate(flat.probs)
             ))
-            assert cond == gamma_z(mu, g, z, 2).expand()
+            assert cond == brute_gamma_z(inst, z)
 
 
 class TestXorStack:
@@ -194,16 +218,3 @@ class TestBuildInstance:
                 epsilon=F(1, 4),
             )
 
-
-class TestStructuredDists:
-    def test_product_prob_matches_expand(self):
-        rng = random.Random(47)
-        factors = tuple(random_full_support_dist(rng, 2) for _ in range(2))
-        product = ProductDist(factors)
-        flat = product.expand()
-        assert all(product.prob(x) == flat.probs[x] for x in range(16))
-
-    def test_mixture_weights_validated(self):
-        p = ProductDist((Dist.uniform(1),))
-        with pytest.raises(Exception):
-            MixtureDist(((F(1, 2), p),))

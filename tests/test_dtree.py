@@ -3,19 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from qclab import lattice
 from qclab.core import Dist, QclabError, Subcube
 from qclab.dtree import (
     BlockStructure,
     DecisionTree,
     InternalNode,
     Leaf,
-    block_subcubes,
     make_tree,
-    path_subcube,
-    reach_probs_product,
 )
 
-from _oracles import brute_reach_probs, random_dist, random_tree
+from _oracles import brute_reach_probs, random_dist, random_tree, split_assignments
 
 
 def dictator_tree(arity=2, var=0):
@@ -74,23 +72,39 @@ class TestValidate:
         assert xor2_tree().require_valid() is not None
 
 
+def lattice_reach_probs(tree: DecisionTree, block: BlockStructure, factors: list[Dist]) -> dict:
+    """Leaf-reach probabilities when copy i is drawn from ``factors[i]``, as
+    the simulator takes them: per copy, the lattice mass of the subcube the
+    leaf's path fixes in that copy."""
+    tables = []
+    for d in factors:
+        weights, den = lattice.int_weights(d)
+        tables.append((lattice.masses(weights, block.block_width), den))
+    out = {}
+    for leaf, path in tree.leaf_paths():
+        prob = F(1)
+        for (table, den), assigns in zip(tables, split_assignments(block, path)):
+            prob *= F(int(table[lattice.index_of(assigns)]), den)
+        out[leaf.leaf_id] = prob
+    return out
+
+
 class TestPathSubcube:
     def test_root_is_full_cube(self):
-        tree = xor2_tree()
-        assert path_subcube(tree, tree.root).codim == 0
+        tree = make_tree(2, 1)
+        assert list(tree.leaf_paths()) == [(tree.root, ())]
 
     def test_child_fixes_one_bit(self):
         tree = make_tree(4, (2, 0, 1))
         child = tree.root.child1
-        cube = path_subcube(tree, child)
-        assert cube.fixed == ((2, 1),)
+        assert dict(tree.leaf_paths())[child] == ((2, 1),)
 
     def test_leaf_codim_equals_depth(self):
         rng = random.Random(2)
         for _ in range(20):
             tree = random_tree(rng, 4, 3, 2)
             for leaf, path in tree.leaf_paths():
-                cube = path_subcube(tree, leaf)
+                cube = Subcube.from_mapping(tree.arity, dict(path))
                 assert cube.codim == len(path)
 
 
@@ -111,28 +125,26 @@ class TestBlockStructure:
         assert b.extract(x, 1) == 0b10
 
     def test_block_subcubes_root(self):
-        tree = make_tree(4, 0)
-        cubes = block_subcubes(tree, tree.root, BlockStructure(2, 2))
-        assert [c.codim for c in cubes] == [0, 0]
+        assert split_assignments(BlockStructure(2, 2), ()) == [[], []]
 
     def test_block_subcubes_split(self):
         # leaf path fixes two bits in copy 0 and one bit in copy 1
         tree = make_tree(4, (0, 0, (1, 0, (2, 0, 1))))
-        leaf_node = tree.root.child1.child1.child1
-        cubes = block_subcubes(tree, leaf_node, BlockStructure(2, 2))
-        assert [c.codim for c in cubes] == [2, 1]
-        assert sum(c.codim for c in cubes) == 3
+        path = dict(tree.leaf_paths())[tree.root.child1.child1.child1]
+        per_copy = split_assignments(BlockStructure(2, 2), path)
+        assert per_copy == [[(0, 1), (1, 1)], [(0, 1)]]
+        assert sum(len(a) for a in per_copy) == 3
 
 
 class TestReachProbs:
     def test_single_leaf(self):
         tree = make_tree(2, 7)
-        probs = reach_probs_product(tree, BlockStructure(1, 2), [Dist.uniform(2)])
+        probs = lattice_reach_probs(tree, BlockStructure(1, 2), [Dist.uniform(2)])
         assert probs == {0: F(1)}
 
     def test_one_query_uniform(self):
         tree = make_tree(2, (0, 0, 1))
-        probs = reach_probs_product(tree, BlockStructure(1, 2), [Dist.uniform(2)])
+        probs = lattice_reach_probs(tree, BlockStructure(1, 2), [Dist.uniform(2)])
         assert set(probs.values()) == {F(1, 2)}
 
     def test_point_mass_indicator(self):
@@ -140,7 +152,7 @@ class TestReachProbs:
         block = BlockStructure(2, 2)
         for x in range(16):
             dists = [Dist.point_mass(2, block.extract(x, i)) for i in range(2)]
-            probs = reach_probs_product(tree, block, dists)
+            probs = lattice_reach_probs(tree, block, dists)
             _, leaf_id, _ = tree.evaluate(x)
             assert probs[leaf_id] == 1
             assert sum(probs.values()) == 1
@@ -155,7 +167,7 @@ class TestReachProbs:
                 factors[0].probs[block.extract(x, 0)] * factors[1].probs[block.extract(x, 1)]
                 for x in range(16)
             ))
-            got = reach_probs_product(tree, block, factors)
+            got = lattice_reach_probs(tree, block, factors)
             assert got == brute_reach_probs(tree, flat)
             assert sum(got.values()) == 1
 

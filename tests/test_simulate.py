@@ -40,12 +40,14 @@ from qclab.simulate import (
 
 from _oracles import (
     brute_bias_traces,
+    brute_gamma_z,
     brute_reach_probs,
     brute_simulation_law,
     brute_snip_labels,
     random_relation,
     random_tree,
     random_truth_table,
+    split_assignments,
 )
 
 
@@ -265,7 +267,7 @@ class TestExactP:
             for _ in range(3):
                 tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
                 for z in range(1 << inst.n):
-                    flat = brute_reach_probs(tree, inst.gamma_z(z).expand())
+                    flat = brute_reach_probs(tree, brute_gamma_z(inst, z))
                     assert exact_p(inst, tree, z) == flat
 
 
@@ -487,7 +489,7 @@ def chain_by_leaves(inst, tree) -> ChainReport:
     c = inst.inner_complexity
     snips = snip_labels(inst, tree, inst.theta)
     z_queries = {
-        leaf.leaf_id: sum(len(a) >= c for a in inst.block.split_assignments(path))
+        leaf.leaf_id: sum(len(a) >= c for a in split_assignments(inst.block, path))
         for leaf, path in tree.leaf_paths()
     }
     outer = sim = snipped = expected = F(0)
