@@ -187,9 +187,11 @@ def cmd_simulate(args, emit: _Emitter) -> None:
 
 
 def cmd_verify(args, emit: _Emitter) -> None:
+    if args.tree and not (args.instance or (args.g and args.f and args.mu)):
+        raise QclabError("verify --tree needs --instance, or all of --g, --f and --mu")
     max_m = args.m if args.m else 3
     for report in (
-        sweep_unbias() if max_m >= 3 else sweep_unbias(sampled_m4=0),
+        sweep_unbias() if max_m >= 3 else sweep_unbias(max_m=max_m, sampled_m4=0),
         sweep_rbias(max_m=min(max_m, 3)),
         sweep_fullbias(max_m=min(max_m, 3)),
     ):
@@ -199,7 +201,7 @@ def cmd_verify(args, emit: _Emitter) -> None:
             "violations": len(report.violations),
             "passed": report.passed,
         })
-    if args.tree and (args.instance or (args.g and args.f and args.mu)):
+    if args.tree:
         inst = _load_instance(args)
         tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
         for z, sim, lil in _instance_checks(inst, tree):

@@ -3,13 +3,16 @@ subcubes, and randomized query complexity via best-response dynamics on the
 input-vs-algorithm zero-sum game.
 
 The DP runs on the subcube lattice of :mod:`qclab.lattice` and is exact:
-distribution masses are integer numerators over one common denominator, in
-numpy int64 only while that denominator is below 2^62 and in Python ints
-above it, so every comparison is exact integer arithmetic.  The game
-solver is approximate but bracketed, and every accept/reject decision it
-makes is backed by an exact quantity (a best-response value below the target
+it takes integer point weights over one common denominator, in numpy
+int64 only while that denominator is below 2^62 and in Python ints above
+it, so every comparison is exact integer arithmetic.  The game solver is
+approximate but bracketed, and every accept/reject decision it makes is
+backed by an exact quantity (a best-response value below the target
 rejects a depth; the rejecting distribution is an exact certificate for the
-next depth).
+next depth).  Its multiplicative weights are integer numerator/denominator
+pairs, snapped to bounded denominators by exactly the rule of
+``Fraction.limit_denominator``, and each round's distribution goes to the
+DP as integer weights; a :class:`Dist` is built only for a certificate.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import gcd, lcm
 from typing import Union
 
 import numpy as np
@@ -53,23 +57,22 @@ class DPResult:
 
 
 class _TreeDP:
-    """Optimal depth-bounded trees for a fixed (h, mu), solved once over the
-    subcube lattice; depths are added on demand.
+    """Optimal depth-bounded trees for a fixed problem and input weights,
+    solved once over the subcube lattice; depths are added on demand.
 
-    Tie-breaking is deterministic: answering beats querying at equal value,
-    lower variable index beats higher, lower label beats higher.
+    ``accepts[r, x]`` says whether label ``r`` is correct on input ``x``, and
+    ``weights`` are integer point weights over ``den``.  Tie-breaking is
+    deterministic: answering beats querying at equal value, lower variable
+    index beats higher, lower label beats higher.
     """
 
-    def __init__(self, h: Relation, mu: Dist):
-        if h.arity != mu.arity:
-            raise QclabError("relation and distribution arity mismatch")
-        if h.arity > caps()["dp"]:
-            raise CapExceeded(f"arity {h.arity} exceeds the DP cap")
-        self.arity = h.arity
-        weights, self.den = lattice.int_weights(mu)
-        accepts = np.array([[r in acc for acc in h.accepted] for r in range(h.alphabet_size)])
-        self.label_mass = lattice.masses(weights * accepts, h.arity)
-        self._deeper = lattice.layers(self.label_mass.max(axis=0), h.arity)
+    def __init__(self, accepts: np.ndarray, weights: np.ndarray, den: int):
+        self.arity = accepts.shape[1].bit_length() - 1
+        if self.arity > caps()["dp"]:
+            raise CapExceeded(f"arity {self.arity} exceeds the DP cap")
+        self.den = den
+        self.label_mass = lattice.masses(weights * accepts, self.arity)
+        self._deeper = lattice.layers(self.label_mass.max(axis=0), self.arity)
         self.values: list[np.ndarray] = []
 
     def _layer(self, depth: int) -> np.ndarray:
@@ -106,13 +109,23 @@ class _TreeDP:
         return Leaf(counts.index(max(counts)), next(leaf_ids))
 
 
+def _accepts(h: Relation) -> np.ndarray:
+    """Which labels each input accepts, shape ``(alphabet_size, 2^arity)``."""
+    return np.array([[r in acc for acc in h.accepted] for r in range(h.alphabet_size)])
+
+
+def _tree_dp(h: Relation, mu: Dist) -> _TreeDP:
+    if h.arity != mu.arity:
+        raise QclabError("relation and distribution arity mismatch")
+    return _TreeDP(_accepts(h), *lattice.int_weights(mu))
+
+
 def best_success(h: Problem, mu: Dist, depth: int, with_witness: bool = True) -> DPResult:
     """Exact maximum success probability of depth-bounded deterministic trees
     on ``h`` under ``mu``, with an optimal witness tree."""
     if depth < 0:
         raise QclabError("depth must be >= 0")
-    rel = _as_relation(h)
-    dp = _TreeDP(rel, mu)
+    dp = _tree_dp(_as_relation(h), mu)
     witness = dp.witness(depth) if with_witness else None
     return DPResult(success=Fraction(dp.value(depth), dp.den), witness=witness)
 
@@ -123,7 +136,7 @@ def dist_complexity(h: Problem, mu: Dist, eps) -> int:
     if not 0 <= eps < Fraction(1, 2):
         raise HypothesisViolated("eps must lie in [0, 1/2)")
     rel = _as_relation(h)
-    dp = _TreeDP(rel, mu)
+    dp = _tree_dp(rel, mu)
     target_num = (1 - eps).numerator * dp.den
     target_den = (1 - eps).denominator
     for d in range(rel.arity + 1):
@@ -151,60 +164,106 @@ class _GameStatus:
     upper: Fraction
     iterations: int
     tree: DecisionTree
-    reject_mu: Dist | None  # exact witness: every depth-d tree fails on it
-    final_mu: Dist
+    # the last distribution; on a rejection, an exact witness that every
+    # depth-d tree fails
+    mu: Dist
 
 
-def _limited_dist(weights: list[Fraction]) -> Dist:
-    """Snap weights to bounded denominators, then normalize exactly.  The
-    result is a genuine distribution, which is all soundness needs."""
-    total = sum(weights)
-    approx = [(w / total).limit_denominator(WEIGHT_DENOM_LIMIT) for w in weights]
-    s = sum(approx)
-    if s == 0:
-        n = len(weights)
-        return Dist(n.bit_length() - 1, tuple([Fraction(1, n)] * n))
-    probs = [a / s for a in approx]
-    return Dist((len(weights)).bit_length() - 1, tuple(probs))
+def _limit(n: int, d: int) -> tuple[int, int]:
+    """``Fraction(n, d).limit_denominator(WEIGHT_DENOM_LIMIT)`` for n >= 0 and
+    d > 0, as a reduced pair: the same continued-fraction loop, then the
+    closer of its two bounds, the convergent p1/q1 on a tie."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    if d <= WEIGHT_DENOM_LIMIT:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a_num, a_den = n, d
+    while True:
+        a = a_num // a_den
+        q2 = q0 + a * q1
+        if q2 > WEIGHT_DENOM_LIMIT:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        a_num, a_den = a_den, a_num - a * a_den
+    k = (WEIGHT_DENOM_LIMIT - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p/q - n/d|, both sides multiplied by d*q*q1
+    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
+        return p1, q1
+    return p, q
+
+
+def _snapped_weights(weights: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The game's distribution from its MW weights: each w / sum(weights)
+    snapped by :func:`_limit`, then normalized.  It is returned as the
+    integer point weights that ``lattice.int_weights`` gives for it: the
+    snapped values over their common denominator, reduced by their gcd,
+    with their sum as the denominator.
+
+    The largest weight is 1, so its share is at least 1/2^arity, and
+    2^arity is below the denominator limit at every arity the DP can
+    solve: that share snaps to a positive value, so the gcd is positive."""
+    scale = lcm(*(d for _, d in weights))
+    nums = [n * (scale // d) for n, d in weights]
+    total = sum(nums)
+    approx = [_limit(n, total) for n in nums]
+    scale = lcm(*(d for _, d in approx))
+    nums = [n * (scale // d) for n, d in approx]
+    g = gcd(*nums)
+    nums = [n // g for n in nums]
+    return nums, sum(nums)
 
 
 def _solve_game(
-    rel: Relation,
+    accepts: np.ndarray,
     depth: int,
     target: Fraction,
     tol: Fraction,
     max_iter: int,
 ) -> _GameStatus:
-    n_inputs = 1 << rel.arity
-    weights = [Fraction(1)] * n_inputs
-    payoff_sums = [0] * n_inputs
-    br_value_sum = Fraction(0)
+    rows = accepts.tolist()
+    n_inputs = accepts.shape[1]
     shrink = 1 - ETA
-    mu_t = Dist.uniform(rel.arity)
-    tree = None
+    bound = target - tol
+    weights = [(1, 1)] * n_inputs  # reduced (numerator, denominator) pairs
+    nums, den = [1] * n_inputs, n_inputs  # the uniform distribution
+    payoff_sums = [0] * n_inputs
+    br_values = []  # best-response value of each round, as (numerator, den)
+
+    def status(accepted: bool, decided: bool, t: int) -> _GameStatus:
+        return _GameStatus(
+            accepted, decided,
+            lower=Fraction(min(payoff_sums), t),
+            upper=sum(Fraction(v, d) for v, d in br_values) / t,
+            iterations=t, tree=tree,
+            mu=Dist(tree.arity, tuple(Fraction(n, den) for n in nums)),
+        )
+
     for t in range(1, max_iter + 1):
-        dp = best_success(rel, mu_t, depth)
-        tree = dp.witness
-        br_value_sum += dp.success
-        upper = br_value_sum / t
-        correct = [1 if rel.accepts(x, tree.output(x)) else 0 for x in range(n_inputs)]
-        for x in range(n_inputs):
-            payoff_sums[x] += correct[x]
-        lower = Fraction(min(payoff_sums), t)
-        if dp.success < target:
-            # exact rejection: even the best depth-d tree fails under mu_t
-            return _GameStatus(False, True, lower, upper, t, tree, mu_t, mu_t)
-        if lower >= target - tol:
-            return _GameStatus(True, True, lower, upper, t, tree, None, mu_t)
-        for x in range(n_inputs):
-            if correct[x]:
-                weights[x] *= shrink
-        top = max(weights)
-        weights = [(w / top).limit_denominator(WEIGHT_DENOM_LIMIT) for w in weights]
-        mu_t = _limited_dist(weights)
-    lower = Fraction(min(payoff_sums), max_iter)
-    upper = br_value_sum / max_iter
-    return _GameStatus(False, False, lower, upper, max_iter, tree, None, mu_t)
+        dp = _TreeDP(accepts, lattice.weight_array(nums, den), den)
+        tree = dp.witness(depth)
+        value = dp.value(depth)
+        br_values.append((value, den))
+        correct = [rows[tree.output(x)][x] for x in range(n_inputs)]
+        payoff_sums = [s + c for s, c in zip(payoff_sums, correct)]
+        if value * target.denominator < target.numerator * den:
+            # exact rejection: even the best depth-d tree fails under this
+            # round's distribution
+            return status(False, True, t)
+        if min(payoff_sums) * bound.denominator >= bound.numerator * t:
+            return status(True, True, t)
+        weights = [
+            (n * shrink.numerator, d * shrink.denominator) if c else (n, d)
+            for (n, d), c in zip(weights, correct)
+        ]
+        top_n, top_d = weights[0]
+        for n, d in weights:
+            if n * top_d > top_n * d:
+                top_n, top_d = n, d
+        weights = [_limit(n * top_d, d * top_n) for n, d in weights]
+        nums, den = _snapped_weights(weights)
+    return status(False, False, max_iter)
 
 
 def rand_complexity(
@@ -222,6 +281,15 @@ def rand_complexity(
     averaged best-response mixture achieves at least 1 - eps - tol on every
     input.  If neither happens within ``max_iter`` rounds the depth is
     accepted with ``limit_hit`` set.
+
+    Each round shrinks the weight of every input the best response answers
+    correctly by 1 - ETA, rescales so the largest weight is 1, and snaps
+    every weight to a denominator of at most ``WEIGHT_DENOM_LIMIT``; the
+    next distribution is the normalized snap of weight / total.  Weights
+    are integer numerator/denominator pairs and the snapping follows
+    ``Fraction.limit_denominator``'s rule exactly, ties included.  The
+    distribution goes to the DP as integer point weights, and a
+    :class:`Dist` is built only for the certificate of a depth.
     """
     eps = Fraction(eps)
     tol = Fraction(tol)
@@ -232,12 +300,13 @@ def rand_complexity(
     if max_iter < 1:
         raise QclabError("max_iter must be at least 1")
     rel = _as_relation(h)
+    accepts = _accepts(rel)
     target = 1 - eps
     cert_mu: Dist | None = None
     for depth in range(rel.arity + 1):
-        status = _solve_game(rel, depth, target, tol, max_iter)
+        status = _solve_game(accepts, depth, target, tol, max_iter)
         if status.accepted or not status.decided:
-            hard = cert_mu if cert_mu is not None else status.final_mu
+            hard = cert_mu if cert_mu is not None else status.mu
             return GameResult(
                 depth=depth,
                 lower_value=status.lower,
@@ -247,7 +316,7 @@ def rand_complexity(
                 iterations=status.iterations,
                 limit_hit=not status.decided,
             )
-        cert_mu = status.reject_mu
+        cert_mu = status.mu
     raise Unachievable("no depth accepted up to the full arity")
 
 

@@ -28,8 +28,13 @@ def int_weights(mu: Dist) -> tuple[np.ndarray, int]:
     """Point weights of ``mu`` as integer numerators over their least common
     denominator, as int64 when that denominator is below ``INT64_LIMIT``."""
     den = lcm(*(p.denominator for p in mu.probs))
-    nums = [p.numerator * (den // p.denominator) for p in mu.probs]
-    return np.array(nums, dtype=np.int64 if den < INT64_LIMIT else object), den
+    return weight_array([p.numerator * (den // p.denominator) for p in mu.probs], den), den
+
+
+def weight_array(nums: list[int], den: int) -> np.ndarray:
+    """Integer point weights over ``den`` as an array: int64 when ``den`` is
+    below ``INT64_LIMIT``, Python ints otherwise."""
+    return np.array(nums, dtype=np.int64 if den < INT64_LIMIT else object)
 
 
 def masses(weights: np.ndarray, m: int) -> np.ndarray:

@@ -119,10 +119,11 @@ def sweep_unbias(
     max_denominator: int = UNBIAS_DENOMINATOR,
     sampled_m4: int = 200,
     seed: int = 20240811,
+    max_m: int = 3,
 ) -> SweepReport:
     """The restriction-mass inequality Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
-    over every subcube C, exhaustively for all functions on up to 3 bits,
-    plus sampled 4-bit fixtures.
+    over every subcube C, exhaustively for all functions on 1 to ``max_m``
+    bits, plus ``sampled_m4`` sampled 4-bit fixtures.
 
     The lower twin Pr_mu[C] >= (1 - 4 delta) Pr_mu_b[C] is not checked
     because it cannot fail: full-cube bias at most delta gives
@@ -172,7 +173,7 @@ def sweep_unbias(
                                 lattice.assignment(int(ci[k]), m),
                             ))
 
-    for m in (1, 2, 3):
+    for m in range(1, max_m + 1):
         g_rows = np.array(all_output_tables(m), dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, max_denominator)
         run(m, g_rows, mus, total)

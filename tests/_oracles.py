@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's own algorithms: tree optimization is
 done by explicit enumeration of tree shapes, and the simulation law by
-walking the tree while multiplying stepwise branch probabilities.
+walking the tree while multiplying stepwise branch probabilities.  The game
+solver's reference is its original multiplicative-weights loop in
+Fractions, which the integer loop must follow iterate for iterate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from qclab.complexity import ETA, WEIGHT_DENOM_LIMIT, GameResult, best_success
 from qclab.core import Dist, Relation, Subcube, TruthTable, bias, restrict_dist, subcube_prob
 from qclab.dtree import DecisionTree, InternalNode, Leaf
 
@@ -294,3 +297,57 @@ def random_relation(rng, arity: int, alphabet: int) -> Relation:
 
 def random_truth_table(rng, arity: int) -> TruthTable:
     return TruthTable(arity, tuple(rng.randrange(2) for _ in range(1 << arity)))
+
+
+def _limited_dist(weights: list[Fraction]) -> Dist:
+    """Snap weights to bounded denominators, then normalize exactly."""
+    total = sum(weights)
+    approx = [(w / total).limit_denominator(WEIGHT_DENOM_LIMIT) for w in weights]
+    s = sum(approx)
+    if s == 0:
+        n = len(weights)
+        return Dist(n.bit_length() - 1, tuple([Fraction(1, n)] * n))
+    return Dist(len(weights).bit_length() - 1, tuple(a / s for a in approx))
+
+
+def _fraction_game(rel: Relation, depth: int, target, tol, max_iter: int):
+    """One depth of the game in Fractions: (accepted, decided, lower,
+    upper, iterations, tree, reject_mu, final_mu)."""
+    n_inputs = 1 << rel.arity
+    weights = [Fraction(1)] * n_inputs
+    payoff_sums = [0] * n_inputs
+    br_value_sum = Fraction(0)
+    mu_t = Dist.uniform(rel.arity)
+    for t in range(1, max_iter + 1):
+        dp = best_success(rel, mu_t, depth)
+        tree = dp.witness
+        br_value_sum += dp.success
+        upper = br_value_sum / t
+        correct = [rel.accepts(x, tree.output(x)) for x in range(n_inputs)]
+        payoff_sums = [s + c for s, c in zip(payoff_sums, correct)]
+        lower = Fraction(min(payoff_sums), t)
+        if dp.success < target:
+            return False, True, lower, upper, t, tree, mu_t, mu_t
+        if lower >= target - tol:
+            return True, True, lower, upper, t, tree, None, mu_t
+        weights = [w * (1 - ETA) if c else w for w, c in zip(weights, correct)]
+        top = max(weights)
+        weights = [(w / top).limit_denominator(WEIGHT_DENOM_LIMIT) for w in weights]
+        mu_t = _limited_dist(weights)
+    return False, False, lower, upper, max_iter, tree, None, mu_t
+
+
+def fraction_rand_complexity(h, eps, tol=Fraction(1, 100), max_iter: int = 5000) -> GameResult:
+    """``rand_complexity`` by the multiplicative-weights loop in Fractions,
+    with ``limit_denominator`` snapping and a ``Dist`` per round."""
+    rel = Relation.from_function(h) if isinstance(h, TruthTable) else h
+    target = 1 - Fraction(eps)
+    cert_mu = None
+    for depth in range(rel.arity + 1):
+        accepted, decided, lower, upper, t, tree, reject_mu, final_mu = _fraction_game(
+            rel, depth, target, Fraction(tol), max_iter)
+        if accepted or not decided:
+            hard = cert_mu if cert_mu is not None else final_mu
+            return GameResult(depth, lower, upper, hard, tree, t, not decided)
+        cert_mu = reject_mu
+    raise AssertionError("no depth accepted up to the full arity")

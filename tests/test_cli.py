@@ -6,6 +6,7 @@ import pytest
 from qclab.cli import build_parser, main
 from qclab.core import Dist, Relation, and_fn, identity1, xor_fn
 from qclab.io import format_dist, format_relation, format_truth_table
+from qclab.sweeps import sweep_unbias
 
 
 @pytest.fixture()
@@ -204,6 +205,22 @@ class TestVerify:
         records = read_records(by_instance)
         assert [r["z"] for r in records if r["record"] == "verify-instance"] == [0, 1]
         assert by_instance.read_bytes() == by_files.read_bytes()
+
+    def test_tree_without_a_full_instance_exits_2(self, files, capsys):
+        g, f, mu = ("--g", files["g_xor2"]), ("--f", files["f_id1"]), ("--mu", files["mu_u2"])
+        for flags in ((), g, g + f, f + mu, g + mu):
+            assert main(["verify", "--m", "1", *flags, "--tree", files["tree"]]) == 2
+            assert "--tree needs --instance" in capsys.readouterr().err
+
+    def test_m_bounds_the_unbias_sweep(self, tmp_path):
+        cases = {}
+        for m in (1, 2):
+            out = tmp_path / f"m{m}.jsonl"
+            assert main(["verify", "--m", str(m), "--out", str(out)]) == 0
+            (unbias,) = [r for r in read_records(out) if r["record"] == "sweep-unbias"]
+            cases[m] = unbias["cases"]
+            assert cases[m] == sweep_unbias(max_m=m, sampled_m4=0).cases
+        assert 0 < cases[1] < cases[2]
 
 
 READS = {

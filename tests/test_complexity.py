@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,14 +15,18 @@ from qclab.core import (
     xor_fn,
 )
 from qclab.complexity import (
+    WEIGHT_DENOM_LIMIT,
+    _limit,
     best_success,
     dist_complexity,
     hard_distribution,
     rand_complexity,
 )
+from qclab.io import format_tree
 
 from _oracles import (
     brute_best_success,
+    fraction_rand_complexity,
     random_dist,
     random_relation,
     random_truth_table,
@@ -144,3 +149,79 @@ class TestHardDistribution:
             for _ in range(10):
                 mu = random_dist(rng, g.arity)
                 assert dist_complexity(g, mu, F(1, 3)) <= result.depth
+
+
+def _game_fields(result):
+    return (
+        result.depth, result.lower_value, result.upper_value, result.hard_dist.probs,
+        format_tree(result.best_tree), result.iterations, result.limit_hit,
+    )
+
+
+class TestGameMatchesFractionLoop:
+    """The integer game follows the Fraction loop iterate for iterate, so
+    every field of its result is identical."""
+
+    @pytest.mark.parametrize("eps", [F(1, 4), F(1, 3), F(7, 16)])
+    def test_random_tables_and_relations(self, eps):
+        rng = random.Random(str(eps))
+        for arity in (1, 2, 3, 4):
+            for h in (random_truth_table(rng, arity), random_relation(rng, arity, 3)):
+                assert _game_fields(rand_complexity(h, eps)) == \
+                    _game_fields(fraction_rand_complexity(h, eps))
+
+    def test_limit_hit(self):
+        h = random_truth_table(random.Random(5), 3)
+        result = rand_complexity(h, F(1, 3), max_iter=3)
+        assert result.limit_hit
+        assert _game_fields(result) == \
+            _game_fields(fraction_rand_complexity(h, F(1, 3), max_iter=3))
+
+
+def _farey_neighbours(rng):
+    """a/b < c/e adjacent among fractions of denominator at most the limit:
+    c*b - a*e = 1 and b + e above the limit."""
+    while True:
+        b = rng.randrange(WEIGHT_DENOM_LIMIT // 2, WEIGHT_DENOM_LIMIT + 1)
+        e = rng.randrange(WEIGHT_DENOM_LIMIT - b + 1, WEIGHT_DENOM_LIMIT + 1)
+        if math.gcd(b, e) == 1 and b != e:
+            a = -pow(e, -1, b) % b
+            return a, b, (1 + a * e) // b, e
+
+
+class TestLimit:
+    @staticmethod
+    def expected(n, d):
+        f = F(n, d).limit_denominator(WEIGHT_DENOM_LIMIT)
+        return f.numerator, f.denominator
+
+    def test_random_pairs(self):
+        rng = random.Random(71)
+        for _ in range(2000):
+            d = rng.randrange(1, 10 ** rng.randrange(1, 40))
+            n = rng.randrange(0, 3 * d)
+            assert _limit(n, d) == self.expected(n, d)
+
+    def test_unreduced_and_zero(self):
+        rng = random.Random(73)
+        for _ in range(500):
+            d = rng.randrange(1, 10**12)
+            n = rng.randrange(0, d + 1)
+            g = rng.randrange(1, 10**9)
+            assert _limit(n * g, d * g) == self.expected(n, d)
+        assert _limit(0, 7 * 10**20) == (0, 1)
+        assert _limit(3 * (10**6 + 1), 10**6 + 1) == (3, 1)
+
+    def test_denominators_around_the_limit(self):
+        rng = random.Random(79)
+        for d in (WEIGHT_DENOM_LIMIT - 1, WEIGHT_DENOM_LIMIT, WEIGHT_DENOM_LIMIT + 1):
+            for n in [0, 1, d - 1, d, d + 1] + [rng.randrange(2 * d) for _ in range(200)]:
+                assert _limit(n, d) == self.expected(n, d)
+
+    def test_exact_ties_take_the_smaller_denominator(self):
+        rng = random.Random(83)
+        for _ in range(200):
+            a, b, c, e = _farey_neighbours(rng)
+            n, d = a * e + c * b, 2 * b * e  # the midpoint of a/b and c/e
+            assert self.expected(n, d) == ((a, b) if b < e else (c, e))
+            assert _limit(n, d) == self.expected(n, d)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qclab import lattice
-from qclab.complexity import _TreeDP, best_success
+from qclab.complexity import _tree_dp, best_success
 from qclab.core import CapExceeded, Dist, Relation, Subcube, subcube_prob
 from qclab.io import format_tree
 from qclab.sweeps import sweep_rbias, sweep_unbias
@@ -89,10 +89,10 @@ class TestTreeDP:
             nums = [1] + [b - a for a, b in zip([0] + cuts, cuts + [den - 1])]
             mu = Dist(m, tuple(F(k, den) for k in nums))
             depth = rng.randrange(m + 1)
-            assert _TreeDP(h, mu).label_mass.dtype == object
+            assert _tree_dp(h, mu).label_mass.dtype == object
             wide = best_success(h, mu, depth)
             monkeypatch.setattr(lattice, "INT64_LIMIT", 2**63)
-            assert _TreeDP(h, mu).label_mass.dtype == np.int64
+            assert _tree_dp(h, mu).label_mass.dtype == np.int64
             narrow = best_success(h, mu, depth)
             monkeypatch.undo()
             assert narrow.success == wide.success
