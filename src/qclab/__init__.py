@@ -5,7 +5,6 @@ block-structured simulator, and exhaustive verification sweeps.
 
 from .core import (
     Dist,
-    FullBiasReport,
     Relation,
     Subcube,
     TruthTable,
@@ -20,7 +19,6 @@ from .core import (
     and_fn,
     bias,
     caps,
-    check_fullbias,
     constant_fn,
     identity1,
     maj3,

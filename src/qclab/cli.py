@@ -189,7 +189,9 @@ def cmd_simulate(args, emit: _Emitter) -> None:
 def cmd_verify(args, emit: _Emitter) -> None:
     if args.tree and not (args.instance or (args.g and args.f and args.mu)):
         raise QclabError("verify --tree needs --instance, or all of --g, --f and --mu")
-    max_m = args.m if args.m else 3
+    max_m = 3 if args.m is None else args.m
+    if max_m < 1:
+        raise QclabError(f"verify --m must be at least 1, got {max_m}")
     for report in (
         sweep_unbias() if max_m >= 3 else sweep_unbias(max_m=max_m, sampled_m4=0),
         sweep_rbias(max_m=min(max_m, 3)),

@@ -317,35 +317,3 @@ def bias(g: TruthTable, mu: Dist, cube: Subcube) -> Fraction:
     if total == 0:
         raise ZeroConditioningMass("subcube has zero mass")
     return abs(m0 - m1) / total
-
-
-@dataclass(frozen=True)
-class FullBiasReport:
-    min_mass: Fraction
-    full_bias: Fraction
-    min_mass_exceeds_eps: bool
-    bias_below_bound: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.min_mass_exceeds_eps and self.bias_below_bound
-
-
-def check_fullbias(g: TruthTable, mu: Dist, eps: Fraction) -> FullBiasReport:
-    """Evaluate the two quantities whose bounds are implied by positive
-    distributional complexity: min_b Pr[g=b] vs eps and the full-cube bias
-    vs 1 - 2*eps.  The caller supplies the complexity hypothesis."""
-    eps = Fraction(eps)
-    if not 0 <= eps < Fraction(1, 2):
-        raise HypothesisViolated("eps must lie in [0, 1/2)")
-    _check_arity(mu.arity, g.arity)
-    m1 = sum((p for x, p in enumerate(mu.probs) if p and g.outputs[x]), ZERO)
-    m0 = 1 - m1
-    min_mass = min(m0, m1)
-    full_bias = abs(m0 - m1)
-    return FullBiasReport(
-        min_mass=min_mass,
-        full_bias=full_bias,
-        min_mass_exceeds_eps=min_mass > eps,
-        bias_below_bound=full_bias < 1 - 2 * eps,
-    )

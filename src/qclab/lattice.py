@@ -8,6 +8,11 @@ bit j of a point, so an array of shape ``(..., 3^m)`` reshapes to
 ``(..., 3, ..., 3)`` with variable j on axis ``-1 - j``; index 0 is the full
 cube.  Every function is vectorized over leading axes.
 
+The automorphisms of the cube (permute the variables, flip bits) act on
+points and on subcube indices alike, and masses follow them: the image
+subcube has under the image weights the mass the subcube had before.  The
+sweeps rely on this to sweep one grid point per orbit.
+
 Values are integer numerators over one common denominator, and no mass or
 tree value exceeds it: they are numpy int64 while it is below
 ``INT64_LIMIT`` and Python ints in object arrays above it.
@@ -15,6 +20,7 @@ tree value exceeds it: they are numpy int64 while it is below
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import lcm
 
 import numpy as np
@@ -82,6 +88,30 @@ def layers(answer: np.ndarray, m: int):
             np.maximum(free, prev[_fixing(j, 1)] + prev[_fixing(j, 2)], out=free)
         value = nxt.reshape(answer.shape)
         yield value
+
+
+def automorphisms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^m m! automorphisms of the cube {0,1}^m: every permutation of
+    the variables, each with every flip mask, the identity first.
+
+    Returns ``(points, cubes)`` of shapes ``(2^m m!, 2^m)`` and
+    ``(2^m m!, 3^m)``: row s of ``points`` maps each point x to its image,
+    which has bit ``perm[j]`` equal to bit j of x flipped where the mask
+    flips variable j, and row s of ``cubes`` maps each subcube index to the
+    index of its image.  Flipping variable j swaps trits 1 and 2 of it, and
+    permuting the variables moves trit j to position ``perm[j]``.
+    """
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    trits = np.arange(3**m)[:, None] // 3 ** np.arange(m) % 3
+    points, cubes = [], []
+    for perm in permutations(range(m)):
+        to_bit = 1 << np.array(perm, dtype=np.int64)
+        to_trit = 3 ** np.array(perm, dtype=np.int64)
+        for mask in range(1 << m):
+            flip = (mask >> np.arange(m)) & 1
+            points.append((bits ^ flip) @ to_bit)
+            cubes.append(np.where((trits > 0) & (flip == 1), 3 - trits, trits) @ to_trit)
+    return np.array(points), np.array(cubes)
 
 
 def index_of(fixed) -> int:

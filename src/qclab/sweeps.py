@@ -4,6 +4,19 @@ These sweeps cover every Boolean function on up to 3 bits, a rational grid
 of distributions, and (where relevant) every canonical read-once tree of
 bounded depth.  Subcube masses and complexities come from the lattice
 kernel of :mod:`qclab.lattice`, solved for every function at once.
+
+Each sweep does that work once per orbit of the grid under the cube's
+2^m m! automorphisms (permute the variables, flip bits), and exactly so:
+every function is swept, so an automorphism maps the swept functions onto
+themselves; the grid holds every permutation of each of its points; and
+the tree shapes are closed under the automorphisms, so a tree's leaf set
+maps to another tree's.  Every quantity checked (masses, biases,
+complexity, codimension) is carried along, so a grid point has its orbit
+representative's case count, and its violations are the images of the
+representative's under any automorphism that maps one point to the other.
+The sampled 4-bit unbias fixtures are single (function, distribution)
+pairs and still run one at a time.
+
 Distribution masses are integer numerators over one common total and all
 comparisons are numpy int64 comparisons; each sweep checks before it runs
 that its largest product stays below 2^63, so nothing can wrap and the
@@ -103,6 +116,43 @@ def _check_float64(bound: int) -> None:
         raise CapExceeded(f"sweep sums up to {bound} are not exact in float64")
 
 
+def _orbit_walk(m: int, mus: list[tuple[int, ...]], point, fn_col: int,
+                cube_col: int | None = None):
+    """Run ``point`` once per orbit of the cube's automorphisms on the grid
+    ``mus`` and yield ``(w, cases, violations)`` for every grid point, in
+    grid order.
+
+    ``point(w)`` sweeps every function on m bits at the point ``w`` and
+    returns its case count and a list of int arrays whose rows are its
+    violations; column ``fn_col`` holds the function index (bit x is g(x))
+    and column ``cube_col``, if any, a subcube index.  A point first seen
+    becomes its orbit's representative and is swept; every other point
+    takes the representative's count, and its violations are their images
+    under an automorphism that maps the representative to it, as rows
+    sorted by every column, first to last.
+    """
+    points, cubes = lattice.automorphisms(m)
+    # functions[k, s]: the index of the image of function k under automorphism s
+    functions = np.array(all_output_tables(m), dtype=np.int64) @ (1 << points.T)
+    group = np.arange(len(points))[:, None]
+    seen = {}  # grid point -> (its representative's result, automorphism)
+    for w in mus:
+        if w not in seen:
+            result = point(w)
+            images = np.empty_like(points)
+            images[group, points] = w
+            for s, image in enumerate(map(tuple, images.tolist())):
+                seen.setdefault(image, (result, s))
+        (cases, found), s = seen[w]
+        if found:
+            rows = np.vstack(found)
+            rows[:, fn_col] = functions[rows[:, fn_col], s]
+            if cube_col is not None:
+                rows[:, cube_col] = cubes[s, rows[:, cube_col]]
+            found = rows[np.lexsort(rows.T[::-1])].tolist()
+        yield w, cases, found
+
+
 @dataclass(frozen=True)
 class SweepReport:
     name: str
@@ -131,60 +181,73 @@ def sweep_unbias(
     Pr[C, g=b] <= (1 + delta)/2 Pr[C], so Pr_mu[C]/Pr_mu_b[C] >=
     (1 - delta)/(1 + delta) >= 1 - 4 delta for every delta >= 0.
     """
-    violations = []
-    cases = 0
     total4 = lcm(*range(1, max_denominator + 1))  # the grid total of every arity
     _check_int64(total4**2 * max(d.denominator + 4 * d.numerator for d in deltas))
     loosest = max(deltas)
-    consts = [(str(d), d.numerator, d.denominator) for d in deltas]
+    labels = [str(d) for d in deltas]
+    consts = [(d.numerator, d.denominator) for d in deltas]
 
-    def run(m: int, g_rows: np.ndarray, mus: list[tuple[int, ...]], total: int):
-        nonlocal cases
-        for w in mus:
-            wv = np.array(w, dtype=np.int64)
-            M1 = g_rows @ wv                      # g=1 masses of the full cube
-            gap = np.abs(total - 2 * M1)          # |M0 - M1|
-            # only functions meeting the loosest hypothesis can be checked
-            sel = np.nonzero(gap * loosest.denominator <= loosest.numerator * total)[0]
-            if not sel.size:
+    def run(m: int, g_rows: np.ndarray, w: tuple[int, ...], total: int):
+        """Cases and violation rows (delta index, b, row of g_rows, subcube)."""
+        wv = np.array(w, dtype=np.int64)
+        M1 = g_rows @ wv                      # g=1 masses of the full cube
+        gap = np.abs(total - 2 * M1)          # |M0 - M1|
+        # only functions meeting the loosest hypothesis can be checked
+        sel = np.nonzero(gap * loosest.denominator <= loosest.numerator * total)[0]
+        if not sel.size:
+            return 0, []
+        rows, gap, M1 = g_rows[sel], gap[sel], M1[sel]
+        M0 = total - M1
+        mt = lattice.masses(wv, m)            # subcube masses
+        m1 = lattice.masses(rows * wv, m)     # g=1 masses, (n_sel, n_cubes)
+        m0 = mt - m1
+        cube_gap = np.abs(m0 - m1)
+        positive = mt > 0
+        cases, found = 0, []
+        for d, (nd, dd) in enumerate(consts):
+            hyp = gap * dd <= nd * total
+            if not hyp.any():
                 continue
-            rows, gap, M1 = g_rows[sel], gap[sel], M1[sel]
-            M0 = total - M1
-            mt = lattice.masses(wv, m)            # subcube masses
-            m1 = lattice.masses(rows * wv, m)     # g=1 masses, (n_sel, n_cubes)
-            m0 = mt - m1
-            cube_gap = np.abs(m0 - m1)
-            positive = mt > 0
-            for label, nd, dd in consts:
-                hyp = gap * dd <= nd * total
-                if not hyp.any():
-                    continue
-                low_bias = (cube_gap * dd <= nd * mt) & positive
-                gi, ci = np.nonzero(low_bias & hyp[:, None])  # row-major
-                cases += gi.size
-                lhs_c = mt[ci] * dd
-                for mb_cube, Mb in ((m0, M0), (m1, M1)):
-                    # Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
-                    bad = lhs_c * Mb[gi] > (dd + 4 * nd) * mb_cube[gi, ci] * total
-                    if bad.any():
-                        for k in np.nonzero(bad)[0]:
-                            violations.append((
-                                m, tuple(int(v) for v in rows[gi[k]]), w, label,
-                                lattice.assignment(int(ci[k]), m),
-                            ))
+            low_bias = (cube_gap * dd <= nd * mt) & positive
+            gi, ci = np.nonzero(low_bias & hyp[:, None])  # row-major
+            cases += gi.size
+            lhs_c = mt[ci] * dd
+            for b, (mb_cube, Mb) in enumerate(((m0, M0), (m1, M1))):
+                # Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
+                bad = np.nonzero(lhs_c * Mb[gi] > (dd + 4 * nd) * mb_cube[gi, ci] * total)[0]
+                if bad.size:
+                    found.append(np.column_stack((
+                        np.full(bad.size, d), np.full(bad.size, b), sel[gi[bad]], ci[bad])))
+        return cases, found
+
+    cases, violations = 0, []
+    fixings = {m: [lattice.assignment(c, m) for c in range(3**m)]
+               for m in range(1, max(max_m, 4) + 1)}
+
+    def collect(m, tables, w, n, found):
+        nonlocal cases
+        cases += n
+        fixed = fixings[m]
+        violations.extend((m, tables[g], w, labels[d], fixed[c]) for d, _, g, c in found)
 
     for m in range(1, max_m + 1):
-        g_rows = np.array(all_output_tables(m), dtype=np.int64)
+        tables = all_output_tables(m)
+        g_rows = np.array(tables, dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, max_denominator)
-        run(m, g_rows, mus, total)
+        for w, n, found in _orbit_walk(m, mus, lambda w: run(m, g_rows, w, total),
+                                       fn_col=2, cube_col=3):
+            collect(m, tables, w, n, found)
 
+    # single (function, distribution) pairs: no orbit to share
     rng = _random.Random(seed)
     for _ in range(sampled_m4):
         g = tuple(rng.randrange(2) for _ in range(16))
         q = rng.randrange(1, max_denominator + 1)
         cuts = sorted(rng.randrange(q + 1) for _ in range(15))
         comp = [b - a for a, b in zip([0] + cuts, cuts + [q])]
-        run(4, np.array([g], dtype=np.int64), [tuple(c * (total4 // q) for c in comp)], total4)
+        w = tuple(c * (total4 // q) for c in comp)
+        n, found = run(4, np.array([g], dtype=np.int64), w, total4)
+        collect(4, [g], w, n, np.vstack(found).tolist() if found else [])
 
     return SweepReport("unbias", cases, tuple(violations))
 
@@ -199,28 +262,33 @@ def sweep_rbias(
     read-once tree of bounded depth."""
     violations = []
     cases = 0
+    labels = [str(eps) for eps in eps_list]
     consts = []
     for eps in eps_list:
         delta = Fraction(1, 2) - eps
-        consts.append((str(eps), (1 - eps).numerator, (1 - eps).denominator,
+        consts.append(((1 - eps).numerator, (1 - eps).denominator,
                        delta.numerator, delta.denominator))
     for m in range(1, max_m + 1):
         tables = all_output_tables(m)
         g_rows = np.array(tables, dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
         _check_float64(total)
-        for _, _, de, nd, dd in consts:
+        for _, de, nd, dd in consts:
             _check_int64(total**2 * max(de, dd, 16 * nd))
         codim = np.array([len(lattice.assignment(i, m)) for i in range(3**m)])
         incidence = readonce_leaves(m, tree_depth).astype(np.float64)
-        for w in mus:
+
+        def point(w):
+            """Cases and violation rows (eps index, function, complexity),
+            one per violating (function, tree) pair."""
             wv = np.array(w, dtype=np.int64)
             mt = lattice.masses(wv, m)
             m1 = lattice.masses(g_rows * wv, m)   # (n_g, n_cubes)
             m0 = mt[None, :] - m1
             # best depth-d success of every function, d = 0..m
             roots = np.array([v[:, 0] for v in lattice.layers(np.maximum(m0, m1), m)])
-            for label, ne, de, nd, dd in consts:
+            cases, found = 0, []
+            for e, (ne, de, nd, dd) in enumerate(consts):
                 # distributional complexity: the first depth reaching 1 - eps
                 c_arr = np.argmax(roots * de >= ne * total, axis=0)
                 live = np.nonzero(c_arr)[0]
@@ -239,11 +307,14 @@ def sweep_rbias(
                 ok_a = event_mu**2 * dd < nd * total**2
                 ok_b0 = event_0**2 * dd < 16 * nd * lm0[:, :1] ** 2
                 ok_b1 = event_1**2 * dd < 16 * nd * lm1[:, :1] ** 2
-                bad = ~(ok_a & ok_b0 & ok_b1)
-                if bad.any():
-                    for li, _ in zip(*np.nonzero(bad)):
-                        gi = live[li]
-                        violations.append((m, tables[gi], w, label, int(c_arr[gi])))
+                gi = live[np.nonzero(~(ok_a & ok_b0 & ok_b1))[0]]
+                if gi.size:
+                    found.append(np.column_stack((np.full(gi.size, e), gi, c_arr[gi])))
+            return cases, found
+
+        for w, n, found in _orbit_walk(m, mus, point, fn_col=1):
+            cases += n
+            violations.extend((m, tables[g], w, labels[e], c) for e, g, c in found)
     return SweepReport("rbias", cases, tuple(violations))
 
 
@@ -255,27 +326,31 @@ def sweep_fullbias(
     value mass must exceed eps and the full-cube bias stay below 1-2*eps."""
     violations = []
     cases = 0
+    labels = [str(eps) for eps in eps_list]
+    consts = [(1 - eps, eps, 1 - 2 * eps) for eps in eps_list]
     for m in range(1, max_m + 1):
         tables = all_output_tables(m)
         g_rows = np.array(tables, dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
-        for eps in eps_list:
-            _check_int64(total * max((1 - eps).denominator, eps.denominator,
-                                     (1 - 2 * eps).denominator))
-        for w in mus:
-            wv = np.array(w, dtype=np.int64)
-            M1 = g_rows @ wv
+        for c in consts:
+            _check_int64(total * max(f.denominator for f in c))
+
+        def point(w):
+            """Cases and violation rows (eps index, function)."""
+            M1 = g_rows @ np.array(w, dtype=np.int64)
             M0 = total - M1
-            for eps in eps_list:
-                ne, de = (1 - eps).numerator, (1 - eps).denominator
-                positive_c = np.maximum(M0, M1) * de < ne * total
+            cases, found = 0, []
+            for e, (success, eps, bound) in enumerate(consts):
+                positive_c = np.maximum(M0, M1) * success.denominator < success.numerator * total
                 cases += int(positive_c.sum())
-                nn, nd = eps.numerator, eps.denominator
-                min_ok = np.minimum(M0, M1) * nd > nn * total
-                bd_num, bd_den = (1 - 2 * eps).numerator, (1 - 2 * eps).denominator
-                bias_ok = np.abs(M0 - M1) * bd_den < bd_num * total
-                bad = positive_c & ~(min_ok & bias_ok)
-                if bad.any():
-                    for gi in np.nonzero(bad)[0]:
-                        violations.append((m, tables[gi], w, str(eps)))
+                min_ok = np.minimum(M0, M1) * eps.denominator > eps.numerator * total
+                bias_ok = np.abs(M0 - M1) * bound.denominator < bound.numerator * total
+                gi = np.nonzero(positive_c & ~(min_ok & bias_ok))[0]
+                if gi.size:
+                    found.append(np.column_stack((np.full(gi.size, e), gi)))
+            return cases, found
+
+        for w, n, found in _orbit_walk(m, mus, point, fn_col=1):
+            cases += n
+            violations.extend((m, tables[g], w, labels[e]) for e, g in found)
     return SweepReport("fullbias", cases, tuple(violations))

@@ -4,15 +4,28 @@ These deliberately avoid the library's own algorithms: tree optimization is
 done by explicit enumeration of tree shapes, and the simulation law by
 walking the tree while multiplying stepwise branch probabilities.  The game
 solver's reference is its original multiplicative-weights loop in
-Fractions, which the integer loop must follow iterate for iterate.
+Fractions, which the integer loop must follow iterate for iterate.  The
+fullbias sweep's reference takes each function's complexity from
+``dist_complexity``, which the DP tests hold to tree enumeration.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from qclab.complexity import ETA, WEIGHT_DENOM_LIMIT, GameResult, best_success
-from qclab.core import Dist, Relation, Subcube, TruthTable, bias, restrict_dist, subcube_prob
+from qclab.complexity import ETA, WEIGHT_DENOM_LIMIT, GameResult, best_success, dist_complexity
+from qclab.core import (
+    ArityMismatch,
+    Dist,
+    HypothesisViolated,
+    Relation,
+    Subcube,
+    TruthTable,
+    bias,
+    restrict_dist,
+    subcube_prob,
+)
 from qclab.dtree import DecisionTree, InternalNode, Leaf
 
 
@@ -227,8 +240,13 @@ def brute_sweep_rbias(grids, eps_list, tree_depth: int, every_cube: bool = False
             shapes.append(_all_fixings(m))
         for w in mus:
             mu = Dist(m, tuple(Fraction(x, total) for x in w))
-            successes = {g: [brute_best_success(TruthTable(m, g), mu, d) for d in range(m + 1)]
-                         for g in tables}
+            # best success at each depth up to the first that meets every eps
+            successes = {}
+            for g in tables:
+                successes[g] = [brute_best_success(TruthTable(m, g), mu, 0)]
+                while successes[g][-1] < 1 - min(eps_list):
+                    depth = len(successes[g])
+                    successes[g].append(brute_best_success(TruthTable(m, g), mu, depth))
             for eps in eps_list:
                 delta = Fraction(1, 2) - eps
                 for g in tables:
@@ -251,6 +269,57 @@ def brute_sweep_rbias(grids, eps_list, tree_depth: int, every_cube: bool = False
                             and all(Fraction(event[b], full[b]) ** 2 < 16 * delta for b in (0, 1))
                         ):
                             violations.append((m, g, w, str(eps), c))
+    return cases, violations
+
+
+@dataclass(frozen=True)
+class FullBiasReport:
+    min_mass: Fraction
+    full_bias: Fraction
+    min_mass_exceeds_eps: bool
+    bias_below_bound: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.min_mass_exceeds_eps and self.bias_below_bound
+
+
+def check_fullbias(g: TruthTable, mu: Dist, eps: Fraction) -> FullBiasReport:
+    """Evaluate the two quantities whose bounds are implied by positive
+    distributional complexity: min_b Pr[g=b] vs eps and the full-cube bias
+    vs 1 - 2*eps.  The caller supplies the complexity hypothesis."""
+    eps = Fraction(eps)
+    if not 0 <= eps < Fraction(1, 2):
+        raise HypothesisViolated("eps must lie in [0, 1/2)")
+    if g.arity != mu.arity:
+        raise ArityMismatch(f"arity mismatch: {g.arity} != {mu.arity}")
+    m1 = sum((p for x, p in enumerate(mu.probs) if p and g.outputs[x]), Fraction(0))
+    m0 = 1 - m1
+    min_mass = min(m0, m1)
+    full_bias = abs(m0 - m1)
+    return FullBiasReport(
+        min_mass=min_mass,
+        full_bias=full_bias,
+        min_mass_exceeds_eps=min_mass > eps,
+        bias_below_bound=full_bias < 1 - 2 * eps,
+    )
+
+
+def brute_sweep_fullbias(grids, eps_list) -> tuple[int, list]:
+    """The cases and violations of ``sweep_fullbias`` from point sums and
+    the exact DP complexity of each function, over ``grids`` as in
+    :func:`brute_sweep_unbias`."""
+    cases, violations = 0, []
+    for m, tables, mus, total in grids:
+        for w in mus:
+            mu = Dist(m, tuple(Fraction(x, total) for x in w))
+            for eps in eps_list:
+                for g in tables:
+                    if dist_complexity(TruthTable(m, g), mu, eps) == 0:
+                        continue
+                    cases += 1
+                    if not check_fullbias(TruthTable(m, g), mu, eps).holds:
+                        violations.append((m, g, w, str(eps)))
     return cases, violations
 
 

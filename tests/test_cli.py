@@ -156,6 +156,14 @@ class TestInputErrors:
         assert code == 2
         assert capsys.readouterr().err == "error: max_iter must be at least 1\n"
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_verify_needs_a_sweep_arity(self, capsys, m):
+        # -1 ran no case and reported every sweep passed; 0 meant 3
+        code = main(["verify", "--m", m])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: verify --m must be at least 1, got {m}\n"
+
 
 class TestSimulate:
     def test_reports_and_chain(self, files):

@@ -14,7 +14,6 @@ from qclab.core import (
     ZeroConditioningMass,
     and_fn,
     bias,
-    check_fullbias,
     constant_fn,
     identity1,
     index_of,
@@ -27,7 +26,7 @@ from qclab.core import (
 from qclab import lattice
 from qclab.complexity import dist_complexity
 
-from _oracles import random_dist, random_truth_table
+from _oracles import check_fullbias, random_dist, random_truth_table
 
 U2 = Dist.uniform(2)
 U3 = Dist.uniform(3)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from qclab import lattice
 from qclab.complexity import _tree_dp, best_success
 from qclab.core import CapExceeded, Dist, Relation, Subcube, subcube_prob
 from qclab.io import format_tree
-from qclab.sweeps import sweep_rbias, sweep_unbias
+from qclab.sweeps import readonce_leaves, sweep_rbias, sweep_unbias
 
 from _oracles import brute_best_success, random_dist, random_relation
 
@@ -56,6 +57,34 @@ class TestMasses:
         big = Dist(1, (F(1, 2**62), 1 - F(1, 2**62)))
         weights, den = lattice.int_weights(big)
         assert den == 2**62 and weights.dtype == object
+
+
+class TestAutomorphisms:
+    def test_point_and_subcube_maps_agree(self):
+        # masses(sigma w)[sigma C] == masses(w)[C] on generic weights
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 3):
+            points, cubes = lattice.automorphisms(m)
+            assert len({tuple(p) for p in points.tolist()}) == len(points) == 2**m * factorial(m)
+            assert (points[0] == np.arange(2**m)).all() and (cubes[0] == np.arange(3**m)).all()
+            w = rng.integers(0, 10**6, size=(4, 2**m))
+            for p, c in zip(points, cubes):
+                image = np.empty_like(w)
+                image[:, p] = w
+                assert (lattice.masses(image, m)[:, c] == lattice.masses(w, m)).all()
+
+    def test_tree_leaf_sets_closed(self):
+        # the rbias sweep shares a grid point's verdicts with its orbit only
+        # because the tree shapes are closed under the automorphisms
+        for m in (1, 2, 3):
+            _, cubes = lattice.automorphisms(m)
+            for depth in range(4):
+                incidence = readonce_leaves(m, depth)
+                columns = sorted(map(tuple, incidence.T.tolist()))
+                for c in cubes:
+                    image = np.empty_like(incidence)
+                    image[c] = incidence
+                    assert sorted(map(tuple, image.T.tolist())) == columns
 
 
 def _witness_success(h, mu, tree):

@@ -1,6 +1,7 @@
-"""The sweeps against plain point-sum references on reduced grids: the 3-bit
-grids are emptied, so every function on up to 2 bits and a few sampled
-4-bit fixtures are checked, and the reports must be equal, violation order
+"""The sweeps against plain point-sum references on reduced grids: every
+function on up to 2 bits and a few sampled 4-bit fixtures, and every
+function on 3 bits on a few small grids, where the orbit walk meets all 48
+automorphisms of the cube.  The reports must be equal, violation order
 included."""
 
 import random
@@ -13,7 +14,7 @@ import pytest
 from qclab import sweeps
 from qclab.core import CapExceeded
 
-from _oracles import brute_sweep_rbias, brute_sweep_unbias
+from _oracles import brute_sweep_fullbias, brute_sweep_rbias, brute_sweep_unbias
 
 REAL_GRID = sweeps.grid_weight_vectors
 
@@ -26,6 +27,13 @@ def two_bit_grids(monkeypatch):
 
     monkeypatch.setattr(sweeps, "grid_weight_vectors", grid)
     return grid
+
+
+def _every_cube(monkeypatch):
+    """Add one leaf set that is not a tree to the rbias sweep: every subcube."""
+    trees = sweeps.readonce_leaves
+    monkeypatch.setattr(sweeps, "readonce_leaves", lambda m, depth: np.hstack(
+        (trees(m, depth), np.ones((3**m, 1), dtype=np.int64))))
 
 
 def _unbias_grids(grid, max_denominator, sampled_m4, seed):
@@ -71,9 +79,7 @@ def test_rbias_matches_point_sums(monkeypatch, eps_list, tree_depth, every_cube)
     monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 1, 6)
     monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 2, 4)
     if every_cube:
-        trees = sweeps.readonce_leaves
-        monkeypatch.setattr(sweeps, "readonce_leaves", lambda m, depth: np.hstack(
-            (trees(m, depth), np.ones((3**m, 1), dtype=np.int64))))
+        _every_cube(monkeypatch)
     report = sweeps.sweep_rbias(eps_list, max_m=2, tree_depth=tree_depth)
     grids = []
     for m in (1, 2):
@@ -83,6 +89,45 @@ def test_rbias_matches_point_sums(monkeypatch, eps_list, tree_depth, every_cube)
     assert report.cases == cases > 0
     assert list(report.violations) == violations
     assert report.passed == (not every_cube)
+
+
+@pytest.mark.parametrize("eps_list", [(F(1, 4), F(1, 3), F(5, 12)), (F(0), F(7, 16))])
+def test_fullbias_matches_point_sums(monkeypatch, eps_list):
+    monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 2, 4)
+    report = sweeps.sweep_fullbias(eps_list, max_m=2)
+    grids = []
+    for m in (1, 2):
+        mus, total = sweeps.grid_weight_vectors(1 << m, sweeps.GRID_DENOMINATOR[m])
+        grids.append((m, sweeps.all_output_tables(m), mus, total))
+    cases, violations = brute_sweep_fullbias(grids, eps_list)
+    assert report.cases == cases > 0
+    assert list(report.violations) == violations
+
+
+def test_unbias_three_bits_matches_point_sums():
+    report = sweeps.sweep_unbias((F(1),), max_denominator=2, sampled_m4=0)
+    grids = _unbias_grids(REAL_GRID, 2, 0, 0)
+    cases, violations = brute_sweep_unbias(grids, (F(1),))
+    assert report.cases == cases > 0
+    assert list(report.violations) == violations
+    assert sum(v[0] == 3 for v in violations) > 0
+
+
+def test_rbias_three_bits_matches_point_sums(monkeypatch):
+    # on a denominator-2 grid no function has complexity 2, so no leaf is
+    # shallow and nothing can fail; three equal point masses can need 2
+    mus, total = REAL_GRID(8, 3)
+    three = [w for w in mus if sum(map(bool, w)) == 3][::4]
+    monkeypatch.setattr(sweeps, "grid_weight_vectors",
+                        lambda points, den: (three if points == 8 else [], total))
+    _every_cube(monkeypatch)
+    eps_list = (F(1, 4), F(7, 16))
+    report = sweeps.sweep_rbias(eps_list, max_m=3, tree_depth=1)
+    grids = [(3, sweeps.all_output_tables(3), three, total)]
+    cases, violations = brute_sweep_rbias(grids, eps_list, 1, every_cube=True)
+    assert report.cases == cases > 0
+    assert list(report.violations) == violations
+    assert violations
 
 
 def test_float64_event_sums_refused_from_2_to_the_53(monkeypatch):
