@@ -18,7 +18,6 @@ from .core import (
     ParseError,
     and_fn,
     bias,
-    caps,
     constant_fn,
     identity1,
     maj3,
@@ -53,23 +52,16 @@ from .compose import (
 from .simulate import (
     AprimeSimulator,
     ChainReport,
-    LeafReport,
     LilsnipReport,
-    RbiasReport,
     SimileafReport,
     SimulationTrace,
-    UnbiasReport,
-    best_fixed_seed,
     exact_p,
     exact_q,
-    leaf_reports,
     run_Aprime,
     snip_labels,
     success_chain,
     verify_lilsnip,
-    verify_rbias,
     verify_simileaf,
-    verify_unbias,
 )
 from .sweeps import (
     SweepReport,

@@ -58,7 +58,14 @@ class _Emitter:
             sys.stdout.write(text)
 
 
+def _given(args, names) -> list[str]:
+    """The options among ``names`` that the command line set."""
+    return [_FLAGS[name][0] for name in names if getattr(args, name) is not None]
+
+
 def _load_problem(args) -> Relation | TruthTable:
+    if len(_given(args, ("g", "f"))) == 2:
+        raise QclabError("give one of --g and --f, not both")
     if args.g:
         return parse_truth_table(Path(args.g).read_text())
     if args.f:
@@ -68,6 +75,9 @@ def _load_problem(args) -> Relation | TruthTable:
 
 def _load_instance(args):
     if args.instance:
+        fixed = _given(args, _INSTANCE[1:])
+        if fixed:
+            raise QclabError(f"--instance fixes the instance; drop {', '.join(fixed)}")
         return read_instance(Path(args.instance))
     g = parse_truth_table(Path(args.g).read_text())
     f = parse_relation(Path(args.f).read_text())
@@ -187,11 +197,17 @@ def cmd_simulate(args, emit: _Emitter) -> None:
 
 
 def cmd_verify(args, emit: _Emitter) -> None:
+    unread = [] if args.tree else _given(args, _INSTANCE)
+    if unread:
+        raise QclabError(f"verify reads {', '.join(unread)} only with --tree")
     if args.tree and not (args.instance or (args.g and args.f and args.mu)):
         raise QclabError("verify --tree needs --instance, or all of --g, --f and --mu")
     max_m = 3 if args.m is None else args.m
     if max_m < 1:
         raise QclabError(f"verify --m must be at least 1, got {max_m}")
+    if args.tree:
+        inst = _load_instance(args)
+        tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     for report in (
         sweep_unbias() if max_m >= 3 else sweep_unbias(max_m=max_m, sampled_m4=0),
         sweep_rbias(max_m=min(max_m, 3)),
@@ -204,8 +220,6 @@ def cmd_verify(args, emit: _Emitter) -> None:
             "passed": report.passed,
         })
     if args.tree:
-        inst = _load_instance(args)
-        tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
         for z, sim, lil in _instance_checks(inst, tree):
             emit.emit({
                 "record": "verify-instance",

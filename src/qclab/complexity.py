@@ -27,6 +27,7 @@ import numpy as np
 
 from . import lattice
 from .core import (
+    DP_CAP,
     CapExceeded,
     Dist,
     HypothesisViolated,
@@ -34,7 +35,6 @@ from .core import (
     Relation,
     TruthTable,
     Unachievable,
-    caps,
 )
 from .dtree import DecisionTree, InternalNode, Leaf
 
@@ -68,7 +68,7 @@ class _TreeDP:
 
     def __init__(self, accepts: np.ndarray, weights: np.ndarray, den: int):
         self.arity = accepts.shape[1].bit_length() - 1
-        if self.arity > caps()["dp"]:
+        if self.arity > DP_CAP:
             raise CapExceeded(f"arity {self.arity} exceeds the DP cap")
         self.den = den
         self.label_mass = lattice.masses(weights * accepts, self.arity)

@@ -12,6 +12,8 @@ from functools import cached_property
 
 from . import lattice
 from .core import (
+    ARITY_CAP,
+    FLAT_CAP,
     CapExceeded,
     Dist,
     InnerComplexityZero,
@@ -19,7 +21,6 @@ from .core import (
     Relation,
     TruthTable,
     ZeroConditioningMass,
-    caps,
 )
 from .complexity import dist_complexity
 from .dtree import BlockStructure
@@ -31,7 +32,7 @@ def compose_relation(f: Relation, g: TruthTable, n: int) -> Relation:
     if f.arity != n:
         raise QclabError(f"outer arity {f.arity} != n = {n}")
     total = n * g.arity
-    if total > caps()["flat"]:
+    if total > FLAT_CAP:
         raise CapExceeded(f"composed arity {total} exceeds the flat cap")
     structure = BlockStructure(n, g.arity)
     accepted = []
@@ -49,7 +50,7 @@ def xor_stack(g: TruthTable, t: int) -> TruthTable:
     if t < 1:
         raise QclabError("t must be >= 1")
     total = t * g.arity
-    if total > caps()["arity"]:
+    if total > ARITY_CAP:
         raise CapExceeded(f"stacked arity {total} exceeds cap")
     structure = BlockStructure(t, g.arity)
     outputs = []

@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -24,30 +23,9 @@ from typing import Iterable, Iterator, Mapping
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-DEFAULT_CAPS = {
-    "arity": 16,  # largest truth table / distribution arity
-    "dp": 12,     # largest arity accepted by the exact DP
-    "flat": 12,   # largest arity for flat expansion of structured dists
-}
-
-
-def caps() -> dict:
-    """Current size caps, honouring the QCLAB_CAP_OVERRIDE env variable.
-
-    The override format is ``name=value[,name=value...]`` with names
-    ``arity``, ``dp`` and ``flat``.
-    """
-    out = dict(DEFAULT_CAPS)
-    raw = os.environ.get("QCLAB_CAP_OVERRIDE", "")
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, value = part.partition("=")
-        if name not in out or not value.isdigit():
-            raise CapExceeded(f"bad QCLAB_CAP_OVERRIDE entry: {part!r}")
-        out[name] = int(value)
-    return out
+ARITY_CAP = 16  # largest truth table / distribution arity
+DP_CAP = 12     # largest arity accepted by the exact DP
+FLAT_CAP = 12   # largest arity for flat expansion of structured dists
 
 
 class QclabError(Exception):
@@ -82,10 +60,6 @@ class ParseError(QclabError):
     pass
 
 
-def bit(x: int, j: int) -> int:
-    return (x >> j) & 1
-
-
 def index_of(bitseq: Iterable[int]) -> int:
     x = 0
     for j, b in enumerate(bitseq):
@@ -104,7 +78,7 @@ class TruthTable:
     def __post_init__(self):
         if self.arity < 1:
             raise QclabError("arity must be >= 1")
-        if self.arity > caps()["arity"]:
+        if self.arity > ARITY_CAP:
             raise CapExceeded(f"arity {self.arity} exceeds cap")
         if len(self.outputs) != 1 << self.arity:
             raise QclabError("outputs length must be 2^arity")
@@ -238,7 +212,7 @@ class Dist:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.arity > caps()["arity"]:
+        if self.arity > ARITY_CAP:
             raise CapExceeded(f"arity {self.arity} exceeds cap")
         if len(self.probs) != 1 << self.arity:
             raise QclabError("probs length must be 2^arity")

@@ -140,9 +140,6 @@ class BlockStructure:
             raise ArityMismatch(f"flat variable {flat_var} out of range")
         return divmod(flat_var, self.block_width)
 
-    def flat_var(self, copy: int, within: int) -> int:
-        return copy * self.block_width + within
-
     def extract(self, x: int, copy: int) -> int:
         """Copy-local point of the flat point ``x``."""
         return (x >> (copy * self.block_width)) & ((1 << self.block_width) - 1)

@@ -12,7 +12,7 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .core import CapExceeded, Dist, ParseError, Relation, TruthTable, caps
+from .core import ARITY_CAP, CapExceeded, Dist, ParseError, Relation, TruthTable
 from .compose import ComposedInstance, build_instance
 from .dtree import DecisionTree, InternalNode, Leaf, Node
 
@@ -42,7 +42,7 @@ def _check_arity(arity: int, lowest: int) -> None:
     """Reject a header arity before anything of size 2^arity is built."""
     if arity < lowest:
         raise ParseError(f"arity {arity} is below {lowest} (line 1)")
-    if arity > caps()["arity"]:
+    if arity > ARITY_CAP:
         raise CapExceeded(f"arity {arity} exceeds cap")
 
 

@@ -28,21 +28,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
 from math import prod
 from typing import Optional
 
-from . import lattice
 from .core import (
     ArityMismatch,
-    Dist,
     HypothesisViolated,
     QclabError,
-    TruthTable,
     ZeroConditioningMass,
     subcube_prob,  # noqa: F401  -- unused; perfbench's tracer self-test checks this binding
 )
-from .complexity import dist_complexity
 from .compose import ComposedInstance
 from .dtree import DecisionTree, Leaf
 
@@ -74,19 +69,21 @@ def _branches(inst: ComposedInstance, node, state: tuple):
 
 def _paths(inst: ComposedInstance, tree: DecisionTree) -> list:
     """One walk of ``tree`` on the inner lattice: every leaf with the
-    per-copy states of the nodes on its path, root first."""
+    per-copy state at that leaf (see ``_branches``).  Each copy's history
+    already lists its subcube after each of its answers on the leaf's path,
+    so the states of interior nodes are not kept."""
     if tree.arity != inst.total_arity:
         raise ArityMismatch("tree arity does not match block structure")
     out = []
 
-    def walk(node, path):
+    def walk(node, state):
         if isinstance(node, Leaf):
-            out.append((node, path))
+            out.append((node, state))
             return
-        for child, sub in _branches(inst, node, path[-1])[1]:
-            walk(child, path + (sub,))
+        for child, sub in _branches(inst, node, state)[1]:
+            walk(child, sub)
 
-    walk(tree.root, (((0,),) * inst.n,))
+    walk(tree.root, ((0,),) * inst.n)
     return out
 
 
@@ -187,47 +184,19 @@ def run_Aprime(inst: ComposedInstance, tree: DecisionTree, z: int, seed: int) ->
     return AprimeSimulator(inst, tree, z).run(seed)
 
 
-def best_fixed_seed(
-    inst: ComposedInstance, tree: DecisionTree, seed_budget: int
-) -> tuple[int, Fraction]:
-    """Empirical derandomization: run the simulation once per seed on every
-    outer input and keep the seed with the highest weighted success.
-
-    The returned success rate is an observed upper-bound artifact, not an
-    exact quantity; one run per (seed, z) is all that a fixed seed gets.
-    """
-    if seed_budget < 1:
-        raise QclabError("seed budget must be >= 1")
-    sims = {
-        z: AprimeSimulator(inst, tree, z)
-        for z in range(1 << inst.n)
-        if inst.lam.prob(z) > 0
-    }
-    best_seed, best_rate = 0, Fraction(-1)
-    for seed in range(seed_budget):
-        rate = ZERO
-        for z, sim in sims.items():
-            trace = sim.run(seed)
-            if trace.output in inst.f.accepted[z]:
-                rate += inst.lam.prob(z)
-        if rate > best_rate:
-            best_seed, best_rate = seed, rate
-    return best_seed, best_rate
-
-
 # ---------------------------------------------------------------------------
 # exact leaf distributions
 
 
 def _q_terms(inst: ComposedInstance, restricted: list, paths: list) -> list[tuple[int, int]]:
-    """Per path, the simulation's probability of its leaf as an unreduced
+    """Per leaf, the simulation's probability of its leaf as an unreduced
     ``(numerator, denominator)`` pair."""
     c = inst.inner_complexity
     m0, m1, den = inst.g_masses
     out = []
-    for _, path in paths:
+    for _, state in paths:
         num, dnm = 1, den ** inst.n
-        for i, hist in enumerate(path[-1]):
+        for i, hist in enumerate(state):
             prefix = hist[:c][-1]  # after its first c - 1 answers, or all if fewer
             num *= m0[prefix] + m1[prefix]
             if num and len(hist) > c:
@@ -245,10 +214,10 @@ def _q_terms(inst: ComposedInstance, restricted: list, paths: list) -> list[tupl
 
 
 def _p_terms(restricted: list, paths: list) -> tuple[list[int], int]:
-    """Per path, the numerator of the outer tree's probability of its leaf,
+    """Per leaf, the numerator of the outer tree's probability of its leaf,
     and the denominator they share."""
     den = prod(table[0] for table in restricted)
-    return [prod(t[h[-1]] for t, h in zip(restricted, path[-1])) for _, path in paths], den
+    return [prod(t[h[-1]] for t, h in zip(restricted, state)) for _, state in paths], den
 
 
 def exact_q(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
@@ -322,160 +291,13 @@ def snip_labels(
         return 0
 
     return {
-        leaf.leaf_id: tuple(flagged(hist) for hist in path[-1])
-        for leaf, path in _paths(inst, tree)
-    }
-
-
-@dataclass(frozen=True)
-class LeafReport:
-    leaf_id: int
-    p: Fraction
-    q: Fraction
-    snip_flags: tuple[int, ...]
-    bias_trace: tuple
-
-    @property
-    def snip(self) -> int:
-        return 1 if any(self.snip_flags) else 0
-
-
-def leaf_reports(
-    inst: ComposedInstance, tree: DecisionTree, z: int, theta: Optional[Fraction] = None
-) -> dict[int, LeafReport]:
-    """Assemble the per-leaf record: reach probabilities under both laws,
-    snip flags, and the per-path-node per-copy bias trace."""
-    p = exact_p(inst, tree, z)
-    q = exact_q(inst, tree, z)
-    snips = snip_labels(inst, tree, theta)
-    m0, m1, _ = inst.g_masses
-
-    @cache  # one row per node, shared by the paths through it
-    def node_biases(state) -> tuple:
-        return tuple(
-            Fraction(abs(m0[cube] - m1[cube]), m0[cube] + m1[cube])
-            if m0[cube] + m1[cube] else None
-            for cube in (hist[-1] for hist in state)
-        )
-
-    return {
-        leaf.leaf_id: LeafReport(
-            leaf.leaf_id, p[leaf.leaf_id], q[leaf.leaf_id], snips[leaf.leaf_id],
-            tuple(node_biases(state) for state in path),
-        )
-        for leaf, path in _paths(inst, tree)
+        leaf.leaf_id: tuple(flagged(hist) for hist in state)
+        for leaf, state in _paths(inst, tree)
     }
 
 
 # ---------------------------------------------------------------------------
 # claim verifiers
-
-
-@dataclass(frozen=True)
-class UnbiasReport:
-    delta: Fraction
-    checked: int
-    violations: tuple
-    min_ratio: Optional[Fraction]
-    max_ratio: Optional[Fraction]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def verify_unbias(g: TruthTable, mu: Dist, delta) -> UnbiasReport:
-    """Check, over every subcube with positive mass and bias at most delta,
-    that the unrestricted mass of the subcube is at most (1 + 4*delta) times
-    its mass under either restriction of the distribution.
-
-    The lower twin, at least (1 - 4*delta) times, cannot fail: full-cube
-    bias at most delta gives Pr[g=b] >= (1 - delta)/2 and cube bias at most
-    delta gives Pr[C, g=b] <= (1 + delta)/2 Pr[C], so the ratio is at least
-    (1 - delta)/(1 + delta) >= 1 - 4*delta.
-    """
-    delta = Fraction(delta)
-    if not 0 < delta <= Fraction(1, 2):
-        raise HypothesisViolated("delta must lie in (0, 1/2]")
-    m0, m1, den = lattice.g_masses(g, mu)
-    mass_b = (m0[0], m1[0])  # index 0 is the full cube
-    if Fraction(abs(mass_b[0] - mass_b[1]), den) > delta:
-        raise HypothesisViolated("full-cube bias exceeds delta")
-    hi = 1 + 4 * delta
-    violations = []
-    checked = 0
-    ratios = []
-    for index, (c0, c1) in enumerate(zip(m0, m1)):
-        if c0 + c1 == 0 or Fraction(abs(c0 - c1), c0 + c1) > delta:
-            continue
-        checked += 1
-        pc = Fraction(c0 + c1, den)
-        fixed = lattice.assignment(index, g.arity)
-        for b, cube_b in ((0, c0), (1, c1)):
-            pb = Fraction(cube_b, mass_b[b])
-            ratios.append(pc / pb)
-            if pc > hi * pb:
-                violations.append((fixed, b, "upper", pc, pb))
-    return UnbiasReport(
-        delta, checked, tuple(violations), min(ratios, default=None), max(ratios, default=None)
-    )
-
-
-@dataclass(frozen=True)
-class RbiasReport:
-    eps: Fraction
-    delta: Fraction
-    c: int
-    prob_mu: Fraction
-    prob_mu_b: tuple[Fraction, Fraction]
-    part_a_holds: bool
-    part_b_holds: tuple[bool, bool]
-
-    @property
-    def passed(self) -> bool:
-        return self.part_a_holds and all(self.part_b_holds)
-
-
-def verify_rbias(g: TruthTable, mu: Dist, eps, tree: DecisionTree) -> RbiasReport:
-    """For a function with positive distributional complexity c, check that
-    shallow high-bias leaves of the tree carry little mass: below sqrt(delta)
-    under the distribution itself, below 4*sqrt(delta) under either
-    restriction, with delta = 1/2 - eps.  Irrational thresholds are compared
-    through exact squares.  Leaf output labels are ignored."""
-    eps = Fraction(eps)
-    if not Fraction(1, 4) <= eps < Fraction(1, 2):
-        raise HypothesisViolated("eps must lie in [1/4, 1/2)")
-    if tree.arity != g.arity:
-        raise QclabError("tree arity does not match the function")
-    delta = Fraction(1, 2) - eps
-    c = dist_complexity(g, mu, eps)
-    if c == 0:
-        raise HypothesisViolated("distributional complexity is zero")
-    m0, m1, den = lattice.g_masses(g, mu)
-    mass_b = (m0[0], m1[0])
-    event = [0, 0]  # g=0 and g=1 mass numerators of the shallow high-bias leaves
-    for _, path in tree.leaf_paths():
-        fixed = dict(path)
-        if len(fixed) >= c:
-            continue
-        index = lattice.index_of(fixed.items())
-        mass = m0[index] + m1[index]
-        if mass == 0:
-            continue
-        leaf_bias = Fraction(m0[index] - m1[index], mass)
-        if leaf_bias * leaf_bias < 4 * delta:  # bias < 2*sqrt(delta)
-            continue
-        event[0] += m0[index]
-        event[1] += m1[index]
-    event_mu = Fraction(event[0] + event[1], den)
-    event_b = [Fraction(event[b], mass_b[b]) for b in (0, 1)]
-    part_a = event_mu * event_mu < delta  # event_mu < sqrt(delta)
-    part_b = tuple(e * e < 16 * delta for e in event_b)
-    return RbiasReport(
-        eps=eps, delta=delta, c=c,
-        prob_mu=event_mu, prob_mu_b=(event_b[0], event_b[1]),
-        part_a_holds=part_a, part_b_holds=part_b,
-    )
 
 
 @dataclass(frozen=True)
@@ -632,7 +454,7 @@ def success_chain(inst: ComposedInstance, tree: DecisionTree) -> ChainReport:
     success_outer = success_sim = snipped = expected_zq = ZERO
     snips = snip_labels(inst, tree, inst.theta)
     paths = _paths(inst, tree)
-    z_queries = [sum(len(h) > c for h in path[-1]) for _, path in paths]
+    z_queries = [sum(len(h) > c for h in state) for _, state in paths]
     snipped_leaves = [any(snips[leaf.leaf_id]) for leaf, _ in paths]
     for z in range(1 << inst.n):
         w = inst.lam.prob(z)

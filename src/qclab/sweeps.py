@@ -25,10 +25,6 @@ so that they run through BLAS: their terms are nonnegative integers and
 every partial sum is at most the grid total, which is checked to be below
 2^53, so each is exact and converts back to int64 unchanged.  Irrational
 square-root thresholds are compared through squares.
-
-The single-instance verifiers in :mod:`qclab.simulate` check the same
-claims for one given function and distribution, with Fraction thresholds on
-the same lattice masses; no command calls them.
 """
 
 from __future__ import annotations

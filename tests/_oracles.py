@@ -144,23 +144,6 @@ def brute_simulation_law(inst, tree: DecisionTree, z: int) -> dict[int, Fraction
     return out
 
 
-def brute_bias_traces(inst, tree: DecisionTree) -> dict[int, tuple]:
-    """Per leaf, per node on its path (root first), per copy: the bias of
-    the copy's path subcube, or None where the subcube has no mass, by
-    summing the inner distribution point by point."""
-    out: dict[int, tuple] = {}
-    for leaf, path in tree.leaf_paths():
-        rows = []
-        for k in range(len(path) + 1):
-            row = []
-            for assigns in split_assignments(inst.block, path[:k]):
-                cube = Subcube.from_mapping(inst.m, dict(assigns))
-                row.append(bias(inst.g, inst.mu, cube) if subcube_prob(inst.mu, cube) else None)
-            rows.append(tuple(row))
-        out[leaf.leaf_id] = tuple(rows)
-    return out
-
-
 def brute_snip_labels(inst, tree: DecisionTree, theta: Fraction) -> dict[int, tuple[int, ...]]:
     """Snip flags from the definition: copy i of a leaf is flagged when a
     node on its path fixes fewer than c copy-i variables on a subcube of

@@ -114,9 +114,9 @@ class TestInputErrors:
                      "--mu", files["mu_u2"], "--eps", "1/4", "--out", str(out_dir)]) == 0
         return out_dir / "instance.json"
 
-    def simulate(self, manifest, files, capsys):
+    def simulate(self, manifest, files, capsys, *flags):
         capsys.readouterr()
-        code = main(["simulate", "--instance", str(manifest), "--tree", files["tree"]])
+        code = main(["simulate", "--instance", str(manifest), "--tree", files["tree"], *flags])
         return code, capsys.readouterr().err
 
     def test_manifest_without_f(self, manifest, files, capsys):
@@ -163,6 +163,28 @@ class TestInputErrors:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: verify --m must be at least 1, got {m}\n"
+
+    def test_verify_reads_instance_flags_only_with_a_tree(self, capsys):
+        # each ran the sweeps alone, ignored the flag and exited 0
+        for flags in (("--instance", "nothere.json"), ("--eps", "abc")):
+            code = main(["verify", "--m", "1", *flags])
+            assert code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: verify reads {flags[0]} only with --tree\n"
+
+    def test_manifest_takes_no_instance_flags(self, manifest, files, capsys):
+        # the manifest's epsilon silently won over --eps
+        code, err = self.simulate(manifest, files, capsys, "--eps", "1/4")
+        assert code == 2
+        assert err == "error: --instance fixes the instance; drop --eps\n"
+
+    @pytest.mark.parametrize("command", ["dce", "rqc"])
+    def test_problem_is_g_or_f(self, files, capsys, command):
+        # --g won and --f was silently ignored
+        mu = ["--mu", files["mu_u2"]] if command == "dce" else []
+        code = main([command, "--g", files["g_xor2"], "--f", files["f_id1"], *mu, "--eps", "1/4"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: give one of --g and --f, not both\n"
 
 
 class TestSimulate:

@@ -114,8 +114,7 @@ class TestBlockStructure:
         seen = {b.copy_of(v) for v in range(6)}
         assert len(seen) == 6
         for v in range(6):
-            i, j = b.copy_of(v)
-            assert b.flat_var(i, j) == v
+            assert b.copy_of(v) == divmod(v, 2)
 
     def test_extract(self):
         b = BlockStructure(2, 2)

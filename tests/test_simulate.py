@@ -9,12 +9,12 @@ from qclab.core import (
     HypothesisViolated,
     QclabError,
     Relation,
+    Subcube,
     TruthTable,
     ZeroConditioningMass,
     and_fn,
-    bias,
     identity1,
-    maj3,
+    subcube_prob,
     xor_fn,
 )
 from qclab import lattice
@@ -25,21 +25,16 @@ from qclab.simulate import (
     ChainReport,
     _instance_checks,
     _threshold,
-    best_fixed_seed,
     exact_p,
     exact_q,
-    leaf_reports,
     run_Aprime,
     snip_labels,
     success_chain,
     verify_lilsnip,
-    verify_rbias,
     verify_simileaf,
-    verify_unbias,
 )
 
 from _oracles import (
-    brute_bias_traces,
     brute_gamma_z,
     brute_reach_probs,
     brute_simulation_law,
@@ -272,26 +267,32 @@ class TestExactP:
 
 
 class TestSnipLabels:
-    def test_flags_and_bias_traces_match_point_sums(self):
+    def test_flags_match_point_sums(self):
         rng = random.Random(89)
+        cases = [
+            (inst, random_tree(rng, inst.total_arity, inst.total_arity, 2))
+            for inst in random_instances(rng, 9) for _ in range(3)
+        ]
+        # mu puts no mass on x1 = 0, a subcube of fewer than c = 2 answers
+        dead_half = build_instance(
+            rel(identity1()), xor_fn(3), Dist.from_weights([0, 1] * 4), Dist.uniform(1),
+            epsilon=F(1, 4), theta=F(1, 2),
+        )
+        assert dead_half.inner_complexity == 2
+        cases.append((dead_half, full_parity_tree(3)))
         zero_mass_seen = 0
-        traced = 0
-        for inst in random_instances(rng, 9):
-            for _ in range(3):
-                tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
-                for theta in (inst.theta, F(0), F(1, 3)):
-                    assert snip_labels(inst, tree, theta) == brute_snip_labels(inst, tree, theta)
-                traces = brute_bias_traces(inst, tree)
-                zero_mass_seen += any(None in row for t in traces.values() for row in t)
-                for z in range(1 << inst.n):
-                    try:
-                        reports = leaf_reports(inst, tree, z)
-                    except ZeroConditioningMass:  # exact_q has no law on z
-                        continue
-                    traced += 1
-                    assert {lid: r.bias_trace for lid, r in reports.items()} == traces
-        assert zero_mass_seen and traced
-
+        for inst, tree in cases:
+            for theta in (inst.theta, F(0), F(1, 3)):
+                assert snip_labels(inst, tree, theta) == brute_snip_labels(inst, tree, theta)
+            zero_mass_seen += any(
+                len(assigns) < inst.inner_complexity
+                and subcube_prob(inst.mu, Subcube.from_mapping(inst.m, dict(assigns))) == 0
+                for _, path in tree.leaf_paths()
+                for k in range(len(path) + 1)
+                for assigns in split_assignments(inst.block, path[:k])
+            )
+        # some path subcube that the flags must skip for want of mass
+        assert zero_mass_seen
 
     def test_zero_threshold_flags_everything_touched_early(self):
         inst = tilted_and_instance()
@@ -325,64 +326,6 @@ class TestSnipLabels:
         flagged = {lid for lid, f in flags.items() if f[0]}
         unflagged = set(flags) - flagged
         assert flagged and unflagged
-
-
-class TestLeafReports:
-    def test_fields_consistent(self):
-        inst = xor_instance()
-        tree = full_parity_tree(4)
-        reports = leaf_reports(inst, tree, z=3)
-        p = exact_p(inst, tree, 3)
-        q = exact_q(inst, tree, 3)
-        assert set(reports) == set(p)
-        for lid, report in reports.items():
-            assert report.p == p[lid]
-            assert report.q == q[lid]
-            assert report.snip == (1 if any(report.snip_flags) else 0)
-            assert len(report.bias_trace) >= 1
-
-
-class TestVerifyUnbias:
-    def test_xor_uniform(self):
-        report = verify_unbias(xor_fn(2), Dist.uniform(2), F(1, 4))
-        assert report.passed
-        # single points have bias 1 and fall outside the hypothesis
-        assert report.checked == 5
-
-    def test_zero_bias_ratios_are_one(self):
-        report = verify_unbias(xor_fn(2), Dist.uniform(2), F(1, 4))
-        assert report.min_ratio == report.max_ratio == 1
-
-    def test_hypothesis_guard(self):
-        with pytest.raises(HypothesisViolated):
-            verify_unbias(and_fn(2), Dist.uniform(2), F(1, 4))
-
-    def test_vacuous_lower_bound_at_half(self):
-        mu = Dist.from_weights([3, 1, 1, 3])
-        report = verify_unbias(xor_fn(2), mu, F(1, 2))
-        assert report.passed
-
-
-class TestVerifyRbias:
-    def test_empty_event_passes(self):
-        report = verify_rbias(xor_fn(2), Dist.uniform(2), F(1, 4), full_parity_tree(2))
-        assert report.c == 2
-        assert report.prob_mu == 0
-        assert report.passed
-
-    def test_threshold_anchor_instance(self):
-        eps = F(1, 2) - F(1, 16)
-        report = verify_rbias(maj3(), Dist.uniform(3), eps, full_parity_tree(3))
-        assert report.delta == F(1, 16)
-        assert report.passed
-
-    def test_eps_guard(self):
-        with pytest.raises(HypothesisViolated):
-            verify_rbias(xor_fn(2), Dist.uniform(2), F(1, 8), full_parity_tree(2))
-
-    def test_zero_complexity_guard(self):
-        with pytest.raises(HypothesisViolated):
-            verify_rbias(and_fn(2), Dist.uniform(2), F(1, 4), full_parity_tree(2))
 
 
 class TestVerifySimileaf:
@@ -554,22 +497,3 @@ class TestSuccessChain:
         tree = full_parity_tree(4)
         report = success_chain(inst, tree)
         assert report.lower_bound == (1 - 4 * F(1, 16)) ** 2 * report.success_outer
-
-
-class TestBestFixedSeed:
-    def test_reports_achievable_rate(self):
-        inst = xor_instance()
-        tree = full_parity_tree(4)
-        seed, rate = best_fixed_seed(inst, tree, seed_budget=8)
-        assert 0 <= seed < 8
-        assert 0 <= rate <= 1
-        # re-running the winning seed reproduces the reported rate
-        again = sum(
-            (
-                inst.lam.prob(z)
-                for z in range(4)
-                if run_Aprime(inst, tree, z, seed).output in inst.f.accepted[z]
-            ),
-            F(0),
-        )
-        assert again == rate
