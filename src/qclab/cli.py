@@ -63,18 +63,28 @@ def _given(args, names) -> list[str]:
     return [_FLAGS[name][0] for name in names if getattr(args, name) is not None]
 
 
+def _require(args, *needs) -> None:
+    """Raise one input error naming every option the command line left out;
+    a tuple of names is met by any one of them."""
+    unmet = [
+        " or ".join(_FLAGS[name][0] for name in need)
+        for need in ((n,) if isinstance(n, str) else n for n in needs)
+        if not _given(args, need)
+    ]
+    if unmet:
+        raise QclabError(f"{args.command} needs {', '.join(unmet)}")
+
+
 def _load_problem(args) -> Relation | TruthTable:
     if len(_given(args, ("g", "f"))) == 2:
         raise QclabError("give one of --g and --f, not both")
-    if args.g:
+    if args.g is not None:
         return parse_truth_table(Path(args.g).read_text())
-    if args.f:
-        return parse_relation(Path(args.f).read_text())
-    raise QclabError("need --g or --f")
+    return parse_relation(Path(args.f).read_text())
 
 
 def _load_instance(args):
-    if args.instance:
+    if args.instance is not None:
         fixed = _given(args, _INSTANCE[1:])
         if fixed:
             raise QclabError(f"--instance fixes the instance; drop {', '.join(fixed)}")
@@ -89,6 +99,7 @@ def _load_instance(args):
 
 
 def cmd_dce(args, emit: _Emitter) -> None:
+    _require(args, ("g", "f"), "mu", "eps")
     h = _load_problem(args)
     mu = parse_dist(Path(args.mu).read_text())
     eps = parse_fraction(args.eps)
@@ -104,6 +115,7 @@ def cmd_dce(args, emit: _Emitter) -> None:
 
 
 def cmd_rqc(args, emit: _Emitter) -> None:
+    _require(args, ("g", "f"), "eps")
     h = _load_problem(args)
     eps = parse_fraction(args.eps)
     result = rand_complexity(
@@ -129,6 +141,7 @@ def cmd_rqc(args, emit: _Emitter) -> None:
 def cmd_build_instance(args, emit: _Emitter) -> None:
     from .complexity import hard_distribution
 
+    _require(args, "g", "f")
     g = parse_truth_table(Path(args.g).read_text())
     f = parse_relation(Path(args.f).read_text())
     n = f.arity
@@ -160,6 +173,7 @@ def cmd_build_instance(args, emit: _Emitter) -> None:
 
 
 def cmd_simulate(args, emit: _Emitter) -> None:
+    _require(args, "tree", *(() if args.instance is not None else ("g", "f", "mu")))
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     budget = tree.depth() // inst.inner_complexity
@@ -232,6 +246,7 @@ def cmd_verify(args, emit: _Emitter) -> None:
 
 
 def cmd_xor_stack(args, emit: _Emitter) -> None:
+    _require(args, "g")
     g = parse_truth_table(Path(args.g).read_text())
     stacked = xor_stack(g, args.t)
     if args.out:

@@ -9,10 +9,10 @@ it, so every comparison is exact integer arithmetic.  The game solver is
 approximate but bracketed, and every accept/reject decision it makes is
 backed by an exact quantity (a best-response value below the target
 rejects a depth; the rejecting distribution is an exact certificate for the
-next depth).  Its multiplicative weights are integer numerator/denominator
-pairs, snapped to bounded denominators by exactly the rule of
-``Fraction.limit_denominator``, and each round's distribution goes to the
-DP as integer weights; a :class:`Dist` is built only for a certificate.
+next depth).  Its multiplicative weights are Python ints on one fixed grid,
+the largest always ``ONE_WEIGHT``, and each round's distribution, the
+weights over their sum, goes to the DP as int64 point weights; a
+:class:`Dist` is built only for a certificate.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
 from typing import Union
 
 import numpy as np
@@ -40,8 +39,10 @@ from .dtree import DecisionTree, InternalNode, Leaf
 
 Problem = Union[Relation, TruthTable]
 
-WEIGHT_DENOM_LIMIT = 10**6
 ETA = Fraction(1, 8)  # multiplicative-weights step of the game solver
+# the game's weights are integers on this grid, the largest always equal to
+# it: their sum is at most 2^DP_CAP * ONE_WEIGHT = 2^52, so the DP runs on int64
+ONE_WEIGHT = 1 << 40
 
 
 def _as_relation(h: Problem) -> Relation:
@@ -169,52 +170,6 @@ class _GameStatus:
     mu: Dist
 
 
-def _limit(n: int, d: int) -> tuple[int, int]:
-    """``Fraction(n, d).limit_denominator(WEIGHT_DENOM_LIMIT)`` for n >= 0 and
-    d > 0, as a reduced pair: the same continued-fraction loop, then the
-    closer of its two bounds, the convergent p1/q1 on a tie."""
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    if d <= WEIGHT_DENOM_LIMIT:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    a_num, a_den = n, d
-    while True:
-        a = a_num // a_den
-        q2 = q0 + a * q1
-        if q2 > WEIGHT_DENOM_LIMIT:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        a_num, a_den = a_den, a_num - a * a_den
-    k = (WEIGHT_DENOM_LIMIT - q0) // q1
-    p, q = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - n/d| <= |p/q - n/d|, both sides multiplied by d*q*q1
-    if abs(p1 * d - n * q1) * q <= abs(p * d - n * q) * q1:
-        return p1, q1
-    return p, q
-
-
-def _snapped_weights(weights: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """The game's distribution from its MW weights: each w / sum(weights)
-    snapped by :func:`_limit`, then normalized.  It is returned as the
-    integer point weights that ``lattice.int_weights`` gives for it: the
-    snapped values over their common denominator, reduced by their gcd,
-    with their sum as the denominator.
-
-    The largest weight is 1, so its share is at least 1/2^arity, and
-    2^arity is below the denominator limit at every arity the DP can
-    solve: that share snaps to a positive value, so the gcd is positive."""
-    scale = lcm(*(d for _, d in weights))
-    nums = [n * (scale // d) for n, d in weights]
-    total = sum(nums)
-    approx = [_limit(n, total) for n in nums]
-    scale = lcm(*(d for _, d in approx))
-    nums = [n * (scale // d) for n, d in approx]
-    g = gcd(*nums)
-    nums = [n // g for n in nums]
-    return nums, sum(nums)
-
-
 def _solve_game(
     accepts: np.ndarray,
     depth: int,
@@ -226,8 +181,8 @@ def _solve_game(
     n_inputs = accepts.shape[1]
     shrink = 1 - ETA
     bound = target - tol
-    weights = [(1, 1)] * n_inputs  # reduced (numerator, denominator) pairs
-    nums, den = [1] * n_inputs, n_inputs  # the uniform distribution
+    weights = [ONE_WEIGHT] * n_inputs
+    den = sum(weights)
     payoff_sums = [0] * n_inputs
     br_values = []  # best-response value of each round, as (numerator, den)
 
@@ -237,11 +192,11 @@ def _solve_game(
             lower=Fraction(min(payoff_sums), t),
             upper=sum(Fraction(v, d) for v, d in br_values) / t,
             iterations=t, tree=tree,
-            mu=Dist(tree.arity, tuple(Fraction(n, den) for n in nums)),
+            mu=Dist(tree.arity, tuple(Fraction(w, den) for w in weights)),
         )
 
     for t in range(1, max_iter + 1):
-        dp = _TreeDP(accepts, lattice.weight_array(nums, den), den)
+        dp = _TreeDP(accepts, lattice.weight_array(weights, den), den)
         tree = dp.witness(depth)
         value = dp.value(depth)
         br_values.append((value, den))
@@ -254,15 +209,12 @@ def _solve_game(
         if min(payoff_sums) * bound.denominator >= bound.numerator * t:
             return status(True, True, t)
         weights = [
-            (n * shrink.numerator, d * shrink.denominator) if c else (n, d)
-            for (n, d), c in zip(weights, correct)
+            w * shrink.numerator // shrink.denominator if c else w
+            for w, c in zip(weights, correct)
         ]
-        top_n, top_d = weights[0]
-        for n, d in weights:
-            if n * top_d > top_n * d:
-                top_n, top_d = n, d
-        weights = [_limit(n * top_d, d * top_n) for n, d in weights]
-        nums, den = _snapped_weights(weights)
+        top = max(weights)
+        weights = [w * ONE_WEIGHT // top for w in weights]
+        den = sum(weights)
     return status(False, False, max_iter)
 
 
@@ -282,14 +234,13 @@ def rand_complexity(
     input.  If neither happens within ``max_iter`` rounds the depth is
     accepted with ``limit_hit`` set.
 
-    Each round shrinks the weight of every input the best response answers
-    correctly by 1 - ETA, rescales so the largest weight is 1, and snaps
-    every weight to a denominator of at most ``WEIGHT_DENOM_LIMIT``; the
-    next distribution is the normalized snap of weight / total.  Weights
-    are integer numerator/denominator pairs and the snapping follows
-    ``Fraction.limit_denominator``'s rule exactly, ties included.  The
-    distribution goes to the DP as integer point weights, and a
-    :class:`Dist` is built only for the certificate of a depth.
+    Weights are integers, the largest equal to ``ONE_WEIGHT``.  Each round
+    shrinks the weight of every input the best response answers correctly
+    to floor(w * (1 - ETA)), then rescales every weight to
+    floor(w * ONE_WEIGHT / max), so a weight that floors to 0 stays 0.  The
+    next distribution is the weights over their sum; it goes to the DP as
+    int64 point weights, and a :class:`Dist` is built only for the
+    certificate of a depth.
     """
     eps = Fraction(eps)
     tol = Fraction(tol)

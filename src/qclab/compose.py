@@ -96,7 +96,8 @@ def default_epsilon(n: int) -> Fraction:
 
 
 def default_theta(n: int) -> Fraction:
-    return Fraction(2, n**2)
+    # the paper's 2/n^2, capped at 1/2, the largest theta verify_simileaf accepts
+    return min(Fraction(2, n**2), Fraction(1, 2))
 
 
 def build_instance(

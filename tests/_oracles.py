@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qclab.complexity import ETA, WEIGHT_DENOM_LIMIT, GameResult, best_success, dist_complexity
+from qclab.complexity import ETA, ONE_WEIGHT, GameResult, best_success, dist_complexity
 from qclab.core import (
     ArityMismatch,
     Dist,
@@ -351,15 +351,9 @@ def random_truth_table(rng, arity: int) -> TruthTable:
     return TruthTable(arity, tuple(rng.randrange(2) for _ in range(1 << arity)))
 
 
-def _limited_dist(weights: list[Fraction]) -> Dist:
-    """Snap weights to bounded denominators, then normalize exactly."""
-    total = sum(weights)
-    approx = [(w / total).limit_denominator(WEIGHT_DENOM_LIMIT) for w in weights]
-    s = sum(approx)
-    if s == 0:
-        n = len(weights)
-        return Dist(n.bit_length() - 1, tuple([Fraction(1, n)] * n))
-    return Dist(len(weights).bit_length() - 1, tuple(a / s for a in approx))
+def _on_grid(w: Fraction) -> Fraction:
+    """``w`` floored to a multiple of 1/ONE_WEIGHT."""
+    return Fraction(int(w * ONE_WEIGHT), ONE_WEIGHT)
 
 
 def _fraction_game(rel: Relation, depth: int, target, tol, max_iter: int):
@@ -382,16 +376,16 @@ def _fraction_game(rel: Relation, depth: int, target, tol, max_iter: int):
             return False, True, lower, upper, t, tree, mu_t, mu_t
         if lower >= target - tol:
             return True, True, lower, upper, t, tree, None, mu_t
-        weights = [w * (1 - ETA) if c else w for w, c in zip(weights, correct)]
+        weights = [_on_grid(w * (1 - ETA)) if c else w for w, c in zip(weights, correct)]
         top = max(weights)
-        weights = [(w / top).limit_denominator(WEIGHT_DENOM_LIMIT) for w in weights]
-        mu_t = _limited_dist(weights)
+        weights = [_on_grid(w / top) for w in weights]
+        mu_t = Dist.from_weights(weights)
     return False, False, lower, upper, max_iter, tree, None, mu_t
 
 
 def fraction_rand_complexity(h, eps, tol=Fraction(1, 100), max_iter: int = 5000) -> GameResult:
     """``rand_complexity`` by the multiplicative-weights loop in Fractions,
-    with ``limit_denominator`` snapping and a ``Dist`` per round."""
+    with its weights floored to the 1/ONE_WEIGHT grid and a ``Dist`` per round."""
     rel = Relation.from_function(h) if isinstance(h, TruthTable) else h
     target = 1 - Fraction(eps)
     cert_mu = None

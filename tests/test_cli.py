@@ -76,9 +76,9 @@ class TestRqc:
         assert not record["limit_hit"]
 
     def test_long_game_prints_exact_values(self, tmp_path):
-        # 169 game rounds: upper_value's terms pass 4,300 decimal digits
+        # 268 game rounds: upper_value's terms pass 4,300 decimal digits
         g = tmp_path / "g.tt"
-        g.write_text("arity=4\n1110110000100110\n")
+        g.write_text("arity=4\n1011001111110010\n")
         out = tmp_path / "out.jsonl"
         code = main(["rqc", "--g", str(g), "--eps", "1/3", "--out", str(out)])
         assert code == 0
@@ -96,6 +96,15 @@ class TestBuildInstance:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["inner_complexity"] == 2
         assert (out_dir / "instance.json").exists()
+
+    def test_default_theta_passes_verify(self, files, tmp_path):
+        # a one-bit outer relation took theta 2/1^2 = 2, which verify rejects;
+        # at eps 7/16 the default 1/2 is lilsnip's 2*sqrt(1/2 - eps)
+        out_dir = tmp_path / "inst"
+        assert main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--eps", "7/16", "--out", str(out_dir)]) == 0
+        assert main(["verify", "--m", "1", "--instance", str(out_dir / "instance.json"),
+                     "--tree", files["tree"], "--out", files["out"]]) == 0
 
     def test_inner_complexity_zero(self, files, capsys):
         code = main(["build-instance", "--g", files["g_and2"], "--f", files["f_id1"],
@@ -177,6 +186,16 @@ class TestInputErrors:
         code, err = self.simulate(manifest, files, capsys, "--eps", "1/4")
         assert code == 2
         assert err == "error: --instance fixes the instance; drop --eps\n"
+
+    def test_missing_flags_are_named(self, files, capsys):
+        # each ended in a traceback (exit 1)
+        for argv, err in (
+            (["dce"], "dce needs --g or --f, --mu, --eps"),
+            (["rqc", "--g", files["g_xor2"]], "rqc needs --eps"),
+            (["simulate", "--f", files["f_id1"]], "simulate needs --tree, --g, --mu"),
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {err}\n"
 
     @pytest.mark.parametrize("command", ["dce", "rqc"])
     def test_problem_is_g_or_f(self, files, capsys, command):

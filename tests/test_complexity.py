@@ -1,7 +1,7 @@
-import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from qclab.core import (
@@ -14,9 +14,8 @@ from qclab.core import (
     maj3,
     xor_fn,
 )
+from qclab import complexity
 from qclab.complexity import (
-    WEIGHT_DENOM_LIMIT,
-    _limit,
     best_success,
     dist_complexity,
     hard_distribution,
@@ -127,6 +126,21 @@ class TestRandComplexity:
         rel = Relation(1, 2, (frozenset({0, 1}), frozenset({0, 1})))
         assert rand_complexity(rel, F(1, 3)).depth == 0
 
+    def test_rounds_run_the_dp_on_int64(self, monkeypatch):
+        # snapped weights passed 2^62 over their common denominator, and
+        # 150 of these 166 solves ran on Python-int object arrays
+        dtypes = []
+        init = complexity._TreeDP.__init__
+
+        def spy(self, accepts, weights, den):
+            dtypes.append(weights.dtype)
+            init(self, accepts, weights, den)
+
+        monkeypatch.setattr(complexity._TreeDP, "__init__", spy)
+        rand_complexity(random_truth_table(random.Random(3), 5), F(1, 3))
+        assert len(dtypes) > 100
+        assert all(d == np.int64 for d in dtypes)
+
 
 class TestHardDistribution:
     def test_identity_certificate(self):
@@ -176,52 +190,3 @@ class TestGameMatchesFractionLoop:
         assert result.limit_hit
         assert _game_fields(result) == \
             _game_fields(fraction_rand_complexity(h, F(1, 3), max_iter=3))
-
-
-def _farey_neighbours(rng):
-    """a/b < c/e adjacent among fractions of denominator at most the limit:
-    c*b - a*e = 1 and b + e above the limit."""
-    while True:
-        b = rng.randrange(WEIGHT_DENOM_LIMIT // 2, WEIGHT_DENOM_LIMIT + 1)
-        e = rng.randrange(WEIGHT_DENOM_LIMIT - b + 1, WEIGHT_DENOM_LIMIT + 1)
-        if math.gcd(b, e) == 1 and b != e:
-            a = -pow(e, -1, b) % b
-            return a, b, (1 + a * e) // b, e
-
-
-class TestLimit:
-    @staticmethod
-    def expected(n, d):
-        f = F(n, d).limit_denominator(WEIGHT_DENOM_LIMIT)
-        return f.numerator, f.denominator
-
-    def test_random_pairs(self):
-        rng = random.Random(71)
-        for _ in range(2000):
-            d = rng.randrange(1, 10 ** rng.randrange(1, 40))
-            n = rng.randrange(0, 3 * d)
-            assert _limit(n, d) == self.expected(n, d)
-
-    def test_unreduced_and_zero(self):
-        rng = random.Random(73)
-        for _ in range(500):
-            d = rng.randrange(1, 10**12)
-            n = rng.randrange(0, d + 1)
-            g = rng.randrange(1, 10**9)
-            assert _limit(n * g, d * g) == self.expected(n, d)
-        assert _limit(0, 7 * 10**20) == (0, 1)
-        assert _limit(3 * (10**6 + 1), 10**6 + 1) == (3, 1)
-
-    def test_denominators_around_the_limit(self):
-        rng = random.Random(79)
-        for d in (WEIGHT_DENOM_LIMIT - 1, WEIGHT_DENOM_LIMIT, WEIGHT_DENOM_LIMIT + 1):
-            for n in [0, 1, d - 1, d, d + 1] + [rng.randrange(2 * d) for _ in range(200)]:
-                assert _limit(n, d) == self.expected(n, d)
-
-    def test_exact_ties_take_the_smaller_denominator(self):
-        rng = random.Random(83)
-        for _ in range(200):
-            a, b, c, e = _farey_neighbours(rng)
-            n, d = a * e + c * b, 2 * b * e  # the midpoint of a/b and c/e
-            assert self.expected(n, d) == ((a, b) if b < e else (c, e))
-            assert _limit(n, d) == self.expected(n, d)

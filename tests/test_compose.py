@@ -195,6 +195,8 @@ class TestBuildInstance:
     def test_defaults(self):
         assert default_epsilon(2) == F(7, 16)
         assert default_theta(2) == F(1, 2)
+        assert default_theta(1) == F(1, 2)
+        assert default_theta(4) == F(1, 8)
 
     def test_xor2_instance(self):
         inst = build_instance(

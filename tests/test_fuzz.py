@@ -15,6 +15,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,10 +138,37 @@ FRACTIONS = st.one_of(
 )
 
 
+COMMANDS = ["dce-g", "dce-f", "build-instance", "build-instance-hard", "xor-stack", "simulate"]
+
+
+def _write_inputs(d: Path, files: dict, manifest: str) -> None:
+    for key, text in files.items():
+        (d / key).write_text(text)
+    (d / "inst").mkdir()
+    for name, text in INSTANCE_FILES.items():
+        (d / "inst" / name).write_text(text)
+    (d / "inst" / "instance.json").write_text(manifest)
+
+
+def _argv(d: Path, command: str, eps="1/4", theta="1/2", t=2, max_iter=50) -> list[str]:
+    """The command line of ``command`` on the inputs ``_write_inputs`` put in ``d``."""
+    argv = {
+        "dce-g": ["dce", "--g", d / "g", "--mu", d / "mu", "--eps", eps],
+        "dce-f": ["dce", "--f", d / "f", "--mu", d / "mu", "--eps", eps],
+        "build-instance": ["build-instance", "--g", d / "g", "--f", d / "f", "--mu", d / "mu",
+                           "--eps", eps, "--theta", theta, "--out", d / "built"],
+        "build-instance-hard": ["build-instance", "--g", d / "g", "--f", d / "f",
+                                "--eps", eps, "--max-iter", max_iter, "--out", d / "built"],
+        "xor-stack": ["xor-stack", "--g", d / "g", "--t", t, "--out", d / "stacked"],
+        "simulate": ["simulate", "--instance", d / "inst" / "instance.json",
+                     "--tree", d / "tree"],
+    }[command]
+    return [str(a) for a in argv]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    command=st.sampled_from(["dce-g", "dce-f", "build-instance", "build-instance-hard",
-                             "xor-stack", "simulate"]),
+    command=st.sampled_from(COMMANDS),
     target=st.sampled_from(["g", "f", "mu", "tree", "manifest", "eps", "theta", "t",
                             "max_iter", None]),
     data=st.data(),
@@ -159,21 +187,16 @@ def test_cli_exits_0_or_2(command, target, data):
         if target == "max_iter" else 50
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        for key, text in files.items():
-            (d / key).write_text(text)
-        (d / "inst").mkdir()
-        for name, text in INSTANCE_FILES.items():
-            (d / "inst" / name).write_text(text)
-        (d / "inst" / "instance.json").write_text(manifest)
-        argv = {
-            "dce-g": ["dce", "--g", d / "g", "--mu", d / "mu", "--eps", eps],
-            "dce-f": ["dce", "--f", d / "f", "--mu", d / "mu", "--eps", eps],
-            "build-instance": ["build-instance", "--g", d / "g", "--f", d / "f", "--mu", d / "mu",
-                               "--eps", eps, "--theta", theta, "--out", d / "built"],
-            "build-instance-hard": ["build-instance", "--g", d / "g", "--f", d / "f",
-                                    "--eps", eps, "--max-iter", max_iter, "--out", d / "built"],
-            "xor-stack": ["xor-stack", "--g", d / "g", "--t", t, "--out", d / "stacked"],
-            "simulate": ["simulate", "--instance", d / "inst" / "instance.json",
-                         "--tree", d / "tree"],
-        }[command]
-        assert _run([str(a) for a in argv]) in (0, 2)
+        _write_inputs(d, files, manifest)
+        assert _run(_argv(d, command, eps, theta, t, max_iter)) in (0, 2)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_without_each_flag_exits_0_or_2(command, tmp_path, monkeypatch):
+    """A command missing any one of its flags runs on defaults or names
+    what is missing; build-instance without --out writes ./instance."""
+    monkeypatch.chdir(tmp_path)
+    _write_inputs(tmp_path, {k: VALID[k] for k in ("g", "f", "mu", "tree")}, VALID_MANIFEST)
+    argv = _argv(tmp_path, command)
+    for i in range(1, len(argv), 2):
+        assert _run(argv[:i] + argv[i + 2:]) in (0, 2), argv[i]
