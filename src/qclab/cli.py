@@ -28,14 +28,7 @@ from .io import (
     record_to_json,
     write_instance,
 )
-from .simulate import (
-    _instance_checks,
-    exact_p,
-    exact_q,
-    run_Aprime,
-    snip_labels,
-    success_chain,
-)
+from .simulate import _chain, _instance_checks, _Laws, run_Aprime
 from .sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
 
@@ -52,7 +45,7 @@ class _Emitter:
 
     def flush(self):
         text = "\n".join(self.records) + "\n" if self.records else ""
-        if self.out_path:
+        if self.out_path is not None:
             Path(self.out_path).write_text(text)
         else:
             sys.stdout.write(text)
@@ -61,6 +54,14 @@ class _Emitter:
 def _given(args, names) -> list[str]:
     """The options among ``names`` that the command line set."""
     return [_FLAGS[name][0] for name in names if getattr(args, name) is not None]
+
+
+def _no_empty_values(args) -> None:
+    """Raise one input error naming every option given an empty value: an
+    empty path, number or fraction is never meant as the option's default."""
+    empty = [option for name, (option, _) in _FLAGS.items() if getattr(args, name, None) == ""]
+    if empty:
+        raise QclabError(f"{args.command} got an empty value for {', '.join(empty)}")
 
 
 def _require(args, *needs) -> None:
@@ -92,9 +93,9 @@ def _load_instance(args):
     g = parse_truth_table(Path(args.g).read_text())
     f = parse_relation(Path(args.f).read_text())
     mu = parse_dist(Path(args.mu).read_text())
-    lam = parse_dist(Path(args.lam).read_text()) if args.lam else Dist.uniform(f.arity)
-    eps = parse_fraction(args.eps) if args.eps else None
-    theta = parse_fraction(args.theta) if args.theta else None
+    lam = parse_dist(Path(args.lam).read_text()) if args.lam is not None else Dist.uniform(f.arity)
+    eps = parse_fraction(args.eps) if args.eps is not None else None
+    theta = parse_fraction(args.theta) if args.theta is not None else None
     return build_instance(f, g, mu, lam, epsilon=eps, theta=theta)
 
 
@@ -145,19 +146,19 @@ def cmd_build_instance(args, emit: _Emitter) -> None:
     g = parse_truth_table(Path(args.g).read_text())
     f = parse_relation(Path(args.f).read_text())
     n = f.arity
-    eps = parse_fraction(args.eps) if args.eps else default_epsilon(n)
-    theta = parse_fraction(args.theta) if args.theta else None
+    eps = parse_fraction(args.eps) if args.eps is not None else default_epsilon(n)
+    theta = parse_fraction(args.theta) if args.theta is not None else None
     lam = (
         parse_dist(Path(args.lam).read_text())
-        if args.lam else Dist.uniform(n)
+        if args.lam is not None else Dist.uniform(n)
     )
     mu = (
         parse_dist(Path(args.mu).read_text())
-        if args.mu
+        if args.mu is not None
         else hard_distribution(g, eps, tol=parse_fraction(args.tol), max_iter=args.max_iter)
     )
     inst = build_instance(f, g, mu, lam, epsilon=eps, theta=theta)
-    out_dir = Path(args.out) if args.out else Path("instance")
+    out_dir = Path(args.out) if args.out is not None else Path("instance")
     manifest = write_instance(inst, out_dir)
     emit.emit({
         "record": "build-instance",
@@ -177,12 +178,12 @@ def cmd_simulate(args, emit: _Emitter) -> None:
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     budget = tree.depth() // inst.inner_complexity
-    snips = snip_labels(inst, tree)
+    laws = _Laws(inst, tree)  # walks the tree's leaf states once for every law below
+    snips = laws.snips(inst.theta)
     for z in range(1 << inst.n):
         if inst.lam.prob(z) == 0:
             continue
-        p = exact_p(inst, tree, z)
-        q = exact_q(inst, tree, z)
+        p, q = laws.p(z), laws.q(z)
         trace = run_Aprime(inst, tree, z, args.seed + z)
         emit.emit({
             "record": "simulate-z",
@@ -197,7 +198,7 @@ def cmd_simulate(args, emit: _Emitter) -> None:
             },
             "passed": len(trace.z_queries) <= budget,
         })
-    chain = success_chain(inst, tree)
+    chain = _chain(laws)
     emit.emit({
         "record": "success-chain",
         "success_outer": chain.success_outer,
@@ -211,15 +212,15 @@ def cmd_simulate(args, emit: _Emitter) -> None:
 
 
 def cmd_verify(args, emit: _Emitter) -> None:
-    unread = [] if args.tree else _given(args, _INSTANCE)
+    unread = [] if args.tree is not None else _given(args, _INSTANCE)
     if unread:
         raise QclabError(f"verify reads {', '.join(unread)} only with --tree")
-    if args.tree and not (args.instance or (args.g and args.f and args.mu)):
+    if args.tree is not None and args.instance is None and len(_given(args, ("g", "f", "mu"))) < 3:
         raise QclabError("verify --tree needs --instance, or all of --g, --f and --mu")
     max_m = 3 if args.m is None else args.m
     if max_m < 1:
         raise QclabError(f"verify --m must be at least 1, got {max_m}")
-    if args.tree:
+    if args.tree is not None:
         inst = _load_instance(args)
         tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     for report in (
@@ -233,7 +234,7 @@ def cmd_verify(args, emit: _Emitter) -> None:
             "violations": len(report.violations),
             "passed": report.passed,
         })
-    if args.tree:
+    if args.tree is not None:
         for z, sim, lil in _instance_checks(inst, tree):
             emit.emit({
                 "record": "verify-instance",
@@ -249,7 +250,7 @@ def cmd_xor_stack(args, emit: _Emitter) -> None:
     _require(args, "g")
     g = parse_truth_table(Path(args.g).read_text())
     stacked = xor_stack(g, args.t)
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(format_truth_table(stacked))
     record = {
         "record": "xor-stack",
@@ -257,7 +258,7 @@ def cmd_xor_stack(args, emit: _Emitter) -> None:
         "arity": stacked.arity,
         "passed": True,
     }
-    if args.eps:
+    if args.eps is not None:
         result = rand_complexity(
             stacked, parse_fraction(args.eps),
             tol=parse_fraction(args.tol), max_iter=args.max_iter,
@@ -265,7 +266,7 @@ def cmd_xor_stack(args, emit: _Emitter) -> None:
         record["depth"] = result.depth
         record["limit_hit"] = result.limit_hit
     emit.emit(record)
-    if args.out:
+    if args.out is not None:
         emit.out_path = None  # table written; record goes to stdout
 
 
@@ -318,6 +319,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     emit = _Emitter(args.out)
     try:
+        _no_empty_values(args)
         args.handler(args, emit)
     except QclabError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -20,7 +20,9 @@ index of the copy's subcube after each of its answers.
 Branch decisions compare a 128-bit uniform integer drawn from a seeded
 Mersenne Twister against the exact branch probability scaled by 2^128, so
 the only sampling bias is below 2^-128 per branch and identical seeds give
-identical traces.
+identical traces.  Streams are drawn in bulk from the same Mersenne Twister
+words and walked with numpy (``walk.TreeWalker``); every count and trace
+is the one the walk-at-a-time loop gives, for every seed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Optional
 
@@ -40,6 +43,7 @@ from .core import (
 )
 from .compose import ComposedInstance
 from .dtree import DecisionTree, Leaf
+from .walk import TreeWalker
 
 ZERO = Fraction(0)
 
@@ -111,9 +115,9 @@ class SimulationTrace:
 class AprimeSimulator:
     """Compiled simulation of one outer tree on one input ``z``.
 
-    Every branch compiles to a ``(threshold, child0, child1)`` tuple and
-    every leaf to its trace with seed 0, so repeated runs only walk the tree
-    and draw random bits.  A node whose subcube has no mass under its
+    Every branch compiles to its threshold and every leaf to its trace with
+    seed 0, in a ``TreeWalker``, so repeated runs only draw random words and
+    walk the tree's arrays.  A node whose subcube has no mass under its
     sampling law compiles to ``None``, and a walk that reaches it raises.
     """
 
@@ -129,13 +133,17 @@ class AprimeSimulator:
         self.c = c = inst.inner_complexity
         restricted = _restricted(inst, z)
         m0, m1, _ = inst.g_masses
+        nodes: list = []
 
-        def compile_node(node, state, z_queries):
+        def compile_node(node, state, z_queries) -> int:
+            k = len(nodes)
+            nodes.append(None)
             if isinstance(node, Leaf):
                 codims = tuple(len(hist) - 1 for hist in state)
-                return SimulationTrace(
+                nodes[k] = SimulationTrace(
                     z, node.leaf_id, node.label, z_queries, codims, sum(codims), 0
                 )
+                return k
             i, ((child0, state0), (child1, state1)) = _branches(inst, node, state)
             cube, cube1, nth = state[i][-1], state1[i][-1], len(state[i])
             if nth <= c - 1:
@@ -143,41 +151,28 @@ class AprimeSimulator:
             else:
                 denom, num = restricted[i][cube], restricted[i][cube1]
             if denom == 0:
-                return None
+                return k
             if nth == c:
                 z_queries += (i,)
-            return (
+            nodes[k] = (
                 _threshold(num, denom),
                 compile_node(child0, state0, z_queries),
                 compile_node(child1, state1, z_queries),
             )
+            return k
 
-        self.root = compile_node(tree.root, ((0,),) * inst.n, ())
-
-    def _walk(self, rng: random.Random) -> SimulationTrace:
-        node = self.root
-        draw = rng.getrandbits
-        while type(node) is tuple:
-            threshold, child0, child1 = node
-            node = child1 if draw(128) < threshold else child0
-        if node is None:
-            raise ZeroConditioningMass(
-                "conditioning event has zero probability during simulation"
-            )
-        return node
+        compile_node(tree.root, ((0,),) * inst.n, ())
+        self._walker = TreeWalker(nodes)
 
     def run(self, seed: int) -> SimulationTrace:
-        return replace(self._walk(random.Random(seed)), rng_seed=seed)
+        end = next(self._walker.ends(random.Random(seed), 1))[0]
+        return replace(self._walker.payload[end], rng_seed=seed)
 
     def run_stream(self, samples: int, seed: int) -> dict[int, int]:
         """Leaf-id frequency counts over ``samples`` runs sharing one seeded
         random stream."""
-        rng = random.Random(seed)
-        counts: dict[int, int] = {}
-        for _ in range(samples):
-            lid = self._walk(rng).leaf_id
-            counts[lid] = counts.get(lid, 0) + 1
-        return counts
+        counts = self._walker.counts(random.Random(seed), samples)
+        return {self._walker.payload[k].leaf_id: n for k, n in enumerate(counts) if n}
 
 
 def run_Aprime(inst: ComposedInstance, tree: DecisionTree, z: int, seed: int) -> SimulationTrace:
@@ -228,44 +223,58 @@ def exact_q(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fra
     the conditional mass of the remaining outcomes under the restricted
     distribution (an empty remainder contributes 1).
     """
-    restricted = _restricted(inst, z)
-    paths = _paths(inst, tree)
-    return {
-        leaf.leaf_id: Fraction(num, dnm)
-        for (leaf, _), (num, dnm) in zip(paths, _q_terms(inst, restricted, paths))
-    }
+    return _Laws(inst, tree).q(z)
 
 
 def exact_p(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
     """Exact leaf-reach probabilities of the outer tree on an input drawn
     from the per-z product distribution."""
-    restricted = _restricted(inst, z)
-    paths = _paths(inst, tree)
-    nums, den = _p_terms(restricted, paths)
-    return {leaf.leaf_id: Fraction(num, den) for (leaf, _), num in zip(paths, nums)}
+    return _Laws(inst, tree).p(z)
 
 
 class _Laws:
-    """The exact laws and snip flags of one tree on one instance, each
-    computed on first use and then kept: p and q per z, flags per theta."""
+    """The exact laws and snip flags of one tree on one instance, all from
+    the tree's leaf states (``_paths``), walked once.  The flags are kept
+    per theta; p and q are kept for the last z asked for, since every
+    caller goes z by z."""
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree):
         self.inst, self.tree = inst, tree
-        self._memo: dict = {}
+        self._snips: dict = {}
+        self._z, self._at_z = None, {}
 
-    def _get(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+    @cached_property
+    def paths(self) -> list:
+        return _paths(self.inst, self.tree)
+
+    def _law(self, kind: str, z: int, compute):
+        if z != self._z:
+            self._z, self._at_z = z, {}
+        if kind not in self._at_z:
+            self._at_z[kind] = compute()
+        return self._at_z[kind]
 
     def p(self, z: int) -> dict[int, Fraction]:
-        return self._get(("p", z), lambda: exact_p(self.inst, self.tree, z))
+        def compute():
+            nums, den = _p_terms(_restricted(self.inst, z), self.paths)
+            return {leaf.leaf_id: Fraction(num, den) for (leaf, _), num in zip(self.paths, nums)}
+
+        return self._law("p", z, compute)
 
     def q(self, z: int) -> dict[int, Fraction]:
-        return self._get(("q", z), lambda: exact_q(self.inst, self.tree, z))
+        def compute():
+            terms = _q_terms(self.inst, _restricted(self.inst, z), self.paths)
+            return {
+                leaf.leaf_id: Fraction(num, dnm)
+                for (leaf, _), (num, dnm) in zip(self.paths, terms)
+            }
+
+        return self._law("q", z, compute)
 
     def snips(self, theta: Fraction) -> dict[int, tuple[int, ...]]:
-        return self._get(("snips", theta), lambda: snip_labels(self.inst, self.tree, theta))
+        if theta not in self._snips:
+            self._snips[theta] = _snip_flags(self.inst, self.paths, theta)
+        return self._snips[theta]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +288,12 @@ def snip_labels(
     that copy at codimension below the inner complexity with bias at least
     ``theta``.  Path subcubes with zero inner-distribution mass are skipped:
     no probability ever flows through them."""
-    theta = inst.theta if theta is None else Fraction(theta)
+    return _Laws(inst, tree).snips(inst.theta if theta is None else Fraction(theta))
+
+
+def _snip_flags(
+    inst: ComposedInstance, paths: list, theta: Fraction
+) -> dict[int, tuple[int, ...]]:
     c = inst.inner_complexity
     m0, m1, _ = inst.g_masses
 
@@ -290,10 +304,7 @@ def snip_labels(
                 return 1
         return 0
 
-    return {
-        leaf.leaf_id: tuple(flagged(hist) for hist in state)
-        for leaf, state in _paths(inst, tree)
-    }
+    return {leaf.leaf_id: tuple(flagged(hist) for hist in state) for leaf, state in paths}
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +420,8 @@ def _lilsnip(laws: _Laws, z: int) -> LilsnipReport:
 
 def _instance_checks(inst: ComposedInstance, tree: DecisionTree):
     """``(z, verify_simileaf, verify_lilsnip)`` at the instance's theta for
-    every z of positive outer mass, on one set of laws: the snip flags are
-    computed once and exact_p once per z."""
+    every z of positive outer mass, on one set of laws: the leaf states and
+    snip flags are computed once and exact_p once per z."""
     laws = _Laws(inst, tree)
     for z in range(1 << inst.n):
         if inst.lam.prob(z) != 0:
@@ -450,10 +461,14 @@ def _sum_terms(terms) -> Fraction:
 def success_chain(inst: ComposedInstance, tree: DecisionTree) -> ChainReport:
     """Exact end-to-end accounting of the simulation's success probability
     against the outer tree's, plus the inner-query budget."""
+    return _chain(_Laws(inst, tree))
+
+
+def _chain(laws: _Laws) -> ChainReport:
+    inst, paths = laws.inst, laws.paths
     c = inst.inner_complexity
     success_outer = success_sim = snipped = expected_zq = ZERO
-    snips = snip_labels(inst, tree, inst.theta)
-    paths = _paths(inst, tree)
+    snips = laws.snips(inst.theta)
     z_queries = [sum(len(h) > c for h in state) for _, state in paths]
     snipped_leaves = [any(snips[leaf.leaf_id]) for leaf, _ in paths]
     for z in range(1 << inst.n):
@@ -477,5 +492,5 @@ def success_chain(inst: ComposedInstance, tree: DecisionTree) -> ChainReport:
         bound_holds=success_sim >= bound,
         worst_z_queries=max(z_queries),
         expected_z_queries=expected_zq,
-        budget=tree.depth() // c,
+        budget=laws.tree.depth() // c,
     )

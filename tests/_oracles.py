@@ -11,7 +11,8 @@ fullbias sweep's reference takes each function's complexity from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from qclab.complexity import ETA, ONE_WEIGHT, GameResult, best_success, dist_complexity
@@ -22,6 +23,7 @@ from qclab.core import (
     Relation,
     Subcube,
     TruthTable,
+    ZeroConditioningMass,
     bias,
     restrict_dist,
     subcube_prob,
@@ -142,6 +144,34 @@ def brute_simulation_law(inst, tree: DecisionTree, z: int) -> dict[int, Fraction
 
     walk(tree.root, [dict() for _ in range(inst.n)], [0] * inst.n, Fraction(1))
     return out
+
+
+def _loop_walk(nodes: list, rng: random.Random):
+    """One walk over a simulator's compiled nodes (see ``TreeWalker``):
+    from the root, draw ``getrandbits(128)`` at each branch and go to child
+    1 exactly when the draw lies below the branch's threshold."""
+    node = nodes[0]
+    while type(node) is tuple:
+        threshold, child0, child1 = node
+        node = nodes[child1 if rng.getrandbits(128) < threshold else child0]
+    if node is None:
+        raise ZeroConditioningMass("conditioning event has zero probability during simulation")
+    return node
+
+
+def loop_run(sim, seed: int):
+    """``AprimeSimulator.run`` one branch at a time."""
+    return replace(_loop_walk(sim._walker.payload, random.Random(seed)), rng_seed=seed)
+
+
+def loop_run_stream(sim, samples: int, seed: int) -> dict[int, int]:
+    """``AprimeSimulator.run_stream`` one walk at a time."""
+    rng = random.Random(seed)
+    counts: dict[int, int] = {}
+    for _ in range(samples):
+        lid = _loop_walk(sim._walker.payload, rng).leaf_id
+        counts[lid] = counts.get(lid, 0) + 1
+    return counts
 
 
 def brute_snip_labels(inst, tree: DecisionTree, theta: Fraction) -> dict[int, tuple[int, ...]]:

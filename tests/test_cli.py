@@ -197,6 +197,28 @@ class TestInputErrors:
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: {err}\n"
 
+    @pytest.mark.parametrize("command, flag", [
+        ("verify", "--tree"), ("build-instance", "--eps"), ("build-instance", "--theta"),
+        ("build-instance", "--lambda"), ("build-instance", "--mu"), ("build-instance", "--out"),
+        ("simulate", "--theta"), ("xor-stack", "--eps"),
+    ])
+    def test_empty_values_are_named(self, files, tmp_path, monkeypatch, capsys, command, flag):
+        # verify --tree '' ran the sweeps alone and exited 0; every other
+        # empty value meant the option's default
+        monkeypatch.chdir(tmp_path)  # where an empty --out wrote its default
+        given = {
+            "verify": {"--m": "1"},
+            "build-instance": {"--g": files["g_xor2"], "--f": files["f_id1"],
+                               "--mu": files["mu_u2"], "--eps": "1/4", "--out": "inst"},
+            "simulate": {"--g": files["g_xor2"], "--f": files["f_id1"], "--mu": files["mu_u2"],
+                         "--tree": files["tree"], "--eps": "1/4"},
+            "xor-stack": {"--g": files["g_xor2"]},
+        }[command]
+        argv = [command, *(x for option, value in {**given, flag: ""}.items() for x in (option, value))]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {command} got an empty value for {flag}\n"
+
     @pytest.mark.parametrize("command", ["dce", "rqc"])
     def test_problem_is_g_or_f(self, files, capsys, command):
         # --g won and --f was silently ignored

@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import qclab
 
 from qclab.core import (
     Dist,
@@ -19,7 +26,7 @@ from qclab.core import (
 )
 from qclab import lattice
 from qclab.compose import build_instance
-from qclab.dtree import make_tree
+from qclab.dtree import DecisionTree, InternalNode, Leaf, make_tree
 from qclab.simulate import (
     AprimeSimulator,
     ChainReport,
@@ -33,12 +40,15 @@ from qclab.simulate import (
     verify_lilsnip,
     verify_simileaf,
 )
+from qclab.walk import CHUNK, TreeWalker
 
 from _oracles import (
     brute_gamma_z,
     brute_reach_probs,
     brute_simulation_law,
     brute_snip_labels,
+    loop_run,
+    loop_run_stream,
     random_relation,
     random_tree,
     random_truth_table,
@@ -190,6 +200,113 @@ class TestRunAprime:
                     assert (draw < t) == (draw * p1.denominator < p1.numerator << 128)
         assert _threshold(0, 3) == 0
         assert _threshold(3, 3) == 1 << 128
+
+
+def stride_tree(rng, arity, stride, depth):
+    """A random tree whose leaves all lie at positive multiples of
+    ``stride``, at most ``depth`` (itself a multiple of ``stride``, at most
+    ``arity``)."""
+    counter = [0]
+
+    def build(d, used):
+        if d and d % stride == 0 and (d == depth or rng.random() < 0.4):
+            counter[0] += 1
+            return Leaf(rng.randrange(2), counter[0] - 1)
+        var = rng.choice([v for v in range(arity) if v not in used])
+        return InternalNode(var, build(d + 1, used | {var}), build(d + 1, used | {var}))
+
+    return DecisionTree(arity, build(0, frozenset())).require_valid()
+
+
+def outcome(walk, *args):
+    try:
+        return walk(*args)
+    except ZeroConditioningMass as exc:
+        return str(exc)
+
+
+class _Words:
+    """Stands in for ``random.Random``: ``getrandbits(128 * k)`` returns the
+    next k of the given 128-bit words, placed as k successive draws are."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def getrandbits(self, bits):
+        k = bits // 128
+        take, self.words = self.words[:k], self.words[k:]
+        return sum(w << (128 * i) for i, w in enumerate(take))
+
+
+class TestBulkWalk:
+    def test_bulk_draw_is_successive_draws(self):
+        for k in (1, 3, 1000):
+            bulk, one = random.Random(k), random.Random(k)
+            raw = bulk.getrandbits(128 * k).to_bytes(16 * k, "little")
+            words = np.frombuffer(raw, "<u8").reshape(k, 2).tolist()
+            assert [(hi << 64) | lo for lo, hi in words] == [one.getrandbits(128) for _ in range(k)]
+
+    def test_threshold_edges_compare_exactly(self):
+        edges = (0, 1, 2**64 - 1, 2**64, 2**128 - 1, 2**128)
+        for t in edges:
+            draws = sorted({d for x in edges for d in (x - 1, x) if 0 <= d < 1 << 128})
+            walker = TreeWalker([(t, 1, 2), "child0", "child1"])
+            ends = np.concatenate(list(walker.ends(_Words(draws), len(draws))))
+            assert ends.tolist() == [2 if d < t else 1 for d in draws]
+
+    def test_streams_match_the_per_walk_loop(self):
+        rng = random.Random(131)
+        instances = random_instances(rng, 9) + [and_uniform_instance(n=2), tilted_and_instance()]
+        seen = set()
+        for inst in instances:
+            arity = inst.total_arity
+            trees = [random_tree(rng, arity, arity, 2), full_parity_tree(arity),
+                     stride_tree(rng, arity, 2, arity - arity % 2)]
+            for tree in trees:
+                for z in range(1 << inst.n):
+                    try:
+                        sim = AprimeSimulator(inst, tree, z)
+                    except ZeroConditioningMass:
+                        continue
+                    walker = sim._walker
+                    seen.add(("stride", walker.stride > 1, walker.max_step > 1))
+                    thresholds = {node[0] for node in walker.payload if type(node) is tuple}
+                    seen |= thresholds & {0, 1 << 128}
+                    for samples in (0, 1, 3 * CHUNK + 5):
+                        seed = rng.randrange(1 << 30)
+                        got = outcome(sim.run_stream, samples, seed)
+                        assert got == outcome(loop_run_stream, sim, samples, seed)
+                        seen.add(type(got))
+                    for seed in range(3):
+                        assert outcome(sim.run, seed) == outcome(loop_run, sim, seed)
+        assert seen == {("stride", False, True), ("stride", True, True), ("stride", False, False),
+                        ("stride", True, False), 0, 1 << 128, dict, str}
+
+    def test_memory_stays_bounded_without_numpy_random(self):
+        code = """if True:
+            import sys, tracemalloc
+            from fractions import Fraction
+            from qclab import AprimeSimulator, Dist, Relation, build_instance, make_tree, xor_fn
+            inst = build_instance(Relation.from_function(xor_fn(2)), xor_fn(2), Dist.uniform(2),
+                                  Dist.uniform(2), epsilon=Fraction(1, 4), theta=Fraction(1, 2))
+            tree = make_tree(4, (0, (1, (2, 0, 1), (3, 1, 0)), (2, (3, 0, 1), 1)))
+            sim = AprimeSimulator(inst, tree, 1)
+
+            def peak(samples):
+                tracemalloc.start()
+                sim.run_stream(samples, 7)
+                out = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                return out
+
+            print(peak(10_000), peak(200_000), "numpy.random" in sys.modules)
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(qclab.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        small, large = int(out[0]), int(out[1])
+        assert out[2] == "False"
+        assert large <= small + 16_384, (small, large)
 
 
 class TestExactQ:
