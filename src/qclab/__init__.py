@@ -38,6 +38,7 @@ from .complexity import (
     GameResult,
     best_success,
     dist_complexity,
+    dist_solution,
     hard_distribution,
     rand_complexity,
 )

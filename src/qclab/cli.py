@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .compose import build_instance, default_epsilon, xor_stack
-from .complexity import best_success, dist_complexity, rand_complexity
+from .complexity import _certify, dist_complexity, dist_solution, rand_complexity
 from .core import Dist, QclabError, Relation, TruthTable
 from .io import (
     format_fraction,
@@ -28,7 +28,7 @@ from .io import (
     record_to_json,
     write_instance,
 )
-from .simulate import _chain, _instance_checks, _Laws, run_Aprime
+from .simulate import _chain, _instance_checks, _Laws
 from .sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
 
@@ -104,8 +104,7 @@ def cmd_dce(args, emit: _Emitter) -> None:
     h = _load_problem(args)
     mu = parse_dist(Path(args.mu).read_text())
     eps = parse_fraction(args.eps)
-    depth = dist_complexity(h, mu, eps)
-    dp = best_success(h, mu, depth)
+    depth, dp = dist_solution(h, mu, eps)
     emit.emit({
         "record": "dce",
         "depth": depth,
@@ -140,8 +139,6 @@ def cmd_rqc(args, emit: _Emitter) -> None:
 
 
 def cmd_build_instance(args, emit: _Emitter) -> None:
-    from .complexity import hard_distribution
-
     _require(args, "g", "f")
     g = parse_truth_table(Path(args.g).read_text())
     f = parse_relation(Path(args.f).read_text())
@@ -152,12 +149,15 @@ def cmd_build_instance(args, emit: _Emitter) -> None:
         parse_dist(Path(args.lam).read_text())
         if args.lam is not None else Dist.uniform(n)
     )
-    mu = (
-        parse_dist(Path(args.mu).read_text())
-        if args.mu is not None
-        else hard_distribution(g, eps, tol=parse_fraction(args.tol), max_iter=args.max_iter)
-    )
-    inst = build_instance(f, g, mu, lam, epsilon=eps, theta=theta)
+    if args.mu is not None:
+        inst = build_instance(f, g, parse_dist(Path(args.mu).read_text()), lam,
+                              epsilon=eps, theta=theta)
+    else:
+        # hard_distribution, with the instance's inner complexity as the
+        # certificate: both are the one DP of g under the hard distribution
+        game = rand_complexity(g, eps, tol=parse_fraction(args.tol), max_iter=args.max_iter)
+        inst = build_instance(f, g, game.hard_dist, lam, epsilon=eps, theta=theta)
+        _certify(inst.inner_complexity, game.depth)
     out_dir = Path(args.out) if args.out is not None else Path("instance")
     manifest = write_instance(inst, out_dir)
     emit.emit({
@@ -178,13 +178,13 @@ def cmd_simulate(args, emit: _Emitter) -> None:
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     budget = tree.depth() // inst.inner_complexity
-    laws = _Laws(inst, tree)  # walks the tree's leaf states once for every law below
+    laws = _Laws(inst, tree)  # walks and compiles the tree once for every z below
     snips = laws.snips(inst.theta)
     for z in range(1 << inst.n):
         if inst.lam.prob(z) == 0:
             continue
         p, q = laws.p(z), laws.q(z)
-        trace = run_Aprime(inst, tree, z, args.seed + z)
+        trace = laws.shape.run(z, args.seed + z)
         emit.emit({
             "record": "simulate-z",
             "z": z,

@@ -85,6 +85,19 @@ class _TreeDP:
         """Best success numerator (over ``den``) of depth-``depth`` trees."""
         return int(self._layer(min(depth, self.arity))[0])
 
+    def min_depth(self, eps: Fraction) -> int:
+        """Smallest depth whose best success is at least ``1 - eps``."""
+        target = 1 - eps
+        for d in range(self.arity + 1):
+            if self.value(d) * target.denominator >= target.numerator * self.den:
+                return d
+        raise Unachievable("full-depth success below 1 - eps")
+
+    def result(self, depth: int, with_witness: bool = True) -> DPResult:
+        """Best success of depth-``depth`` trees, with an optimal one."""
+        witness = self.witness(depth) if with_witness else None
+        return DPResult(success=Fraction(self.value(depth), self.den), witness=witness)
+
     def witness(self, depth: int) -> DecisionTree:
         root = self._node(0, min(depth, self.arity), count())
         return DecisionTree(self.arity, root)
@@ -126,24 +139,29 @@ def best_success(h: Problem, mu: Dist, depth: int, with_witness: bool = True) ->
     on ``h`` under ``mu``, with an optimal witness tree."""
     if depth < 0:
         raise QclabError("depth must be >= 0")
-    dp = _tree_dp(_as_relation(h), mu)
-    witness = dp.witness(depth) if with_witness else None
-    return DPResult(success=Fraction(dp.value(depth), dp.den), witness=witness)
+    return _tree_dp(_as_relation(h), mu).result(depth, with_witness)
+
+
+def _checked_eps(eps) -> Fraction:
+    eps = Fraction(eps)
+    if not 0 <= eps < Fraction(1, 2):
+        raise HypothesisViolated("eps must lie in [0, 1/2)")
+    return eps
 
 
 def dist_complexity(h: Problem, mu: Dist, eps) -> int:
     """Smallest depth whose best depth-bounded success is >= 1 - eps."""
-    eps = Fraction(eps)
-    if not 0 <= eps < Fraction(1, 2):
-        raise HypothesisViolated("eps must lie in [0, 1/2)")
-    rel = _as_relation(h)
-    dp = _tree_dp(rel, mu)
-    target_num = (1 - eps).numerator * dp.den
-    target_den = (1 - eps).denominator
-    for d in range(rel.arity + 1):
-        if dp.value(d) * target_den >= target_num:
-            return d
-    raise Unachievable("full-depth success below 1 - eps")
+    eps = _checked_eps(eps)
+    return _tree_dp(_as_relation(h), mu).min_depth(eps)
+
+
+def dist_solution(h: Problem, mu: Dist, eps) -> tuple[int, DPResult]:
+    """:func:`dist_complexity` and :func:`best_success` at that depth, from
+    one DP."""
+    eps = _checked_eps(eps)
+    dp = _tree_dp(_as_relation(h), mu)
+    depth = dp.min_depth(eps)
+    return depth, dp.result(depth)
 
 
 @dataclass(frozen=True)
@@ -242,10 +260,8 @@ def rand_complexity(
     int64 point weights, and a :class:`Dist` is built only for the
     certificate of a depth.
     """
-    eps = Fraction(eps)
+    eps = _checked_eps(eps)
     tol = Fraction(tol)
-    if not 0 <= eps < Fraction(1, 2):
-        raise HypothesisViolated("eps must lie in [0, 1/2)")
     if tol <= 0:
         raise QclabError("tol must be positive")
     if max_iter < 1:
@@ -275,10 +291,15 @@ def hard_distribution(g: Problem, eps, tol=Fraction(1, 100), max_iter: int = 500
     """Adversary distribution whose exact distributional complexity certifies
     the depth reported by :func:`rand_complexity`."""
     result = rand_complexity(g, eps, tol, max_iter)
-    certified = dist_complexity(g, result.hard_dist, eps)
-    if certified < result.depth:
+    _certify(dist_complexity(g, result.hard_dist, eps), result.depth)
+    return result.hard_dist
+
+
+def _certify(certified: int, depth: int) -> None:
+    """Raise unless the hard distribution's exact distributional complexity
+    ``certified`` reaches the game's ``depth``."""
+    if certified < depth:
         raise QclabError(
             f"certificate failed: distributional complexity {certified} "
-            f"below game depth {result.depth}"
+            f"below game depth {depth}"
         )
-    return result.hard_dist

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 ZERO = Fraction(0)
@@ -216,10 +217,18 @@ class Dist:
             raise CapExceeded(f"arity {self.arity} exceeds cap")
         if len(self.probs) != 1 << self.arity:
             raise QclabError("probs length must be 2^arity")
-        if any(p < 0 for p in self.probs):
+        # checked on integers, not by Fraction comparisons and sums
+        if any(p.numerator < 0 for p in self.probs):
             raise QclabError("negative probability")
-        if sum(self.probs) != 1:
+        nums, den = self.numerators()
+        if sum(nums) != den:
             raise QclabError("probabilities must sum to exactly 1")
+
+    def numerators(self) -> tuple[list[int], int]:
+        """The probabilities as integer numerators over their least common
+        denominator, and that denominator."""
+        den = lcm(*(p.denominator for p in self.probs))
+        return [p.numerator * (den // p.denominator) for p in self.probs], den
 
     @classmethod
     def uniform(cls, arity: int) -> "Dist":

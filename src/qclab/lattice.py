@@ -21,7 +21,7 @@ tree value exceeds it: they are numpy int64 while it is below
 from __future__ import annotations
 
 from itertools import permutations
-from math import lcm
+from math import prod
 
 import numpy as np
 
@@ -33,8 +33,8 @@ INT64_LIMIT = 1 << 62
 def int_weights(mu: Dist) -> tuple[np.ndarray, int]:
     """Point weights of ``mu`` as integer numerators over their least common
     denominator, as int64 when that denominator is below ``INT64_LIMIT``."""
-    den = lcm(*(p.denominator for p in mu.probs))
-    return weight_array([p.numerator * (den // p.denominator) for p in mu.probs], den), den
+    nums, den = mu.numerators()
+    return weight_array(nums, den), den
 
 
 def weight_array(nums: list[int], den: int) -> np.ndarray:
@@ -45,12 +45,28 @@ def weight_array(nums: list[int], den: int) -> np.ndarray:
 
 def masses(weights: np.ndarray, m: int) -> np.ndarray:
     """Subcube masses, shape ``(..., 3^m)``, from point weights of shape
-    ``(..., 2^m)``: one pass per variable puts the free sum in front of the
-    two fixed halves."""
+    ``(..., 2^m)``.
+
+    One pass per variable, the outermost (variable m - 1) first.  Before
+    the pass for variable j the array is viewed as ``(rows, 2, rest)``:
+    rows run over the leading axes and the trits of the variables above j,
+    the middle axis is bit j and ``rest`` spans the 2^j points below it.
+    The pass writes a fresh ``(rows, 3, rest)`` array: the two fixed
+    halves are copied into trits 1 and 2, then added into trit 0, the free
+    sum.  Going outermost first keeps each copied half a contiguous block
+    of ``rest`` values.  The integers are those of the point sums, for
+    int64 and object arrays alike.
+    """
     lead = weights.shape[:-1]
-    a = weights.reshape(lead + (2,) * m)
-    for axis in range(-m, 0):
-        a = np.concatenate((a.sum(axis=axis, keepdims=True), a), axis=axis)
+    rows = prod(lead)
+    a = weights
+    for j in reversed(range(m)):
+        a = a.reshape(rows, 2, 1 << j)
+        out = np.empty((rows, 3, 1 << j), dtype=a.dtype)
+        out[:, 1:] = a
+        np.add(a[:, 0], a[:, 1], out=out[:, 0])
+        a = out
+        rows *= 3
     return a.reshape(lead + (3**m,))
 
 

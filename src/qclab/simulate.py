@@ -112,61 +112,98 @@ class SimulationTrace:
     rng_seed: int
 
 
+class _Shape:
+    """The part of the simulation of ``tree`` that no z changes, compiled
+    once, in preorder: ``payload`` holds each leaf's trace (for z = 0 with
+    seed 0; a run sets both) and ``None`` at each branch, and ``branches``
+    lists each branch's position, the copy it samples from the restricted
+    law (-1 while the copy has had fewer than c answers), its subcube's
+    index before and after answering 1, its child 1 and the end of its
+    subtree.  ``walker(z)`` adds the thresholds and dead nodes of one z."""
+
+    def __init__(self, inst: ComposedInstance, tree: DecisionTree):
+        if tree.arity != inst.total_arity:
+            raise QclabError("tree arity does not match the instance")
+        tree.require_valid()
+        self.inst = inst
+        c = inst.inner_complexity
+        m0, m1, _ = inst.g_masses
+        self.mass = [a + b for a, b in zip(m0, m1)]
+        self.payload: list = []
+        self.branches: list = []
+
+        def compile_node(node, cubes, answers, z_queries) -> None:
+            # per copy, its subcube's lattice index and its number of answers
+            k = len(self.payload)
+            self.payload.append(None)
+            if isinstance(node, Leaf):
+                self.payload[k] = SimulationTrace(
+                    0, node.leaf_id, node.label, z_queries, answers, sum(answers), 0
+                )
+                return
+            i, j = inst.block.copy_of(node.query_var)
+            cube, nth = cubes[i], answers[i] + 1
+            if nth == c:
+                z_queries += (i,)
+            cube0, cube1 = cube + 3**j, cube + 2 * 3**j
+            entry = [k, i if nth >= c else -1, cube, cube1]
+            self.branches.append(entry)
+            below = answers[:i] + (nth,) + answers[i + 1:]
+            compile_node(node.child0, cubes[:i] + (cube0,) + cubes[i + 1:], below, z_queries)
+            entry.append(len(self.payload))
+            compile_node(node.child1, cubes[:i] + (cube1,) + cubes[i + 1:], below, z_queries)
+            entry.append(len(self.payload))
+
+        compile_node(tree.root, (0,) * inst.n, (0,) * inst.n, ())
+
+    def walker(self, z: int) -> TreeWalker:
+        """The walker of the simulation on ``z``: a branch whose subcube has
+        no mass under its sampling law is dead (``None``), and so, never
+        reached, is everything below it."""
+        if not 0 <= z < (1 << self.inst.n):
+            raise QclabError(f"input {z} out of range")
+        restricted = _restricted(self.inst, z)
+        nodes = list(self.payload)
+        skip = 0
+        for k, copy, cube, cube1, one, end in self.branches:
+            if k < skip:
+                continue
+            table = self.mass if copy < 0 else restricted[copy]
+            if table[cube] == 0:
+                nodes[k:end] = [None] * (end - k)
+                skip = end
+            else:
+                nodes[k] = (_threshold(table[cube1], table[cube]), k + 1, one)
+        return TreeWalker(nodes)
+
+    def run(self, z: int, seed: int) -> SimulationTrace:
+        return _run(self.walker(z), z, seed)
+
+
+def _run(walker: TreeWalker, z: int, seed: int) -> SimulationTrace:
+    end = next(walker.ends(random.Random(seed), 1))[0]
+    return replace(walker.payload[end], z=z, rng_seed=seed)
+
+
 class AprimeSimulator:
     """Compiled simulation of one outer tree on one input ``z``.
 
-    Every branch compiles to its threshold and every leaf to its trace with
-    seed 0, in a ``TreeWalker``, so repeated runs only draw random words and
-    walk the tree's arrays.  A node whose subcube has no mass under its
-    sampling law compiles to ``None``, and a walk that reaches it raises.
+    Every branch compiles to its threshold and every leaf to its trace, in
+    a ``TreeWalker``, so repeated runs only draw random words and walk the
+    tree's arrays.  A node whose subcube has no mass under its sampling law
+    compiles to ``None``, and a walk that reaches it raises.  Only the
+    thresholds and dead nodes depend on ``z`` (see ``_Shape``).
     """
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree, z: int):
-        if tree.arity != inst.total_arity:
-            raise QclabError("tree arity does not match the instance")
-        if not 0 <= z < (1 << inst.n):
-            raise QclabError(f"input {z} out of range")
-        tree.require_valid()
         self.inst = inst
         self.tree = tree
         self.z = z
-        self.c = c = inst.inner_complexity
-        restricted = _restricted(inst, z)
-        m0, m1, _ = inst.g_masses
-        nodes: list = []
-
-        def compile_node(node, state, z_queries) -> int:
-            k = len(nodes)
-            nodes.append(None)
-            if isinstance(node, Leaf):
-                codims = tuple(len(hist) - 1 for hist in state)
-                nodes[k] = SimulationTrace(
-                    z, node.leaf_id, node.label, z_queries, codims, sum(codims), 0
-                )
-                return k
-            i, ((child0, state0), (child1, state1)) = _branches(inst, node, state)
-            cube, cube1, nth = state[i][-1], state1[i][-1], len(state[i])
-            if nth <= c - 1:
-                denom, num = m0[cube] + m1[cube], m0[cube1] + m1[cube1]
-            else:
-                denom, num = restricted[i][cube], restricted[i][cube1]
-            if denom == 0:
-                return k
-            if nth == c:
-                z_queries += (i,)
-            nodes[k] = (
-                _threshold(num, denom),
-                compile_node(child0, state0, z_queries),
-                compile_node(child1, state1, z_queries),
-            )
-            return k
-
-        compile_node(tree.root, ((0,),) * inst.n, ())
-        self._walker = TreeWalker(nodes)
+        self.c = inst.inner_complexity
+        self._walker = _Shape(inst, tree).walker(z)
 
     def run(self, seed: int) -> SimulationTrace:
-        end = next(self._walker.ends(random.Random(seed), 1))[0]
-        return replace(self._walker.payload[end], rng_seed=seed)
+        return _run(self._walker, self.z, seed)
 
     def run_stream(self, samples: int, seed: int) -> dict[int, int]:
         """Leaf-id frequency counts over ``samples`` runs sharing one seeded
@@ -234,7 +271,8 @@ def exact_p(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fra
 
 class _Laws:
     """The exact laws and snip flags of one tree on one instance, all from
-    the tree's leaf states (``_paths``), walked once.  The flags are kept
+    the tree's leaf states (``_paths``), walked once, and the simulation's
+    z-independent compiled tree (``_Shape``), built once.  The flags are kept
     per theta; p and q are kept for the last z asked for, since every
     caller goes z by z."""
 
@@ -246,6 +284,10 @@ class _Laws:
     @cached_property
     def paths(self) -> list:
         return _paths(self.inst, self.tree)
+
+    @cached_property
+    def shape(self) -> _Shape:
+        return _Shape(self.inst, self.tree)
 
     def _law(self, kind: str, z: int, compute):
         if z != self._z:

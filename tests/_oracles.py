@@ -6,7 +6,8 @@ walking the tree while multiplying stepwise branch probabilities.  The game
 solver's reference is its original multiplicative-weights loop in
 Fractions, which the integer loop must follow iterate for iterate.  The
 fullbias sweep's reference takes each function's complexity from
-``dist_complexity``, which the DP tests hold to tree enumeration.
+``dist_complexity``, which the DP tests hold to tree enumeration.  The
+subcube mass kernel's reference is its original concatenating form.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+
+import numpy as np
 
 from qclab.complexity import ETA, ONE_WEIGHT, GameResult, best_success, dist_complexity
 from qclab.core import (
@@ -29,6 +32,16 @@ from qclab.core import (
     subcube_prob,
 )
 from qclab.dtree import DecisionTree, InternalNode, Leaf
+
+
+def concat_masses(weights: np.ndarray, m: int) -> np.ndarray:
+    """``lattice.masses`` by concatenation: per variable, put the sum over
+    its axis in front of the two fixed halves."""
+    lead = weights.shape[:-1]
+    a = weights.reshape(lead + (2,) * m)
+    for axis in range(-m, 0):
+        a = np.concatenate((a.sum(axis=axis, keepdims=True), a), axis=axis)
+    return a.reshape(lead + (3**m,))
 
 
 def enumerate_shapes(arity: int, depth: int, used: frozenset = frozenset()):
@@ -161,7 +174,7 @@ def _loop_walk(nodes: list, rng: random.Random):
 
 def loop_run(sim, seed: int):
     """``AprimeSimulator.run`` one branch at a time."""
-    return replace(_loop_walk(sim._walker.payload, random.Random(seed)), rng_seed=seed)
+    return replace(_loop_walk(sim._walker.payload, random.Random(seed)), z=sim.z, rng_seed=seed)
 
 
 def loop_run_stream(sim, samples: int, seed: int) -> dict[int, int]:

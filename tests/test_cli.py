@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from qclab import complexity, simulate
 from qclab.cli import build_parser, main
 from qclab.core import Dist, Relation, and_fn, identity1, xor_fn
-from qclab.io import format_dist, format_relation, format_truth_table
+from qclab.io import format_dist, format_relation, format_truth_table, read_instance
 from qclab.sweeps import sweep_unbias
 
 
@@ -25,6 +27,30 @@ def files(tmp_path):
     paths["mu_u2"].write_text(format_dist(Dist.uniform(2)))
     paths["tree"].write_text("(q 1 (q 2 (leaf 0) (leaf 1)) (q 2 (leaf 1) (leaf 0)))\n")
     return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.fixture()
+def dp_solves(monkeypatch):
+    """Every ``_TreeDP`` built, as its point weights over their denominator
+    and whether a game round built it."""
+    solves, rounds = [], []
+    init = complexity._TreeDP.__init__
+    solve_game = complexity._solve_game
+
+    def spy(self, accepts, weights, den):
+        solves.append(([F(w, den) for w in weights.tolist()], bool(rounds)))
+        init(self, accepts, weights, den)
+
+    def game(*args):
+        rounds.append(True)
+        try:
+            return solve_game(*args)
+        finally:
+            rounds.pop()
+
+    monkeypatch.setattr(complexity._TreeDP, "__init__", spy)
+    monkeypatch.setattr(complexity, "_solve_game", game)
+    return solves
 
 
 def read_records(path):
@@ -51,6 +77,17 @@ class TestDce:
         assert code == 0
         (record,) = read_records(files["out"])
         assert record["depth"] == 1
+
+    @pytest.mark.parametrize("problem", ["--g", "--f"])
+    def test_one_dp_per_run(self, files, tmp_path, dp_solves, problem):
+        path = files["g_xor2"]
+        if problem == "--f":
+            path = str(tmp_path / "xor2.rel")
+            Path(path).write_text(format_relation(Relation.from_function(xor_fn(2))))
+        assert main(["dce", problem, path, "--mu", files["mu_u2"],
+                     "--eps", "1/4", "--out", files["out"]]) == 0
+        assert read_records(files["out"])[0]["depth"] == 2
+        assert dp_solves == [([F(1, 4)] * 4, False)]
 
     def test_bad_file_reports_error(self, files, tmp_path, capsys):
         bad = tmp_path / "bad.tt"
@@ -96,6 +133,21 @@ class TestBuildInstance:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["inner_complexity"] == 2
         assert (out_dir / "instance.json").exists()
+
+    def test_one_dp_on_the_hard_distribution_after_the_game(self, files, tmp_path, dp_solves):
+        # the hard distribution's certificate is the instance's inner complexity
+        out_dir = tmp_path / "inst"
+        assert main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--eps", "1/4", "--out", str(out_dir)]) == 0
+        after_game = [probs for probs, in_game in dp_solves if not in_game]
+        assert len(after_game) == 1 and len(dp_solves) > 1
+        assert after_game[0] == list(read_instance(out_dir / "instance.json").mu.probs)
+
+    def test_one_dp_with_a_given_distribution(self, files, tmp_path, dp_solves):
+        assert main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--mu", files["mu_u2"], "--eps", "1/4",
+                     "--out", str(tmp_path / "inst")]) == 0
+        assert dp_solves == [([F(1, 4)] * 4, False)]
 
     def test_default_theta_passes_verify(self, files, tmp_path):
         # a one-bit outer relation took theta 2/1^2 = 2, which verify rejects;
@@ -241,6 +293,21 @@ class TestSimulate:
         chain = records[-1]
         assert chain["success_outer"] == "1/1"
         assert chain["success_sim"] == "1/1"
+
+    def test_compiles_the_tree_once(self, files, monkeypatch):
+        shapes = []
+        init = simulate._Shape.__init__
+
+        def spy(self, inst, tree):
+            shapes.append(tree)
+            init(self, inst, tree)
+
+        monkeypatch.setattr(simulate._Shape, "__init__", spy)
+        assert main(["simulate", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--mu", files["mu_u2"], "--tree", files["tree"],
+                     "--eps", "1/4", "--theta", "1/2", "--out", files["out"]]) == 0
+        assert [r["record"] for r in read_records(files["out"])].count("simulate-z") == 2
+        assert len(shapes) == 1
 
     def test_byte_identical_reruns(self, files, tmp_path):
         args = ["simulate", "--g", files["g_xor2"], "--f", files["f_id1"],

@@ -218,6 +218,34 @@ class TestDist:
         with pytest.raises(QclabError):
             Dist(1, (F(3, 2), F(-1, 2)))
 
+    @pytest.mark.parametrize("probs", [
+        (F(1, 2), F(-1, 4), F(1, 2), F(1, 4)),          # a negative entry
+        (F(-1, 2), F(1, 4), F(1, 4), F(1, 4)),          # negative, and a wrong sum
+        (F(1, 2), F(1, 3), F(1, 8), F(0)),              # sums to 23/24
+        (F(1, 2), F(1, 4), F(1, 4), F(1, 2**70)),       # one part in 2^70 over
+        (F(1, 4), F(1, 4), F(1, 6), F(1, 3)),           # no denominator is the lcm
+        (F(1, 2**62), F(1, 3**40), F(1, 2), 1 - F(1, 2**62) - F(1, 3**40) - F(1, 2)),
+        (F(1, 2**63), F(2**62 - 1, 2**63), F(1, 3**40), F(1, 2) - F(1, 3**40)),
+        (F(1, 2**63), F(-1, 2**63), F(1, 3**40), 1 - F(1, 3**40)),
+        (F(1, 3**40), F(1, 3**40), F(1, 2), F(1, 2)),
+        (F(0), F(0), F(0), F(0)),                       # all zero
+        (0, 0, 1, 0),
+    ])
+    def test_errors_match_the_fraction_checks(self, probs):
+        def fraction_checks():
+            if any(p < 0 for p in probs):
+                return "negative probability"
+            if sum(probs) != 1:
+                return "probabilities must sum to exactly 1"
+            return None
+
+        try:
+            Dist(2, probs)
+            error = None
+        except QclabError as exc:
+            error = str(exc)
+        assert error == fraction_checks()
+
     def test_from_weights(self):
         mu = Dist.from_weights([1, 0, 1, 2])
         assert mu.probs == (F(1, 4), F(0), F(1, 4), F(1, 2))

@@ -11,7 +11,7 @@ from qclab.core import CapExceeded, Dist, Relation, Subcube, subcube_prob
 from qclab.io import format_tree
 from qclab.sweeps import readonce_leaves, sweep_rbias, sweep_unbias
 
-from _oracles import brute_best_success, random_dist, random_relation
+from _oracles import brute_best_success, concat_masses, random_dist, random_relation
 
 
 class TestIndexing:
@@ -41,6 +41,29 @@ class TestMasses:
                 for index in range(3**m):
                     cube = Subcube(m, lattice.assignment(index, m))
                     assert F(int(masses[index]), den) == subcube_prob(mu, cube)
+
+    @pytest.mark.parametrize("m", range(7))
+    @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+    def test_kernel_matches_reference_and_point_sums(self, m, big):
+        rng = random.Random(100 * m + big)
+        scale = (1 << 62) + 1 if big else 1  # object weights over a den >= 2^62
+        for lead in ((), (0,), (3,), (2, 3), (0, 2), (2, 1, 2)):
+            rows = [[rng.randrange(50) * scale for _ in range(1 << m)]
+                    for _ in range(int(np.prod(lead, dtype=int)))]
+            weights = np.array(rows, dtype=object if big else np.int64).reshape(lead + (1 << m,))
+            got = lattice.masses(weights, m)
+            assert got.shape == lead + (3**m,) and got.dtype == weights.dtype
+            assert (got == concat_masses(weights, m)).all()
+            for row, masses in zip(rows, got.reshape(-1, 3**m).tolist()):
+                den = sum(row)
+                if den == 0:
+                    assert masses == [0] * 3**m
+                    continue
+                assert (den >= lattice.INT64_LIMIT) == big
+                mu = Dist.from_weights(row)
+                for index, mass in enumerate(masses):
+                    cube = Subcube(m, lattice.assignment(index, m))
+                    assert F(mass, den) == subcube_prob(mu, cube)
 
     def test_leading_axes_are_independent(self):
         rng = np.random.default_rng(3)

@@ -31,6 +31,7 @@ from qclab.simulate import (
     AprimeSimulator,
     ChainReport,
     _instance_checks,
+    _Laws,
     _threshold,
     exact_p,
     exact_q,
@@ -281,6 +282,28 @@ class TestBulkWalk:
                         assert outcome(sim.run, seed) == outcome(loop_run, sim, seed)
         assert seen == {("stride", False, True), ("stride", True, True), ("stride", False, False),
                         ("stride", True, False), 0, 1 << 128, dict, str}
+
+    def test_one_compiled_shape_serves_every_z(self):
+        # qclab simulate compiles the tree once and runs every z on it, in
+        # any order; each run matches the simulator compiled for its own z
+        rng = random.Random(137)
+        for inst in random_instances(rng, 6) + [and_uniform_instance(n=2)]:
+            tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
+            shape = _Laws(inst, tree).shape
+            zs = list(range(1 << inst.n))
+            for z in zs + zs[::-1]:
+                try:
+                    sim = AprimeSimulator(inst, tree, z)
+                except ZeroConditioningMass:
+                    with pytest.raises(ZeroConditioningMass):
+                        shape.walker(z)
+                    continue
+                for seed in range(4):
+                    trace = outcome(shape.run, z, seed)
+                    assert trace == outcome(sim.run, seed)
+                    assert isinstance(trace, str) or (trace.z, trace.rng_seed) == (z, seed)
+                stream = outcome(shape.walker(z).counts, random.Random(z), 200)
+                assert stream == outcome(sim._walker.counts, random.Random(z), 200)
 
     def test_memory_stays_bounded_without_numpy_random(self):
         code = """if True:
