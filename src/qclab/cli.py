@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .compose import build_instance, default_epsilon, xor_stack
-from .complexity import _certify, dist_complexity, dist_solution, rand_complexity
+from .complexity import _certify, _hard_complexity, dist_solution, rand_complexity
 from .core import Dist, QclabError, Relation, TruthTable
 from .io import (
     format_fraction,
@@ -123,7 +124,7 @@ def cmd_rqc(args, emit: _Emitter) -> None:
         tol=parse_fraction(args.tol),
         max_iter=args.max_iter,
     )
-    certified = dist_complexity(h, result.hard_dist, eps)
+    certified = _hard_complexity(h, result, eps)
     emit.emit({
         "record": "rqc",
         "depth": result.depth,
@@ -300,7 +301,10 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and ``main`` runs many commands in one process."""
     parser = argparse.ArgumentParser(
         prog="qclab",
         description="exact decision-tree complexity laboratory",

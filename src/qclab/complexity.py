@@ -12,15 +12,19 @@ rejects a depth; the rejecting distribution is an exact certificate for the
 next depth).  Its multiplicative weights are Python ints on one fixed grid,
 the largest always ``ONE_WEIGHT``, and each round's distribution, the
 weights over their sum, goes to the DP as int64 point weights; a
-:class:`Dist` is built only for a certificate.
+:class:`Dist` is built only for a certificate.  A round builds no tree:
+the best response is scored by walking the DP's choices with the inputs
+that reach each node, by the same tie-break rule as the witness tree,
+which is built once per depth from the last round's DP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from itertools import count
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -105,22 +109,51 @@ class _TreeDP:
     def _node(self, index: int, d: int, leaf_ids):
         # a method, not a closure: a self-referencing closure would keep
         # the lattice arrays alive until the cyclic collector runs
+        query, k = self._choice(index, d)
+        if query:
+            step = 3**k
+            return InternalNode(
+                k,
+                self._node(index + step, d - 1, leaf_ids),
+                self._node(index + 2 * step, d - 1, leaf_ids),
+            )
+        return Leaf(k, next(leaf_ids))
+
+    def _choice(self, index: int, d: int) -> tuple[bool, int]:
+        """What the optimal depth-``d`` tree does on subcube ``index``, for
+        the witness and the best-response walk alike: ``(False, label)``
+        answers the lowest label of largest mass unless some query beats
+        every answer; then ``(True, var)`` queries the lowest variable whose
+        two halves sum to the best value."""
         best = self._layer(d)[index]
         if self.values[0][index] < best:  # some query beats every answer
             below = self.values[d - 1]
-            var = next(
+            return True, next(
                 v for v in range(self.arity)
                 if index // 3**v % 3 == 0  # v is free here
                 and below[index + 3**v] + below[index + 2 * 3**v] == best
             )
-            step = 3**var
-            return InternalNode(
-                var,
-                self._node(index + step, d - 1, leaf_ids),
-                self._node(index + 2 * step, d - 1, leaf_ids),
-            )
         counts = self.label_mass[:, index].tolist()
-        return Leaf(counts.index(max(counts)), next(leaf_ids))
+        return False, counts.index(max(counts))
+
+    def correct(self, depth: int, rows: list[list[bool]]) -> list[bool]:
+        """``rows[label][x]`` at the label the depth-``depth`` witness gives
+        each input ``x``, found by passing each node the inputs that reach
+        it; no tree is built and no input is evaluated."""
+        correct = [False] * (1 << self.arity)
+        stack = [(0, min(depth, self.arity), range(1 << self.arity))]
+        while stack:
+            index, d, inputs = stack.pop()
+            query, k = self._choice(index, d)
+            if query:
+                bit, step = 1 << k, 3**k
+                stack.append((index + step, d - 1, [x for x in inputs if not x & bit]))
+                stack.append((index + 2 * step, d - 1, [x for x in inputs if x & bit]))
+            else:
+                row = rows[k]
+                for x in inputs:
+                    correct[x] = row[x]
+        return correct
 
 
 def _accepts(h: Relation) -> np.ndarray:
@@ -173,6 +206,9 @@ class GameResult:
     best_tree: DecisionTree
     iterations: int
     limit_hit: bool = False
+    # the game's DP of hard_dist, which certificates reuse; None when the
+    # game never solved it (a first depth that ends on limit_hit)
+    hard_dp: _TreeDP | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -186,6 +222,7 @@ class _GameStatus:
     # the last distribution; on a rejection, an exact witness that every
     # depth-d tree fails
     mu: Dist
+    dp: _TreeDP | None  # the DP of mu, None on limit_hit
 
 
 def _solve_game(
@@ -194,10 +231,11 @@ def _solve_game(
     target: Fraction,
     tol: Fraction,
     max_iter: int,
+    first_round: Callable[[], _TreeDP],
 ) -> _GameStatus:
     rows = accepts.tolist()
     n_inputs = accepts.shape[1]
-    shrink = 1 - ETA
+    shrink_num, shrink_den = (1 - ETA).as_integer_ratio()
     bound = target - tol
     weights = [ONE_WEIGHT] * n_inputs
     den = sum(weights)
@@ -209,16 +247,19 @@ def _solve_game(
             accepted, decided,
             lower=Fraction(min(payoff_sums), t),
             upper=sum(Fraction(v, d) for v, d in br_values) / t,
-            iterations=t, tree=tree,
-            mu=Dist(tree.arity, tuple(Fraction(w, den) for w in weights)),
+            iterations=t, tree=dp.witness(depth),
+            mu=Dist(dp.arity, tuple(Fraction(w, den) for w in weights)),
+            dp=dp if decided else None,
         )
 
     for t in range(1, max_iter + 1):
-        dp = _TreeDP(accepts, lattice.weight_array(weights, den), den)
-        tree = dp.witness(depth)
+        if t == 1:
+            dp = first_round()
+        else:
+            dp = _TreeDP(accepts, lattice.weight_array(weights, den), den)
         value = dp.value(depth)
         br_values.append((value, den))
-        correct = [rows[tree.output(x)][x] for x in range(n_inputs)]
+        correct = dp.correct(depth, rows)
         payoff_sums = [s + c for s, c in zip(payoff_sums, correct)]
         if value * target.denominator < target.numerator * den:
             # exact rejection: even the best depth-d tree fails under this
@@ -226,10 +267,7 @@ def _solve_game(
             return status(False, True, t)
         if min(payoff_sums) * bound.denominator >= bound.numerator * t:
             return status(True, True, t)
-        weights = [
-            w * shrink.numerator // shrink.denominator if c else w
-            for w, c in zip(weights, correct)
-        ]
+        weights = [w * shrink_num // shrink_den if c else w for w, c in zip(weights, correct)]
         top = max(weights)
         weights = [w * ONE_WEIGHT // top for w in weights]
         den = sum(weights)
@@ -258,7 +296,8 @@ def rand_complexity(
     floor(w * ONE_WEIGHT / max), so a weight that floors to 0 stays 0.  The
     next distribution is the weights over their sum; it goes to the DP as
     int64 point weights, and a :class:`Dist` is built only for the
-    certificate of a depth.
+    certificate of a depth.  Every depth starts from uniform weights, so
+    their first rounds share one DP.
     """
     eps = _checked_eps(eps)
     tol = Fraction(tol)
@@ -268,22 +307,29 @@ def rand_complexity(
         raise QclabError("max_iter must be at least 1")
     rel = _as_relation(h)
     accepts = _accepts(rel)
+    uniform = [ONE_WEIGHT] * accepts.shape[1]
+    # every depth's game starts from these weights: the first round to run
+    # solves their DP and later first rounds reuse it
+    first_round = cache(partial(
+        _TreeDP, accepts, lattice.weight_array(uniform, sum(uniform)), sum(uniform),
+    ))
     target = 1 - eps
-    cert_mu: Dist | None = None
+    cert: _GameStatus | None = None
     for depth in range(rel.arity + 1):
-        status = _solve_game(accepts, depth, target, tol, max_iter)
+        status = _solve_game(accepts, depth, target, tol, max_iter, first_round)
         if status.accepted or not status.decided:
-            hard = cert_mu if cert_mu is not None else status.mu
+            hard = cert if cert is not None else status
             return GameResult(
                 depth=depth,
                 lower_value=status.lower,
                 upper_value=status.upper,
-                hard_dist=hard,
+                hard_dist=hard.mu,
                 best_tree=status.tree,
                 iterations=status.iterations,
                 limit_hit=not status.decided,
+                hard_dp=hard.dp,
             )
-        cert_mu = status.mu
+        cert = status
     raise Unachievable("no depth accepted up to the full arity")
 
 
@@ -291,8 +337,17 @@ def hard_distribution(g: Problem, eps, tol=Fraction(1, 100), max_iter: int = 500
     """Adversary distribution whose exact distributional complexity certifies
     the depth reported by :func:`rand_complexity`."""
     result = rand_complexity(g, eps, tol, max_iter)
-    _certify(dist_complexity(g, result.hard_dist, eps), result.depth)
+    _certify(_hard_complexity(g, result, eps), result.depth)
     return result.hard_dist
+
+
+def _hard_complexity(h: Problem, result: GameResult, eps) -> int:
+    """Exact distributional complexity of the game's hard distribution, on
+    the DP the game already solved for it when there is one."""
+    dp = result.hard_dp
+    if dp is None:
+        dp = _tree_dp(_as_relation(h), result.hard_dist)
+    return dp.min_depth(_checked_eps(eps))
 
 
 def _certify(certified: int, depth: int) -> None:

@@ -8,6 +8,12 @@ bit j of a point, so an array of shape ``(..., 3^m)`` reshapes to
 ``(..., 3, ..., 3)`` with variable j on axis ``-1 - j``; index 0 is the full
 cube.  Every function is vectorized over leading axes.
 
+The optimal-tree DP (:func:`layers`) has two kernels that give the same
+integers: one slices the reshaped lattice once per variable per layer, the
+other gathers each layer through a cached child table in a few numpy calls
+whatever m is.  ``layers`` takes the gather for small inputs at m >= 3
+and slicing otherwise.
+
 The automorphisms of the cube (permute the variables, flip bits) act on
 points and on subcube indices alike, and masses follow them: the image
 subcube has under the image weights the mass the subcube had before.  The
@@ -20,6 +26,7 @@ tree value exceeds it: they are numpy int64 while it is below
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from math import prod
 
@@ -28,6 +35,9 @@ import numpy as np
 from .core import ArityMismatch, Dist, TruthTable
 
 INT64_LIMIT = 1 << 62
+# layers gathers while rows * (m + 1) * 3^m is at most this times m - 2:
+# the crossover measured at m = 3, 24 rows (see layers)
+GATHER_CELLS = 2592
 
 
 def int_weights(mu: Dist) -> tuple[np.ndarray, int]:
@@ -92,7 +102,27 @@ def layers(answer: np.ndarray, m: int):
     ``answer`` is the best a single leaf achieves on each subcube, and
     V_r = max(answer, max_j V_{r-1}[j<-0] + V_{r-1}[j<-1]) over the free
     variables j.  Beyond depth m nothing is left to query, so V_m is final.
+
+    Two kernels compute the same integers.  The slicing kernel makes a few
+    numpy calls per variable per layer on strided views; the gathered
+    kernel makes a few calls per layer whatever m is, but reads m + 1 pairs
+    of cells for every cell through a cached table.  The gather pays off on
+    small inputs, the more so the larger m: ``layers`` takes it while the
+    gathered cells ``rows * (m + 1) * 3^m`` (rows over the leading axes)
+    stay within ``GATHER_CELLS * (m - 2)``, at or below the measured
+    crossover for every m.  So it never gathers at m <= 2, takes up to 24
+    rows at m = 3, and a single lattice up to m = 6 but not from m = 7.
     """
+    rows = prod(answer.shape[:-1])
+    if rows * (m + 1) * 3**m <= GATHER_CELLS * (m - 2):
+        return _gathered_layers(answer, m)
+    return _sliced_layers(answer, m)
+
+
+def _sliced_layers(answer: np.ndarray, m: int):
+    """:func:`layers` by slicing: for each free variable j, the view of the
+    cells that leave j free takes the maximum with the sum of the two views
+    that fix it."""
     shape = answer.shape[:-1] + (3,) * m
     value = answer
     yield value
@@ -103,6 +133,47 @@ def layers(answer: np.ndarray, m: int):
             free = nxt[_fixing(j, 0)]
             np.maximum(free, prev[_fixing(j, 1)] + prev[_fixing(j, 2)], out=free)
         value = nxt.reshape(answer.shape)
+        yield value
+
+
+@lru_cache(maxsize=None)
+def _children(m: int) -> np.ndarray:
+    """Gather table of shape ``(2, m + 1, 3^m)`` into the buffer
+    ``(V, answer, 0)`` of length 2 * 3^m + 1.
+
+    For variable j < m, row j pairs each cell with its two subcubes that fix
+    j to 0 and to 1, or, where j is already fixed, twice with the zero pad.
+    Row m pairs each cell's own answer with the pad.  Values are
+    non-negative, so a pad sum never beats the answer row, and the maximum
+    over the m + 1 rows of the pair sums is the next layer.
+    """
+    n = 3**m
+    cells = np.arange(n)
+    step = 3 ** np.arange(m)[:, None]
+    free = cells // step % 3 == 0
+    pad = np.full(n, 2 * n)
+    lo = np.vstack((np.where(free, cells + step, pad), n + cells))
+    hi = np.vstack((np.where(free, cells + 2 * step, pad), pad))
+    table = np.stack((lo, hi))
+    table.flags.writeable = False
+    return table
+
+
+def _gathered_layers(answer: np.ndarray, m: int):
+    """:func:`layers` by gathering: each layer is two takes through the
+    :func:`_children` table, one sum and one maximum over its rows."""
+    lo, hi = _children(m)
+    n = 3**m
+    buf = np.empty(answer.shape[:-1] + (2 * n + 1,), dtype=answer.dtype)
+    buf[..., n:2 * n] = answer
+    buf[..., 2 * n] = 0
+    value = answer
+    yield value
+    for _ in range(m):
+        buf[..., :n] = value
+        pairs = np.take(buf, lo, axis=-1)
+        pairs += np.take(buf, hi, axis=-1)
+        value = pairs.max(axis=-2)
         yield value
 
 

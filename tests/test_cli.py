@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import qclab
 from qclab import complexity, simulate
 from qclab.cli import build_parser, main
 from qclab.core import Dist, Relation, and_fn, identity1, xor_fn
@@ -111,6 +115,14 @@ class TestRqc:
         assert record["depth"] == 2
         assert record["certified_depth"] >= 2
         assert not record["limit_hit"]
+
+    def test_certificate_reuses_the_game_dp(self, files, dp_solves):
+        # every depth's first round shares the uniform DP, and certified_depth
+        # comes from the rejecting round's DP, so one DP is solved in all
+        assert main(["rqc", "--g", files["g_xor2"], "--eps", "1/3",
+                     "--out", files["out"]]) == 0
+        assert read_records(files["out"])[0]["certified_depth"] == 2
+        assert dp_solves == [([F(1, 4)] * 4, True)]
 
     def test_long_game_prints_exact_values(self, tmp_path):
         # 268 game rounds: upper_value's terms pass 4,300 decimal digits
@@ -386,6 +398,34 @@ def test_commands_accept_only_the_flags_they_read(capsys):
                 main([command, flag, "1"])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_one_parser_serves_many_commands(files, capsys):
+    # the parser is built once per process; every command, a failed parse
+    # among them, must print and exit as it does in a fresh interpreter
+    runs = [
+        ["rqc", "--g", files["g_xor2"], "--eps", "1/3"],
+        ["dce", "--g", files["g_xor2"], "--mu", files["mu_u2"], "--eps", "1/4"],
+        ["rqc", "--g", files["g_xor2"], "--mu", files["mu_u2"]],
+        ["xor-stack", "--g", files["g_and2"], "--t", "2", "--eps", "1/3"],
+        ["dce", "--g", files["g_and2"], "--eps", "1/4"],
+        ["rqc", "--g", files["g_and2"], "--eps", "1/3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(qclab.__file__).parents[1]))
+    script = "import sys; from qclab.cli import main; sys.exit(main(sys.argv[1:]))"
+    assert build_parser() is build_parser()
+    codes = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True, check=False)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
+        codes.append(code)
+    assert codes == [0, 0, 2, 0, 2, 0]
 
 
 class TestXorStack:

@@ -165,6 +165,57 @@ class TestHardDistribution:
                 assert dist_complexity(g, mu, F(1, 3)) <= result.depth
 
 
+class TestBestResponseWalker:
+    def test_walker_matches_the_witness(self):
+        # game weights floor to 0 and start uniform, so zeros and ties matter
+        rng = random.Random(71)
+        for _ in range(40):
+            m = rng.randint(1, 6)
+            h = random_relation(rng, m, rng.choice([2, 3]))
+            accepts = complexity._accepts(h)
+            rows = accepts.tolist()
+            for weights in (
+                [1] * (1 << m),
+                [rng.randrange(4) for _ in range(1 << m)],
+                [rng.choice([0, 0, 0, 1 << 40]) for _ in range(1 << m)],
+                [rng.randrange(1 << 40) for _ in range(1 << m)],
+            ):
+                den = max(sum(weights), 1)
+                dp = complexity._TreeDP(accepts, np.array(weights, dtype=np.int64), den)
+                for depth in range(m + 2):
+                    tree = dp.witness(depth)
+                    expected = [rows[tree.output(x)][x] for x in range(1 << m)]
+                    assert dp.correct(depth, rows) == expected
+
+
+class TestGameDPs:
+    def test_xor2_hard_distribution_solves_one_dp(self, monkeypatch):
+        # three depths start from uniform weights and reject or accept in
+        # their first round; the certificate reuses the rejecting round's DP
+        built = []
+        init = complexity._TreeDP.__init__
+
+        def spy(self, accepts, weights, den):
+            built.append(weights.tolist())
+            init(self, accepts, weights, den)
+
+        monkeypatch.setattr(complexity._TreeDP, "__init__", spy)
+        mu = hard_distribution(xor_fn(2), F(1, 3))
+        assert mu == U2
+        assert built == [[complexity.ONE_WEIGHT] * 4]
+
+    def test_certificate_matches_a_fresh_dp(self):
+        rng = random.Random(83)
+        cases = [(and_fn(2), F(1, 3), 1), (xor_fn(2), F(1, 3), 5000), (maj3(), F(1, 3), 5000)]
+        cases += [(random_truth_table(rng, rng.randint(1, 4)), F(1, 4), 5000) for _ in range(10)]
+        for h, eps, max_iter in cases:
+            result = rand_complexity(h, eps, max_iter=max_iter)
+            # a first depth cut short by max_iter leaves no DP of hard_dist
+            assert (result.hard_dp is None) == (result.limit_hit and result.depth == 0)
+            assert complexity._hard_complexity(h, result, eps) == \
+                dist_complexity(h, result.hard_dist, eps)
+
+
 def _game_fields(result):
     return (
         result.depth, result.lower_value, result.upper_value, result.hard_dist.probs,

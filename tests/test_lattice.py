@@ -82,6 +82,40 @@ class TestMasses:
         assert den == 2**62 and weights.dtype == object
 
 
+class TestLayers:
+    @pytest.mark.parametrize("m", range(8))
+    @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+    def test_kernels_agree(self, m, big):
+        rng = random.Random(200 * m + big)
+        scale = (1 << 62) + 1 if big else 1  # object values over a den >= 2^62
+        for lead in ((), (0,), (3,), (2, 2)):
+            size = int(np.prod(lead, dtype=int)) * 3**m
+            answer = np.array([rng.randrange(50) * scale for _ in range(size)],
+                              dtype=object if big else np.int64).reshape(lead + (3**m,))
+            sliced = list(lattice._sliced_layers(answer, m))
+            gathered = list(lattice._gathered_layers(answer, m))
+            assert len(sliced) == len(gathered) == m + 1
+            for a, b in zip(sliced, gathered):
+                assert a.shape == b.shape == answer.shape
+                assert a.dtype == b.dtype == answer.dtype
+                assert (a == b).all()
+
+    def test_size_chooses_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_sliced_layers", lambda answer, m: "sliced")
+        monkeypatch.setattr(lattice, "_gathered_layers", lambda answer, m: "gathered")
+
+        def kernel(rows, m):
+            return lattice.layers(np.zeros((rows, 3**m), dtype=np.int64), m)
+
+        assert [kernel(1, m) for m in range(10)] == \
+            ["sliced"] * 3 + ["gathered"] * 4 + ["sliced"] * 3
+        assert lattice.layers(np.zeros(3**5, dtype=np.int64), 5) == "gathered"
+        # the most rows the gather takes: 24 at m = 3, the sweeps' 256 are sliced
+        for m, most in ((3, 24), (4, 12), (5, 5), (6, 2)):
+            assert (kernel(most, m), kernel(most + 1, m)) == ("gathered", "sliced")
+        assert kernel(16, 2) == kernel(4, 1) == kernel(256, 3) == "sliced"
+
+
 class TestAutomorphisms:
     def test_point_and_subcube_maps_agree(self):
         # masses(sigma w)[sigma C] == masses(w)[C] on generic weights
