@@ -29,7 +29,7 @@ from .io import (
     record_to_json,
     write_instance,
 )
-from .simulate import _chain, _instance_checks, _Laws
+from .simulate import _chain, _Compiled, _instance_checks
 from .sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
 
@@ -179,13 +179,13 @@ def cmd_simulate(args, emit: _Emitter) -> None:
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     budget = tree.depth() // inst.inner_complexity
-    laws = _Laws(inst, tree)  # walks and compiles the tree once for every z below
-    snips = laws.snips(inst.theta)
+    compiled = _Compiled(inst, tree)  # once for every z below
+    snips = compiled.snips(inst.theta)
     for z in range(1 << inst.n):
         if inst.lam.prob(z) == 0:
             continue
-        p, q = laws.p(z), laws.q(z)
-        trace = laws.shape.run(z, args.seed + z)
+        p, q = compiled.p(z), compiled.q(z)
+        trace = compiled.run(z, args.seed + z)
         emit.emit({
             "record": "simulate-z",
             "z": z,
@@ -199,7 +199,7 @@ def cmd_simulate(args, emit: _Emitter) -> None:
             },
             "passed": len(trace.z_queries) <= budget,
         })
-    chain = _chain(laws)
+    chain = _chain(compiled)
     emit.emit({
         "record": "success-chain",
         "success_outer": chain.success_outer,

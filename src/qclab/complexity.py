@@ -243,10 +243,15 @@ def _solve_game(
     br_values = []  # best-response value of each round, as (numerator, den)
 
     def status(accepted: bool, decided: bool, t: int) -> _GameStatus:
+        # the rounds' denominators differ, so add the pairs unreduced and
+        # reduce once
+        num, dnm = 0, 1
+        for v, d in br_values:
+            num, dnm = num * d + v * dnm, dnm * d
         return _GameStatus(
             accepted, decided,
             lower=Fraction(min(payoff_sums), t),
-            upper=sum(Fraction(v, d) for v, d in br_values) / t,
+            upper=Fraction(num, dnm * t),
             iterations=t, tree=dp.witness(depth),
             mu=Dist(dp.arity, tuple(Fraction(w, den) for w in weights)),
             dp=dp if decided else None,

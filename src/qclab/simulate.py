@@ -14,8 +14,10 @@ Every law is a ratio of entries of the instance's lattice tables
 ``g_masses``, the masses of g=0 and of g=1 on each inner subcube: a
 subcube's mass is the sum of its two entries, its mass restricted to g=b is
 entry b over entry b of the full cube, and its bias is their difference
-over their sum.  Tree walks carry, per copy, the ``lattice.index_of``
-index of the copy's subcube after each of its answers.
+over their sum.  Each outer tree is compiled once, in one walk that
+carries, per copy, the ``lattice.index_of`` index of the copy's subcube
+after each of its answers; the exact laws, the snip flags, the success
+chain and the random walks are all read off that one compiled tree.
 
 Branch decisions compare a 128-bit uniform integer drawn from a seeded
 Mersenne Twister against the exact branch probability scaled by 2^128, so
@@ -30,7 +32,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from math import prod
 from typing import Optional
 
@@ -51,6 +52,8 @@ ZERO = Fraction(0)
 def _restricted(inst: ComposedInstance, z: int) -> list[list]:
     """Per copy i, the mass table of g = bit i of ``z``, which copy i is
     conditioned on."""
+    if not 0 <= z < (1 << inst.n):
+        raise QclabError(f"input {z} out of range")
     tables = [inst.g_masses[(z >> i) & 1] for i in range(inst.n)]
     for i, table in enumerate(tables):
         if table[0] == 0:
@@ -58,47 +61,10 @@ def _restricted(inst: ComposedInstance, z: int) -> list[list]:
     return tables
 
 
-def _branches(inst: ComposedInstance, node, state: tuple):
-    """The copy that ``node`` queries, and each child with the per-copy
-    state below it.  A copy's state is its history: the lattice index of
-    the copy's subcube after each of its answers so far, starting from the
-    full cube, so entry k fixes its first k answers."""
-    i, j = inst.block.copy_of(node.query_var)
-    hist = state[i]
-    return i, [
-        (child, state[:i] + (hist + (hist[-1] + (b + 1) * 3**j,),) + state[i + 1:])
-        for b, child in ((0, node.child0), (1, node.child1))
-    ]
-
-
-def _paths(inst: ComposedInstance, tree: DecisionTree) -> list:
-    """One walk of ``tree`` on the inner lattice: every leaf with the
-    per-copy state at that leaf (see ``_branches``).  Each copy's history
-    already lists its subcube after each of its answers on the leaf's path,
-    so the states of interior nodes are not kept."""
-    if tree.arity != inst.total_arity:
-        raise ArityMismatch("tree arity does not match block structure")
-    out = []
-
-    def walk(node, state):
-        if isinstance(node, Leaf):
-            out.append((node, state))
-            return
-        for child, sub in _branches(inst, node, state)[1]:
-            walk(child, sub)
-
-    walk(tree.root, ((0,),) * inst.n)
-    return out
-
-
 def _threshold(num: int, den: int) -> int:
     """The ceiling of ``2^128 * num / den``: an integer draw lies below it
     exactly when it lies below the branch probability num/den times 2^128."""
     return -((-(num << 128)) // den)
-
-
-# ---------------------------------------------------------------------------
-# the simulation
 
 
 @dataclass(frozen=True)
@@ -112,56 +78,66 @@ class SimulationTrace:
     rng_seed: int
 
 
-class _Shape:
-    """The part of the simulation of ``tree`` that no z changes, compiled
-    once, in preorder: ``payload`` holds each leaf's trace (for z = 0 with
-    seed 0; a run sets both) and ``None`` at each branch, and ``branches``
-    lists each branch's position, the copy it samples from the restricted
-    law (-1 while the copy has had fewer than c answers), its subcube's
-    index before and after answering 1, its child 1 and the end of its
-    subtree.  ``walker(z)`` adds the thresholds and dead nodes of one z."""
+class _Compiled:
+    """The simulation of ``tree`` on ``inst``, compiled once, in one
+    preorder walk.  The walk carries each copy's history: the lattice index
+    of the copy's subcube after each of its answers so far, starting from
+    the full cube, so entry k fixes its first k answers.
+
+    ``payload`` holds each leaf's trace (for z = 0 with seed 0; a run sets
+    both) and ``None`` at each branch.  ``branches`` lists each branch's
+    position, the copy it samples from the restricted law (-1 while the
+    copy has had fewer than c answers), its subcube's index before and
+    after answering 1, its child 1 and the end of its subtree.  ``leaves``
+    lists each leaf with its per-copy histories, from which the exact laws
+    and the snip flags are read; interior histories are prefixes of these.
+    ``walker(z)`` adds the thresholds and dead nodes of one z.  The flags
+    are kept per theta; p and q are kept for the last z asked for, since
+    every caller goes z by z.  A tree of the wrong arity, or one that
+    ``DecisionTree.validate`` rejects, is rejected here, before any law."""
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree):
         if tree.arity != inst.total_arity:
-            raise QclabError("tree arity does not match the instance")
+            raise ArityMismatch("tree arity does not match the instance")
         tree.require_valid()
-        self.inst = inst
+        self.inst, self.tree = inst, tree
         c = inst.inner_complexity
         m0, m1, _ = inst.g_masses
         self.mass = [a + b for a, b in zip(m0, m1)]
         self.payload: list = []
         self.branches: list = []
+        self.leaves: list = []
+        self._snips: dict = {}
+        self._z, self._at_z = None, {}
 
-        def compile_node(node, cubes, answers, z_queries) -> None:
-            # per copy, its subcube's lattice index and its number of answers
+        def compile_node(node, state, z_queries) -> None:
             k = len(self.payload)
             self.payload.append(None)
             if isinstance(node, Leaf):
+                codims = tuple([len(hist) - 1 for hist in state])
                 self.payload[k] = SimulationTrace(
-                    0, node.leaf_id, node.label, z_queries, answers, sum(answers), 0
+                    0, node.leaf_id, node.label, z_queries, codims, sum(codims), 0
                 )
+                self.leaves.append((node, state))
                 return
             i, j = inst.block.copy_of(node.query_var)
-            cube, nth = cubes[i], answers[i] + 1
+            hist = state[i]
+            cube, nth = hist[-1], len(hist)  # nth: this answer's number in copy i
             if nth == c:
                 z_queries += (i,)
-            cube0, cube1 = cube + 3**j, cube + 2 * 3**j
-            entry = [k, i if nth >= c else -1, cube, cube1]
+            step = 3**j
+            entry = [k, i if nth >= c else -1, cube, cube + 2 * step]
             self.branches.append(entry)
-            below = answers[:i] + (nth,) + answers[i + 1:]
-            compile_node(node.child0, cubes[:i] + (cube0,) + cubes[i + 1:], below, z_queries)
-            entry.append(len(self.payload))
-            compile_node(node.child1, cubes[:i] + (cube1,) + cubes[i + 1:], below, z_queries)
-            entry.append(len(self.payload))
+            for child, below in ((node.child0, cube + step), (node.child1, cube + 2 * step)):
+                compile_node(child, state[:i] + (hist + (below,),) + state[i + 1:], z_queries)
+                entry.append(len(self.payload))
 
-        compile_node(tree.root, (0,) * inst.n, (0,) * inst.n, ())
+        compile_node(tree.root, ((0,),) * inst.n, ())
 
     def walker(self, z: int) -> TreeWalker:
         """The walker of the simulation on ``z``: a branch whose subcube has
         no mass under its sampling law is dead (``None``), and so, never
         reached, is everything below it."""
-        if not 0 <= z < (1 << self.inst.n):
-            raise QclabError(f"input {z} out of range")
         restricted = _restricted(self.inst, z)
         nodes = list(self.payload)
         skip = 0
@@ -179,6 +155,80 @@ class _Shape:
     def run(self, z: int, seed: int) -> SimulationTrace:
         return _run(self.walker(z), z, seed)
 
+    def q_terms(self, restricted: list) -> list[tuple[int, int]]:
+        """Per leaf, the simulation's probability of its leaf as an
+        unreduced ``(numerator, denominator)`` pair."""
+        c = self.inst.inner_complexity
+        m0, m1, den = self.inst.g_masses
+        out = []
+        for _, state in self.leaves:
+            num, dnm = 1, den ** self.inst.n
+            for i, hist in enumerate(state):
+                prefix = hist[:c][-1]  # after its first c - 1 answers, or all if fewer
+                num *= m0[prefix] + m1[prefix]
+                if num and len(hist) > c:
+                    table = restricted[i]
+                    if table[prefix] == 0:
+                        raise ZeroConditioningMass(
+                            f"restricted distribution has no mass on a copy-{i} prefix"
+                        )
+                    num *= table[hist[-1]]
+                    dnm *= table[prefix]
+                if num == 0:
+                    break
+            out.append((num, dnm))
+        return out
+
+    def p_terms(self, restricted: list) -> tuple[list[int], int]:
+        """Per leaf, the numerator of the outer tree's probability of its
+        leaf, and the denominator they share."""
+        den = prod(table[0] for table in restricted)
+        nums = [prod(t[h[-1]] for t, h in zip(restricted, state)) for _, state in self.leaves]
+        return nums, den
+
+    def _law(self, kind: str, z: int, compute):
+        if z != self._z:
+            self._z, self._at_z = z, {}
+        if kind not in self._at_z:
+            self._at_z[kind] = compute()
+        return self._at_z[kind]
+
+    def p(self, z: int) -> dict[int, Fraction]:
+        def compute():
+            nums, den = self.p_terms(_restricted(self.inst, z))
+            return {leaf.leaf_id: Fraction(num, den) for (leaf, _), num in zip(self.leaves, nums)}
+
+        return self._law("p", z, compute)
+
+    def q(self, z: int) -> dict[int, Fraction]:
+        def compute():
+            terms = self.q_terms(_restricted(self.inst, z))
+            return {
+                leaf.leaf_id: Fraction(num, dnm)
+                for (leaf, _), (num, dnm) in zip(self.leaves, terms)
+            }
+
+        return self._law("q", z, compute)
+
+    def snips(self, theta: Fraction) -> dict[int, tuple[int, ...]]:
+        """Per leaf, per copy, whether the copy is snipped at ``theta`` (see
+        ``snip_labels``)."""
+        if theta not in self._snips:
+            c = self.inst.inner_complexity
+            m0, m1, _ = self.inst.g_masses
+
+            def flagged(hist) -> int:
+                for cube in hist[:c]:  # the subcubes of fewer than c answers
+                    mass, gap = m0[cube] + m1[cube], abs(m0[cube] - m1[cube])
+                    if mass and gap * theta.denominator >= theta.numerator * mass:
+                        return 1
+                return 0
+
+            self._snips[theta] = {
+                leaf.leaf_id: tuple(flagged(hist) for hist in state) for leaf, state in self.leaves
+            }
+        return self._snips[theta]
+
 
 def _run(walker: TreeWalker, z: int, seed: int) -> SimulationTrace:
     end = next(walker.ends(random.Random(seed), 1))[0]
@@ -192,7 +242,7 @@ class AprimeSimulator:
     a ``TreeWalker``, so repeated runs only draw random words and walk the
     tree's arrays.  A node whose subcube has no mass under its sampling law
     compiles to ``None``, and a walk that reaches it raises.  Only the
-    thresholds and dead nodes depend on ``z`` (see ``_Shape``).
+    thresholds and dead nodes depend on ``z`` (see ``_Compiled``).
     """
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree, z: int):
@@ -200,7 +250,7 @@ class AprimeSimulator:
         self.tree = tree
         self.z = z
         self.c = inst.inner_complexity
-        self._walker = _Shape(inst, tree).walker(z)
+        self._walker = _Compiled(inst, tree).walker(z)
 
     def run(self, seed: int) -> SimulationTrace:
         return _run(self._walker, self.z, seed)
@@ -217,39 +267,7 @@ def run_Aprime(inst: ComposedInstance, tree: DecisionTree, z: int, seed: int) ->
 
 
 # ---------------------------------------------------------------------------
-# exact leaf distributions
-
-
-def _q_terms(inst: ComposedInstance, restricted: list, paths: list) -> list[tuple[int, int]]:
-    """Per leaf, the simulation's probability of its leaf as an unreduced
-    ``(numerator, denominator)`` pair."""
-    c = inst.inner_complexity
-    m0, m1, den = inst.g_masses
-    out = []
-    for _, state in paths:
-        num, dnm = 1, den ** inst.n
-        for i, hist in enumerate(state):
-            prefix = hist[:c][-1]  # after its first c - 1 answers, or all if fewer
-            num *= m0[prefix] + m1[prefix]
-            if num and len(hist) > c:
-                table = restricted[i]
-                if table[prefix] == 0:
-                    raise ZeroConditioningMass(
-                        f"restricted distribution has no mass on a copy-{i} prefix"
-                    )
-                num *= table[hist[-1]]
-                dnm *= table[prefix]
-            if num == 0:
-                break
-        out.append((num, dnm))
-    return out
-
-
-def _p_terms(restricted: list, paths: list) -> tuple[list[int], int]:
-    """Per leaf, the numerator of the outer tree's probability of its leaf,
-    and the denominator they share."""
-    den = prod(table[0] for table in restricted)
-    return [prod(t[h[-1]] for t, h in zip(restricted, state)) for _, state in paths], den
+# exact leaf distributions and snip labeling
 
 
 def exact_q(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
@@ -260,67 +278,13 @@ def exact_q(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fra
     the conditional mass of the remaining outcomes under the restricted
     distribution (an empty remainder contributes 1).
     """
-    return _Laws(inst, tree).q(z)
+    return _Compiled(inst, tree).q(z)
 
 
 def exact_p(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
     """Exact leaf-reach probabilities of the outer tree on an input drawn
     from the per-z product distribution."""
-    return _Laws(inst, tree).p(z)
-
-
-class _Laws:
-    """The exact laws and snip flags of one tree on one instance, all from
-    the tree's leaf states (``_paths``), walked once, and the simulation's
-    z-independent compiled tree (``_Shape``), built once.  The flags are kept
-    per theta; p and q are kept for the last z asked for, since every
-    caller goes z by z."""
-
-    def __init__(self, inst: ComposedInstance, tree: DecisionTree):
-        self.inst, self.tree = inst, tree
-        self._snips: dict = {}
-        self._z, self._at_z = None, {}
-
-    @cached_property
-    def paths(self) -> list:
-        return _paths(self.inst, self.tree)
-
-    @cached_property
-    def shape(self) -> _Shape:
-        return _Shape(self.inst, self.tree)
-
-    def _law(self, kind: str, z: int, compute):
-        if z != self._z:
-            self._z, self._at_z = z, {}
-        if kind not in self._at_z:
-            self._at_z[kind] = compute()
-        return self._at_z[kind]
-
-    def p(self, z: int) -> dict[int, Fraction]:
-        def compute():
-            nums, den = _p_terms(_restricted(self.inst, z), self.paths)
-            return {leaf.leaf_id: Fraction(num, den) for (leaf, _), num in zip(self.paths, nums)}
-
-        return self._law("p", z, compute)
-
-    def q(self, z: int) -> dict[int, Fraction]:
-        def compute():
-            terms = _q_terms(self.inst, _restricted(self.inst, z), self.paths)
-            return {
-                leaf.leaf_id: Fraction(num, dnm)
-                for (leaf, _), (num, dnm) in zip(self.paths, terms)
-            }
-
-        return self._law("q", z, compute)
-
-    def snips(self, theta: Fraction) -> dict[int, tuple[int, ...]]:
-        if theta not in self._snips:
-            self._snips[theta] = _snip_flags(self.inst, self.paths, theta)
-        return self._snips[theta]
-
-
-# ---------------------------------------------------------------------------
-# snip labeling
+    return _Compiled(inst, tree).p(z)
 
 
 def snip_labels(
@@ -330,23 +294,7 @@ def snip_labels(
     that copy at codimension below the inner complexity with bias at least
     ``theta``.  Path subcubes with zero inner-distribution mass are skipped:
     no probability ever flows through them."""
-    return _Laws(inst, tree).snips(inst.theta if theta is None else Fraction(theta))
-
-
-def _snip_flags(
-    inst: ComposedInstance, paths: list, theta: Fraction
-) -> dict[int, tuple[int, ...]]:
-    c = inst.inner_complexity
-    m0, m1, _ = inst.g_masses
-
-    def flagged(hist) -> int:
-        for cube in hist[:c]:  # the subcubes of fewer than c answers
-            mass = m0[cube] + m1[cube]
-            if mass and abs(m0[cube] - m1[cube]) * theta.denominator >= theta.numerator * mass:
-                return 1
-        return 0
-
-    return {leaf.leaf_id: tuple(flagged(hist) for hist in state) for leaf, state in paths}
+    return _Compiled(inst, tree).snips(inst.theta if theta is None else Fraction(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +323,10 @@ def verify_simileaf(
     probability is within the parametric per-copy distortion factors
     ``max(0, 1 - 4*theta)^n`` and ``(1 + 4*theta)^n`` of the outer tree's
     reach probability."""
-    return _simileaf(_Laws(inst, tree), z, theta)
+    return _simileaf(_Compiled(inst, tree), z, theta)
 
 
-def _simileaf(laws: _Laws, z: int, theta: Optional[Fraction]) -> SimileafReport:
+def _simileaf(laws: _Compiled, z: int, theta: Optional[Fraction]) -> SimileafReport:
     inst = laws.inst
     theta = inst.theta if theta is None else Fraction(theta)
     if theta > Fraction(1, 2):
@@ -432,10 +380,10 @@ def verify_lilsnip(inst: ComposedInstance, tree: DecisionTree, z: int) -> Lilsni
     in aggregate at most ``n * 4 * sqrt(delta0)`` with
     ``delta0 = 1/2 - epsilon``.  Requires the instance threshold to equal
     ``2 * sqrt(delta0)`` (checked through squares)."""
-    return _lilsnip(_Laws(inst, tree), z)
+    return _lilsnip(_Compiled(inst, tree), z)
 
 
-def _lilsnip(laws: _Laws, z: int) -> LilsnipReport:
+def _lilsnip(laws: _Compiled, z: int) -> LilsnipReport:
     inst = laws.inst
     eps = inst.epsilon
     if eps < Fraction(1, 4):
@@ -462,9 +410,9 @@ def _lilsnip(laws: _Laws, z: int) -> LilsnipReport:
 
 def _instance_checks(inst: ComposedInstance, tree: DecisionTree):
     """``(z, verify_simileaf, verify_lilsnip)`` at the instance's theta for
-    every z of positive outer mass, on one set of laws: the leaf states and
-    snip flags are computed once and exact_p once per z."""
-    laws = _Laws(inst, tree)
+    every z of positive outer mass, on one compiled tree: its snip flags
+    are computed once and exact_p once per z."""
+    laws = _Compiled(inst, tree)
     for z in range(1 << inst.n):
         if inst.lam.prob(z) != 0:
             yield z, _simileaf(laws, z, None), _lilsnip(laws, z)
@@ -503,24 +451,24 @@ def _sum_terms(terms) -> Fraction:
 def success_chain(inst: ComposedInstance, tree: DecisionTree) -> ChainReport:
     """Exact end-to-end accounting of the simulation's success probability
     against the outer tree's, plus the inner-query budget."""
-    return _chain(_Laws(inst, tree))
+    return _chain(_Compiled(inst, tree))
 
 
-def _chain(laws: _Laws) -> ChainReport:
-    inst, paths = laws.inst, laws.paths
+def _chain(laws: _Compiled) -> ChainReport:
+    inst, leaves = laws.inst, laws.leaves
     c = inst.inner_complexity
     success_outer = success_sim = snipped = expected_zq = ZERO
     snips = laws.snips(inst.theta)
-    z_queries = [sum(len(h) > c for h in state) for _, state in paths]
-    snipped_leaves = [any(snips[leaf.leaf_id]) for leaf, _ in paths]
+    z_queries = [sum(len(h) > c for h in state) for _, state in leaves]
+    snipped_leaves = [any(snips[leaf.leaf_id]) for leaf, _ in leaves]
     for z in range(1 << inst.n):
         w = inst.lam.prob(z)
         if w == 0:
             continue
         restricted = _restricted(inst, z)
-        p_nums, p_den = _p_terms(restricted, paths)
-        q_terms = _q_terms(inst, restricted, paths)
-        acc = [leaf.label in inst.f.accepted[z] for leaf, _ in paths]
+        p_nums, p_den = laws.p_terms(restricted)
+        q_terms = laws.q_terms(restricted)
+        acc = [leaf.label in inst.f.accepted[z] for leaf, _ in leaves]
         # per z, numerators over a shared denominator add as integers first
         success_outer += w * Fraction(sum(n for n, a in zip(p_nums, acc) if a), p_den)
         snipped += w * Fraction(sum(n for n, s in zip(p_nums, snipped_leaves) if s), p_den)

@@ -307,19 +307,22 @@ class TestSimulate:
         assert chain["success_sim"] == "1/1"
 
     def test_compiles_the_tree_once(self, files, monkeypatch):
-        shapes = []
-        init = simulate._Shape.__init__
+        compiled = []
+        init = simulate._Compiled.__init__
 
         def spy(self, inst, tree):
-            shapes.append(tree)
+            compiled.append(tree)
             init(self, inst, tree)
 
-        monkeypatch.setattr(simulate._Shape, "__init__", spy)
-        assert main(["simulate", "--g", files["g_xor2"], "--f", files["f_id1"],
-                     "--mu", files["mu_u2"], "--tree", files["tree"],
-                     "--eps", "1/4", "--theta", "1/2", "--out", files["out"]]) == 0
+        monkeypatch.setattr(simulate._Compiled, "__init__", spy)
+        instance = ["--g", files["g_xor2"], "--f", files["f_id1"], "--mu", files["mu_u2"],
+                    "--tree", files["tree"], "--theta", "1/2"]
+        assert main(["simulate", *instance, "--eps", "1/4", "--out", files["out"]]) == 0
         assert [r["record"] for r in read_records(files["out"])].count("simulate-z") == 2
-        assert len(shapes) == 1
+        assert len(compiled) == 1
+        assert main(["verify", "--m", "1", *instance, "--eps", "7/16", "--out", files["out"]]) == 0
+        assert [r["record"] for r in read_records(files["out"])].count("verify-instance") == 2
+        assert len(compiled) == 2
 
     def test_byte_identical_reruns(self, files, tmp_path):
         args = ["simulate", "--g", files["g_xor2"], "--f", files["f_id1"],
@@ -330,6 +333,26 @@ class TestSimulate:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+VERDICTS = Path(__file__).parent / "data" / "verdicts"
+
+
+@pytest.mark.parametrize("command, golden", [
+    (["simulate", "--seed", "3"], "simulate.jsonl"),
+    (["verify", "--m", "1"], "verify.jsonl"),
+])
+def test_verdict_bytes_are_pinned(capsys, command, golden):
+    """The verdict stream of one small fixture, byte for byte.  Its tree has
+    leaves at depths 2 and 3.  Leaves 3-5 lie below x1 = 1 (``q 2`` in the
+    file, which counts variables from 1), a subcube of bias 3/5 >= theta, so
+    they are snipped; x1 = x2 = 1 has no mass, so the branch there is dead
+    and leaves 4 and 5 have p = q = 0."""
+    inputs = [("--g", "g.tt"), ("--f", "f.rel"), ("--mu", "mu.dist"), ("--tree", "tree.sexp")]
+    argv = [*command, *(x for flag, name in inputs for x in (flag, str(VERDICTS / name))),
+            "--eps", "7/16", "--theta", "1/2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (VERDICTS / golden).read_text()
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ import pytest
 import qclab
 
 from qclab.core import (
+    ArityMismatch,
     Dist,
     HypothesisViolated,
     QclabError,
@@ -30,8 +31,8 @@ from qclab.dtree import DecisionTree, InternalNode, Leaf, make_tree
 from qclab.simulate import (
     AprimeSimulator,
     ChainReport,
+    _Compiled,
     _instance_checks,
-    _Laws,
     _threshold,
     exact_p,
     exact_q,
@@ -203,6 +204,60 @@ class TestRunAprime:
         assert _threshold(3, 3) == 1 << 128
 
 
+def public_entries(inst, tree, z):
+    """Every public simulator entry, called on one instance, tree and z."""
+    return {
+        "exact_p": lambda: exact_p(inst, tree, z),
+        "exact_q": lambda: exact_q(inst, tree, z),
+        "snip_labels": lambda: snip_labels(inst, tree),
+        "success_chain": lambda: success_chain(inst, tree),
+        "verify_simileaf": lambda: verify_simileaf(inst, tree, z),
+        "verify_lilsnip": lambda: verify_lilsnip(inst, tree, z),
+        "AprimeSimulator": lambda: AprimeSimulator(inst, tree, z),
+        "run_Aprime": lambda: run_Aprime(inst, tree, z, 0),
+    }
+
+
+class TestInvalidInput:
+    # xor2 of xor2 at eps = 7/16, theta = 1/2 meets every verifier's
+    # hypotheses, so each raise below comes from the tree or z
+    inst = xor_instance(epsilon=F(7, 16), theta=F(1, 2))
+
+    def test_valid_tree_passes_every_entry(self):
+        for call in public_entries(self.inst, full_parity_tree(4), 3).values():
+            call()
+
+    @pytest.mark.parametrize("root, violation", [
+        # variable 0 queried twice on a path: its laws summed to 3/2
+        (InternalNode(0, InternalNode(0, Leaf(0, 0), Leaf(1, 1)), Leaf(1, 2)), "ReadOnce:0"),
+        # two leaves sharing id 0: their laws merged and summed to 1/2
+        (InternalNode(0, Leaf(0, 0), Leaf(1, 0)), "DuplicateLeafId:0"),
+    ])
+    def test_invalid_trees_raise(self, root, violation):
+        tree = DecisionTree(4, root)
+        for call in public_entries(self.inst, tree, 1).values():
+            with pytest.raises(QclabError, match=f"invalid decision tree: {violation}"):
+                call()
+
+    def test_wrong_arity_raises_one_arity_mismatch(self):
+        tree = make_tree(3, (0, 0, 1))
+        messages = set()
+        for call in public_entries(self.inst, tree, 1).values():
+            with pytest.raises(ArityMismatch) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"tree arity does not match the instance"}
+
+    @pytest.mark.parametrize("z", [4, -1])
+    def test_out_of_range_z_raises(self, z):
+        # z = 4 read as z = 0, and z = -1 as all ones
+        entries = public_entries(self.inst, full_parity_tree(4), z)
+        for name in ("exact_p", "exact_q", "verify_simileaf", "verify_lilsnip",
+                     "AprimeSimulator", "run_Aprime"):
+            with pytest.raises(QclabError, match=f"input {z} out of range"):
+                entries[name]()
+
+
 def stride_tree(rng, arity, stride, depth):
     """A random tree whose leaves all lie at positive multiples of
     ``stride``, at most ``depth`` (itself a multiple of ``stride``, at most
@@ -289,20 +344,20 @@ class TestBulkWalk:
         rng = random.Random(137)
         for inst in random_instances(rng, 6) + [and_uniform_instance(n=2)]:
             tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
-            shape = _Laws(inst, tree).shape
+            compiled = _Compiled(inst, tree)
             zs = list(range(1 << inst.n))
             for z in zs + zs[::-1]:
                 try:
                     sim = AprimeSimulator(inst, tree, z)
                 except ZeroConditioningMass:
                     with pytest.raises(ZeroConditioningMass):
-                        shape.walker(z)
+                        compiled.walker(z)
                     continue
                 for seed in range(4):
-                    trace = outcome(shape.run, z, seed)
+                    trace = outcome(compiled.run, z, seed)
                     assert trace == outcome(sim.run, seed)
                     assert isinstance(trace, str) or (trace.z, trace.rng_seed) == (z, seed)
-                stream = outcome(shape.walker(z).counts, random.Random(z), 200)
+                stream = outcome(compiled.walker(z).counts, random.Random(z), 200)
                 assert stream == outcome(sim._walker.counts, random.Random(z), 200)
 
     def test_memory_stays_bounded_without_numpy_random(self):
