@@ -55,14 +55,8 @@ from .simulate import (
     ChainReport,
     LilsnipReport,
     SimileafReport,
+    Simulation,
     SimulationTrace,
-    exact_p,
-    exact_q,
-    run_Aprime,
-    snip_labels,
-    success_chain,
-    verify_lilsnip,
-    verify_simileaf,
 )
 from .sweeps import (
     SweepReport,

@@ -29,7 +29,7 @@ from .io import (
     record_to_json,
     write_instance,
 )
-from .simulate import _chain, _Compiled, _instance_checks
+from .simulate import Simulation
 from .sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
 
@@ -179,13 +179,13 @@ def cmd_simulate(args, emit: _Emitter) -> None:
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     budget = tree.depth() // inst.inner_complexity
-    compiled = _Compiled(inst, tree)  # once for every z below
-    snips = compiled.snips(inst.theta)
+    simulation = Simulation(inst, tree)  # once for every z below
+    snips = simulation.snips()
     for z in range(1 << inst.n):
         if inst.lam.prob(z) == 0:
             continue
-        p, q = compiled.p(z), compiled.q(z)
-        trace = compiled.run(z, args.seed + z)
+        p, q = simulation.p(z), simulation.q(z)
+        trace = simulation.run(z, args.seed + z)
         emit.emit({
             "record": "simulate-z",
             "z": z,
@@ -199,7 +199,7 @@ def cmd_simulate(args, emit: _Emitter) -> None:
             },
             "passed": len(trace.z_queries) <= budget,
         })
-    chain = _chain(compiled)
+    chain = simulation.chain()
     emit.emit({
         "record": "success-chain",
         "success_outer": chain.success_outer,
@@ -236,7 +236,11 @@ def cmd_verify(args, emit: _Emitter) -> None:
             "passed": report.passed,
         })
     if args.tree is not None:
-        for z, sim, lil in _instance_checks(inst, tree):
+        simulation = Simulation(inst, tree)  # once for every z below
+        for z in range(1 << inst.n):
+            if inst.lam.prob(z) == 0:
+                continue
+            sim, lil = simulation.simileaf(z), simulation.lilsnip(z)
             emit.emit({
                 "record": "verify-instance",
                 "z": z,

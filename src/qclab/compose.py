@@ -96,7 +96,7 @@ def default_epsilon(n: int) -> Fraction:
 
 
 def default_theta(n: int) -> Fraction:
-    # the paper's 2/n^2, capped at 1/2, the largest theta verify_simileaf accepts
+    # the paper's 2/n^2, capped at 1/2, the largest theta Simulation.simileaf accepts
     return min(Fraction(2, n**2), Fraction(1, 2))
 
 

@@ -14,10 +14,14 @@ Every law is a ratio of entries of the instance's lattice tables
 ``g_masses``, the masses of g=0 and of g=1 on each inner subcube: a
 subcube's mass is the sum of its two entries, its mass restricted to g=b is
 entry b over entry b of the full cube, and its bias is their difference
-over their sum.  Each outer tree is compiled once, in one walk that
-carries, per copy, the ``lattice.index_of`` index of the copy's subcube
-after each of its answers; the exact laws, the snip flags, the success
-chain and the random walks are all read off that one compiled tree.
+over their sum.  ``Simulation(inst, tree)`` compiles an outer tree once,
+in one walk that carries, per copy, the ``lattice.index_of`` index of the
+copy's subcube after each of its answers.  Its methods read everything off
+that one compiled tree: the exact laws ``p(z)`` of the outer tree and
+``q(z)`` of the simulation, the snip flags ``snips(theta)``, the verifiers
+``simileaf(z)`` and ``lilsnip(z)``, the success accounting ``chain()``, and
+the random walks ``walker(z)`` and ``run(z, seed)``.  ``AprimeSimulator``
+keeps the walker of one z.
 
 Branch decisions compare a 128-bit uniform integer drawn from a seeded
 Mersenne Twister against the exact branch probability scaled by 2^128, so
@@ -78,7 +82,66 @@ class SimulationTrace:
     rng_seed: int
 
 
-class _Compiled:
+@dataclass(frozen=True)
+class SimileafReport:
+    theta: Fraction
+    lower_factor: Fraction
+    upper_factor: Fraction
+    checked_leaves: int
+    snipped_leaves: int
+    violations: tuple
+    fixed_constants_hold: bool  # informational: the fixed 8/9 and 10/9 bounds
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+@dataclass(frozen=True)
+class LilsnipReport:
+    delta0: Fraction
+    per_copy_mass: tuple[Fraction, ...]
+    total_snipped_mass: Fraction
+    per_copy_holds: tuple[bool, ...]
+    aggregate_holds: bool
+    coarse_aggregate_bound: Fraction  # informational: 4/n
+
+    @property
+    def passed(self) -> bool:
+        return all(self.per_copy_holds) and self.aggregate_holds
+
+
+@dataclass(frozen=True)
+class ChainReport:
+    """End-to-end success accounting.  ``passed`` also compares
+    ``worst_z_queries`` with ``budget = depth // c``, which holds by
+    construction: a path of length at most ``depth`` has at most
+    ``depth // c`` copies with ``c`` or more queries."""
+
+    success_outer: Fraction        # outer tree on the mixture distribution
+    success_sim: Fraction          # simulation, averaged over the outer input
+    lower_bound: Fraction          # parametric bound from the claim chain
+    bound_holds: bool
+    worst_z_queries: int
+    expected_z_queries: Fraction
+    budget: int
+
+    @property
+    def passed(self) -> bool:
+        return self.bound_holds and self.worst_z_queries <= self.budget
+
+
+def _sum_terms(terms) -> Fraction:
+    """The exact sum of ``(numerator, denominator)`` terms: numerators over
+    one denominator are added as integers, then each group once as a
+    Fraction."""
+    by_den: dict[int, int] = {}
+    for num, den in terms:
+        by_den[den] = by_den.get(den, 0) + num
+    return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
+
+
+class Simulation:
     """The simulation of ``tree`` on ``inst``, compiled once, in one
     preorder walk.  The walk carries each copy's history: the lattice index
     of the copy's subcube after each of its answers so far, starting from
@@ -92,47 +155,49 @@ class _Compiled:
     lists each leaf with its per-copy histories, from which the exact laws
     and the snip flags are read; interior histories are prefixes of these.
     ``walker(z)`` adds the thresholds and dead nodes of one z.  The flags
-    are kept per theta; p and q are kept for the last z asked for, since
-    every caller goes z by z.  A tree of the wrong arity, or one that
-    ``DecisionTree.validate`` rejects, is rejected here, before any law."""
+    are kept per theta and the integer terms of p and q per z (see
+    ``_terms``), for the object's life.  A tree of the wrong arity, or one
+    that ``DecisionTree.validate`` rejects, is rejected here, before any
+    law."""
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree):
         if tree.arity != inst.total_arity:
             raise ArityMismatch("tree arity does not match the instance")
         tree.require_valid()
         self.inst, self.tree = inst, tree
-        c = inst.inner_complexity
         m0, m1, _ = inst.g_masses
         self.mass = [a + b for a, b in zip(m0, m1)]
         self.payload: list = []
         self.branches: list = []
         self.leaves: list = []
         self._snips: dict = {}
-        self._z, self._at_z = None, {}
+        self._records: dict = {}
+        self._compile(tree.root, ((0,),) * inst.n, ())
 
-        def compile_node(node, state, z_queries) -> None:
-            k = len(self.payload)
-            self.payload.append(None)
-            if isinstance(node, Leaf):
-                codims = tuple([len(hist) - 1 for hist in state])
-                self.payload[k] = SimulationTrace(
-                    0, node.leaf_id, node.label, z_queries, codims, sum(codims), 0
-                )
-                self.leaves.append((node, state))
-                return
-            i, j = inst.block.copy_of(node.query_var)
-            hist = state[i]
-            cube, nth = hist[-1], len(hist)  # nth: this answer's number in copy i
-            if nth == c:
-                z_queries += (i,)
-            step = 3**j
-            entry = [k, i if nth >= c else -1, cube, cube + 2 * step]
-            self.branches.append(entry)
-            for child, below in ((node.child0, cube + step), (node.child1, cube + 2 * step)):
-                compile_node(child, state[:i] + (hist + (below,),) + state[i + 1:], z_queries)
-                entry.append(len(self.payload))
-
-        compile_node(tree.root, ((0,),) * inst.n, ())
+    def _compile(self, node, state, z_queries) -> None:
+        # a method, not a closure: a self-referencing closure would keep
+        # the compiled tree alive until the cyclic collector runs
+        k = len(self.payload)
+        self.payload.append(None)
+        if isinstance(node, Leaf):
+            codims = tuple([len(hist) - 1 for hist in state])
+            self.payload[k] = SimulationTrace(
+                0, node.leaf_id, node.label, z_queries, codims, sum(codims), 0
+            )
+            self.leaves.append((node, state))
+            return
+        c = self.inst.inner_complexity
+        i, j = self.inst.block.copy_of(node.query_var)
+        hist = state[i]
+        cube, nth = hist[-1], len(hist)  # nth: this answer's number in copy i
+        if nth == c:
+            z_queries += (i,)
+        step = 3**j
+        entry = [k, i if nth >= c else -1, cube, cube + 2 * step]
+        self.branches.append(entry)
+        for child, below in ((node.child0, cube + step), (node.child1, cube + 2 * step)):
+            self._compile(child, state[:i] + (hist + (below,),) + state[i + 1:], z_queries)
+            entry.append(len(self.payload))
 
     def walker(self, z: int) -> TreeWalker:
         """The walker of the simulation on ``z``: a branch whose subcube has
@@ -186,33 +251,45 @@ class _Compiled:
         nums = [prod(t[h[-1]] for t, h in zip(restricted, state)) for _, state in self.leaves]
         return nums, den
 
-    def _law(self, kind: str, z: int, compute):
-        if z != self._z:
-            self._z, self._at_z = z, {}
-        if kind not in self._at_z:
-            self._at_z[kind] = compute()
-        return self._at_z[kind]
+    def _terms(self, z: int, q: bool = False) -> list:
+        """The record of ``z``: ``[p numerators, their denominator, q
+        terms]``, each computed once.  The q terms are computed when first
+        asked for (``q=True``), since only they can find a prefix without
+        restricted mass, and p does without them."""
+        record = self._records.get(z)
+        if record is None:
+            record = self._records[z] = [*self.p_terms(_restricted(self.inst, z)), None]
+        if q and record[2] is None:
+            record[2] = self.q_terms(_restricted(self.inst, z))
+        return record
 
     def p(self, z: int) -> dict[int, Fraction]:
-        def compute():
-            nums, den = self.p_terms(_restricted(self.inst, z))
-            return {leaf.leaf_id: Fraction(num, den) for (leaf, _), num in zip(self.leaves, nums)}
-
-        return self._law("p", z, compute)
+        """Exact leaf-reach probabilities of the outer tree on an input drawn
+        from the per-z product distribution."""
+        nums, den, _ = self._terms(z)
+        return {leaf.leaf_id: Fraction(num, den) for (leaf, _), num in zip(self.leaves, nums)}
 
     def q(self, z: int) -> dict[int, Fraction]:
-        def compute():
-            terms = self.q_terms(_restricted(self.inst, z))
-            return {
-                leaf.leaf_id: Fraction(num, dnm)
-                for (leaf, _), (num, dnm) in zip(self.leaves, terms)
-            }
+        """Exact probability of the simulation on ``z`` terminating at each
+        leaf.
 
-        return self._law("q", z, compute)
+        Per copy the probability factors as: mass of the first
+        ``min(d, c - 1)`` outcomes under the unrestricted distribution,
+        times the conditional mass of the remaining outcomes under the
+        restricted distribution (an empty remainder contributes 1).
+        """
+        terms = self._terms(z, q=True)[2]
+        return {
+            leaf.leaf_id: Fraction(num, dnm) for (leaf, _), (num, dnm) in zip(self.leaves, terms)
+        }
 
-    def snips(self, theta: Fraction) -> dict[int, tuple[int, ...]]:
-        """Per leaf, per copy, whether the copy is snipped at ``theta`` (see
-        ``snip_labels``)."""
+    def snips(self, theta: Optional[Fraction] = None) -> dict[int, tuple[int, ...]]:
+        """Per-leaf, per-copy flags: a copy is flagged when some path node
+        shows that copy at codimension below the inner complexity with bias
+        at least ``theta`` (the instance's by default).  Path subcubes with
+        zero inner-distribution mass are skipped: no probability ever flows
+        through them."""
+        theta = self.inst.theta if theta is None else Fraction(theta)
         if theta not in self._snips:
             c = self.inst.inner_complexity
             m0, m1, _ = self.inst.g_masses
@@ -229,6 +306,103 @@ class _Compiled:
             }
         return self._snips[theta]
 
+    def simileaf(self, z: int, theta: Optional[Fraction] = None) -> SimileafReport:
+        """On every snip-free leaf, check that the simulation's termination
+        probability is within the parametric per-copy distortion factors
+        ``max(0, 1 - 4*theta)^n`` and ``(1 + 4*theta)^n`` of the outer
+        tree's reach probability."""
+        inst = self.inst
+        theta = inst.theta if theta is None else Fraction(theta)
+        if theta > Fraction(1, 2):
+            raise HypothesisViolated("theta must be at most 1/2")
+        m0, m1, den = inst.g_masses
+        if Fraction(abs(m0[0] - m1[0]), den) > theta:
+            raise HypothesisViolated("full-cube bias exceeds theta")
+        n = inst.n
+        lower = max(ZERO, 1 - 4 * theta) ** n
+        upper = (1 + 4 * theta) ** n
+        p, q, snips = self.p(z), self.q(z), self.snips(theta)
+        violations = []
+        checked = 0
+        fixed_ok = True
+        for lid, pv in p.items():
+            if any(snips[lid]):
+                continue
+            checked += 1
+            qv = q[lid]
+            if not lower * pv <= qv <= upper * pv:
+                violations.append((lid, pv, qv))
+            if not Fraction(8, 9) * pv <= qv <= Fraction(10, 9) * pv:
+                fixed_ok = False
+        return SimileafReport(
+            theta=theta,
+            lower_factor=lower,
+            upper_factor=upper,
+            checked_leaves=checked,
+            snipped_leaves=sum(1 for f in snips.values() if any(f)),
+            violations=tuple(violations),
+            fixed_constants_hold=fixed_ok,
+        )
+
+    def lilsnip(self, z: int) -> LilsnipReport:
+        """Check the snipped-mass bounds: per copy at most
+        ``4*sqrt(delta0)``, in aggregate at most ``n * 4 * sqrt(delta0)``
+        with ``delta0 = 1/2 - epsilon``.  Requires the instance threshold to
+        equal ``2 * sqrt(delta0)`` (checked through squares)."""
+        inst = self.inst
+        eps = inst.epsilon
+        if eps < Fraction(1, 4):
+            raise HypothesisViolated("epsilon must be at least 1/4")
+        delta0 = Fraction(1, 2) - eps
+        if inst.theta * inst.theta != 4 * delta0:
+            raise HypothesisViolated("instance theta is not 2*sqrt(1/2 - epsilon)")
+        nums, den, _ = self._terms(z)
+        flags = self.snips().values()  # in the order of self.leaves, as nums
+        per_copy = tuple(
+            Fraction(sum(num for num, f in zip(nums, flags) if f[i]), den) for i in range(inst.n)
+        )
+        total = Fraction(sum(num for num, f in zip(nums, flags) if any(f)), den)
+        return LilsnipReport(
+            delta0=delta0,
+            per_copy_mass=per_copy,
+            total_snipped_mass=total,
+            per_copy_holds=tuple(s * s <= 16 * delta0 for s in per_copy),
+            aggregate_holds=total * total <= 16 * inst.n**2 * delta0,
+            coarse_aggregate_bound=Fraction(4, inst.n),
+        )
+
+    def chain(self) -> ChainReport:
+        """Exact end-to-end accounting of the simulation's success
+        probability against the outer tree's, plus the inner-query
+        budget."""
+        inst, leaves = self.inst, self.leaves
+        c = inst.inner_complexity
+        success_outer = success_sim = snipped = expected_zq = ZERO
+        snips = self.snips()
+        z_queries = [sum(len(h) > c for h in state) for _, state in leaves]
+        snipped_leaves = [any(snips[leaf.leaf_id]) for leaf, _ in leaves]
+        for z in range(1 << inst.n):
+            w = inst.lam.prob(z)
+            if w == 0:
+                continue
+            p_nums, p_den, q_terms = self._terms(z, q=True)
+            acc = [leaf.label in inst.f.accepted[z] for leaf, _ in leaves]
+            # per z, numerators over a shared denominator add as integers first
+            success_outer += w * Fraction(sum(n for n, a in zip(p_nums, acc) if a), p_den)
+            snipped += w * Fraction(sum(n for n, s in zip(p_nums, snipped_leaves) if s), p_den)
+            success_sim += w * _sum_terms(t for t, a in zip(q_terms, acc) if a)
+            expected_zq += w * _sum_terms((n * k, d) for (n, d), k in zip(q_terms, z_queries))
+        bound = max(ZERO, 1 - 4 * inst.theta) ** inst.n * (success_outer - snipped)
+        return ChainReport(
+            success_outer=success_outer,
+            success_sim=success_sim,
+            lower_bound=bound,
+            bound_holds=success_sim >= bound,
+            worst_z_queries=max(z_queries),
+            expected_z_queries=expected_zq,
+            budget=self.tree.depth() // c,
+        )
+
 
 def _run(walker: TreeWalker, z: int, seed: int) -> SimulationTrace:
     end = next(walker.ends(random.Random(seed), 1))[0]
@@ -242,15 +416,14 @@ class AprimeSimulator:
     a ``TreeWalker``, so repeated runs only draw random words and walk the
     tree's arrays.  A node whose subcube has no mass under its sampling law
     compiles to ``None``, and a walk that reaches it raises.  Only the
-    thresholds and dead nodes depend on ``z`` (see ``_Compiled``).
+    thresholds and dead nodes depend on ``z`` (see ``Simulation``).
     """
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree, z: int):
         self.inst = inst
         self.tree = tree
         self.z = z
-        self.c = inst.inner_complexity
-        self._walker = _Compiled(inst, tree).walker(z)
+        self._walker = Simulation(inst, tree).walker(z)
 
     def run(self, seed: int) -> SimulationTrace:
         return _run(self._walker, self.z, seed)
@@ -260,227 +433,3 @@ class AprimeSimulator:
         random stream."""
         counts = self._walker.counts(random.Random(seed), samples)
         return {self._walker.payload[k].leaf_id: n for k, n in enumerate(counts) if n}
-
-
-def run_Aprime(inst: ComposedInstance, tree: DecisionTree, z: int, seed: int) -> SimulationTrace:
-    return AprimeSimulator(inst, tree, z).run(seed)
-
-
-# ---------------------------------------------------------------------------
-# exact leaf distributions and snip labeling
-
-
-def exact_q(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
-    """Exact probability of the simulation on ``z`` terminating at each leaf.
-
-    Per copy the probability factors as: mass of the first
-    ``min(d, c - 1)`` outcomes under the unrestricted distribution, times
-    the conditional mass of the remaining outcomes under the restricted
-    distribution (an empty remainder contributes 1).
-    """
-    return _Compiled(inst, tree).q(z)
-
-
-def exact_p(inst: ComposedInstance, tree: DecisionTree, z: int) -> dict[int, Fraction]:
-    """Exact leaf-reach probabilities of the outer tree on an input drawn
-    from the per-z product distribution."""
-    return _Compiled(inst, tree).p(z)
-
-
-def snip_labels(
-    inst: ComposedInstance, tree: DecisionTree, theta: Optional[Fraction] = None
-) -> dict[int, tuple[int, ...]]:
-    """Per-leaf, per-copy flags: a copy is flagged when some path node shows
-    that copy at codimension below the inner complexity with bias at least
-    ``theta``.  Path subcubes with zero inner-distribution mass are skipped:
-    no probability ever flows through them."""
-    return _Compiled(inst, tree).snips(inst.theta if theta is None else Fraction(theta))
-
-
-# ---------------------------------------------------------------------------
-# claim verifiers
-
-
-@dataclass(frozen=True)
-class SimileafReport:
-    theta: Fraction
-    lower_factor: Fraction
-    upper_factor: Fraction
-    checked_leaves: int
-    snipped_leaves: int
-    violations: tuple
-    fixed_constants_hold: bool  # informational: the fixed 8/9 and 10/9 bounds
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def verify_simileaf(
-    inst: ComposedInstance, tree: DecisionTree, z: int, theta: Optional[Fraction] = None
-) -> SimileafReport:
-    """On every snip-free leaf, check that the simulation's termination
-    probability is within the parametric per-copy distortion factors
-    ``max(0, 1 - 4*theta)^n`` and ``(1 + 4*theta)^n`` of the outer tree's
-    reach probability."""
-    return _simileaf(_Compiled(inst, tree), z, theta)
-
-
-def _simileaf(laws: _Compiled, z: int, theta: Optional[Fraction]) -> SimileafReport:
-    inst = laws.inst
-    theta = inst.theta if theta is None else Fraction(theta)
-    if theta > Fraction(1, 2):
-        raise HypothesisViolated("theta must be at most 1/2")
-    m0, m1, den = inst.g_masses
-    if Fraction(abs(m0[0] - m1[0]), den) > theta:
-        raise HypothesisViolated("full-cube bias exceeds theta")
-    n = inst.n
-    lower = max(ZERO, 1 - 4 * theta) ** n
-    upper = (1 + 4 * theta) ** n
-    p, q, snips = laws.p(z), laws.q(z), laws.snips(theta)
-    violations = []
-    checked = 0
-    fixed_ok = True
-    for lid, pv in p.items():
-        if any(snips[lid]):
-            continue
-        checked += 1
-        qv = q[lid]
-        if not lower * pv <= qv <= upper * pv:
-            violations.append((lid, pv, qv))
-        if not Fraction(8, 9) * pv <= qv <= Fraction(10, 9) * pv:
-            fixed_ok = False
-    return SimileafReport(
-        theta=theta,
-        lower_factor=lower,
-        upper_factor=upper,
-        checked_leaves=checked,
-        snipped_leaves=sum(1 for f in snips.values() if any(f)),
-        violations=tuple(violations),
-        fixed_constants_hold=fixed_ok,
-    )
-
-
-@dataclass(frozen=True)
-class LilsnipReport:
-    delta0: Fraction
-    per_copy_mass: tuple[Fraction, ...]
-    total_snipped_mass: Fraction
-    per_copy_holds: tuple[bool, ...]
-    aggregate_holds: bool
-    coarse_aggregate_bound: Fraction  # informational: 4/n
-
-    @property
-    def passed(self) -> bool:
-        return all(self.per_copy_holds) and self.aggregate_holds
-
-
-def verify_lilsnip(inst: ComposedInstance, tree: DecisionTree, z: int) -> LilsnipReport:
-    """Check the snipped-mass bounds: per copy at most ``4*sqrt(delta0)``,
-    in aggregate at most ``n * 4 * sqrt(delta0)`` with
-    ``delta0 = 1/2 - epsilon``.  Requires the instance threshold to equal
-    ``2 * sqrt(delta0)`` (checked through squares)."""
-    return _lilsnip(_Compiled(inst, tree), z)
-
-
-def _lilsnip(laws: _Compiled, z: int) -> LilsnipReport:
-    inst = laws.inst
-    eps = inst.epsilon
-    if eps < Fraction(1, 4):
-        raise HypothesisViolated("epsilon must be at least 1/4")
-    delta0 = Fraction(1, 2) - eps
-    if inst.theta * inst.theta != 4 * delta0:
-        raise HypothesisViolated("instance theta is not 2*sqrt(1/2 - epsilon)")
-    p, snips = laws.p(z), laws.snips(inst.theta)
-    per_copy = []
-    for i in range(inst.n):
-        per_copy.append(sum((p[lid] for lid, f in snips.items() if f[i]), ZERO))
-    total = sum((p[lid] for lid, f in snips.items() if any(f)), ZERO)
-    per_copy_holds = tuple(s * s <= 16 * delta0 for s in per_copy)
-    aggregate_holds = total * total <= 16 * inst.n**2 * delta0
-    return LilsnipReport(
-        delta0=delta0,
-        per_copy_mass=tuple(per_copy),
-        total_snipped_mass=total,
-        per_copy_holds=per_copy_holds,
-        aggregate_holds=aggregate_holds,
-        coarse_aggregate_bound=Fraction(4, inst.n),
-    )
-
-
-def _instance_checks(inst: ComposedInstance, tree: DecisionTree):
-    """``(z, verify_simileaf, verify_lilsnip)`` at the instance's theta for
-    every z of positive outer mass, on one compiled tree: its snip flags
-    are computed once and exact_p once per z."""
-    laws = _Compiled(inst, tree)
-    for z in range(1 << inst.n):
-        if inst.lam.prob(z) != 0:
-            yield z, _simileaf(laws, z, None), _lilsnip(laws, z)
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """End-to-end success accounting.  ``passed`` also compares
-    ``worst_z_queries`` with ``budget = depth // c``, which holds by
-    construction: a path of length at most ``depth`` has at most
-    ``depth // c`` copies with ``c`` or more queries."""
-
-    success_outer: Fraction        # outer tree on the mixture distribution
-    success_sim: Fraction          # simulation, averaged over the outer input
-    lower_bound: Fraction          # parametric bound from the claim chain
-    bound_holds: bool
-    worst_z_queries: int
-    expected_z_queries: Fraction
-    budget: int
-
-    @property
-    def passed(self) -> bool:
-        return self.bound_holds and self.worst_z_queries <= self.budget
-
-
-def _sum_terms(terms) -> Fraction:
-    """The exact sum of ``(numerator, denominator)`` terms: numerators over
-    one denominator are added as integers, then each group once as a
-    Fraction."""
-    by_den: dict[int, int] = {}
-    for num, den in terms:
-        by_den[den] = by_den.get(den, 0) + num
-    return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
-
-
-def success_chain(inst: ComposedInstance, tree: DecisionTree) -> ChainReport:
-    """Exact end-to-end accounting of the simulation's success probability
-    against the outer tree's, plus the inner-query budget."""
-    return _chain(_Compiled(inst, tree))
-
-
-def _chain(laws: _Compiled) -> ChainReport:
-    inst, leaves = laws.inst, laws.leaves
-    c = inst.inner_complexity
-    success_outer = success_sim = snipped = expected_zq = ZERO
-    snips = laws.snips(inst.theta)
-    z_queries = [sum(len(h) > c for h in state) for _, state in leaves]
-    snipped_leaves = [any(snips[leaf.leaf_id]) for leaf, _ in leaves]
-    for z in range(1 << inst.n):
-        w = inst.lam.prob(z)
-        if w == 0:
-            continue
-        restricted = _restricted(inst, z)
-        p_nums, p_den = laws.p_terms(restricted)
-        q_terms = laws.q_terms(restricted)
-        acc = [leaf.label in inst.f.accepted[z] for leaf, _ in leaves]
-        # per z, numerators over a shared denominator add as integers first
-        success_outer += w * Fraction(sum(n for n, a in zip(p_nums, acc) if a), p_den)
-        snipped += w * Fraction(sum(n for n, s in zip(p_nums, snipped_leaves) if s), p_den)
-        success_sim += w * _sum_terms(t for t, a in zip(q_terms, acc) if a)
-        expected_zq += w * _sum_terms((n * k, d) for (n, d), k in zip(q_terms, z_queries))
-    bound = max(ZERO, 1 - 4 * inst.theta) ** inst.n * (success_outer - snipped)
-    return ChainReport(
-        success_outer=success_outer,
-        success_sim=success_sim,
-        lower_bound=bound,
-        bound_holds=success_sim >= bound,
-        worst_z_queries=max(z_queries),
-        expected_z_queries=expected_zq,
-        budget=laws.tree.depth() // c,
-    )

@@ -21,14 +21,7 @@ from qclab.core import (
 from qclab.complexity import best_success, dist_complexity, rand_complexity
 from qclab.compose import build_instance, xor_stack
 from qclab.dtree import BlockStructure, make_tree
-from qclab.simulate import (
-    AprimeSimulator,
-    exact_q,
-    run_Aprime,
-    success_chain,
-    verify_lilsnip,
-    verify_simileaf,
-)
+from qclab.simulate import AprimeSimulator, Simulation
 from qclab.sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
 from _oracles import (
@@ -166,8 +159,9 @@ def test_criterion_5_minimax_consistency():
 def test_criterion_6_simulator_exactness(simulation_fixtures):
     mismatches = 0
     for inst, tree in simulation_fixtures:
+        sim = Simulation(inst, tree)
         for z in range(1 << inst.n):
-            law = exact_q(inst, tree, z)
+            law = sim.q(z)
             oracle = brute_simulation_law(inst, tree, z)
             if any(v != oracle.get(lid, F(0)) for lid, v in law.items()):
                 mismatches += 1
@@ -175,7 +169,7 @@ def test_criterion_6_simulator_exactness(simulation_fixtures):
     samples = 100_000
     for idx, (inst, tree) in enumerate(simulation_fixtures[:10]):
         z = 0
-        law = exact_q(inst, tree, z)
+        law = Simulation(inst, tree).q(z)
         sim = AprimeSimulator(inst, tree, z)
         for attempt in range(2):  # one retry allowed
             counts = sim.run_stream(samples, seed=SEED + idx + 1000 * attempt)
@@ -203,13 +197,14 @@ def test_criterion_7_query_budget(simulation_fixtures):
     traces = 0
     for inst, tree in simulation_fixtures:
         budget = tree.depth() // inst.inner_complexity
+        simulation = Simulation(inst, tree)
         for z in range(1 << inst.n):
             for _ in range(4):
-                trace = run_Aprime(inst, tree, z, rng.randrange(1 << 30))
+                trace = simulation.run(z, rng.randrange(1 << 30))
                 traces += 1
                 if len(trace.z_queries) > budget:
                     violations += 1
-        chain = success_chain(inst, tree)
+        chain = simulation.chain()
         if chain.worst_z_queries > chain.budget:
             violations += 1
     report(
@@ -265,16 +260,17 @@ def test_criterion_8_simileaf_lilsnip_chain():
         ]
         trees += [random_tree(rng, arity, arity, 2) for _ in range(3)]
         for tree in trees:
+            simulation = Simulation(inst, tree)
             for z in range(1 << inst.n):
-                sim = verify_simileaf(inst, tree, z)
-                lil = verify_lilsnip(inst, tree, z)
+                sim = simulation.simileaf(z)
+                lil = simulation.lilsnip(z)
                 checked += sim.checked_leaves
                 snipped_leaves += sim.snipped_leaves
                 if not sim.passed:
                     violations.append(("simileaf", z, sim.violations))
                 if not lil.passed:
                     violations.append(("lilsnip", z))
-            chain = success_chain(inst, tree)
+            chain = simulation.chain()
             if chain.success_sim < chain.lower_bound:
                 violations.append(("chain", chain))
     report(

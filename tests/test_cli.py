@@ -308,13 +308,13 @@ class TestSimulate:
 
     def test_compiles_the_tree_once(self, files, monkeypatch):
         compiled = []
-        init = simulate._Compiled.__init__
+        init = simulate.Simulation.__init__
 
         def spy(self, inst, tree):
             compiled.append(tree)
             init(self, inst, tree)
 
-        monkeypatch.setattr(simulate._Compiled, "__init__", spy)
+        monkeypatch.setattr(simulate.Simulation, "__init__", spy)
         instance = ["--g", files["g_xor2"], "--f", files["f_id1"], "--mu", files["mu_u2"],
                     "--tree", files["tree"], "--theta", "1/2"]
         assert main(["simulate", *instance, "--eps", "1/4", "--out", files["out"]]) == 0
@@ -336,6 +336,11 @@ class TestSimulate:
 
 
 VERDICTS = Path(__file__).parent / "data" / "verdicts"
+VERDICT_INPUTS = [
+    "--g", str(VERDICTS / "g.tt"), "--f", str(VERDICTS / "f.rel"),
+    "--mu", str(VERDICTS / "mu.dist"), "--tree", str(VERDICTS / "tree.sexp"),
+    "--eps", "7/16", "--theta", "1/2",
+]
 
 
 @pytest.mark.parametrize("command, golden", [
@@ -348,11 +353,24 @@ def test_verdict_bytes_are_pinned(capsys, command, golden):
     file, which counts variables from 1), a subcube of bias 3/5 >= theta, so
     they are snipped; x1 = x2 = 1 has no mass, so the branch there is dead
     and leaves 4 and 5 have p = q = 0."""
-    inputs = [("--g", "g.tt"), ("--f", "f.rel"), ("--mu", "mu.dist"), ("--tree", "tree.sexp")]
-    argv = [*command, *(x for flag, name in inputs for x in (flag, str(VERDICTS / name))),
-            "--eps", "7/16", "--theta", "1/2"]
-    assert main(argv) == 0
+    assert main([*command, *VERDICT_INPUTS]) == 0
     assert capsys.readouterr().out == (VERDICTS / golden).read_text()
+
+
+def test_simulate_computes_each_z_laws_once(capsys, monkeypatch):
+    """The p and q terms of each z are computed once per command: the
+    simulate-z records and the success chain read the same record."""
+    computed = []
+    for name in ("p_terms", "q_terms"):
+        def spy(self, restricted, name=name, terms=getattr(simulate.Simulation, name)):
+            computed.append(name)
+            return terms(self, restricted)
+
+        monkeypatch.setattr(simulate.Simulation, name, spy)
+    assert main(["simulate", *VERDICT_INPUTS]) == 0
+    zs = capsys.readouterr().out.count('"record": "simulate-z"')
+    assert zs == 2
+    assert sorted(computed) == ["p_terms"] * zs + ["q_terms"] * zs
 
 
 class TestVerify:

@@ -22,7 +22,7 @@ from qclab.compose import (
     xor_stack,
 )
 from qclab.dtree import BlockStructure, make_tree
-from qclab.simulate import exact_p
+from qclab.simulate import Simulation
 
 from _oracles import (
     brute_gamma_z,
@@ -116,7 +116,7 @@ class TestGammaZ:
     def test_degenerate_mu_errors(self):
         inst = instance(and_fn(2), Dist.uniform(2), Dist.uniform(1))
         with pytest.raises(ZeroConditioningMass):
-            exact_p(replace(inst, mu=Dist.point_mass(2, 3)), make_tree(2, 0), 0)
+            Simulation(replace(inst, mu=Dist.point_mass(2, 3)), make_tree(2, 0)).p(0)
 
 
 class TestGamma:
@@ -139,11 +139,11 @@ class TestGamma:
             inst = instance(g, mu, lam)
             flat = gamma(inst)
             assert sum(flat.probs) == 1
-            # the exact_p laws mixed by lambda are the leaf law of gamma
-            tree = random_tree(rng, 4, 4, 2)
-            mixed = {lid: sum(lam.probs[z] * exact_p(inst, tree, z)[lid] for z in range(4))
-                     for lid in exact_p(inst, tree, 0)}
-            assert mixed == brute_reach_probs(tree, flat)
+            # the p laws mixed by lambda are the leaf law of gamma
+            sim = Simulation(inst, random_tree(rng, 4, 4, 2))
+            mixed = {lid: sum(lam.probs[z] * sim.p(z)[lid] for z in range(4))
+                     for lid in sim.p(0)}
+            assert mixed == brute_reach_probs(sim.tree, flat)
 
     def test_conditioning_recovers_gamma_z(self):
         rng = random.Random(37)

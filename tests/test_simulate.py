@@ -1,8 +1,11 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
+from functools import partial
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -28,20 +31,7 @@ from qclab.core import (
 from qclab import lattice
 from qclab.compose import build_instance
 from qclab.dtree import DecisionTree, InternalNode, Leaf, make_tree
-from qclab.simulate import (
-    AprimeSimulator,
-    ChainReport,
-    _Compiled,
-    _instance_checks,
-    _threshold,
-    exact_p,
-    exact_q,
-    run_Aprime,
-    snip_labels,
-    success_chain,
-    verify_lilsnip,
-    verify_simileaf,
-)
+from qclab.simulate import AprimeSimulator, ChainReport, Simulation, _threshold
 from qclab.walk import CHUNK, TreeWalker
 
 from _oracles import (
@@ -134,9 +124,10 @@ class TestRunAprime:
         inst = xor_instance()
         # one query per copy stays below c = 2 everywhere
         tree = make_tree(4, (0, (2, 0, 1), (2, 1, 0)))
+        sim = Simulation(inst, tree)
         for z in range(4):
             for seed in range(20):
-                trace = run_Aprime(inst, tree, z, seed)
+                trace = sim.run(z, seed)
                 assert trace.z_queries == ()
 
     def test_threshold_bookkeeping(self):
@@ -144,7 +135,7 @@ class TestRunAprime:
         # both copy-0 bits queried on every path: z read at the 2nd query
         tree = full_parity_tree(2)
         for z in (0, 1):
-            trace = run_Aprime(inst, tree, z, seed=5)
+            trace = Simulation(inst, tree).run(z, seed=5)
             assert trace.z_queries == (0,)
             assert trace.per_copy_codims == (2,)
             assert trace.path_length == 2
@@ -152,7 +143,7 @@ class TestRunAprime:
     def test_determinism(self):
         inst = xor_instance()
         tree = full_parity_tree(4)
-        assert run_Aprime(inst, tree, 2, 99) == run_Aprime(inst, tree, 2, 99)
+        assert Simulation(inst, tree).run(2, 99) == AprimeSimulator(inst, tree, 2).run(99)
 
     def test_budget_invariant(self):
         rng = random.Random(61)
@@ -160,9 +151,10 @@ class TestRunAprime:
         for _ in range(10):
             tree = random_tree(rng, 4, 4, 2)
             budget = tree.depth() // inst.inner_complexity
+            sim = Simulation(inst, tree)
             for z in range(4):
                 for seed in range(5):
-                    trace = run_Aprime(inst, tree, z, seed)
+                    trace = sim.run(z, seed)
                     assert len(trace.z_queries) <= budget
                     assert len(set(trace.z_queries)) == len(trace.z_queries)
                     assert sum(trace.per_copy_codims) == trace.path_length
@@ -207,14 +199,15 @@ class TestRunAprime:
 def public_entries(inst, tree, z):
     """Every public simulator entry, called on one instance, tree and z."""
     return {
-        "exact_p": lambda: exact_p(inst, tree, z),
-        "exact_q": lambda: exact_q(inst, tree, z),
-        "snip_labels": lambda: snip_labels(inst, tree),
-        "success_chain": lambda: success_chain(inst, tree),
-        "verify_simileaf": lambda: verify_simileaf(inst, tree, z),
-        "verify_lilsnip": lambda: verify_lilsnip(inst, tree, z),
+        "p": lambda: Simulation(inst, tree).p(z),
+        "q": lambda: Simulation(inst, tree).q(z),
+        "snips": lambda: Simulation(inst, tree).snips(),
+        "chain": lambda: Simulation(inst, tree).chain(),
+        "simileaf": lambda: Simulation(inst, tree).simileaf(z),
+        "lilsnip": lambda: Simulation(inst, tree).lilsnip(z),
+        "walker": lambda: Simulation(inst, tree).walker(z),
+        "run": lambda: Simulation(inst, tree).run(z, 0),
         "AprimeSimulator": lambda: AprimeSimulator(inst, tree, z),
-        "run_Aprime": lambda: run_Aprime(inst, tree, z, 0),
     }
 
 
@@ -252,8 +245,7 @@ class TestInvalidInput:
     def test_out_of_range_z_raises(self, z):
         # z = 4 read as z = 0, and z = -1 as all ones
         entries = public_entries(self.inst, full_parity_tree(4), z)
-        for name in ("exact_p", "exact_q", "verify_simileaf", "verify_lilsnip",
-                     "AprimeSimulator", "run_Aprime"):
+        for name in ("p", "q", "simileaf", "lilsnip", "walker", "run", "AprimeSimulator"):
             with pytest.raises(QclabError, match=f"input {z} out of range"):
                 entries[name]()
 
@@ -344,7 +336,7 @@ class TestBulkWalk:
         rng = random.Random(137)
         for inst in random_instances(rng, 6) + [and_uniform_instance(n=2)]:
             tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
-            compiled = _Compiled(inst, tree)
+            compiled = Simulation(inst, tree)
             zs = list(range(1 << inst.n))
             for z in zs + zs[::-1]:
                 try:
@@ -359,6 +351,19 @@ class TestBulkWalk:
                     assert isinstance(trace, str) or (trace.z, trace.rng_seed) == (z, seed)
                 stream = outcome(compiled.walker(z).counts, random.Random(z), 200)
                 assert stream == outcome(sim._walker.counts, random.Random(z), 200)
+
+    def test_dropped_simulation_dies_without_the_cyclic_collector(self):
+        # the compiled tree is freed on its last reference, not when the
+        # collector next runs
+        gc.disable()
+        try:
+            sim = Simulation(snippy_instance(), full_parity_tree(3))
+            sim.chain(), sim.simileaf(1), sim.run(0, 5)
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_memory_stays_bounded_without_numpy_random(self):
         code = """if True:
@@ -390,12 +395,12 @@ class TestBulkWalk:
 class TestExactQ:
     def test_single_leaf(self):
         inst = xor_instance()
-        assert exact_q(inst, make_tree(4, 1), 0) == {0: F(1)}
+        assert Simulation(inst, make_tree(4, 1)).q(0) == {0: F(1)}
 
     def test_below_threshold_is_z_independent(self):
         inst = xor_instance()
         tree = make_tree(4, (0, 0, 1))  # one copy-0 query, under c = 2
-        laws = [exact_q(inst, tree, z) for z in range(4)]
+        laws = [Simulation(inst, tree).q(z) for z in range(4)]
         assert all(law == laws[0] for law in laws)
         assert laws[0] == {0: F(1, 2), 1: F(1, 2)}
 
@@ -405,7 +410,7 @@ class TestExactQ:
         for _ in range(10):
             tree = random_tree(rng, 2, 2, 2)
             for z in (0, 1):
-                assert sum(exact_q(inst, tree, z).values()) == 1
+                assert sum(Simulation(inst, tree).q(z).values()) == 1
 
     def test_matches_stepwise_enumeration(self):
         rng = random.Random(71)
@@ -413,8 +418,9 @@ class TestExactQ:
             arity = inst.total_arity
             for _ in range(15):
                 tree = random_tree(rng, arity, arity, 2)
+                sim = Simulation(inst, tree)
                 for z in range(1 << inst.n):
-                    law = exact_q(inst, tree, z)
+                    law = sim.q(z)
                     oracle = brute_simulation_law(inst, tree, z)
                     for lid, value in law.items():
                         assert value == oracle.get(lid, F(0))
@@ -422,26 +428,29 @@ class TestExactQ:
     def test_prefix_without_restricted_mass_raises(self):
         inst = and_uniform_instance(n=2)
         tree = make_tree(4, (2, (3, 0, 1), (3, 1, 0)))  # both copy-1 bits
+        sim = Simulation(inst, tree)
         for z in (0, 1):  # g = 0 has mass on x2 = 0 and on x2 = 1
-            assert sum(exact_q(inst, tree, z).values()) == 1
+            assert sum(sim.q(z).values()) == 1
         for z in (2, 3):  # g = 1 has none on x2 = 0
+            assert sum(sim.p(z).values()) == 1
             with pytest.raises(ZeroConditioningMass, match="no mass on a copy-1 prefix"):
-                exact_q(inst, tree, z)
+                sim.q(z)
 
     def test_zero_restriction_raises_where_used(self):
         inst = replace(and_uniform_instance(), mu=Dist.from_weights([1, 1, 1, 0]))
         tree = full_parity_tree(2)
-        assert sum(exact_q(inst, tree, 0).values()) == 1
-        for law in (exact_q, exact_p, AprimeSimulator):
+        sim = Simulation(inst, tree)
+        assert sum(sim.q(0).values()) == 1
+        for law in (sim.q, sim.p, sim.walker, partial(AprimeSimulator, inst, tree)):
             with pytest.raises(ZeroConditioningMass, match=r"Pr\[g=1\] = 0"):
-                law(inst, tree, 1)
-        assert set(snip_labels(inst, tree)) == {0, 1, 2, 3}
+                law(1)
+        assert set(sim.snips()) == {0, 1, 2, 3}
 
     def test_monte_carlo_agreement(self):
         inst = tilted_and_instance()
         tree = full_parity_tree(2)
         z = 1
-        law = exact_q(inst, tree, z)
+        law = Simulation(inst, tree).q(z)
         samples = 20000
         counts = AprimeSimulator(inst, tree, z).run_stream(samples, seed=2024)
         for lid, prob in law.items():
@@ -456,9 +465,10 @@ class TestExactP:
         for inst in random_instances(rng, 9):
             for _ in range(3):
                 tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
+                sim = Simulation(inst, tree)
                 for z in range(1 << inst.n):
                     flat = brute_reach_probs(tree, brute_gamma_z(inst, z))
-                    assert exact_p(inst, tree, z) == flat
+                    assert sim.p(z) == flat
 
 
 class TestSnipLabels:
@@ -478,7 +488,7 @@ class TestSnipLabels:
         zero_mass_seen = 0
         for inst, tree in cases:
             for theta in (inst.theta, F(0), F(1, 3)):
-                assert snip_labels(inst, tree, theta) == brute_snip_labels(inst, tree, theta)
+                assert Simulation(inst, tree).snips(theta) == brute_snip_labels(inst, tree, theta)
             zero_mass_seen += any(
                 len(assigns) < inst.inner_complexity
                 and subcube_prob(inst.mu, Subcube.from_mapping(inst.m, dict(assigns))) == 0
@@ -492,19 +502,19 @@ class TestSnipLabels:
     def test_zero_threshold_flags_everything_touched_early(self):
         inst = tilted_and_instance()
         tree = make_tree(2, (0, 0, 1))
-        flags = snip_labels(inst, tree, theta=F(0))
+        flags = Simulation(inst, tree).snips(theta=F(0))
         assert all(f == (1,) for f in flags.values())
 
     def test_above_one_threshold_flags_nothing(self):
         inst = tilted_and_instance()
         tree = full_parity_tree(2)
-        flags = snip_labels(inst, tree, theta=F(3, 2))
+        flags = Simulation(inst, tree).snips(theta=F(3, 2))
         assert all(f == (1 - 1,) for f in flags.values())
 
     def test_untouched_copy_unflagged(self):
         inst = xor_instance()
         tree = make_tree(4, (0, 0, 1))  # copy 1 never queried, bias 0 at root
-        flags = snip_labels(inst, tree, theta=F(1, 8))
+        flags = Simulation(inst, tree).snips(theta=F(1, 8))
         assert all(f[1] == 0 for f in flags.values())
 
     def test_biased_cube_flagged(self):
@@ -517,7 +527,7 @@ class TestSnipLabels:
         )
         assert inst.inner_complexity == 2
         tree = full_parity_tree(2)
-        flags = snip_labels(inst, tree)
+        flags = Simulation(inst, tree).snips()
         flagged = {lid for lid, f in flags.items() if f[0]}
         unflagged = set(flags) - flagged
         assert flagged and unflagged
@@ -527,11 +537,9 @@ class TestVerifySimileaf:
     def test_zero_bias_instance_is_exact(self):
         inst = xor_instance(theta=F(0))
         tree = full_parity_tree(4)
-        report = verify_simileaf(inst, tree, z=1, theta=F(0))
-        assert report.passed
-        p = exact_p(inst, tree, 1)
-        q = exact_q(inst, tree, 1)
-        assert p == q
+        sim = Simulation(inst, tree)
+        assert sim.simileaf(z=1, theta=F(0)).passed
+        assert sim.p(1) == sim.q(1)
 
     def test_parametric_bounds_hold(self):
         rng = random.Random(73)
@@ -539,7 +547,7 @@ class TestVerifySimileaf:
         for _ in range(10):
             tree = random_tree(rng, 2, 2, 2)
             for z in (0, 1):
-                assert verify_simileaf(inst, tree, z).passed
+                assert Simulation(inst, tree).simileaf(z).passed
 
     def test_hypothesis_guard(self):
         mu = Dist.from_weights([1, 1, 1, 5])
@@ -548,7 +556,7 @@ class TestVerifySimileaf:
             epsilon=F(1, 4), theta=F(1, 8),
         )
         with pytest.raises(HypothesisViolated):
-            verify_simileaf(inst, full_parity_tree(2), 0)
+            Simulation(inst, full_parity_tree(2)).simileaf(0)
 
 
 def snippy_instance():
@@ -568,7 +576,7 @@ class TestVerifyLilsnip:
         # eps = 7/16 gives delta0 = 1/16, so theta = 1/2 matches 2*sqrt(delta0)
         inst = xor_instance(epsilon=F(7, 16), theta=F(1, 2))
         tree = full_parity_tree(4)
-        report = verify_lilsnip(inst, tree, z=0)
+        report = Simulation(inst, tree).lilsnip(z=0)
         assert report.total_snipped_mass == 0
         assert report.passed
 
@@ -586,16 +594,26 @@ class TestVerifyLilsnip:
 
             tree = make_tree(3, build(order))
             for z in (0, 1):
-                report = verify_lilsnip(inst, tree, z)
+                report = Simulation(inst, tree).lilsnip(z)
                 assert report.passed
                 if report.total_snipped_mass > 0:
                     snipped_seen = True
         assert snipped_seen
 
     def test_shared_laws_match_the_public_verifiers(self):
-        # the per-z loop of `qclab verify`, which computes snip flags once
-        # and exact_p once per z
-        rng = random.Random(23)
+        # one Simulation asked in any order, and asked again, answers as a
+        # fresh Simulation per call: the records it keeps change no answer
+        asks = [lambda sim, z: sim.p(z), lambda sim, z: sim.q(z),
+                lambda sim, z: sim.simileaf(z), lambda sim, z: sim.lilsnip(z),
+                lambda sim, z: sim.chain()]
+
+        def answer(ask, sim, z):
+            try:
+                return repr(ask(sim, z))
+            except QclabError as exc:
+                return repr(exc)
+
+        rng, order = random.Random(23), random.Random(29)
         instances = [snippy_instance(), xor_instance(epsilon=F(7, 16), theta=F(1, 2)),
                      xor_instance(n=1, epsilon=F(7, 16), theta=F(1, 2))]
         tight = False  # q leaves the fixed 8/9..10/9 band of p somewhere
@@ -603,29 +621,33 @@ class TestVerifyLilsnip:
             for tree in [full_parity_tree(inst.total_arity)] + [
                 random_tree(rng, inst.total_arity, inst.total_arity, 2) for _ in range(3)
             ]:
-                expected = [
-                    (z, verify_simileaf(inst, tree, z), verify_lilsnip(inst, tree, z))
-                    for z in range(1 << inst.n)
-                ]
-                assert list(_instance_checks(inst, tree)) == expected
-                tight |= any(not sim.fixed_constants_hold for _, sim, _ in expected)
+                shared = Simulation(inst, tree)
+                zs = list(range(1 << inst.n))
+                for z in zs[::-1] + zs + zs:
+                    order.shuffle(asks)
+                    for ask in asks:
+                        assert answer(ask, shared, z) == answer(ask, Simulation(inst, tree), z)
+                    tight |= not shared.simileaf(z).fixed_constants_hold
         assert tight
         for inst, message in ((xor_instance(theta=F(3, 4)), "theta must be at most 1/2"),
                               (xor_instance(epsilon=F(7, 16), theta=F(1, 4)), "2*sqrt")):
+            simulation = Simulation(inst, full_parity_tree(4))
             with pytest.raises(HypothesisViolated, match=message):
-                list(_instance_checks(inst, full_parity_tree(4)))
+                for z in range(1 << inst.n):  # as `qclab verify --tree` asks
+                    simulation.simileaf(z)
+                    simulation.lilsnip(z)
 
     def test_theta_mismatch_guard(self):
         inst = xor_instance(epsilon=F(7, 16), theta=F(1, 4))
         with pytest.raises(HypothesisViolated):
-            verify_lilsnip(inst, full_parity_tree(4), 0)
+            Simulation(inst, full_parity_tree(4)).lilsnip(0)
 
 
 def chain_by_leaves(inst, tree) -> ChainReport:
-    """success_chain from the public per-leaf laws, one Fraction term per
-    leaf and z."""
+    """``Simulation.chain`` from the public per-leaf laws, one Fraction
+    term per leaf and z."""
     c = inst.inner_complexity
-    snips = snip_labels(inst, tree, inst.theta)
+    snips = Simulation(inst, tree).snips(inst.theta)
     z_queries = {
         leaf.leaf_id: sum(len(a) >= c for a in split_assignments(inst.block, path))
         for leaf, path in tree.leaf_paths()
@@ -635,7 +657,7 @@ def chain_by_leaves(inst, tree) -> ChainReport:
         w = inst.lam.prob(z)
         if w == 0:
             continue
-        p, q = exact_p(inst, tree, z), exact_q(inst, tree, z)
+        p, q = Simulation(inst, tree).p(z), Simulation(inst, tree).q(z)
         for leaf, _ in tree.leaf_paths():
             lid = leaf.leaf_id
             if leaf.label in inst.f.accepted[z]:
@@ -662,7 +684,7 @@ class TestSuccessChain:
         for inst in random_instances(rng, 30):
             for depth in (inst.total_arity, 2):
                 tree = random_tree(rng, inst.total_arity, depth, 2)
-                got = outcome(success_chain, inst, tree)
+                got = outcome(lambda inst, tree: Simulation(inst, tree).chain(), inst, tree)
                 assert got == outcome(chain_by_leaves, inst, tree)
                 reports += isinstance(got, ChainReport)
         assert reports >= 40
@@ -670,7 +692,7 @@ class TestSuccessChain:
     def test_constant_algorithm(self):
         inst = xor_instance()
         tree = make_tree(4, 0)  # always answers 0
-        report = success_chain(inst, tree)
+        report = Simulation(inst, tree).chain()
         expected = sum(
             (inst.lam.prob(z) for z in range(4) if 0 in inst.f.accepted[z]), F(0)
         )
@@ -682,7 +704,7 @@ class TestSuccessChain:
     def test_full_tree_chain(self):
         inst = xor_instance()
         tree = full_parity_tree(4)
-        report = success_chain(inst, tree)
+        report = Simulation(inst, tree).chain()
         assert report.success_sim >= report.lower_bound
         assert report.worst_z_queries <= report.budget
         assert report.passed
@@ -690,5 +712,5 @@ class TestSuccessChain:
     def test_snip_free_bound_matches_factor(self):
         inst = xor_instance(theta=F(1, 16))
         tree = full_parity_tree(4)
-        report = success_chain(inst, tree)
+        report = Simulation(inst, tree).chain()
         assert report.lower_bound == (1 - 4 * F(1, 16)) ** 2 * report.success_outer
