@@ -39,7 +39,6 @@ from .complexity import (
     best_success,
     dist_complexity,
     dist_solution,
-    hard_distribution,
     rand_complexity,
 )
 from .compose import (

@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .compose import build_instance, default_epsilon, xor_stack
-from .complexity import _certify, _hard_complexity, dist_solution, rand_complexity
+from .complexity import dist_solution, rand_complexity
 from .core import Dist, QclabError, Relation, TruthTable
 from .io import (
     format_fraction,
@@ -118,13 +118,7 @@ def cmd_dce(args, emit: _Emitter) -> None:
 def cmd_rqc(args, emit: _Emitter) -> None:
     _require(args, ("g", "f"), "eps")
     h = _load_problem(args)
-    eps = parse_fraction(args.eps)
-    result = rand_complexity(
-        h, eps,
-        tol=parse_fraction(args.tol),
-        max_iter=args.max_iter,
-    )
-    certified = _hard_complexity(h, result, eps)
+    result = rand_complexity(h, parse_fraction(args.eps))
     emit.emit({
         "record": "rqc",
         "depth": result.depth,
@@ -134,8 +128,8 @@ def cmd_rqc(args, emit: _Emitter) -> None:
         "hard_dist": [format_fraction(p) for p in result.hard_dist.probs],
         "iterations": result.iterations,
         "limit_hit": result.limit_hit,
-        "certified_depth": certified,
-        "passed": certified >= result.depth,
+        "certified_depth": result.certified_depth,
+        "passed": result.certified_depth >= result.depth,
     })
 
 
@@ -154,11 +148,13 @@ def cmd_build_instance(args, emit: _Emitter) -> None:
         inst = build_instance(f, g, parse_dist(Path(args.mu).read_text()), lam,
                               epsilon=eps, theta=theta)
     else:
-        # hard_distribution, with the instance's inner complexity as the
-        # certificate: both are the one DP of g under the hard distribution
-        game = rand_complexity(g, eps, tol=parse_fraction(args.tol), max_iter=args.max_iter)
+        game = rand_complexity(g, eps)
         inst = build_instance(f, g, game.hard_dist, lam, epsilon=eps, theta=theta)
-        _certify(inst.inner_complexity, game.depth)
+        if game.certified_depth < game.depth:  # after build_instance's input errors
+            raise QclabError(
+                f"certificate failed: distributional complexity {game.certified_depth} "
+                f"below game depth {game.depth}"
+            )
     out_dir = Path(args.out) if args.out is not None else Path("instance")
     manifest = write_instance(inst, out_dir)
     emit.emit({
@@ -264,10 +260,7 @@ def cmd_xor_stack(args, emit: _Emitter) -> None:
         "passed": True,
     }
     if args.eps is not None:
-        result = rand_complexity(
-            stacked, parse_fraction(args.eps),
-            tol=parse_fraction(args.tol), max_iter=args.max_iter,
-        )
+        result = rand_complexity(stacked, parse_fraction(args.eps))
         record["depth"] = result.depth
         record["limit_hit"] = result.limit_hit
     emit.emit(record)
@@ -286,8 +279,6 @@ _FLAGS = {
     "t": ("--t", dict(type=int, default=2, help="stack height")),
     "eps": ("--eps", dict(help="error bound as p/q")),
     "theta": ("--theta", dict(help="bias threshold as p/q")),
-    "tol": ("--tol", dict(default="1/100", help="game value tolerance as p/q")),
-    "max_iter": ("--max-iter", dict(type=int, default=5000)),
     "seed": ("--seed", dict(type=int, default=0)),
     "out": ("--out", dict(help="output path (report file or directory)")),
 }
@@ -296,12 +287,11 @@ _FLAGS = {
 _INSTANCE = ("instance", "g", "f", "mu", "lam", "eps", "theta")
 _COMMANDS = {
     "dce": (cmd_dce, ("g", "f", "mu", "eps", "out")),
-    "rqc": (cmd_rqc, ("g", "f", "eps", "tol", "max_iter", "out")),
-    "build-instance": (cmd_build_instance,
-                       ("g", "f", "mu", "lam", "eps", "theta", "tol", "max_iter", "out")),
+    "rqc": (cmd_rqc, ("g", "f", "eps", "out")),
+    "build-instance": (cmd_build_instance, ("g", "f", "mu", "lam", "eps", "theta", "out")),
     "simulate": (cmd_simulate, _INSTANCE + ("tree", "seed", "out")),
     "verify": (cmd_verify, _INSTANCE + ("tree", "m", "out")),
-    "xor-stack": (cmd_xor_stack, ("g", "t", "eps", "tol", "max_iter", "out")),
+    "xor-stack": (cmd_xor_stack, ("g", "t", "eps", "out")),
 }
 
 

@@ -9,18 +9,21 @@ it, so every comparison is exact integer arithmetic.  The game solver is
 approximate but bracketed, and every accept/reject decision it makes is
 backed by an exact quantity (a best-response value below the target
 rejects a depth; the rejecting distribution is an exact certificate for the
-next depth).  Its multiplicative weights are Python ints on one fixed grid,
-the largest always ``ONE_WEIGHT``, and each round's distribution, the
-weights over their sum, goes to the DP as int64 point weights; a
-:class:`Dist` is built only for a certificate.  A round builds no tree:
-the best response is scored by walking the DP's choices with the inputs
-that reach each node, by the same tie-break rule as the witness tree,
-which is built once per depth from the last round's DP.
+next depth).  :func:`rand_complexity` returns that certificate with its
+result: the hard distribution and its exact distributional complexity,
+read off the DP the game already solved for it.  The multiplicative
+weights are Python ints on one fixed grid, the largest always
+``ONE_WEIGHT``, and each round's distribution, the weights over their sum,
+goes to the DP as int64 point weights; a :class:`Dist` is built only at the
+end of a depth.  A round builds no tree: the best response is scored by
+walking the DP's choices with the inputs that reach each node, by the same
+tie-break rule as the witness tree, which is built once per depth from the
+last round's DP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import count
@@ -47,6 +50,8 @@ ETA = Fraction(1, 8)  # multiplicative-weights step of the game solver
 # the game's weights are integers on this grid, the largest always equal to
 # it: their sum is at most 2^DP_CAP * ONE_WEIGHT = 2^52, so the DP runs on int64
 ONE_WEIGHT = 1 << 40
+TOL = Fraction(1, 100)  # a depth is accepted once its mixture is this close to 1 - eps
+MAX_ITER = 5000  # rounds per depth before the game accepts it with limit_hit
 
 
 def _as_relation(h: Problem) -> Relation:
@@ -205,59 +210,48 @@ class GameResult:
     hard_dist: Dist
     best_tree: DecisionTree
     iterations: int
-    limit_hit: bool = False
-    # the game's DP of hard_dist, which certificates reuse; None when the
-    # game never solved it (a first depth that ends on limit_hit)
-    hard_dp: _TreeDP | None = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class _GameStatus:
-    accepted: bool
-    decided: bool
-    lower: Fraction
-    upper: Fraction
-    iterations: int
-    tree: DecisionTree
-    # the last distribution; on a rejection, an exact witness that every
-    # depth-d tree fails
-    mu: Dist
-    dp: _TreeDP | None  # the DP of mu, None on limit_hit
+    limit_hit: bool
+    # the exact D^{hard_dist}_eps: at least ``depth`` when the certificate holds
+    certified_depth: int
 
 
 def _solve_game(
-    accepts: np.ndarray,
-    depth: int,
-    target: Fraction,
-    tol: Fraction,
-    max_iter: int,
-    first_round: Callable[[], _TreeDP],
-) -> _GameStatus:
+    accepts: np.ndarray, depth: int, eps: Fraction, first_round: Callable[[], _TreeDP],
+) -> GameResult:
+    """One depth of the game.  Its ``hard_dist`` is the last distribution and
+    ``certified_depth`` that distribution's exact D_eps, read off the last
+    round's DP; so a game that ends without ``limit_hit`` rejected ``depth``
+    exactly when ``certified_depth > depth``."""
     rows = accepts.tolist()
     n_inputs = accepts.shape[1]
     shrink_num, shrink_den = (1 - ETA).as_integer_ratio()
-    bound = target - tol
+    target = 1 - eps
+    bound = target - TOL
     weights = [ONE_WEIGHT] * n_inputs
     den = sum(weights)
     payoff_sums = [0] * n_inputs
     br_values = []  # best-response value of each round, as (numerator, den)
 
-    def status(accepted: bool, decided: bool, t: int) -> _GameStatus:
+    def result(t: int, limit_hit: bool = False) -> GameResult:
         # the rounds' denominators differ, so add the pairs unreduced and
         # reduce once
         num, dnm = 0, 1
         for v, d in br_values:
             num, dnm = num * d + v * dnm, dnm * d
-        return _GameStatus(
-            accepted, decided,
-            lower=Fraction(min(payoff_sums), t),
-            upper=Fraction(num, dnm * t),
-            iterations=t, tree=dp.witness(depth),
-            mu=Dist(dp.arity, tuple(Fraction(w, den) for w in weights)),
-            dp=dp if decided else None,
+        # on limit_hit the last round moved the weights, so their DP is new
+        cert_dp = _TreeDP(accepts, lattice.weight_array(weights, den), den) if limit_hit else dp
+        return GameResult(
+            depth,
+            lower_value=Fraction(min(payoff_sums), t),
+            upper_value=Fraction(num, dnm * t),
+            hard_dist=Dist(dp.arity, tuple(Fraction(w, den) for w in weights)),
+            best_tree=dp.witness(depth),
+            iterations=t,
+            limit_hit=limit_hit,
+            certified_depth=cert_dp.min_depth(eps),
         )
 
-    for t in range(1, max_iter + 1):
+    for t in range(1, MAX_ITER + 1):
         if t == 1:
             dp = first_round()
         else:
@@ -269,47 +263,44 @@ def _solve_game(
         if value * target.denominator < target.numerator * den:
             # exact rejection: even the best depth-d tree fails under this
             # round's distribution
-            return status(False, True, t)
+            return result(t)
         if min(payoff_sums) * bound.denominator >= bound.numerator * t:
-            return status(True, True, t)
+            return result(t)
         weights = [w * shrink_num // shrink_den if c else w for w, c in zip(weights, correct)]
         top = max(weights)
         weights = [w * ONE_WEIGHT // top for w in weights]
         den = sum(weights)
-    return status(False, False, max_iter)
+    return result(MAX_ITER, limit_hit=True)
 
 
-def rand_complexity(
-    h: Problem,
-    eps,
-    tol=Fraction(1, 100),
-    max_iter: int = 5000,
-) -> GameResult:
-    """Approximate randomized query complexity via the minimax principle.
+def rand_complexity(h: Problem, eps) -> GameResult:
+    """Randomized query complexity via the minimax principle, with an exact
+    certificate.
 
     Depths are searched from 0 upward.  A depth is rejected only on an exact
     witness distribution under which every depth-bounded tree has success
     strictly below 1 - eps; that witness then certifies, exactly, that the
     complexity exceeds the rejected depth.  A depth is accepted once the
-    averaged best-response mixture achieves at least 1 - eps - tol on every
-    input.  If neither happens within ``max_iter`` rounds the depth is
+    averaged best-response mixture achieves at least 1 - eps - ``TOL`` on
+    every input.  If neither happens within ``MAX_ITER`` rounds the depth is
     accepted with ``limit_hit`` set.
+
+    The result's ``hard_dist`` is the last rejected depth's witness (the
+    first depth's last distribution when none was rejected) and
+    ``certified_depth`` its exact distributional complexity, read off the
+    DP the game solved for it.  A depth that ends on ``limit_hit`` solves
+    one more DP, of the weights its last round moved.
 
     Weights are integers, the largest equal to ``ONE_WEIGHT``.  Each round
     shrinks the weight of every input the best response answers correctly
     to floor(w * (1 - ETA)), then rescales every weight to
     floor(w * ONE_WEIGHT / max), so a weight that floors to 0 stays 0.  The
     next distribution is the weights over their sum; it goes to the DP as
-    int64 point weights, and a :class:`Dist` is built only for the
-    certificate of a depth.  Every depth starts from uniform weights, so
-    their first rounds share one DP.
+    int64 point weights, and a :class:`Dist` is built only at the end of a
+    depth.  Every depth starts from uniform weights, so their first rounds
+    share one DP.
     """
     eps = _checked_eps(eps)
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise QclabError("tol must be positive")
-    if max_iter < 1:
-        raise QclabError("max_iter must be at least 1")
     rel = _as_relation(h)
     accepts = _accepts(rel)
     uniform = [ONE_WEIGHT] * accepts.shape[1]
@@ -318,48 +309,13 @@ def rand_complexity(
     first_round = cache(partial(
         _TreeDP, accepts, lattice.weight_array(uniform, sum(uniform)), sum(uniform),
     ))
-    target = 1 - eps
-    cert: _GameStatus | None = None
+    rejected = None  # the last rejected depth's game
     for depth in range(rel.arity + 1):
-        status = _solve_game(accepts, depth, target, tol, max_iter, first_round)
-        if status.accepted or not status.decided:
-            hard = cert if cert is not None else status
-            return GameResult(
-                depth=depth,
-                lower_value=status.lower,
-                upper_value=status.upper,
-                hard_dist=hard.mu,
-                best_tree=status.tree,
-                iterations=status.iterations,
-                limit_hit=not status.decided,
-                hard_dp=hard.dp,
-            )
-        cert = status
+        game = _solve_game(accepts, depth, eps, first_round)
+        if game.limit_hit or game.certified_depth <= depth:
+            if rejected is None:
+                return game
+            return replace(game, hard_dist=rejected.hard_dist,
+                           certified_depth=rejected.certified_depth)
+        rejected = game
     raise Unachievable("no depth accepted up to the full arity")
-
-
-def hard_distribution(g: Problem, eps, tol=Fraction(1, 100), max_iter: int = 5000) -> Dist:
-    """Adversary distribution whose exact distributional complexity certifies
-    the depth reported by :func:`rand_complexity`."""
-    result = rand_complexity(g, eps, tol, max_iter)
-    _certify(_hard_complexity(g, result, eps), result.depth)
-    return result.hard_dist
-
-
-def _hard_complexity(h: Problem, result: GameResult, eps) -> int:
-    """Exact distributional complexity of the game's hard distribution, on
-    the DP the game already solved for it when there is one."""
-    dp = result.hard_dp
-    if dp is None:
-        dp = _tree_dp(_as_relation(h), result.hard_dist)
-    return dp.min_depth(_checked_eps(eps))
-
-
-def _certify(certified: int, depth: int) -> None:
-    """Raise unless the hard distribution's exact distributional complexity
-    ``certified`` reaches the game's ``depth``."""
-    if certified < depth:
-        raise QclabError(
-            f"certificate failed: distributional complexity {certified} "
-            f"below game depth {depth}"
-        )

@@ -321,18 +321,23 @@ class Simulation:
         n = inst.n
         lower = max(ZERO, 1 - 4 * theta) ** n
         upper = (1 + 4 * theta) ** n
-        p, q, snips = self.p(z), self.q(z), self.snips(theta)
+        nums, den, terms = self._terms(z, q=True)
+        snips = self.snips(theta)
         violations = []
         checked = 0
         fixed_ok = True
-        for lid, pv in p.items():
-            if any(snips[lid]):
+        # with p = pn/den and q = qn/qd, a bound q >= (a/b)*p holds iff
+        # a*pn*qd <= b*qn*den: integers throughout, and a Fraction only for
+        # a violation
+        for (leaf, _), pn, (qn, qd) in zip(self.leaves, nums, terms):
+            if any(snips[leaf.leaf_id]):
                 continue
             checked += 1
-            qv = q[lid]
-            if not lower * pv <= qv <= upper * pv:
-                violations.append((lid, pv, qv))
-            if not Fraction(8, 9) * pv <= qv <= Fraction(10, 9) * pv:
+            pq, qp = pn * qd, qn * den
+            if not (lower.numerator * pq <= lower.denominator * qp
+                    and upper.denominator * qp <= upper.numerator * pq):
+                violations.append((leaf.leaf_id, Fraction(pn, den), Fraction(qn, qd)))
+            if not 8 * pq <= 9 * qp <= 10 * pq:
                 fixed_ok = False
         return SimileafReport(
             theta=theta,

@@ -7,7 +7,8 @@ solver's reference is its original multiplicative-weights loop in
 Fractions, which the integer loop must follow iterate for iterate.  The
 fullbias sweep's reference takes each function's complexity from
 ``dist_complexity``, which the DP tests hold to tree enumeration.  The
-subcube mass kernel's reference is its original concatenating form.
+subcube mass kernel's reference is its original concatenating form, and
+the simileaf check's is its original form in Fraction products.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from qclab.core import (
     subcube_prob,
 )
 from qclab.dtree import DecisionTree, InternalNode, Leaf
+from qclab.simulate import SimileafReport
 
 
 def concat_masses(weights: np.ndarray, m: int) -> np.ndarray:
@@ -205,6 +207,43 @@ def brute_snip_labels(inst, tree: DecisionTree, theta: Fraction) -> dict[int, tu
                     flags[i] = 1
         out[leaf.leaf_id] = tuple(flags)
     return out
+
+
+def fraction_simileaf(sim, z: int, theta=None) -> SimileafReport:
+    """``sim.simileaf(z, theta)`` as it was first written: p and q per leaf
+    as Fractions, each bound a Fraction product with p."""
+    inst = sim.inst
+    theta = inst.theta if theta is None else Fraction(theta)
+    if theta > Fraction(1, 2):
+        raise HypothesisViolated("theta must be at most 1/2")
+    m0, m1, den = inst.g_masses
+    if Fraction(abs(m0[0] - m1[0]), den) > theta:
+        raise HypothesisViolated("full-cube bias exceeds theta")
+    n = inst.n
+    lower = max(Fraction(0), 1 - 4 * theta) ** n
+    upper = (1 + 4 * theta) ** n
+    p, q, snips = sim.p(z), sim.q(z), sim.snips(theta)
+    violations = []
+    checked = 0
+    fixed_ok = True
+    for lid, pv in p.items():
+        if any(snips[lid]):
+            continue
+        checked += 1
+        qv = q[lid]
+        if not lower * pv <= qv <= upper * pv:
+            violations.append((lid, pv, qv))
+        if not Fraction(8, 9) * pv <= qv <= Fraction(10, 9) * pv:
+            fixed_ok = False
+    return SimileafReport(
+        theta=theta,
+        lower_factor=lower,
+        upper_factor=upper,
+        checked_leaves=checked,
+        snipped_leaves=sum(1 for f in snips.values() if any(f)),
+        violations=tuple(violations),
+        fixed_constants_hold=fixed_ok,
+    )
 
 
 def _subcube_points(m: int, fixed) -> list[int]:
@@ -437,6 +476,7 @@ def fraction_rand_complexity(h, eps, tol=Fraction(1, 100), max_iter: int = 5000)
             rel, depth, target, Fraction(tol), max_iter)
         if accepted or not decided:
             hard = cert_mu if cert_mu is not None else final_mu
-            return GameResult(depth, lower, upper, hard, tree, t, not decided)
+            return GameResult(depth, lower, upper, hard, tree, t, not decided,
+                              dist_complexity(rel, hard, eps))
         cert_mu = reject_mu
     raise AssertionError("no depth accepted up to the full arity")

@@ -140,9 +140,9 @@ def test_criterion_5_minimax_consistency():
     functions = [identity1(), xor_fn(2), and_fn(2), maj3()]
     failures = []
     for g in functions:
-        result = rand_complexity(g, eps, tol=F(1, 100))
+        result = rand_complexity(g, eps)
         certified = dist_complexity(g, result.hard_dist, eps)
-        if certified < result.depth:
+        if certified < result.depth or result.certified_depth != certified:
             failures.append((g.outputs, "certificate"))
         for _ in range(100):
             mu = random_dist(rng, g.arity)

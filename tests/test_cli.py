@@ -222,13 +222,6 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "pass --eps" in err
 
-    @pytest.mark.parametrize("max_iter", ["0", "-1"])
-    def test_game_needs_a_round(self, files, capsys, max_iter):
-        # 0 rounds divided by zero and -1 read an empty mixture (exit 1)
-        code = main(["rqc", "--g", files["g_xor2"], "--eps", "1/3", "--max-iter", max_iter])
-        assert code == 2
-        assert capsys.readouterr().err == "error: max_iter must be at least 1\n"
-
     @pytest.mark.parametrize("m", ["0", "-1"])
     def test_verify_needs_a_sweep_arity(self, capsys, m):
         # -1 ran no case and reported every sweep passed; 0 meant 3
@@ -344,16 +337,20 @@ VERDICT_INPUTS = [
 
 
 @pytest.mark.parametrize("command, golden", [
-    (["simulate", "--seed", "3"], "simulate.jsonl"),
-    (["verify", "--m", "1"], "verify.jsonl"),
+    (["simulate", "--seed", "3", *VERDICT_INPUTS], "simulate.jsonl"),
+    (["verify", "--m", "1", *VERDICT_INPUTS], "verify.jsonl"),
+    (["rqc", "--g", str(VERDICTS / "g.tt"), "--eps", "7/16"], "rqc.jsonl"),
+    (["xor-stack", "--g", str(VERDICTS / "g.tt"), "--t", "2", "--eps", "7/16"],
+     "xor-stack.jsonl"),
 ])
 def test_verdict_bytes_are_pinned(capsys, command, golden):
     """The verdict stream of one small fixture, byte for byte.  Its tree has
     leaves at depths 2 and 3.  Leaves 3-5 lie below x1 = 1 (``q 2`` in the
     file, which counts variables from 1), a subcube of bias 3/5 >= theta, so
     they are snipped; x1 = x2 = 1 has no mass, so the branch there is dead
-    and leaves 4 and 5 have p = q = 0."""
-    assert main([*command, *VERDICT_INPUTS]) == 0
+    and leaves 4 and 5 have p = q = 0.  The game on its g runs 9 rounds to
+    depth 2 at eps 7/16, and the stacked g^2 reaches depth 5."""
+    assert main(command) == 0
     assert capsys.readouterr().out == (VERDICTS / golden).read_text()
 
 
@@ -416,20 +413,19 @@ class TestVerify:
 
 READS = {
     "dce": {"--g", "--f", "--mu", "--eps", "--out"},
-    "rqc": {"--g", "--f", "--eps", "--tol", "--max-iter", "--out"},
-    "build-instance": {"--g", "--f", "--mu", "--lambda", "--eps", "--theta", "--tol",
-                       "--max-iter", "--out"},
+    "rqc": {"--g", "--f", "--eps", "--out"},
+    "build-instance": {"--g", "--f", "--mu", "--lambda", "--eps", "--theta", "--out"},
     "simulate": {"--instance", "--g", "--f", "--mu", "--lambda", "--eps", "--theta",
                  "--tree", "--seed", "--out"},
     "verify": {"--instance", "--g", "--f", "--mu", "--lambda", "--eps", "--theta",
                "--tree", "--m", "--out"},
-    "xor-stack": {"--g", "--t", "--eps", "--tol", "--max-iter", "--out"},
+    "xor-stack": {"--g", "--t", "--eps", "--out"},
 }
 
 
 def test_commands_accept_only_the_flags_they_read(capsys):
     flags = set().union(*READS.values())
-    assert len(flags) == 14 and sum(map(len, READS.values())) == 46
+    assert len(flags) == 12 and sum(map(len, READS.values())) == 40
     for command, reads in READS.items():
         for flag in sorted(flags):
             if flag in reads:
@@ -439,6 +435,16 @@ def test_commands_accept_only_the_flags_they_read(capsys):
                 main([command, flag, "1"])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+@pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+def test_game_settings_are_not_flags(capsys, command, flag):
+    # the game's tolerance and round cap are complexity.TOL and MAX_ITER
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "1/100" if flag == "--tol" else "5000"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_one_parser_serves_many_commands(files, capsys):

@@ -18,7 +18,6 @@ from qclab import complexity
 from qclab.complexity import (
     best_success,
     dist_complexity,
-    hard_distribution,
     rand_complexity,
 )
 from qclab.io import format_tree
@@ -144,15 +143,15 @@ class TestRandComplexity:
 
 class TestHardDistribution:
     def test_identity_certificate(self):
-        mu = hard_distribution(identity1(), F(1, 3))
+        mu = rand_complexity(identity1(), F(1, 3)).hard_dist
         assert dist_complexity(identity1(), mu, F(1, 3)) == 1
 
     def test_xor2_certificate(self):
-        mu = hard_distribution(xor_fn(2), F(1, 3))
+        mu = rand_complexity(xor_fn(2), F(1, 3)).hard_dist
         assert dist_complexity(xor_fn(2), mu, F(1, 3)) == 2
 
     def test_constant(self):
-        mu = hard_distribution(constant_fn(1, 1), F(1, 3))
+        mu = rand_complexity(constant_fn(1, 1), F(1, 3)).hard_dist
         assert dist_complexity(constant_fn(1, 1), mu, F(1, 3)) == 0
 
     def test_minimax_consistency_sampled(self):
@@ -200,26 +199,31 @@ class TestGameDPs:
             init(self, accepts, weights, den)
 
         monkeypatch.setattr(complexity._TreeDP, "__init__", spy)
-        mu = hard_distribution(xor_fn(2), F(1, 3))
-        assert mu == U2
+        result = rand_complexity(xor_fn(2), F(1, 3))
+        assert result.hard_dist == U2 and result.certified_depth == 2
         assert built == [[complexity.ONE_WEIGHT] * 4]
 
-    def test_certificate_matches_a_fresh_dp(self):
+    def test_certificate_matches_a_fresh_dp(self, monkeypatch):
         rng = random.Random(83)
-        cases = [(and_fn(2), F(1, 3), 1), (xor_fn(2), F(1, 3), 5000), (maj3(), F(1, 3), 5000)]
-        cases += [(random_truth_table(rng, rng.randint(1, 4)), F(1, 4), 5000) for _ in range(10)]
-        for h, eps, max_iter in cases:
-            result = rand_complexity(h, eps, max_iter=max_iter)
-            # a first depth cut short by max_iter leaves no DP of hard_dist
-            assert (result.hard_dp is None) == (result.limit_hit and result.depth == 0)
-            assert complexity._hard_complexity(h, result, eps) == \
-                dist_complexity(h, result.hard_dist, eps)
+        cases = [(xor_fn(2), F(1, 3)), (maj3(), F(1, 3))]
+        cases += [(random_truth_table(rng, rng.randint(1, 4)), F(1, 4)) for _ in range(10)]
+        for h, eps in cases:
+            result = rand_complexity(h, eps)
+            assert not result.limit_hit
+            assert result.certified_depth == dist_complexity(h, result.hard_dist, eps)
+        # a first depth cut short by MAX_ITER leaves no DP of hard_dist, so
+        # the game solves one
+        monkeypatch.setattr(complexity, "MAX_ITER", 1)
+        result = rand_complexity(and_fn(2), F(1, 3))
+        assert result.limit_hit and result.depth == 0
+        assert result.certified_depth == dist_complexity(and_fn(2), result.hard_dist, F(1, 3))
 
 
 def _game_fields(result):
     return (
         result.depth, result.lower_value, result.upper_value, result.hard_dist.probs,
         format_tree(result.best_tree), result.iterations, result.limit_hit,
+        result.certified_depth,
     )
 
 
@@ -235,9 +239,10 @@ class TestGameMatchesFractionLoop:
                 assert _game_fields(rand_complexity(h, eps)) == \
                     _game_fields(fraction_rand_complexity(h, eps))
 
-    def test_limit_hit(self):
+    def test_limit_hit(self, monkeypatch):
         h = random_truth_table(random.Random(5), 3)
-        result = rand_complexity(h, F(1, 3), max_iter=3)
+        monkeypatch.setattr(complexity, "MAX_ITER", 3)
+        result = rand_complexity(h, F(1, 3))
         assert result.limit_hit
         assert _game_fields(result) == \
             _game_fields(fraction_rand_complexity(h, F(1, 3), max_iter=3))

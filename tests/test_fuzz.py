@@ -150,7 +150,7 @@ def _write_inputs(d: Path, files: dict, manifest: str) -> None:
     (d / "inst" / "instance.json").write_text(manifest)
 
 
-def _argv(d: Path, command: str, eps="1/4", theta="1/2", t=2, max_iter=50) -> list[str]:
+def _argv(d: Path, command: str, eps="1/4", theta="1/2", t=2) -> list[str]:
     """The command line of ``command`` on the inputs ``_write_inputs`` put in ``d``."""
     argv = {
         "dce-g": ["dce", "--g", d / "g", "--mu", d / "mu", "--eps", eps],
@@ -158,7 +158,7 @@ def _argv(d: Path, command: str, eps="1/4", theta="1/2", t=2, max_iter=50) -> li
         "build-instance": ["build-instance", "--g", d / "g", "--f", d / "f", "--mu", d / "mu",
                            "--eps", eps, "--theta", theta, "--out", d / "built"],
         "build-instance-hard": ["build-instance", "--g", d / "g", "--f", d / "f",
-                                "--eps", eps, "--max-iter", max_iter, "--out", d / "built"],
+                                "--eps", eps, "--out", d / "built"],
         "xor-stack": ["xor-stack", "--g", d / "g", "--t", t, "--out", d / "stacked"],
         "simulate": ["simulate", "--instance", d / "inst" / "instance.json",
                      "--tree", d / "tree"],
@@ -169,8 +169,7 @@ def _argv(d: Path, command: str, eps="1/4", theta="1/2", t=2, max_iter=50) -> li
 @settings(max_examples=200, deadline=None)
 @given(
     command=st.sampled_from(COMMANDS),
-    target=st.sampled_from(["g", "f", "mu", "tree", "manifest", "eps", "theta", "t",
-                            "max_iter", None]),
+    target=st.sampled_from(["g", "f", "mu", "tree", "manifest", "eps", "theta", "t", None]),
     data=st.data(),
 )
 def test_cli_exits_0_or_2(command, target, data):
@@ -183,12 +182,18 @@ def test_cli_exits_0_or_2(command, target, data):
     eps = data.draw(FRACTIONS) if target == "eps" else "1/4"
     theta = data.draw(FRACTIONS) if target == "theta" else "1/2"
     t = data.draw(st.integers(-2, 5)) if target == "t" else 2
-    max_iter = data.draw(st.one_of(st.integers(-3, 5), st.text(max_size=4))) \
-        if target == "max_iter" else 50
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         _write_inputs(d, files, manifest)
-        assert _run(_argv(d, command, eps, theta, t, max_iter)) in (0, 2)
+        assert _run(_argv(d, command, eps, theta, t)) in (0, 2)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_valid_inputs_exit_0(command, tmp_path):
+    """The inputs the fuzz tests start from run to the end, so an exit 2
+    there comes from the one input a test changed."""
+    _write_inputs(tmp_path, {k: VALID[k] for k in ("g", "f", "mu", "tree")}, VALID_MANIFEST)
+    assert _run(_argv(tmp_path, command)) == 0
 
 
 @pytest.mark.parametrize("command", COMMANDS)

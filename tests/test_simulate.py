@@ -39,6 +39,7 @@ from _oracles import (
     brute_reach_probs,
     brute_simulation_law,
     brute_snip_labels,
+    fraction_simileaf,
     loop_run,
     loop_run_stream,
     random_relation,
@@ -106,6 +107,29 @@ def random_instances(rng, count):
         instances.append(inst)
     assert any(lattice.int_weights(i.mu)[1] >= lattice.INT64_LIMIT for i in instances)
     assert any(0 in i.mu.probs for i in instances)
+    return instances
+
+
+def balanced_instances(rng, count):
+    """Random instances whose inner distribution gives g = 0 and g = 1 equal
+    mass, so that every theta meets simileaf's full-cube guard."""
+    instances = []
+    while len(instances) < count:
+        n, m = rng.randint(1, 2), rng.randint(2, 3)
+        g = random_truth_table(rng, m)
+        weights = [rng.randrange(7) for _ in range(1 << m)]
+        mass = [sum(w for x, w in enumerate(weights) if g.outputs[x] == b) for b in (0, 1)]
+        try:
+            inst = build_instance(
+                random_relation(rng, n, 2), g,
+                Dist.from_weights([w * mass[1 - g.outputs[x]] for x, w in enumerate(weights)]),
+                Dist.from_weights([rng.randrange(1, 4) for _ in range(1 << n)]),
+                epsilon=rng.choice([F(1, 8), F(1, 4), F(1, 3), F(7, 16)]),
+                theta=rng.choice([F(1, 16), F(1, 8), F(1, 2)]),
+            )
+        except QclabError:  # no mass on one value of g, or complexity 0
+            continue
+        instances.append(inst)
     return instances
 
 
@@ -548,6 +572,34 @@ class TestVerifySimileaf:
             tree = random_tree(rng, 2, 2, 2)
             for z in (0, 1):
                 assert Simulation(inst, tree).simileaf(z).passed
+
+    def test_matches_the_fraction_check(self):
+        # at theta 0 every leaf is snipped, so a Simulation that flags no
+        # copy is asked too: then every leaf with q != p is a violation
+        class Unsnipped(Simulation):
+            def snips(self, theta=None):
+                return {lid: (0,) * self.inst.n for lid in super().snips(theta)}
+
+        def answer(check, *args):
+            try:
+                return repr(check(*args))
+            except QclabError as exc:
+                return repr(exc)
+
+        rng = random.Random(97)
+        instances = random_instances(rng, 12) + balanced_instances(rng, 12)
+        seen = {"violations": 0, "fixed band left": 0}
+        for inst in instances:
+            for _ in range(3):
+                tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
+                for sim in (Simulation(inst, tree), Unsnipped(inst, tree)):
+                    for z in range(1 << inst.n):
+                        for theta in (None, F(0)):
+                            got = answer(sim.simileaf, z, theta)
+                            assert got == answer(fraction_simileaf, sim, z, theta)
+                            seen["violations"] += "violations=((" in got
+                            seen["fixed band left"] += "fixed_constants_hold=False" in got
+        assert all(seen.values()), seen
 
     def test_hypothesis_guard(self):
         mu = Dist.from_weights([1, 1, 1, 5])
