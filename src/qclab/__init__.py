@@ -27,7 +27,6 @@ from .core import (
     xor_fn,
 )
 from .dtree import (
-    BlockStructure,
     DecisionTree,
     InternalNode,
     Leaf,

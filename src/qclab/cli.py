@@ -13,9 +13,9 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .compose import build_instance, default_epsilon, xor_stack
+from .compose import build_instance, xor_stack
 from .complexity import dist_solution, rand_complexity
-from .core import Dist, QclabError, Relation, TruthTable
+from .core import QclabError, Relation, TruthTable
 from .io import (
     format_fraction,
     format_tree,
@@ -91,10 +91,16 @@ def _load_instance(args):
         if fixed:
             raise QclabError(f"--instance fixes the instance; drop {', '.join(fixed)}")
         return read_instance(Path(args.instance))
+    return _build_instance(args)
+
+
+def _build_instance(args):
+    """The instance of --g and --f; ``build_instance`` supplies whatever of
+    --mu, --lambda, --eps and --theta the command line left out."""
     g = parse_truth_table(Path(args.g).read_text())
     f = parse_relation(Path(args.f).read_text())
-    mu = parse_dist(Path(args.mu).read_text())
-    lam = parse_dist(Path(args.lam).read_text()) if args.lam is not None else Dist.uniform(f.arity)
+    mu = parse_dist(Path(args.mu).read_text()) if args.mu is not None else None
+    lam = parse_dist(Path(args.lam).read_text()) if args.lam is not None else None
     eps = parse_fraction(args.eps) if args.eps is not None else None
     theta = parse_fraction(args.theta) if args.theta is not None else None
     return build_instance(f, g, mu, lam, epsilon=eps, theta=theta)
@@ -135,26 +141,7 @@ def cmd_rqc(args, emit: _Emitter) -> None:
 
 def cmd_build_instance(args, emit: _Emitter) -> None:
     _require(args, "g", "f")
-    g = parse_truth_table(Path(args.g).read_text())
-    f = parse_relation(Path(args.f).read_text())
-    n = f.arity
-    eps = parse_fraction(args.eps) if args.eps is not None else default_epsilon(n)
-    theta = parse_fraction(args.theta) if args.theta is not None else None
-    lam = (
-        parse_dist(Path(args.lam).read_text())
-        if args.lam is not None else Dist.uniform(n)
-    )
-    if args.mu is not None:
-        inst = build_instance(f, g, parse_dist(Path(args.mu).read_text()), lam,
-                              epsilon=eps, theta=theta)
-    else:
-        game = rand_complexity(g, eps)
-        inst = build_instance(f, g, game.hard_dist, lam, epsilon=eps, theta=theta)
-        if game.certified_depth < game.depth:  # after build_instance's input errors
-            raise QclabError(
-                f"certificate failed: distributional complexity {game.certified_depth} "
-                f"below game depth {game.depth}"
-            )
+    inst = _build_instance(args)
     out_dir = Path(args.out) if args.out is not None else Path("instance")
     manifest = write_instance(inst, out_dir)
     emit.emit({

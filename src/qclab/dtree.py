@@ -1,5 +1,4 @@
-"""Deterministic decision trees as explicit binary trees, and the block
-structure that splits a composed input into its copies.
+"""Deterministic decision trees as explicit binary trees.
 
 Trees are immutable after validation.  Paths are read-once: no variable is
 queried twice on a root-to-leaf path, so the subcube a leaf's path fixes
@@ -122,24 +121,3 @@ def make_tree(arity: int, root_spec) -> DecisionTree:
 
     return DecisionTree(arity, build(root_spec)).require_valid()
 
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """Partition of ``blocks * block_width`` flat variables into contiguous
-    copies: flat variable v belongs to copy ``v // block_width``."""
-
-    blocks: int
-    block_width: int
-
-    @property
-    def total_arity(self) -> int:
-        return self.blocks * self.block_width
-
-    def copy_of(self, flat_var: int) -> tuple[int, int]:
-        if not 0 <= flat_var < self.total_arity:
-            raise ArityMismatch(f"flat variable {flat_var} out of range")
-        return divmod(flat_var, self.block_width)
-
-    def extract(self, x: int, copy: int) -> int:
-        """Copy-local point of the flat point ``x``."""
-        return (x >> (copy * self.block_width)) & ((1 << self.block_width) - 1)

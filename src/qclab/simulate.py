@@ -187,7 +187,7 @@ class Simulation:
             self.leaves.append((node, state))
             return
         c = self.inst.inner_complexity
-        i, j = self.inst.block.copy_of(node.query_var)
+        i, j = divmod(node.query_var, self.inst.m)
         hist = state[i]
         cube, nth = hist[-1], len(hist)  # nth: this answer's number in copy i
         if nth == c:

@@ -8,7 +8,9 @@ Fractions, which the integer loop must follow iterate for iterate.  The
 fullbias sweep's reference takes each function's complexity from
 ``dist_complexity``, which the DP tests hold to tree enumeration.  The
 subcube mass kernel's reference is its original concatenating form, and
-the simileaf check's is its original form in Fraction products.
+the simileaf check's is its original form in Fraction products.  Composed
+inputs are split into their copies by ``Blocks`` here, not by the package's
+own block arithmetic.
 """
 
 from __future__ import annotations
@@ -96,19 +98,35 @@ def brute_reach_probs(tree: DecisionTree, dist: Dist) -> dict[int, Fraction]:
     return out
 
 
-def inner_values(g: TruthTable, block, x: int) -> int:
+@dataclass(frozen=True)
+class Blocks:
+    """``count`` contiguous copies of ``width`` flat variables each: flat
+    variable v is variable ``v % width`` of copy ``v // width``."""
+
+    count: int
+    width: int
+
+    def copy_of(self, var: int) -> tuple[int, int]:
+        return divmod(var, self.width)
+
+    def extract(self, x: int, copy: int) -> int:
+        """Copy-local point of the flat point ``x``."""
+        return (x >> copy * self.width) & ((1 << self.width) - 1)
+
+
+def inner_values(g: TruthTable, block: Blocks, x: int) -> int:
     """The n-bit point of per-copy values of ``g`` on the flat point ``x``."""
     z = 0
-    for i in range(block.blocks):
+    for i in range(block.count):
         if g.outputs[block.extract(x, i)]:
             z |= 1 << i
     return z
 
 
-def split_assignments(block, path) -> list[list[tuple[int, int]]]:
+def split_assignments(block: Blocks, path) -> list[list[tuple[int, int]]]:
     """Split a flat assignment sequence into per-copy sequences of
     ``(within_var, bit)`` pairs, preserving order."""
-    per_copy: list[list[tuple[int, int]]] = [[] for _ in range(block.blocks)]
+    per_copy: list[list[tuple[int, int]]] = [[] for _ in range(block.count)]
     for var, b in path:
         i, j = block.copy_of(var)
         per_copy[i].append((j, b))
@@ -119,11 +137,12 @@ def brute_gamma_z(inst, z: int) -> Dist:
     """The flat product distribution gamma_z: copy i drawn from ``mu``
     conditioned on g = bit i of ``z``, point by point."""
     mu_b = [restrict_dist(inst.mu, inst.g, b) for b in (0, 1)]
+    block = Blocks(inst.n, inst.m)
     probs = []
     for x in range(1 << inst.total_arity):
         p = Fraction(1)
         for i in range(inst.n):
-            p *= mu_b[(z >> i) & 1].probs[inst.block.extract(x, i)]
+            p *= mu_b[(z >> i) & 1].probs[block.extract(x, i)]
         probs.append(p)
     return Dist(inst.total_arity, tuple(probs))
 
@@ -133,6 +152,7 @@ def brute_simulation_law(inst, tree: DecisionTree, z: int) -> dict[int, Fraction
     query at a time, multiplying stepwise conditional probabilities."""
     c = inst.inner_complexity
     mu_z = [restrict_dist(inst.mu, inst.g, (z >> i) & 1) for i in range(inst.n)]
+    block = Blocks(inst.n, inst.m)
     out: dict[int, Fraction] = {}
 
     def cube_mass(dist: Dist, assigns: dict) -> Fraction:
@@ -142,7 +162,7 @@ def brute_simulation_law(inst, tree: DecisionTree, z: int) -> dict[int, Fraction
         if isinstance(node, Leaf):
             out[node.leaf_id] = out.get(node.leaf_id, Fraction(0)) + prob
             return
-        i, j = inst.block.copy_of(node.query_var)
+        i, j = block.copy_of(node.query_var)
         regime = inst.mu if counts[i] + 1 <= c - 1 else mu_z[i]
         denom = cube_mass(regime, assigns[i])
         for b, child in ((0, node.child0), (1, node.child1)):
@@ -193,11 +213,12 @@ def brute_snip_labels(inst, tree: DecisionTree, theta: Fraction) -> dict[int, tu
     """Snip flags from the definition: copy i of a leaf is flagged when a
     node on its path fixes fewer than c copy-i variables on a subcube of
     positive mass and bias at least ``theta``."""
+    block = Blocks(inst.n, inst.m)
     out: dict[int, tuple[int, ...]] = {}
     for leaf, path in tree.leaf_paths():
         flags = [0] * inst.n
         for k in range(len(path) + 1):
-            for i, assigns in enumerate(split_assignments(inst.block, path[:k])):
+            for i, assigns in enumerate(split_assignments(block, path[:k])):
                 cube = Subcube.from_mapping(inst.m, dict(assigns))
                 if (
                     len(assigns) < inst.inner_complexity

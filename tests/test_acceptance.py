@@ -20,11 +20,12 @@ from qclab.core import (
 )
 from qclab.complexity import best_success, dist_complexity, rand_complexity
 from qclab.compose import build_instance, xor_stack
-from qclab.dtree import BlockStructure, make_tree
+from qclab.dtree import make_tree
 from qclab.simulate import AprimeSimulator, Simulation
 from qclab.sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
 from _oracles import (
+    Blocks,
     brute_best_success,
     brute_simulation_law,
     random_dist,
@@ -287,7 +288,7 @@ def test_criterion_9_xor_stack():
     for m, t in ((1, 12), (1, 5), (2, 6), (2, 3), (3, 4), (4, 3)):
         g = random_truth_table(rng, m)
         stacked = xor_stack(g, t)
-        block = BlockStructure(t, m)
+        block = Blocks(t, m)
         for x in range(1 << (t * m)):
             expected = 0
             for i in range(t):

@@ -10,7 +10,7 @@ import pytest
 import qclab
 from qclab import complexity, simulate
 from qclab.cli import build_parser, main
-from qclab.core import Dist, Relation, and_fn, identity1, xor_fn
+from qclab.core import Dist, Relation, and_fn, identity1, maj3, xor_fn
 from qclab.io import format_dist, format_relation, format_truth_table, read_instance
 from qclab.sweeps import sweep_unbias
 
@@ -170,6 +170,35 @@ class TestBuildInstance:
         assert main(["verify", "--m", "1", "--instance", str(out_dir / "instance.json"),
                      "--tree", files["tree"], "--out", files["out"]]) == 0
 
+    def test_theta_follows_eps_and_passes_verify(self, files, tmp_path):
+        # theta was 2/n^2 = 2/9 whatever eps, and verify exited 2 with
+        # "instance theta is not 2*sqrt(1/2 - epsilon)"
+        maj = tmp_path / "maj3.rel"
+        maj.write_text(format_relation(Relation.from_function(maj3())))
+        out_dir = tmp_path / "inst"
+        assert main(["build-instance", "--g", files["g_xor2"], "--f", str(maj),
+                     "--eps", "7/16", "--out", str(out_dir)]) == 0
+        assert read_instance(out_dir / "instance.json").theta == F(1, 2)
+        assert main(["verify", "--m", "1", "--instance", str(out_dir / "instance.json"),
+                     "--tree", files["tree"], "--out", files["out"]]) == 0
+
+    def test_wrong_arity_lambda_plays_no_game(self, files, tmp_path, capsys, monkeypatch):
+        # the game ran first, then build_instance rejected --lambda
+        rounds = []
+        solve_game = complexity._solve_game
+
+        def game(*args):
+            rounds.append(args)
+            return solve_game(*args)
+
+        monkeypatch.setattr(complexity, "_solve_game", game)
+        code = main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
+                     "--lambda", files["mu_u2"], "--eps", "1/4",
+                     "--out", str(tmp_path / "inst")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: outer distribution arity mismatch\n"
+        assert rounds == []
+
     def test_inner_complexity_zero(self, files, capsys):
         code = main(["build-instance", "--g", files["g_and2"], "--f", files["f_id1"],
                      "--mu", files["mu_u2"], "--eps", "1/3"])
@@ -214,6 +243,24 @@ class TestInputErrors:
                      "--eps", "1/4", "--theta", "1/2"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: tree deeper")
+
+    def test_negative_theta(self, manifest, files, tmp_path, capsys):
+        # build-instance wrote "theta": "-1/2" and exited 0
+        flags = ["--g", files["g_xor2"], "--f", files["f_id1"], "--mu", files["mu_u2"],
+                 "--eps", "1/4", "--theta=-1/2"]
+        data = json.loads(manifest.read_text())
+        data["theta"] = "-1/2"
+        manifest.write_text(json.dumps(data))
+        for argv in (
+            ["build-instance", *flags, "--out", str(tmp_path / "neg")],
+            ["simulate", *flags, "--tree", files["tree"]],
+            ["verify", "--m", "1", *flags, "--tree", files["tree"]],
+            ["simulate", "--instance", str(manifest), "--tree", files["tree"]],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", "error: theta must be at least 0\n")
+        assert not (tmp_path / "neg").exists()
 
     def test_one_bit_outer_needs_eps(self, files, tmp_path, capsys):
         code = main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
@@ -352,6 +399,24 @@ def test_verdict_bytes_are_pinned(capsys, command, golden):
     depth 2 at eps 7/16, and the stacked g^2 reaches depth 5."""
     assert main(command) == 0
     assert capsys.readouterr().out == (VERDICTS / golden).read_text()
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("build-instance-mu", ["--mu", str(VERDICTS / "mu.dist"), "--theta", "1/2"]),
+    ("build-instance-game", []),  # mu is the game's hard distribution
+])
+def test_build_instance_bytes_are_pinned(tmp_path, monkeypatch, capsys, name, flags):
+    """Every file ``build-instance`` writes, and its record, byte for byte.
+    The output directory is given relative to the working directory, so the
+    record's manifest path reads the same in any checkout."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-instance", "--g", str(VERDICTS / "g.tt"), "--f", str(VERDICTS / "f.rel"),
+                 "--eps", "7/16", *flags, "--out", name]) == 0
+    assert capsys.readouterr().out == (VERDICTS / f"{name}.jsonl").read_text()
+    golden = sorted(p.name for p in (VERDICTS / name).iterdir())
+    assert sorted(p.name for p in (tmp_path / name).iterdir()) == golden
+    for file in golden:
+        assert (tmp_path / name / file).read_bytes() == (VERDICTS / name / file).read_bytes()
 
 
 def test_simulate_computes_each_z_laws_once(capsys, monkeypatch):

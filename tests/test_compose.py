@@ -7,6 +7,7 @@ import pytest
 from qclab.core import (
     Dist,
     InnerComplexityZero,
+    QclabError,
     Relation,
     ZeroConditioningMass,
     and_fn,
@@ -14,6 +15,7 @@ from qclab.core import (
     index_of,
     xor_fn,
 )
+from qclab.complexity import rand_complexity
 from qclab.compose import (
     build_instance,
     compose_relation,
@@ -21,10 +23,11 @@ from qclab.compose import (
     default_theta,
     xor_stack,
 )
-from qclab.dtree import BlockStructure, make_tree
+from qclab.dtree import make_tree
 from qclab.simulate import Simulation
 
 from _oracles import (
+    Blocks,
     brute_gamma_z,
     brute_reach_probs,
     inner_values,
@@ -78,7 +81,7 @@ class TestComposeRelation:
             g = random_truth_table(rng, 2)
             f = rel(xor_fn(2))
             composed = compose_relation(f, g, 2)
-            block = BlockStructure(2, 2)
+            block = Blocks(2, 2)
             for x in range(16):
                 z = inner_values(g, block, x)
                 assert composed.accepted[x] == f.accepted[z]
@@ -103,7 +106,7 @@ class TestGammaZ:
             if len(set(g.outputs)) == 1:
                 continue
             mu = random_full_support_dist(rng, 2)
-            block = BlockStructure(2, 2)
+            block = Blocks(2, 2)
             f = rel(xor_fn(2))
             composed = compose_relation(f, g, 2)
             inst = instance(g, mu, Dist.uniform(2))
@@ -150,7 +153,7 @@ class TestGamma:
         g = and_fn(2)
         mu = random_full_support_dist(rng, 2)
         lam = random_full_support_dist(rng, 2)
-        block = BlockStructure(2, 2)
+        block = Blocks(2, 2)
         inst = instance(g, mu, lam)
         flat = gamma(inst)
         for z in range(4):
@@ -183,7 +186,7 @@ class TestXorStack:
         for m, t in ((1, 4), (2, 3), (3, 2)):
             g = random_truth_table(rng, m)
             stacked = xor_stack(g, t)
-            block = BlockStructure(t, m)
+            block = Blocks(t, m)
             for x in range(1 << (t * m)):
                 expected = 0
                 for i in range(t):
@@ -205,6 +208,32 @@ class TestBuildInstance:
         )
         assert inst.inner_complexity == 2
         assert inst.n == 2 and inst.m == 2
+
+    def test_defaults_follow_the_outer_arity_and_the_game(self):
+        inst = build_instance(rel(xor_fn(2)), xor_fn(2))
+        assert (inst.epsilon, inst.theta, inst.lam) == (F(7, 16), F(1, 2), Dist.uniform(2))
+        assert inst.mu == rand_complexity(xor_fn(2), F(7, 16)).hard_dist
+
+    @pytest.mark.parametrize("n, eps, theta", [
+        (2, None, F(1, 2)),  # default eps 7/16: 2/n^2
+        (4, None, F(1, 8)),  # default eps 127/256: 2/n^2
+        (3, F(7, 16), F(1, 2)),  # not 2/n^2 = 2/9, which lilsnip rejects
+        (2, F(31, 64), F(1, 4)),
+        (1, F(1, 3), F(1, 2)),  # 1/6 is not a square: default_theta(1)
+        (2, F(1, 4), F(1, 2)),  # 2*sqrt(1/4) = 1 > 1/2: default_theta(2)
+    ])
+    def test_theta_follows_epsilon(self, n, eps, theta):
+        f = rel(xor_fn(n) if n > 1 else identity1())
+        inst = build_instance(f, xor_fn(2), Dist.uniform(2), epsilon=eps)
+        assert inst.theta == theta
+        assert default_theta(n, inst.epsilon) == theta
+
+    def test_theta_must_not_be_negative(self):
+        args = (rel(identity1()), xor_fn(2), Dist.uniform(2))
+        with pytest.raises(QclabError, match="theta must be at least 0"):
+            build_instance(*args, epsilon=F(1, 4), theta=F(-1, 2))
+        # above simileaf's 1/2 is legal: tests build such instances to reach its guard
+        assert build_instance(*args, epsilon=F(1, 4), theta=F(1)).theta == 1
 
     def test_inner_complexity_zero_rejected(self):
         with pytest.raises(InnerComplexityZero):

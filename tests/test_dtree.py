@@ -6,14 +6,13 @@ import pytest
 from qclab import lattice
 from qclab.core import Dist, QclabError, Subcube
 from qclab.dtree import (
-    BlockStructure,
     DecisionTree,
     InternalNode,
     Leaf,
     make_tree,
 )
 
-from _oracles import brute_reach_probs, random_dist, random_tree, split_assignments
+from _oracles import Blocks, brute_reach_probs, random_dist, random_tree, split_assignments
 
 
 def dictator_tree(arity=2, var=0):
@@ -72,14 +71,14 @@ class TestValidate:
         assert xor2_tree().require_valid() is not None
 
 
-def lattice_reach_probs(tree: DecisionTree, block: BlockStructure, factors: list[Dist]) -> dict:
+def lattice_reach_probs(tree: DecisionTree, block: Blocks, factors: list[Dist]) -> dict:
     """Leaf-reach probabilities when copy i is drawn from ``factors[i]``, as
     the simulator takes them: per copy, the lattice mass of the subcube the
     leaf's path fixes in that copy."""
     tables = []
     for d in factors:
         weights, den = lattice.int_weights(d)
-        tables.append((lattice.masses(weights, block.block_width), den))
+        tables.append((lattice.masses(weights, block.width), den))
     out = {}
     for leaf, path in tree.leaf_paths():
         prob = F(1)
@@ -109,28 +108,14 @@ class TestPathSubcube:
 
 
 class TestBlockStructure:
-    def test_mapping_bijective(self):
-        b = BlockStructure(3, 2)
-        seen = {b.copy_of(v) for v in range(6)}
-        assert len(seen) == 6
-        for v in range(6):
-            assert b.copy_of(v) == divmod(v, 2)
-
-    def test_extract(self):
-        b = BlockStructure(2, 2)
-        # flat point 1101 in variable order: copy 0 = (1,1), copy 1 = (0,1)
-        x = 0b1011
-        assert b.extract(x, 0) == 0b11
-        assert b.extract(x, 1) == 0b10
-
     def test_block_subcubes_root(self):
-        assert split_assignments(BlockStructure(2, 2), ()) == [[], []]
+        assert split_assignments(Blocks(2, 2), ()) == [[], []]
 
     def test_block_subcubes_split(self):
         # leaf path fixes two bits in copy 0 and one bit in copy 1
         tree = make_tree(4, (0, 0, (1, 0, (2, 0, 1))))
         path = dict(tree.leaf_paths())[tree.root.child1.child1.child1]
-        per_copy = split_assignments(BlockStructure(2, 2), path)
+        per_copy = split_assignments(Blocks(2, 2), path)
         assert per_copy == [[(0, 1), (1, 1)], [(0, 1)]]
         assert sum(len(a) for a in per_copy) == 3
 
@@ -138,17 +123,17 @@ class TestBlockStructure:
 class TestReachProbs:
     def test_single_leaf(self):
         tree = make_tree(2, 7)
-        probs = lattice_reach_probs(tree, BlockStructure(1, 2), [Dist.uniform(2)])
+        probs = lattice_reach_probs(tree, Blocks(1, 2), [Dist.uniform(2)])
         assert probs == {0: F(1)}
 
     def test_one_query_uniform(self):
         tree = make_tree(2, (0, 0, 1))
-        probs = lattice_reach_probs(tree, BlockStructure(1, 2), [Dist.uniform(2)])
+        probs = lattice_reach_probs(tree, Blocks(1, 2), [Dist.uniform(2)])
         assert set(probs.values()) == {F(1, 2)}
 
     def test_point_mass_indicator(self):
         tree = make_tree(4, (0, (2, 0, 1), (3, 1, 0)))
-        block = BlockStructure(2, 2)
+        block = Blocks(2, 2)
         for x in range(16):
             dists = [Dist.point_mass(2, block.extract(x, i)) for i in range(2)]
             probs = lattice_reach_probs(tree, block, dists)
@@ -158,7 +143,7 @@ class TestReachProbs:
 
     def test_matches_flat_oracle_and_sums_to_one(self):
         rng = random.Random(9)
-        block = BlockStructure(2, 2)
+        block = Blocks(2, 2)
         for _ in range(20):
             tree = random_tree(rng, 4, 3, 2)
             factors = [random_dist(rng, 2), random_dist(rng, 2)]

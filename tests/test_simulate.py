@@ -35,6 +35,7 @@ from qclab.simulate import AprimeSimulator, ChainReport, Simulation, _threshold
 from qclab.walk import CHUNK, TreeWalker
 
 from _oracles import (
+    Blocks,
     brute_gamma_z,
     brute_reach_probs,
     brute_simulation_law,
@@ -518,7 +519,7 @@ class TestSnipLabels:
                 and subcube_prob(inst.mu, Subcube.from_mapping(inst.m, dict(assigns))) == 0
                 for _, path in tree.leaf_paths()
                 for k in range(len(path) + 1)
-                for assigns in split_assignments(inst.block, path[:k])
+                for assigns in split_assignments(Blocks(inst.n, inst.m), path[:k])
             )
         # some path subcube that the flags must skip for want of mass
         assert zero_mass_seen
@@ -701,7 +702,7 @@ def chain_by_leaves(inst, tree) -> ChainReport:
     c = inst.inner_complexity
     snips = Simulation(inst, tree).snips(inst.theta)
     z_queries = {
-        leaf.leaf_id: sum(len(a) >= c for a in split_assignments(inst.block, path))
+        leaf.leaf_id: sum(len(a) >= c for a in split_assignments(Blocks(inst.n, inst.m), path))
         for leaf, path in tree.leaf_paths()
     }
     outer = sim = snipped = expected = F(0)
