@@ -161,7 +161,6 @@ def cmd_simulate(args, emit: _Emitter) -> None:
     _require(args, "tree", *(() if args.instance is not None else ("g", "f", "mu")))
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
-    budget = tree.depth() // inst.inner_complexity
     simulation = Simulation(inst, tree)  # once for every z below
     snips = simulation.snips()
     for z in range(1 << inst.n):
@@ -175,12 +174,12 @@ def cmd_simulate(args, emit: _Emitter) -> None:
             "trace_leaf": trace.leaf_id,
             "trace_output": trace.output,
             "trace_z_queries": list(trace.z_queries),
-            "budget": budget,
+            "budget": simulation.budget,
             "leaves": {
                 lid: {"p": p[lid], "q": q[lid], "snip": 1 if any(snips[lid]) else 0}
                 for lid in sorted(p)
             },
-            "passed": len(trace.z_queries) <= budget,
+            "passed": len(trace.z_queries) <= simulation.budget,
         })
     chain = simulation.chain()
     emit.emit({
@@ -204,13 +203,15 @@ def cmd_verify(args, emit: _Emitter) -> None:
     max_m = 3 if args.m is None else args.m
     if max_m < 1:
         raise QclabError(f"verify --m must be at least 1, got {max_m}")
+    if max_m > 3:
+        raise QclabError(f"verify --m must be at most 3, got {max_m}")
     if args.tree is not None:
         inst = _load_instance(args)
         tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     for report in (
-        sweep_unbias() if max_m >= 3 else sweep_unbias(max_m=max_m, sampled_m4=0),
-        sweep_rbias(max_m=min(max_m, 3)),
-        sweep_fullbias(max_m=min(max_m, 3)),
+        sweep_unbias() if max_m == 3 else sweep_unbias(max_m=max_m, sampled_m4=0),
+        sweep_rbias(max_m=max_m),
+        sweep_fullbias(max_m=max_m),
     ):
         emit.emit({
             "record": f"sweep-{report.name}",
@@ -262,7 +263,7 @@ _FLAGS = {
     "lam": ("--lambda", dict(dest="lam", help="outer distribution file")),
     "tree": ("--tree", dict(help="decision tree file")),
     "instance": ("--instance", dict(help="instance manifest (JSON)")),
-    "m": ("--m", dict(type=int, help="inner arity / sweep arity bound")),
+    "m": ("--m", dict(type=int, help="sweep arity bound, 1 to 3 (default 3)")),
     "t": ("--t", dict(type=int, default=2, help="stack height")),
     "eps": ("--eps", dict(help="error bound as p/q")),
     "theta": ("--theta", dict(help="bias threshold as p/q")),

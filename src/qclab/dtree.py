@@ -1,8 +1,10 @@
 """Deterministic decision trees as explicit binary trees.
 
-Trees are immutable after validation.  Paths are read-once: no variable is
-queried twice on a root-to-leaf path, so the subcube a leaf's path fixes
-has as many fixed variables as the path has queries.
+A tree checks itself when it is made, so every ``DecisionTree`` is valid:
+each query names a variable below its arity, paths are read-once (no
+variable is queried twice on a root-to-leaf path, so the subcube a leaf's
+path fixes has as many fixed variables as the path has queries), and leaf
+ids are unique.
 """
 
 from __future__ import annotations
@@ -29,10 +31,25 @@ class InternalNode:
 Node = Union[Leaf, InternalNode]
 
 
-@dataclass(frozen=True)
-class Validation:
-    ok: bool
-    violation: str | None = None
+def _first_violation(node: Node, arity: int, path: int, seen_ids: set) -> str | None:
+    """The first violation in preorder below ``node``, whose path has read
+    the variables set in the bitmask ``path``: a query of a variable out of
+    range, a variable queried twice on one path, or a repeated leaf id.  A
+    path holds at most ``arity`` distinct queries before one repeats, so
+    the recursion is at most ``arity + 1`` deep."""
+    if isinstance(node, Leaf):
+        if node.leaf_id in seen_ids:
+            return f"DuplicateLeafId:{node.leaf_id}"
+        seen_ids.add(node.leaf_id)
+        return None
+    var = node.query_var
+    if not 0 <= var < arity:
+        return f"VariableOutOfRange:{var}"
+    if path >> var & 1:
+        return f"ReadOnce:{var}"
+    path |= 1 << var
+    return (_first_violation(node.child0, arity, path, seen_ids)
+            or _first_violation(node.child1, arity, path, seen_ids))
 
 
 @dataclass(frozen=True)
@@ -40,31 +57,10 @@ class DecisionTree:
     arity: int
     root: Node
 
-    def validate(self) -> Validation:
-        """Check read-once paths, unique leaf ids and the depth bound."""
-        seen_ids = set()
-
-        def walk(node: Node, path_vars: frozenset) -> str | None:
-            if isinstance(node, Leaf):
-                if node.leaf_id in seen_ids:
-                    return f"DuplicateLeafId:{node.leaf_id}"
-                seen_ids.add(node.leaf_id)
-                return None
-            if not 0 <= node.query_var < self.arity:
-                return f"VariableOutOfRange:{node.query_var}"
-            if node.query_var in path_vars:
-                return f"ReadOnce:{node.query_var}"
-            extended = path_vars | {node.query_var}
-            return walk(node.child0, extended) or walk(node.child1, extended)
-
-        violation = walk(self.root, frozenset())
-        return Validation(ok=violation is None, violation=violation)
-
-    def require_valid(self) -> "DecisionTree":
-        v = self.validate()
-        if not v.ok:
-            raise QclabError(f"invalid decision tree: {v.violation}")
-        return self
+    def __post_init__(self):
+        violation = _first_violation(self.root, self.arity, 0, set())
+        if violation is not None:
+            raise QclabError(f"invalid decision tree: {violation}")
 
     def evaluate(self, x: int) -> tuple[int, int, int]:
         """Follow ``x`` to a leaf; returns (label, leaf_id, queries made)."""
@@ -119,5 +115,5 @@ def make_tree(arity: int, root_spec) -> DecisionTree:
         var, s0, s1 = spec
         return InternalNode(var, build(s0), build(s1))
 
-    return DecisionTree(arity, build(root_spec)).require_valid()
+    return DecisionTree(arity, build(root_spec))
 

@@ -202,7 +202,7 @@ def parse_tree(text: str, arity: int) -> DecisionTree:
     root = parse_node(0)
     if pos[0] != len(tokens):
         raise ParseError("trailing tokens after tree")
-    return DecisionTree(arity, root).require_valid()
+    return DecisionTree(arity, root)
 
 
 def format_tree(tree: DecisionTree) -> str:

@@ -104,7 +104,6 @@ class LilsnipReport:
     total_snipped_mass: Fraction
     per_copy_holds: tuple[bool, ...]
     aggregate_holds: bool
-    coarse_aggregate_bound: Fraction  # informational: 4/n
 
     @property
     def passed(self) -> bool:
@@ -156,15 +155,15 @@ class Simulation:
     and the snip flags are read; interior histories are prefixes of these.
     ``walker(z)`` adds the thresholds and dead nodes of one z.  The flags
     are kept per theta and the integer terms of p and q per z (see
-    ``_terms``), for the object's life.  A tree of the wrong arity, or one
-    that ``DecisionTree.validate`` rejects, is rejected here, before any
-    law."""
+    ``_terms``), for the object's life.  ``budget`` is the inner-query
+    budget ``depth // c``.  A tree of the wrong arity is rejected here,
+    before any law; every ``DecisionTree`` is valid when it is made."""
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree):
         if tree.arity != inst.total_arity:
             raise ArityMismatch("tree arity does not match the instance")
-        tree.require_valid()
         self.inst, self.tree = inst, tree
+        self.budget = tree.depth() // inst.inner_complexity
         m0, m1, _ = inst.g_masses
         self.mass = [a + b for a, b in zip(m0, m1)]
         self.payload: list = []
@@ -373,7 +372,6 @@ class Simulation:
             total_snipped_mass=total,
             per_copy_holds=tuple(s * s <= 16 * delta0 for s in per_copy),
             aggregate_holds=total * total <= 16 * inst.n**2 * delta0,
-            coarse_aggregate_bound=Fraction(4, inst.n),
         )
 
     def chain(self) -> ChainReport:
@@ -405,7 +403,7 @@ class Simulation:
             bound_holds=success_sim >= bound,
             worst_z_queries=max(z_queries),
             expected_z_queries=expected_zq,
-            budget=self.tree.depth() // c,
+            budget=self.budget,
         )
 
 

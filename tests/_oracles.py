@@ -422,7 +422,7 @@ def random_tree(rng, arity: int, depth: int, labels: int) -> DecisionTree:
         var = rng.choice(avail)
         return InternalNode(var, build(d - 1, used | {var}), build(d - 1, used | {var}))
 
-    return DecisionTree(arity, build(depth, frozenset())).require_valid()
+    return DecisionTree(arity, build(depth, frozenset()))
 
 
 def random_dist(rng, arity: int, max_denominator: int = 8) -> Dist:

@@ -244,6 +244,15 @@ class TestInputErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: tree deeper")
 
+    def test_tree_read_twice(self, files, tmp_path, capsys):
+        reread = tmp_path / "reread.sexp"
+        reread.write_text("(q 1 (q 1 (leaf 0) (leaf 1)) (leaf 1))\n")
+        inputs = [str(reread) if arg.endswith("tree.sexp") else arg for arg in VERDICT_INPUTS]
+        for argv in (["simulate", *inputs], ["verify", "--m", "1", *inputs]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", "error: invalid decision tree: ReadOnce:0\n")
+
     def test_negative_theta(self, manifest, files, tmp_path, capsys):
         # build-instance wrote "theta": "-1/2" and exited 0
         flags = ["--g", files["g_xor2"], "--f", files["f_id1"], "--mu", files["mu_u2"],
@@ -269,13 +278,15 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "pass --eps" in err
 
-    @pytest.mark.parametrize("m", ["0", "-1"])
+    @pytest.mark.parametrize("m", ["0", "-1", "4", "99"])
     def test_verify_needs_a_sweep_arity(self, capsys, m):
-        # -1 ran no case and reported every sweep passed; 0 meant 3
+        # -1 ran no case and reported every sweep passed; 0 meant 3, and
+        # 4 and 99 printed what 3 prints
         code = main(["verify", "--m", m])
         assert code == 2
         out, err = capsys.readouterr()
-        assert out == "" and err == f"error: verify --m must be at least 1, got {m}\n"
+        bound = "at least 1" if int(m) < 1 else "at most 3"
+        assert out == "" and err == f"error: verify --m must be {bound}, got {m}\n"
 
     def test_verify_reads_instance_flags_only_with_a_tree(self, capsys):
         # each ran the sweeps alone, ignored the flag and exited 0

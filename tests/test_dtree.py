@@ -1,16 +1,18 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from qclab import lattice
-from qclab.core import Dist, QclabError, Subcube
+from qclab.core import Dist, ParseError, QclabError, Subcube
 from qclab.dtree import (
     DecisionTree,
     InternalNode,
     Leaf,
     make_tree,
 )
+from qclab.io import format_tree, parse_tree
 
 from _oracles import Blocks, brute_reach_probs, random_dist, random_tree, split_assignments
 
@@ -45,30 +47,66 @@ class TestEvaluate:
             dictator_tree().evaluate(4)
 
 
+def invalid(violation):
+    return pytest.raises(QclabError, match=f"^invalid decision tree: {violation}$")
+
+
 class TestValidate:
+    """Every route that makes a tree checks it: the constructor,
+    ``make_tree``, ``parse_tree`` and ``dataclasses.replace``.  ``make_tree``
+    and ``parse_tree`` number leaves themselves, so neither can repeat an
+    id, and ``parse_tree`` reports a variable out of its 1-based range
+    before the tree is made."""
+
     def test_requery_rejected(self):
-        inner = InternalNode(0, Leaf(0, 0), Leaf(1, 1))
-        tree = DecisionTree(2, InternalNode(0, inner, Leaf(1, 2)))
-        verdict = tree.validate()
-        assert not verdict.ok
-        assert "ReadOnce" in verdict.violation
-        with pytest.raises(QclabError):
+        root = InternalNode(0, InternalNode(0, Leaf(0, 0), Leaf(1, 1)), Leaf(1, 2))
+        with invalid("ReadOnce:0"):
+            DecisionTree(2, root)
+        with invalid("ReadOnce:0"):
             make_tree(2, (0, (0, 0, 1), 1))
+        with invalid("ReadOnce:0"):
+            parse_tree("(q 1 (q 1 (leaf 0) (leaf 1)) (leaf 1))", 2)
+        with invalid("ReadOnce:0"):
+            replace(dictator_tree(), root=root)
 
     def test_duplicate_leaf_id(self):
-        leaf = Leaf(0, 0)
-        tree = DecisionTree(2, InternalNode(0, leaf, leaf))
-        verdict = tree.validate()
-        assert not verdict.ok
-        assert "DuplicateLeafId" in verdict.violation
+        root = InternalNode(0, Leaf(0, 0), Leaf(1, 0))
+        with invalid("DuplicateLeafId:0"):
+            DecisionTree(2, root)
+        with invalid("DuplicateLeafId:0"):
+            replace(dictator_tree(), root=root)
 
     def test_variable_out_of_range(self):
-        tree = DecisionTree(2, InternalNode(5, Leaf(0, 0), Leaf(1, 1)))
-        assert not tree.validate().ok
+        for var in (2, -1):
+            root = InternalNode(var, Leaf(0, 0), Leaf(1, 1))
+            with invalid(f"VariableOutOfRange:{var}"):
+                DecisionTree(2, root)
+            with invalid(f"VariableOutOfRange:{var}"):
+                make_tree(2, (var, 0, 1))
+            with invalid(f"VariableOutOfRange:{var}"):
+                replace(dictator_tree(), root=root)
+        with pytest.raises(ParseError, match="variable 3 out of range 1..2"):
+            parse_tree("(q 3 (leaf 0) (leaf 1))", 2)
+        # narrowing the arity under a tree that queries variable 1
+        with invalid("VariableOutOfRange:1"):
+            replace(xor2_tree(), arity=1)
+
+    def test_first_violation_in_preorder_is_reported(self):
+        # the left subtree reads variable 1 twice; the right repeats leaf id 0
+        reread = InternalNode(1, InternalNode(1, Leaf(0, 0), Leaf(1, 1)), Leaf(0, 2))
+        with invalid("ReadOnce:1"):
+            DecisionTree(2, InternalNode(0, reread, InternalNode(1, Leaf(0, 0), Leaf(1, 3))))
+        # swapped, the repeated id comes first
+        with invalid("DuplicateLeafId:0"):
+            DecisionTree(2, InternalNode(0, InternalNode(1, Leaf(0, 0), Leaf(1, 0)), reread))
+        # a query out of range is reported at its node, before the re-read below it
+        with invalid("VariableOutOfRange:5"):
+            make_tree(2, (0, (5, (0, 0, 1), 1), 1))
 
     def test_valid_tree(self):
-        assert dictator_tree().validate().ok
-        assert xor2_tree().require_valid() is not None
+        for tree in (make_tree(3, 1), dictator_tree(), xor2_tree()):
+            assert parse_tree(format_tree(tree), tree.arity) == tree
+            assert replace(tree, root=tree.root) == tree
 
 
 def lattice_reach_probs(tree: DecisionTree, block: Blocks, factors: list[Dist]) -> dict:
