@@ -16,9 +16,13 @@ weights are Python ints on one fixed grid, the largest always
 ``ONE_WEIGHT``, and each round's distribution, the weights over their sum,
 goes to the DP as int64 point weights; a :class:`Dist` is built only at the
 end of a depth.  A round builds no tree: the best response is scored by
-walking the DP's choices with the inputs that reach each node, by the same
-tie-break rule as the witness tree, which is built once per depth from the
-last round's DP.
+walking the DP's choices from the full cube, by the same tie-break rule as
+the witness tree, which is built once per depth from the last round's DP.
+The walk reads the DP's values as Python ints and carries each node's
+subcube as its lattice index and its fixed bits; each leaf scores the
+points of its subcube, read off a cached table of the subsets of its free
+variables.  A round whose largest weight is still ``ONE_WEIGHT`` skips the
+rescale, which would change no weight.
 """
 
 from __future__ import annotations
@@ -108,7 +112,9 @@ class _TreeDP:
         return DPResult(success=Fraction(self.value(depth), self.den), witness=witness)
 
     def witness(self, depth: int) -> DecisionTree:
-        root = self._node(0, min(depth, self.arity), count())
+        depth = min(depth, self.arity)
+        self._layer(depth)
+        root = self._node(0, depth, count())
         return DecisionTree(self.arity, root)
 
     def _node(self, index: int, d: int, leaf_ids):
@@ -129,34 +135,45 @@ class _TreeDP:
         the witness and the best-response walk alike: ``(False, label)``
         answers the lowest label of largest mass unless some query beats
         every answer; then ``(True, var)`` queries the lowest variable whose
-        two halves sum to the best value."""
-        best = self._layer(d)[index]
-        if self.values[0][index] < best:  # some query beats every answer
+        two halves sum to the best value.  The layers up to ``d`` must be
+        solved.  Values are read as Python ints, which compare far faster
+        than numpy scalars."""
+        best = self.values[d].item(index)
+        if self.values[0].item(index) < best:  # some query beats every answer
             below = self.values[d - 1]
-            return True, next(
-                v for v in range(self.arity)
-                if index // 3**v % 3 == 0  # v is free here
-                and below[index + 3**v] + below[index + 2 * 3**v] == best
-            )
+            step = 1
+            for v in range(self.arity):
+                # v is free here and its two halves reach the best value
+                if (index // step % 3 == 0
+                        and below.item(index + step) + below.item(index + 2 * step) == best):
+                    return True, v
+                step *= 3
         counts = self.label_mass[:, index].tolist()
         return False, counts.index(max(counts))
 
     def correct(self, depth: int, rows: list[list[bool]]) -> list[bool]:
         """``rows[label][x]`` at the label the depth-``depth`` witness gives
-        each input ``x``, found by passing each node the inputs that reach
-        it; no tree is built and no input is evaluated."""
+        each input ``x``.  The walk carries each node's subcube as its
+        lattice index and as the bits it fixes and the variables it leaves
+        free; a leaf's points are its fixed bits joined with each subset of
+        its free variables.  No tree is built and no input is evaluated."""
+        depth = min(depth, self.arity)
+        self._layer(depth)
         correct = [False] * (1 << self.arity)
-        stack = [(0, min(depth, self.arity), range(1 << self.arity))]
+        subsets = lattice.subsets(self.arity)
+        stack = [(0, depth, 0, (1 << self.arity) - 1)]
         while stack:
-            index, d, inputs = stack.pop()
+            index, d, fixed, free = stack.pop()
             query, k = self._choice(index, d)
             if query:
                 bit, step = 1 << k, 3**k
-                stack.append((index + step, d - 1, [x for x in inputs if not x & bit]))
-                stack.append((index + 2 * step, d - 1, [x for x in inputs if x & bit]))
+                free ^= bit
+                stack.append((index + step, d - 1, fixed, free))
+                stack.append((index + 2 * step, d - 1, fixed | bit, free))
             else:
                 row = rows[k]
-                for x in inputs:
+                for s in subsets[free]:
+                    x = fixed | s
                     correct[x] = row[x]
         return correct
 
@@ -268,7 +285,8 @@ def _solve_game(
             return result(t)
         weights = [w * shrink_num // shrink_den if c else w for w, c in zip(weights, correct)]
         top = max(weights)
-        weights = [w * ONE_WEIGHT // top for w in weights]
+        if top != ONE_WEIGHT:  # else the rescale is the identity
+            weights = [w * ONE_WEIGHT // top for w in weights]
         den = sum(weights)
     return result(MAX_ITER, limit_hit=True)
 

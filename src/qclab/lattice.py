@@ -8,11 +8,14 @@ bit j of a point, so an array of shape ``(..., 3^m)`` reshapes to
 ``(..., 3, ..., 3)`` with variable j on axis ``-1 - j``; index 0 is the full
 cube.  Every function is vectorized over leading axes.
 
-The optimal-tree DP (:func:`layers`) has two kernels that give the same
-integers: one slices the reshaped lattice once per variable per layer, the
-other gathers each layer through a cached child table in a few numpy calls
-whatever m is.  ``layers`` takes the gather for small inputs at m >= 3
-and slicing otherwise.
+The masses (:func:`masses`) and the optimal-tree DP (:func:`layers`) each
+have two kernels that give the same integers, and each picks one by the
+size of its input.  ``masses`` takes one product with a cached 0/1 table
+of which points each subcube holds for small int64 inputs, and one pass
+per variable otherwise.  ``layers`` takes a gather of each layer through
+a cached child table, a few numpy calls whatever m is, for small inputs at
+m >= 3, and slices the reshaped lattice once per variable per layer
+otherwise.  The cached tables are built on first use.
 
 The automorphisms of the cube (permute the variables, flip bits) act on
 points and on subcube indices alike, and masses follow them: the image
@@ -35,6 +38,10 @@ import numpy as np
 from .core import ArityMismatch, Dist, TruthTable
 
 INT64_LIMIT = 1 << 62
+# masses takes the product kernel while rows * 2^m * 3^m is at most this:
+# at or below the int64 crossover measured at m = 2 to 6 (see masses); at
+# m = 1 the passes win from some 2,500 rows, which no caller reaches
+PRODUCT_CELLS = 1 << 15
 # layers gathers while rows * (m + 1) * 3^m is at most this times m - 2:
 # the crossover measured at m = 3, 24 rows (see layers)
 GATHER_CELLS = 2592
@@ -57,15 +64,38 @@ def masses(weights: np.ndarray, m: int) -> np.ndarray:
     """Subcube masses, shape ``(..., 3^m)``, from point weights of shape
     ``(..., 2^m)``.
 
-    One pass per variable, the outermost (variable m - 1) first.  Before
-    the pass for variable j the array is viewed as ``(rows, 2, rest)``:
-    rows run over the leading axes and the trits of the variables above j,
-    the middle axis is bit j and ``rest`` spans the 2^j points below it.
-    The pass writes a fresh ``(rows, 3, rest)`` array: the two fixed
-    halves are copied into trits 1 and 2, then added into trit 0, the free
-    sum.  Going outermost first keeps each copied half a contiguous block
-    of ``rest`` values.  The integers are those of the point sums, for
-    int64 and object arrays alike.
+    Two kernels give the same integers, for int64 and object arrays alike.
+    The product kernel is one matrix product with the cached 0/1 table of
+    which points each subcube holds: a single numpy call, but
+    ``rows * 2^m * 3^m`` multiply-adds (rows over the leading axes).  The
+    pass kernel makes a few numpy calls per variable and moves about
+    ``rows * 3^m`` values in each.  ``masses`` takes the product for int64
+    inputs of at most ``PRODUCT_CELLS`` multiply-adds, the measured
+    crossover, and the passes otherwise.  A product of Python ints costs
+    some fifty times an int64 one, so object inputs always take the passes.
+    """
+    rows = prod(weights.shape[:-1])
+    if weights.dtype != object and rows * 6**m <= PRODUCT_CELLS:
+        return _product_masses(weights, m)
+    return _pass_masses(weights, m)
+
+
+def _product_masses(weights: np.ndarray, m: int) -> np.ndarray:
+    """:func:`masses` as one product with the :func:`_incidence` table."""
+    return weights @ _incidence(m)
+
+
+def _pass_masses(weights: np.ndarray, m: int) -> np.ndarray:
+    """:func:`masses` by one pass per variable, the outermost (variable
+    m - 1) first.
+
+    Before the pass for variable j the array is viewed as
+    ``(rows, 2, rest)``: rows run over the leading axes and the trits of
+    the variables above j, the middle axis is bit j and ``rest`` spans the
+    2^j points below it.  The pass writes a fresh ``(rows, 3, rest)``
+    array: the two fixed halves are copied into trits 1 and 2, then added
+    into trit 0, the free sum.  Going outermost first keeps each copied
+    half a contiguous block of ``rest`` values.
     """
     lead = weights.shape[:-1]
     rows = prod(lead)
@@ -78,6 +108,16 @@ def masses(weights: np.ndarray, m: int) -> np.ndarray:
         a = out
         rows *= 3
     return a.reshape(lead + (3**m,))
+
+
+@lru_cache(maxsize=None)
+def _incidence(m: int) -> np.ndarray:
+    """Read-only int64 table of shape ``(2^m, 3^m)``: entry ``[x, c]`` is 1
+    when subcube ``c`` holds point ``x`` and 0 otherwise.  Row x is the
+    masses of the unit weight on x."""
+    table = _pass_masses(np.eye(1 << m, dtype=np.int64), m)
+    table.flags.writeable = False
+    return table
 
 
 def g_masses(g: TruthTable, mu: Dist) -> tuple[list, list, int]:
@@ -160,8 +200,10 @@ def _children(m: int) -> np.ndarray:
 
 
 def _gathered_layers(answer: np.ndarray, m: int):
-    """:func:`layers` by gathering: each layer is two takes through the
-    :func:`_children` table, one sum and one maximum over its rows."""
+    """:func:`layers` by gathering: each layer is two gathers through the
+    :func:`_children` table, one sum and one maximum over its rows.  A
+    single lattice gathers by plain indexing, the fastest form for one
+    axis; with leading axes ``take`` along the last one is the fastest."""
     lo, hi = _children(m)
     n = 3**m
     buf = np.empty(answer.shape[:-1] + (2 * n + 1,), dtype=answer.dtype)
@@ -171,10 +213,26 @@ def _gathered_layers(answer: np.ndarray, m: int):
     yield value
     for _ in range(m):
         buf[..., :n] = value
-        pairs = np.take(buf, lo, axis=-1)
-        pairs += np.take(buf, hi, axis=-1)
+        if buf.ndim == 1:
+            pairs = buf[lo]
+            pairs += buf[hi]
+        else:
+            pairs = buf.take(lo, axis=-1)
+            pairs += buf.take(hi, axis=-1)
         value = pairs.max(axis=-2)
         yield value
+
+
+@lru_cache(maxsize=None)
+def subsets(m: int) -> tuple[tuple[int, ...], ...]:
+    """Entry ``mask`` lists every point whose set bits lie within
+    ``mask``, for each of the 2^m masks; 3^m points in all.  A subcube's
+    points are its fixed bits joined with each entry of its free mask."""
+    table = [(0,)]
+    for j in range(m):
+        bit = 1 << j
+        table += [t + tuple(s | bit for s in t) for t in table]
+    return tuple(table)
 
 
 def automorphisms(m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -156,8 +156,9 @@ class Simulation:
     ``walker(z)`` adds the thresholds and dead nodes of one z.  The flags
     are kept per theta and the integer terms of p and q per z (see
     ``_terms``), for the object's life.  ``budget`` is the inner-query
-    budget ``depth // c``.  A tree of the wrong arity is rejected here,
-    before any law; every ``DecisionTree`` is valid when it is made."""
+    budget ``depth // c``.  A tree of the wrong arity, or with a leaf label
+    outside f's alphabet, is rejected here, before any law; every
+    ``DecisionTree`` is valid when it is made."""
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree):
         if tree.arity != inst.total_arity:
@@ -172,6 +173,12 @@ class Simulation:
         self._snips: dict = {}
         self._records: dict = {}
         self._compile(tree.root, ((0,),) * inst.n, ())
+        alphabet = inst.f.alphabet_size
+        for leaf, _ in self.leaves:
+            if not 0 <= leaf.label < alphabet:
+                raise QclabError(
+                    f"tree label {leaf.label} is outside f's alphabet 0..{alphabet - 1}"
+                )
 
     def _compile(self, node, state, z_queries) -> None:
         # a method, not a closure: a self-referencing closure would keep

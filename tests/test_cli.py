@@ -253,6 +253,17 @@ class TestInputErrors:
             assert main(argv) == 2
             assert capsys.readouterr() == ("", "error: invalid decision tree: ReadOnce:0\n")
 
+    def test_tree_label_outside_f_alphabet(self, tmp_path, capsys):
+        # f.rel has alphabet 2: these leaves can never be accepted, yet the
+        # success-chain record read "passed": true
+        stray = tmp_path / "stray.sexp"
+        stray.write_text("(q 1 (leaf 7) (leaf -1))\n")
+        inputs = [str(stray) if arg.endswith("tree.sexp") else arg for arg in VERDICT_INPUTS]
+        for argv in (["simulate", *inputs], ["verify", "--m", "1", *inputs]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", "error: tree label 7 is outside f's alphabet 0..1\n")
+
     def test_negative_theta(self, manifest, files, tmp_path, capsys):
         # build-instance wrote "theta": "-1/2" and exited 0
         flags = ["--g", files["g_xor2"], "--f", files["f_id1"], "--mu", files["mu_u2"],

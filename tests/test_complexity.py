@@ -234,7 +234,8 @@ class TestGameMatchesFractionLoop:
     @pytest.mark.parametrize("eps", [F(1, 4), F(1, 3), F(7, 16)])
     def test_random_tables_and_relations(self, eps):
         rng = random.Random(str(eps))
-        for arity in (1, 2, 3, 4):
+        # up to the 5-bit tables the benchmark's games play
+        for arity in (1, 2, 3, 4, 5):
             for h in (random_truth_table(rng, arity), random_relation(rng, arity, 3)):
                 assert _game_fields(rand_complexity(h, eps)) == \
                     _game_fields(fraction_rand_complexity(h, eps))

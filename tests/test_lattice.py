@@ -51,9 +51,13 @@ class TestMasses:
             rows = [[rng.randrange(50) * scale for _ in range(1 << m)]
                     for _ in range(int(np.prod(lead, dtype=int)))]
             weights = np.array(rows, dtype=object if big else np.int64).reshape(lead + (1 << m,))
-            got = lattice.masses(weights, m)
-            assert got.shape == lead + (3**m,) and got.dtype == weights.dtype
-            assert (got == concat_masses(weights, m)).all()
+            reference = concat_masses(weights, m)
+            # each kernel forced in turn, then masses' own choice, which the
+            # point sums below check
+            for kernel in (lattice._product_masses, lattice._pass_masses, lattice.masses):
+                got = kernel(weights, m)
+                assert got.shape == lead + (3**m,) and got.dtype == weights.dtype
+                assert (got == reference).all()
             for row, masses in zip(rows, got.reshape(-1, 3**m).tolist()):
                 den = sum(row)
                 if den == 0:
@@ -64,6 +68,30 @@ class TestMasses:
                 for index, mass in enumerate(masses):
                     cube = Subcube(m, lattice.assignment(index, m))
                     assert F(mass, den) == subcube_prob(mu, cube)
+        assert not lattice._incidence(m).flags.writeable
+
+    def test_size_chooses_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_product_masses", lambda weights, m: "product")
+        monkeypatch.setattr(lattice, "_pass_masses", lambda weights, m: "passes")
+
+        def kernel(rows, m, dtype=np.int64):
+            return lattice.masses(np.zeros((rows, 1 << m), dtype=dtype), m)
+
+        assert lattice.masses(np.zeros(1 << 5, dtype=np.int64), 5) == "product"
+        # the most int64 rows the product takes: rows * 6^m <= 2^15
+        for m, most in ((0, 1 << 15), (1, 5461), (2, 910), (3, 151), (4, 25), (5, 4)):
+            assert (kernel(most, m), kernel(most + 1, m)) == ("product", "passes")
+        assert kernel(1, 6) == kernel(3, 8) == kernel(256, 3) == "passes"
+        # Python ints always take the passes
+        assert kernel(1, 1, object) == kernel(0, 3, object) == "passes"
+        assert kernel(0, 3) == "product"
+
+    def test_subsets_list_each_mask_submasks(self):
+        for m in range(6):
+            table = lattice.subsets(m)
+            assert len(table) == 1 << m and sum(map(len, table)) == 3**m
+            for mask, points in enumerate(table):
+                assert sorted(points) == [x for x in range(1 << m) if x & ~mask == 0]
 
     def test_leading_axes_are_independent(self):
         rng = np.random.default_rng(3)

@@ -265,6 +265,14 @@ class TestInvalidInput:
             messages.add(str(info.value))
         assert messages == {"tree arity does not match the instance"}
 
+    @pytest.mark.parametrize("labels, bad", [((7, 1), 7), ((0, -1), -1), ((2, 3), 2)])
+    def test_label_outside_f_alphabet_raises(self, labels, bad):
+        # such a leaf is never accepted: the chain read "passed" on it
+        tree = make_tree(4, (0, labels[0], labels[1]))
+        for call in public_entries(self.inst, tree, 1).values():
+            with pytest.raises(QclabError, match=f"^tree label {bad} is outside f's alphabet 0..1$"):
+                call()
+
     @pytest.mark.parametrize("z", [4, -1])
     def test_out_of_range_z_raises(self, z):
         # z = 4 read as z = 0, and z = -1 as all ones
