@@ -158,6 +158,10 @@ def cmd_build_instance(args, emit: _Emitter) -> None:
 
 
 def cmd_simulate(args, emit: _Emitter) -> None:
+    if args.seed < 0:
+        # Random(-s) seeds the stream Random(s) does, so z would repeat
+        # another z's walk (-1 + 0 and -1 + 2) or another seed's run
+        raise QclabError(f"simulate --seed must be at least 0, got {args.seed}")
     _require(args, "tree", *(() if args.instance is not None else ("g", "f", "mu")))
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)

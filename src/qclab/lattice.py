@@ -235,6 +235,7 @@ def subsets(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
 def automorphisms(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2^m m! automorphisms of the cube {0,1}^m: every permutation of
     the variables, each with every flip mask, the identity first.
@@ -244,7 +245,8 @@ def automorphisms(m: int) -> tuple[np.ndarray, np.ndarray]:
     which has bit ``perm[j]`` equal to bit j of x flipped where the mask
     flips variable j, and row s of ``cubes`` maps each subcube index to the
     index of its image.  Flipping variable j swaps trits 1 and 2 of it, and
-    permuting the variables moves trit j to position ``perm[j]``.
+    permuting the variables moves trit j to position ``perm[j]``.  Both
+    tables are cached and read-only.
     """
     bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
     trits = np.arange(3**m)[:, None] // 3 ** np.arange(m) % 3
@@ -256,7 +258,10 @@ def automorphisms(m: int) -> tuple[np.ndarray, np.ndarray]:
             flip = (mask >> np.arange(m)) & 1
             points.append((bits ^ flip) @ to_bit)
             cubes.append(np.where((trits > 0) & (flip == 1), 3 - trits, trits) @ to_trit)
-    return np.array(points), np.array(cubes)
+    tables = np.array(points), np.array(cubes)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def index_of(fixed) -> int:

@@ -9,13 +9,13 @@ Each sweep does that work once per orbit of the grid under the cube's
 2^m m! automorphisms (permute the variables, flip bits), and exactly so:
 every function is swept, so an automorphism maps the swept functions onto
 themselves; the grid holds every permutation of each of its points; and
-the tree shapes are closed under the automorphisms, so a tree's leaf set
-maps to another tree's.  Every quantity checked (masses, biases,
-complexity, codimension) is carried along, so a grid point has its orbit
-representative's case count, and its violations are the images of the
-representative's under any automorphism that maps one point to the other.
-The sampled 4-bit unbias fixtures are single (function, distribution)
-pairs and still run one at a time.
+the tree shapes are closed under the automorphisms.  So a grid point has
+its orbit representative's case count, and the images of its violations.
+The output complement g -> not g swaps the masses of g=0 and g=1, and
+every check is symmetric under that swap (unbias's up to its value b), so
+only the functions with g = 0 on the top point are swept and the others
+take their complements' verdicts.  The sampled 4-bit unbias fixtures run
+as one batch, one row of point weights per fixture.
 
 Distribution masses are integer numerators over one common total and all
 comparisons are numpy int64 comparisons; each sweep checks before it runs
@@ -32,7 +32,8 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain, combinations
+from math import comb, lcm
 
 import numpy as np
 
@@ -45,35 +46,28 @@ GRID_DENOMINATOR = {1: 6, 2: 5, 3: 4}
 UNBIAS_DENOMINATOR = 6
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def grid_weight_vectors(points: int, max_denominator: int) -> tuple[list[tuple[int, ...]], int]:
     """All distributions on ``points`` outcomes whose probabilities have
     denominator at most ``max_denominator``, as unique integer weight
-    vectors over the common total lcm(1..max_denominator)."""
+    vectors over the common total lcm(1..max_denominator), by least
+    denominator q and then lexicographically.  The parts of q are the gaps
+    between ``points - 1`` bars among ``q + points - 1`` slots; those whose
+    gcd is 1 are the ones no smaller denominator gives."""
     total = lcm(*range(1, max_denominator + 1))
-    seen = set()
+    _check_int64(total)  # every weight is at most the total
     out = []
     for q in range(1, max_denominator + 1):
-        scale = total // q
-        for comp in _compositions(q, points):
-            w = tuple(c * scale for c in comp)
-            if w not in seen:
-                seen.add(w)
-                out.append(w)
+        slots, bars = q + points - 1, points - 1
+        cuts = np.fromiter(chain.from_iterable(combinations(range(slots), bars)), np.int64)
+        parts = np.diff(cuts.reshape(comb(slots, bars), bars), prepend=-1, append=slots) - 1
+        new = np.gcd.reduce(parts, axis=1) == 1
+        out.extend(map(tuple, (parts[new] * (total // q)).tolist()))
     return out, total
 
 
 def all_output_tables(m: int) -> list[tuple[int, ...]]:
     size = 1 << m
-    return [tuple((g >> x) & 1 for x in range(size)) for g in range(1 << size)]
+    return list(map(tuple, ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1).tolist()))
 
 
 def readonce_leaves(m: int, depth: int) -> np.ndarray:
@@ -113,28 +107,39 @@ def _check_float64(bound: int) -> None:
 
 
 def _orbit_walk(m: int, mus: list[tuple[int, ...]], point, fn_col: int,
-                cube_col: int | None = None):
+                cube_col: int | None = None, value_col: int | None = None):
     """Run ``point`` once per orbit of the cube's automorphisms on the grid
     ``mus`` and yield ``(w, cases, violations)`` for every grid point, in
     grid order.
 
-    ``point(w)`` sweeps every function on m bits at the point ``w`` and
-    returns its case count and a list of int arrays whose rows are its
-    violations; column ``fn_col`` holds the function index (bit x is g(x))
-    and column ``cube_col``, if any, a subcube index.  A point first seen
-    becomes its orbit's representative and is swept; every other point
-    takes the representative's count, and its violations are their images
-    under an automorphism that maps the representative to it, as rows
-    sorted by every column, first to last.
+    ``point(g_rows, w)`` sweeps the functions ``g_rows``, those with g = 0
+    on the top point, at the point ``w``; it returns a case count and a list
+    of int arrays whose rows are violations, with the function index (bit x
+    is g(x)) in column ``fn_col`` and, if given, a subcube index in
+    ``cube_col`` and a value b of g in ``value_col``.  Complementing
+    function k (index ``last - k``) doubles the count and flips b.  A point
+    first seen becomes its orbit's representative and is swept; every other
+    point takes its count, and its violations are their images under an
+    automorphism that maps the representative to it, as rows sorted by
+    every column, first to last.
     """
     points, cubes = lattice.automorphisms(m)
+    tables = np.array(all_output_tables(m), dtype=np.int64)
+    half, last = tables[:len(tables) // 2], len(tables) - 1
     # functions[k, s]: the index of the image of function k under automorphism s
-    functions = np.array(all_output_tables(m), dtype=np.int64) @ (1 << points.T)
+    functions = tables @ (1 << points.T)
     group = np.arange(len(points))[:, None]
     seen = {}  # grid point -> (its representative's result, automorphism)
     for w in mus:
         if w not in seen:
-            result = point(w)
+            cases, found = point(half, w)
+            if found:
+                mirror = np.vstack(found)
+                mirror[:, fn_col] = last - mirror[:, fn_col]
+                if value_col is not None:
+                    mirror[:, value_col] ^= 1
+                found.append(mirror)
+            result = 2 * cases, found
             images = np.empty_like(points)
             images[group, points] = w
             for s, image in enumerate(map(tuple, images.tolist())):
@@ -183,19 +188,21 @@ def sweep_unbias(
     labels = [str(d) for d in deltas]
     consts = [(d.numerator, d.denominator) for d in deltas]
 
-    def run(m: int, g_rows: np.ndarray, w: tuple[int, ...], total: int):
-        """Cases and violation rows (delta index, b, row of g_rows, subcube)."""
-        wv = np.array(w, dtype=np.int64)
-        M1 = g_rows @ wv                      # g=1 masses of the full cube
+    def run(m: int, g_rows: np.ndarray, w, total: int):
+        """Cases and violation rows (delta index, b, row of g_rows, subcube)
+        under point weights ``w``, one row for all functions or one each."""
+        wv = np.asarray(w, dtype=np.int64)
+        M1 = (g_rows * wv).sum(axis=-1)       # g=1 masses of the full cube
         gap = np.abs(total - 2 * M1)          # |M0 - M1|
         # only functions meeting the loosest hypothesis can be checked
         sel = np.nonzero(gap * loosest.denominator <= loosest.numerator * total)[0]
         if not sel.size:
             return 0, []
         rows, gap, M1 = g_rows[sel], gap[sel], M1[sel]
+        wv = wv[sel] if wv.ndim > 1 else wv
         M0 = total - M1
-        mt = lattice.masses(wv, m)            # subcube masses
         m1 = lattice.masses(rows * wv, m)     # g=1 masses, (n_sel, n_cubes)
+        mt = np.broadcast_to(lattice.masses(wv, m), m1.shape)  # subcube masses
         m0 = mt - m1
         cube_gap = np.abs(m0 - m1)
         positive = mt > 0
@@ -207,7 +214,7 @@ def sweep_unbias(
             low_bias = (cube_gap * dd <= nd * mt) & positive
             gi, ci = np.nonzero(low_bias & hyp[:, None])  # row-major
             cases += gi.size
-            lhs_c = mt[ci] * dd
+            lhs_c = mt[gi, ci] * dd
             for b, (mb_cube, Mb) in enumerate(((m0, M0), (m1, M1))):
                 # Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
                 bad = np.nonzero(lhs_c * Mb[gi] > (dd + 4 * nd) * mb_cube[gi, ci] * total)[0]
@@ -219,31 +226,28 @@ def sweep_unbias(
     cases, violations = 0, []
     fixings = {m: [lattice.assignment(c, m) for c in range(3**m)]
                for m in range(1, max(max_m, 4) + 1)}
-
-    def collect(m, tables, w, n, found):
-        nonlocal cases
-        cases += n
-        fixed = fixings[m]
-        violations.extend((m, tables[g], w, labels[d], fixed[c]) for d, _, g, c in found)
-
     for m in range(1, max_m + 1):
         tables = all_output_tables(m)
-        g_rows = np.array(tables, dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, max_denominator)
-        for w, n, found in _orbit_walk(m, mus, lambda w: run(m, g_rows, w, total),
-                                       fn_col=2, cube_col=3):
-            collect(m, tables, w, n, found)
+        for w, n, found in _orbit_walk(m, mus, lambda g_rows, w: run(m, g_rows, w, total),
+                                       fn_col=2, cube_col=3, value_col=1):
+            cases += n
+            violations.extend((m, tables[g], w, labels[d], fixings[m][c]) for d, _, g, c in found)
 
-    # single (function, distribution) pairs: no orbit to share
+    # single (function, distribution) pairs, no orbit to share: one batch
     rng = _random.Random(seed)
+    tables, mus = [], []
     for _ in range(sampled_m4):
-        g = tuple(rng.randrange(2) for _ in range(16))
+        tables.append(tuple(rng.randrange(2) for _ in range(16)))
         q = rng.randrange(1, max_denominator + 1)
         cuts = sorted(rng.randrange(q + 1) for _ in range(15))
-        comp = [b - a for a, b in zip([0] + cuts, cuts + [q])]
-        w = tuple(c * (total4 // q) for c in comp)
-        n, found = run(4, np.array([g], dtype=np.int64), w, total4)
-        collect(4, [g], w, n, np.vstack(found).tolist() if found else [])
+        mus.append(tuple((b - a) * (total4 // q) for a, b in zip([0] + cuts, cuts + [q])))
+    n, found = run(4, *np.array((tables, mus), dtype=np.int64).reshape(2, -1, 16), total4)
+    cases += n
+    if found:
+        rows = np.vstack(found)
+        rows = rows[np.lexsort(rows.T[[3, 1, 0, 2]])].tolist()  # by fixture, delta, b, subcube
+        violations.extend((4, tables[i], mus[i], labels[d], fixings[4][c]) for d, _, i, c in rows)
 
     return SweepReport("unbias", cases, tuple(violations))
 
@@ -256,8 +260,7 @@ def sweep_rbias(
     """Both shallow-high-bias-leaf mass bounds, over every function with
     positive complexity, the distribution grid, and every canonical
     read-once tree of bounded depth."""
-    violations = []
-    cases = 0
+    cases, violations = 0, []
     labels = [str(eps) for eps in eps_list]
     consts = []
     for eps in eps_list:
@@ -266,7 +269,6 @@ def sweep_rbias(
                        delta.numerator, delta.denominator))
     for m in range(1, max_m + 1):
         tables = all_output_tables(m)
-        g_rows = np.array(tables, dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
         _check_float64(total)
         for _, de, nd, dd in consts:
@@ -274,7 +276,7 @@ def sweep_rbias(
         codim = np.array([len(lattice.assignment(i, m)) for i in range(3**m)])
         incidence = readonce_leaves(m, tree_depth).astype(np.float64)
 
-        def point(w):
+        def point(g_rows, w):
             """Cases and violation rows (eps index, function, complexity),
             one per violating (function, tree) pair."""
             wv = np.array(w, dtype=np.int64)
@@ -320,18 +322,16 @@ def sweep_fullbias(
 ) -> SweepReport:
     """Whenever the distributional complexity is positive, the minority
     value mass must exceed eps and the full-cube bias stay below 1-2*eps."""
-    violations = []
-    cases = 0
+    cases, violations = 0, []
     labels = [str(eps) for eps in eps_list]
     consts = [(1 - eps, eps, 1 - 2 * eps) for eps in eps_list]
     for m in range(1, max_m + 1):
         tables = all_output_tables(m)
-        g_rows = np.array(tables, dtype=np.int64)
         mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
         for c in consts:
             _check_int64(total * max(f.denominator for f in c))
 
-        def point(w):
+        def point(g_rows, w):
             """Cases and violation rows (eps index, function)."""
             M1 = g_rows @ np.array(w, dtype=np.int64)
             M0 = total - M1

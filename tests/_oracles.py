@@ -8,7 +8,8 @@ Fractions, which the integer loop must follow iterate for iterate.  The
 fullbias sweep's reference takes each function's complexity from
 ``dist_complexity``, which the DP tests hold to tree enumeration.  The
 subcube mass kernel's reference is its original concatenating form, and
-the simileaf check's is its original form in Fraction products.  Composed
+the simileaf check's is its original form in Fraction products, and the
+sweep grid's is its original recursive generator of compositions.  Composed
 inputs are split into their copies by ``Blocks`` here, not by the package's
 own block arithmetic.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -287,6 +289,32 @@ def _shape_leaves(shape, fixed=()) -> list[tuple]:
         return [fixed]
     var, s0, s1 = shape
     return _shape_leaves(s0, fixed + ((var, 0),)) + _shape_leaves(s1, fixed + ((var, 1),))
+
+
+def _compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def recursive_grid(points: int, max_denominator: int) -> tuple[list[tuple[int, ...]], int]:
+    """``sweeps.grid_weight_vectors`` by recursion: every composition of
+    each denominator q, in order, scaled to the common total, keeping the
+    first copy of each weight vector."""
+    total = lcm(*range(1, max_denominator + 1))
+    seen = set()
+    out = []
+    for q in range(1, max_denominator + 1):
+        scale = total // q
+        for comp in _compositions(q, points):
+            w = tuple(c * scale for c in comp)
+            if w not in seen:
+                seen.add(w)
+                out.append(w)
+    return out, total
 
 
 def brute_sweep_unbias(grids, deltas) -> tuple[int, list]:

@@ -299,6 +299,15 @@ class TestInputErrors:
         bound = "at least 1" if int(m) < 1 else "at most 3"
         assert out == "" and err == f"error: verify --m must be {bound}, got {m}\n"
 
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_simulate_refuses_a_negative_seed(self, capsys, seed):
+        # Random(-s) seeds Random(s)'s stream: --seed=-1 walked z = 0 and
+        # z = 2 on the same words, and --seed=-5 repeated --seed 5
+        code = main(["simulate", f"--seed={seed}", *VERDICT_INPUTS])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: simulate --seed must be at least 0, got {seed}\n"
+
     def test_verify_reads_instance_flags_only_with_a_tree(self, capsys):
         # each ran the sweeps alone, ignored the flag and exited 0
         for flags in (("--instance", "nothere.json"), ("--eps", "abc")):
@@ -411,6 +420,8 @@ VERDICT_INPUTS = [
     (["rqc", "--g", str(VERDICTS / "g.tt"), "--eps", "7/16"], "rqc.jsonl"),
     (["xor-stack", "--g", str(VERDICTS / "g.tt"), "--t", "2", "--eps", "7/16"],
      "xor-stack.jsonl"),
+    (["verify", "--m", "2"], "verify-m2.jsonl"),
+    (["verify", "--m", "3"], "verify-m3.jsonl"),
 ])
 def test_verdict_bytes_are_pinned(capsys, command, golden):
     """The verdict stream of one small fixture, byte for byte.  Its tree has
@@ -418,7 +429,8 @@ def test_verdict_bytes_are_pinned(capsys, command, golden):
     file, which counts variables from 1), a subcube of bias 3/5 >= theta, so
     they are snipped; x1 = x2 = 1 has no mass, so the branch there is dead
     and leaves 4 and 5 have p = q = 0.  The game on its g runs 9 rounds to
-    depth 2 at eps 7/16, and the stacked g^2 reaches depth 5."""
+    depth 2 at eps 7/16, and the stacked g^2 reaches depth 5.  ``verify``
+    without a tree pins the three sweeps' case counts at --m 2 and 3."""
     assert main(command) == 0
     assert capsys.readouterr().out == (VERDICTS / golden).read_text()
 

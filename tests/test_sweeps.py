@@ -2,7 +2,8 @@
 function on up to 2 bits and a few sampled 4-bit fixtures, and every
 function on 3 bits on a few small grids, where the orbit walk meets all 48
 automorphisms of the cube.  The reports must be equal, violation order
-included."""
+included, and the violations must include functions on both sides of the
+output complement, which the sweeps mirror rather than compute."""
 
 import random
 from fractions import Fraction as F
@@ -14,7 +15,12 @@ import pytest
 from qclab import sweeps
 from qclab.core import CapExceeded
 
-from _oracles import brute_sweep_fullbias, brute_sweep_rbias, brute_sweep_unbias
+from _oracles import (
+    brute_sweep_fullbias,
+    brute_sweep_rbias,
+    brute_sweep_unbias,
+    recursive_grid,
+)
 
 REAL_GRID = sweeps.grid_weight_vectors
 
@@ -27,6 +33,28 @@ def two_bit_grids(monkeypatch):
 
     monkeypatch.setattr(sweeps, "grid_weight_vectors", grid)
     return grid
+
+
+def _both_complements(violations, m):
+    """The values g takes on the top point over the m-bit violations: the
+    sweeps compute the half with g = 0 there and mirror it to the other."""
+    return {v[1][-1] for v in violations if v[0] == m}
+
+
+# at one point the bar positions are a single empty tuple
+@pytest.mark.parametrize("points", [1, 2, 4, 8, 16])
+def test_grid_matches_recursive_reference(points):
+    for max_denominator in range(1, 7):
+        assert sweeps.grid_weight_vectors(points, max_denominator) == \
+            recursive_grid(points, max_denominator)
+
+
+def test_grid_refuses_totals_from_2_to_the_63():
+    # the weights are int64 products of at most the total, lcm(1..42) < 2^63
+    assert lcm(*range(1, 43)) < 2**63 <= lcm(*range(1, 44))
+    assert sweeps.grid_weight_vectors(2, 42) == recursive_grid(2, 42)
+    with pytest.raises(CapExceeded, match="int64"):
+        sweeps.grid_weight_vectors(2, 43)
 
 
 def _every_cube(monkeypatch):
@@ -60,12 +88,16 @@ def _unbias_grids(grid, max_denominator, sampled_m4, seed):
     ((F(1, 2), F(1), F(3, 4)), 3),     # delta order is the caller's, not sorted
 ])
 def test_unbias_matches_point_sums(two_bit_grids, deltas, max_denominator):
-    report = sweeps.sweep_unbias(deltas, max_denominator, sampled_m4=4, seed=5)
-    grids = _unbias_grids(two_bit_grids, max_denominator, 4, 5)
+    report = sweeps.sweep_unbias(deltas, max_denominator, sampled_m4=20, seed=5)
+    grids = _unbias_grids(two_bit_grids, max_denominator, 20, 5)
     cases, violations = brute_sweep_unbias(grids, deltas)
     assert report.cases == cases > 0
     assert list(report.violations) == violations
     assert report.passed == (max(deltas) < 1)
+    if not report.passed:
+        assert _both_complements(violations, 2) == {0, 1}
+        # the fixtures run as one batch, in the order one at a time gives
+        assert len({v[1] for v in violations if v[0] == 4}) > 1
 
 
 @pytest.mark.parametrize("eps_list, tree_depth, every_cube", [
@@ -110,7 +142,7 @@ def test_unbias_three_bits_matches_point_sums():
     cases, violations = brute_sweep_unbias(grids, (F(1),))
     assert report.cases == cases > 0
     assert list(report.violations) == violations
-    assert sum(v[0] == 3 for v in violations) > 0
+    assert _both_complements(violations, 3) == {0, 1}
 
 
 def test_rbias_three_bits_matches_point_sums(monkeypatch):
@@ -127,7 +159,7 @@ def test_rbias_three_bits_matches_point_sums(monkeypatch):
     cases, violations = brute_sweep_rbias(grids, eps_list, 1, every_cube=True)
     assert report.cases == cases > 0
     assert list(report.violations) == violations
-    assert violations
+    assert _both_complements(violations, 3) == {0, 1}
 
 
 def test_float64_event_sums_refused_from_2_to_the_53(monkeypatch):
