@@ -1,6 +1,6 @@
-"""The subcube lattice of {0,1}^m behind the exact tree DP, the sweeps, the
-bias verifiers and the simulator's exact laws: one indexing, one mass
-computation, one optimal-tree DP.
+"""The subcube lattice of {0,1}^m behind the exact tree DP, the sweeps and
+the simulator's exact laws: one indexing, one mass computation, one
+optimal-tree DP.
 
 Subcube indices carry one trit per variable: 0 leaves variable j free, 1
 fixes it to 0, 2 fixes it to 1.  Trit j has weight 3^j, as variable j is

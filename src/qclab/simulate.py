@@ -414,8 +414,16 @@ class Simulation:
         )
 
 
+def _rng(seed: int) -> random.Random:
+    """The random stream of a run; Random(-s) replays Random(s), so a
+    negative seed is refused."""
+    if seed < 0:
+        raise QclabError(f"seed must be at least 0, got {seed}")
+    return random.Random(seed)
+
+
 def _run(walker: TreeWalker, z: int, seed: int) -> SimulationTrace:
-    end = next(walker.ends(random.Random(seed), 1))[0]
+    end = next(walker.ends(_rng(seed), 1))[0]
     return replace(walker.payload[end], z=z, rng_seed=seed)
 
 
@@ -441,5 +449,5 @@ class AprimeSimulator:
     def run_stream(self, samples: int, seed: int) -> dict[int, int]:
         """Leaf-id frequency counts over ``samples`` runs sharing one seeded
         random stream."""
-        counts = self._walker.counts(random.Random(seed), samples)
+        counts = self._walker.counts(_rng(seed), samples)
         return {self._walker.payload[k].leaf_id: n for k, n in enumerate(counts) if n}

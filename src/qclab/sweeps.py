@@ -9,12 +9,14 @@ Each sweep does that work once per orbit of the grid under the cube's
 2^m m! automorphisms (permute the variables, flip bits), and exactly so:
 every function is swept, so an automorphism maps the swept functions onto
 themselves; the grid holds every permutation of each of its points; and
-the tree shapes are closed under the automorphisms.  So a grid point has
-its orbit representative's case count, and the images of its violations.
-The output complement g -> not g swaps the masses of g=0 and g=1, and
-every check is symmetric under that swap (unbias's up to its value b), so
-only the functions with g = 0 on the top point are swept and the others
-take their complements' verdicts.  The sampled 4-bit unbias fixtures run
+the tree shapes are closed under the automorphisms.  So every point of an
+orbit has its representative's case count, and has violations exactly
+where the representative has them.  The output complement g -> not g
+swaps the masses of g=0 and g=1, and every check is symmetric under that
+swap (unbias's up to its value b), so each representative is swept only
+on the functions with g = 0 on the top point and counts twice.  Only an
+orbit whose representative fails is swept again, point by point on every
+function, to list its violations.  The sampled 4-bit unbias fixtures run
 as one batch, one row of point weights per fixture.
 
 Distribution masses are integer numerators over one common total and all
@@ -106,52 +108,41 @@ def _check_float64(bound: int) -> None:
         raise CapExceeded(f"sweep sums up to {bound} are not exact in float64")
 
 
-def _orbit_walk(m: int, mus: list[tuple[int, ...]], point, fn_col: int,
-                cube_col: int | None = None, value_col: int | None = None):
-    """Run ``point`` once per orbit of the cube's automorphisms on the grid
-    ``mus`` and yield ``(w, cases, violations)`` for every grid point, in
-    grid order.
+def _check_arity(max_m: int) -> None:
+    """The grids stop at 3 bits; refuse a larger arity bound."""
+    if max_m > max(GRID_DENOMINATOR):
+        raise CapExceeded(f"sweeps cover at most {max(GRID_DENOMINATOR)} bits, got max_m={max_m}")
 
-    ``point(g_rows, w)`` sweeps the functions ``g_rows``, those with g = 0
-    on the top point, at the point ``w``; it returns a case count and a list
-    of int arrays whose rows are violations, with the function index (bit x
-    is g(x)) in column ``fn_col`` and, if given, a subcube index in
-    ``cube_col`` and a value b of g in ``value_col``.  Complementing
-    function k (index ``last - k``) doubles the count and flips b.  A point
-    first seen becomes its orbit's representative and is swept; every other
-    point takes its count, and its violations are their images under an
-    automorphism that maps the representative to it, as rows sorted by
-    every column, first to last.
+
+def _orbit_sweep(m: int, mus: list[tuple[int, ...]], point) -> tuple[int, list]:
+    """Run ``point`` once per orbit of the cube's automorphisms on the grid
+    ``mus``, and again at every point of each orbit that fails.
+
+    ``point(g_rows, w)`` sweeps the functions ``g_rows`` (bit x of row k is
+    g(x)) at the point ``w``; it returns a case count and a list of int
+    arrays whose rows are violations, each naming a row of ``g_rows``,
+    sorted by every column, first to last.  A point first seen is its
+    orbit's representative and is swept on the half of the functions with
+    g = 0 on the top point; each grid point of its orbit counts twice its
+    cases.  Returns the case total and ``(w, rows)`` for each point of a
+    failing orbit, in grid order, with ``rows`` from ``point`` on all the
+    functions, so that each names a function by its index.
     """
-    points, cubes = lattice.automorphisms(m)
+    points, _ = lattice.automorphisms(m)
     tables = np.array(all_output_tables(m), dtype=np.int64)
-    half, last = tables[:len(tables) // 2], len(tables) - 1
-    # functions[k, s]: the index of the image of function k under automorphism s
-    functions = tables @ (1 << points.T)
     group = np.arange(len(points))[:, None]
-    seen = {}  # grid point -> (its representative's result, automorphism)
+    unseen, failing, cases = set(mus), set(), 0
     for w in mus:
-        if w not in seen:
-            cases, found = point(half, w)
-            if found:
-                mirror = np.vstack(found)
-                mirror[:, fn_col] = last - mirror[:, fn_col]
-                if value_col is not None:
-                    mirror[:, value_col] ^= 1
-                found.append(mirror)
-            result = 2 * cases, found
+        if w in unseen:
+            n, found = point(tables[:len(tables) // 2], w)
             images = np.empty_like(points)
             images[group, points] = w
-            for s, image in enumerate(map(tuple, images.tolist())):
-                seen.setdefault(image, (result, s))
-        (cases, found), s = seen[w]
-        if found:
-            rows = np.vstack(found)
-            rows[:, fn_col] = functions[rows[:, fn_col], s]
-            if cube_col is not None:
-                rows[:, cube_col] = cubes[s, rows[:, cube_col]]
-            found = rows[np.lexsort(rows.T[::-1])].tolist()
-        yield w, cases, found
+            orbit = unseen.intersection(map(tuple, images.tolist()))
+            unseen -= orbit
+            cases += 2 * n * len(orbit)
+            if found:
+                failing |= orbit
+    return cases, [(w, np.vstack(point(tables, w)[1]).tolist()) for w in mus if w in failing]
 
 
 @dataclass(frozen=True)
@@ -182,6 +173,7 @@ def sweep_unbias(
     Pr[C, g=b] <= (1 + delta)/2 Pr[C], so Pr_mu[C]/Pr_mu_b[C] >=
     (1 - delta)/(1 + delta) >= 1 - 4 delta for every delta >= 0.
     """
+    _check_arity(max_m)
     total4 = lcm(*range(1, max_denominator + 1))  # the grid total of every arity
     _check_int64(total4**2 * max(d.denominator + 4 * d.numerator for d in deltas))
     loosest = max(deltas)
@@ -224,15 +216,14 @@ def sweep_unbias(
         return cases, found
 
     cases, violations = 0, []
-    fixings = {m: [lattice.assignment(c, m) for c in range(3**m)]
-               for m in range(1, max(max_m, 4) + 1)}
+    fixings = {m: [lattice.assignment(c, m) for c in range(3**m)] for m in range(1, 5)}
     for m in range(1, max_m + 1):
         tables = all_output_tables(m)
         mus, total = grid_weight_vectors(1 << m, max_denominator)
-        for w, n, found in _orbit_walk(m, mus, lambda g_rows, w: run(m, g_rows, w, total),
-                                       fn_col=2, cube_col=3, value_col=1):
-            cases += n
-            violations.extend((m, tables[g], w, labels[d], fixings[m][c]) for d, _, g, c in found)
+        n, found = _orbit_sweep(m, mus, lambda g_rows, w: run(m, g_rows, w, total))
+        cases += n
+        violations.extend((m, tables[g], w, labels[d], fixings[m][c])
+                          for w, rows in found for d, _, g, c in rows)
 
     # single (function, distribution) pairs, no orbit to share: one batch
     rng = _random.Random(seed)
@@ -260,6 +251,7 @@ def sweep_rbias(
     """Both shallow-high-bias-leaf mass bounds, over every function with
     positive complexity, the distribution grid, and every canonical
     read-once tree of bounded depth."""
+    _check_arity(max_m)
     cases, violations = 0, []
     labels = [str(eps) for eps in eps_list]
     consts = []
@@ -310,9 +302,9 @@ def sweep_rbias(
                     found.append(np.column_stack((np.full(gi.size, e), gi, c_arr[gi])))
             return cases, found
 
-        for w, n, found in _orbit_walk(m, mus, point, fn_col=1):
-            cases += n
-            violations.extend((m, tables[g], w, labels[e], c) for e, g, c in found)
+        n, found = _orbit_sweep(m, mus, point)
+        cases += n
+        violations.extend((m, tables[g], w, labels[e], c) for w, rows in found for e, g, c in rows)
     return SweepReport("rbias", cases, tuple(violations))
 
 
@@ -322,6 +314,7 @@ def sweep_fullbias(
 ) -> SweepReport:
     """Whenever the distributional complexity is positive, the minority
     value mass must exceed eps and the full-cube bias stay below 1-2*eps."""
+    _check_arity(max_m)
     cases, violations = 0, []
     labels = [str(eps) for eps in eps_list]
     consts = [(1 - eps, eps, 1 - 2 * eps) for eps in eps_list]
@@ -346,7 +339,7 @@ def sweep_fullbias(
                     found.append(np.column_stack((np.full(gi.size, e), gi)))
             return cases, found
 
-        for w, n, found in _orbit_walk(m, mus, point, fn_col=1):
-            cases += n
-            violations.extend((m, tables[g], w, labels[e]) for e, g in found)
+        n, found = _orbit_sweep(m, mus, point)
+        cases += n
+        violations.extend((m, tables[g], w, labels[e]) for w, rows in found for e, g in rows)
     return SweepReport("fullbias", cases, tuple(violations))

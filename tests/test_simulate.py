@@ -281,6 +281,20 @@ class TestInvalidInput:
             with pytest.raises(QclabError, match=f"input {z} out of range"):
                 entries[name]()
 
+    def test_negative_seed_raises(self):
+        # Random(-s) replays Random(s), so seed -1 would walk seed 1's draws
+        sim = Simulation(self.inst, full_parity_tree(4))
+        compiled = AprimeSimulator(self.inst, full_parity_tree(4), 3)
+        runs = (lambda seed: sim.run(3, seed), compiled.run,
+                lambda seed: compiled.run_stream(10, seed))
+        for run in runs:
+            for seed in (-1, -5):
+                with pytest.raises(QclabError, match=f"^seed must be at least 0, got {seed}$"):
+                    run(seed)
+            run(0)  # the least seed allowed
+        assert sim.run(3, 0) == compiled.run(0)
+        assert sum(compiled.run_stream(10, 0).values()) == 10
+
 
 def stride_tree(rng, arity, stride, depth):
     """A random tree whose leaves all lie at positive multiples of

@@ -1,12 +1,14 @@
 """The sweeps against plain point-sum references on reduced grids: every
 function on up to 2 bits and a few sampled 4-bit fixtures, and every
-function on 3 bits on a few small grids, where the orbit walk meets all 48
+function on 3 bits on a few small grids, where the orbits meet all 48
 automorphisms of the cube.  The reports must be equal, violation order
 included, and the violations must include functions on both sides of the
-output complement, which the sweeps mirror rather than compute."""
+output complement, which the sweeps count but do not sweep on a clean
+orbit."""
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 from math import lcm
 
 import numpy as np
@@ -37,7 +39,8 @@ def two_bit_grids(monkeypatch):
 
 def _both_complements(violations, m):
     """The values g takes on the top point over the m-bit violations: the
-    sweeps compute the half with g = 0 there and mirror it to the other."""
+    sweeps sweep a representative on the half with g = 0 there, and a
+    failing orbit's points on every function."""
     return {v[1][-1] for v in violations if v[0] == m}
 
 
@@ -55,6 +58,47 @@ def test_grid_refuses_totals_from_2_to_the_63():
     assert sweeps.grid_weight_vectors(2, 42) == recursive_grid(2, 42)
     with pytest.raises(CapExceeded, match="int64"):
         sweeps.grid_weight_vectors(2, 43)
+
+
+def _orbits(m, mus):
+    """The orbits of the grid points ``mus`` under every permutation of the
+    m variables with every flip mask, as sets, by first point."""
+    orbits = []
+    for w in mus:
+        orbit = frozenset(
+            tuple(w[sum(((x >> perm[j] ^ mask >> j) & 1) << j for j in range(m))]
+                  for x in range(1 << m))
+            for perm in permutations(range(m)) for mask in range(1 << m))
+        if orbit not in orbits:
+            orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("m, max_denominator", [(2, 3), (3, 2)])
+def test_orbit_sweep_sweeps_clean_orbits_once_and_failing_ones_everywhere(m, max_denominator):
+    mus, _ = REAL_GRID(1 << m, max_denominator)
+    orbits = _orbits(m, mus)
+    bad = max(orbits, key=len)  # the largest orbit, not the first
+    assert 1 < len(bad) and bad != orbits[0]
+    calls = []
+
+    def point(g_rows, w):
+        calls.append((len(g_rows), w))
+        # one case per function; at a failing point, violations naming the
+        # point's grid index and the last two functions, sorted by column
+        rows = [[mus.index(w), k] for k in (len(g_rows) - 2, len(g_rows) - 1)] if w in bad else []
+        return len(g_rows), [np.array(rows)] if rows else []
+
+    cases, violations = sweeps._orbit_sweep(m, mus, point)
+    half, every = 1 << (1 << m) - 1, 1 << (1 << m)
+    assert cases == every * len(mus)
+    orbit_of = {w: i for i, orbit in enumerate(orbits) for w in orbit}
+    assert sorted(orbit_of[w] for n, w in calls if n == half) == list(range(len(orbits)))
+    in_grid_order = [w for w in mus if w in bad]
+    assert [w for n, w in calls if n == every] == in_grid_order
+    assert len(calls) == len(orbits) + len(bad)
+    assert violations == [(w, [[mus.index(w), every - 2], [mus.index(w), every - 1]])
+                          for w in in_grid_order]
 
 
 def _every_cube(monkeypatch):
@@ -175,3 +219,11 @@ def test_float64_event_sums_refused_from_2_to_the_53(monkeypatch):
     sweeps._check_float64(2**53 - 1)
     with pytest.raises(CapExceeded, match="float64"):
         sweeps._check_float64(2**53)
+
+
+@pytest.mark.parametrize("sweep", [sweeps.sweep_unbias, sweeps.sweep_rbias, sweeps.sweep_fullbias])
+def test_arity_above_3_refused(sweep):
+    # GRID_DENOMINATOR has no 4-bit grid, and an exhaustive 4-bit unbias
+    # sweep would cover all 65,536 functions
+    with pytest.raises(CapExceeded, match="^sweeps cover at most 3 bits, got max_m=4$"):
+        sweep(max_m=4)
