@@ -13,13 +13,13 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .compose import build_instance, xor_stack
+from .compose import xor_stack
 from .complexity import dist_solution, rand_complexity
 from .core import QclabError, Relation, TruthTable
 from .io import (
-    format_fraction,
     format_tree,
     format_truth_table,
+    load_instance,
     parse_dist,
     parse_fraction,
     parse_relation,
@@ -86,24 +86,14 @@ def _load_problem(args) -> Relation | TruthTable:
 
 
 def _load_instance(args):
-    if args.instance is not None:
-        fixed = _given(args, _INSTANCE[1:])
-        if fixed:
-            raise QclabError(f"--instance fixes the instance; drop {', '.join(fixed)}")
-        return read_instance(Path(args.instance))
-    return _build_instance(args)
-
-
-def _build_instance(args):
-    """The instance of --g and --f; ``build_instance`` supplies whatever of
-    --mu, --lambda, --eps and --theta the command line left out."""
-    g = parse_truth_table(Path(args.g).read_text())
-    f = parse_relation(Path(args.f).read_text())
-    mu = parse_dist(Path(args.mu).read_text()) if args.mu is not None else None
-    lam = parse_dist(Path(args.lam).read_text()) if args.lam is not None else None
-    eps = parse_fraction(args.eps) if args.eps is not None else None
-    theta = parse_fraction(args.theta) if args.theta is not None else None
-    return build_instance(f, g, mu, lam, epsilon=eps, theta=theta)
+    """The instance of --instance, or of --g and --f; ``build_instance``
+    supplies whatever of --mu, --lambda, --eps and --theta is left out."""
+    if getattr(args, "instance", None) is None:  # build-instance has no --instance
+        return load_instance(args.g, args.f, args.mu, args.lam, args.eps, args.theta)
+    fixed = _given(args, _INSTANCE[1:])
+    if fixed:
+        raise QclabError(f"--instance fixes the instance; drop {', '.join(fixed)}")
+    return read_instance(Path(args.instance))
 
 
 def cmd_dce(args, emit: _Emitter) -> None:
@@ -131,7 +121,7 @@ def cmd_rqc(args, emit: _Emitter) -> None:
         "lower_value": result.lower_value,
         "upper_value": result.upper_value,
         "witness_tree": format_tree(result.best_tree).strip(),
-        "hard_dist": [format_fraction(p) for p in result.hard_dist.probs],
+        "hard_dist": result.hard_dist.probs,
         "iterations": result.iterations,
         "limit_hit": result.limit_hit,
         "certified_depth": result.certified_depth,
@@ -141,7 +131,7 @@ def cmd_rqc(args, emit: _Emitter) -> None:
 
 def cmd_build_instance(args, emit: _Emitter) -> None:
     _require(args, "g", "f")
-    inst = _build_instance(args)
+    inst = _load_instance(args)
     out_dir = Path(args.out) if args.out is not None else Path("instance")
     manifest = write_instance(inst, out_dir)
     emit.emit({
@@ -177,11 +167,11 @@ def cmd_simulate(args, emit: _Emitter) -> None:
             "z": z,
             "trace_leaf": trace.leaf_id,
             "trace_output": trace.output,
-            "trace_z_queries": list(trace.z_queries),
+            "trace_z_queries": trace.z_queries,
             "budget": simulation.budget,
             "leaves": {
-                lid: {"p": p[lid], "q": q[lid], "snip": 1 if any(snips[lid]) else 0}
-                for lid in sorted(p)
+                str(lid): {"p": p[lid], "q": q[lid], "snip": 1 if any(snips[lid]) else 0}
+                for lid in p
             },
             "passed": len(trace.z_queries) <= simulation.budget,
         })

@@ -179,8 +179,12 @@ class _TreeDP:
 
 
 def _accepts(h: Relation) -> np.ndarray:
-    """Which labels each input accepts, shape ``(alphabet_size, 2^arity)``."""
-    return np.array([[r in acc for acc in h.accepted] for r in range(h.alphabet_size)])
+    """Which labels each input accepts, one row per label up to the largest
+    accepted one.  A label above it has mass 0 on every subcube and loses
+    ties to lower labels, so it is never answered; the rows stop there, not
+    at the alphabet size, which a relation file may set to anything."""
+    labels = range(max(map(max, h.accepted)) + 1)
+    return np.array([[r in acc for acc in h.accepted] for r in labels])
 
 
 def _tree_dp(h: Relation, mu: Dist) -> _TreeDP:

@@ -46,21 +46,30 @@ def _check_arity(arity: int, lowest: int) -> None:
         raise CapExceeded(f"arity {arity} exceeds cap")
 
 
+def _header(lines: list[str], *keys: str) -> list[int]:
+    """The integer values of line 1, which reads ``key=<int>`` for each of
+    ``keys`` in that order."""
+    first = lines[0] if lines else ""
+    fields = [field.partition("=") for field in first.split()]
+    if [(key, eq) for key, eq, _ in fields] == [(key, "=") for key in keys]:
+        try:
+            return [int(value) for _, _, value in fields]
+        except ValueError:
+            pass
+    expected = " ".join(f"{key}=<int>" for key in keys)
+    raise ParseError(f"header {first!r} is not {expected!r} (line 1)")
+
+
 # --- truth tables -----------------------------------------------------------
 # line 1: "arity=<m>"; line 2: 2^m characters of 0/1 in index order
 
 
 def parse_truth_table(text: str) -> TruthTable:
     lines = _lines(text)
-    if len(lines) != 2 or not lines[0].startswith("arity="):
-        raise ParseError("truth table file needs an arity line and a value line")
-    try:
-        arity = int(lines[0][len("arity="):])
-    except ValueError as exc:
-        raise ParseError(f"bad arity line {lines[0]!r} (line 1)") from exc
+    (arity,) = _header(lines, "arity")
     _check_arity(arity, 1)
-    if len(lines[1]) != 1 << arity or set(lines[1]) - {"0", "1"}:
-        raise ParseError(f"value line must be 2^{arity} bits (line 2)")
+    if len(lines) != 2 or len(lines[1]) != 1 << arity or set(lines[1]) - {"0", "1"}:
+        raise ParseError(f"truth table needs one value line of 2^{arity} bits (line 2)")
     return TruthTable(arity, tuple(int(ch) for ch in lines[1]))
 
 
@@ -75,20 +84,7 @@ def format_truth_table(g: TruthTable) -> str:
 
 def parse_relation(text: str) -> Relation:
     lines = _lines(text)
-    if not lines:
-        raise ParseError("empty relation file")
-    header = lines[0].split()
-    if (
-        len(header) != 2
-        or not header[0].startswith("arity=")
-        or not header[1].startswith("alphabet=")
-    ):
-        raise ParseError(f"bad relation header {lines[0]!r} (line 1)")
-    try:
-        arity = int(header[0][len("arity="):])
-        alphabet = int(header[1][len("alphabet="):])
-    except ValueError as exc:
-        raise ParseError(f"bad relation header {lines[0]!r} (line 1)") from exc
+    arity, alphabet = _header(lines, "arity", "alphabet")
     _check_arity(arity, 1)
     accepted: dict[int, frozenset] = {}
     for ln_no, line in enumerate(lines[1:], start=2):
@@ -123,12 +119,7 @@ def format_relation(f: Relation) -> str:
 
 def parse_dist(text: str) -> Dist:
     lines = _lines(text)
-    if not lines or not lines[0].startswith("arity="):
-        raise ParseError("distribution file needs an arity line")
-    try:
-        arity = int(lines[0][len("arity="):])
-    except ValueError as exc:
-        raise ParseError(f"bad arity line {lines[0]!r} (line 1)") from exc
+    (arity,) = _header(lines, "arity")
     _check_arity(arity, 0)
     if len(lines) != 1 + (1 << arity):
         raise ParseError(f"expected {1 << arity} probability lines")
@@ -217,6 +208,21 @@ def format_tree(tree: DecisionTree) -> str:
 # --- instance manifests -----------------------------------------------------
 
 
+def load_instance(g, f, mu=None, lam=None, epsilon=None, theta=None) -> ComposedInstance:
+    """The instance of the g, f, mu and lambda files and the epsilon and
+    theta strings; ``build_instance`` supplies whatever is None."""
+
+    def read(parse, path):
+        return None if path is None else parse(Path(path).read_text())
+
+    return build_instance(
+        g=read(parse_truth_table, g), f=read(parse_relation, f),
+        mu=read(parse_dist, mu), lam=read(parse_dist, lam),
+        epsilon=None if epsilon is None else parse_fraction(epsilon),
+        theta=None if theta is None else parse_fraction(theta),
+    )
+
+
 def write_instance(inst: ComposedInstance, directory: Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -250,19 +256,14 @@ def read_instance(manifest_path: Path) -> ComposedInstance:
     keys = ("g", "f", "mu", "lambda", "epsilon", "theta")
     if not isinstance(manifest, dict) or not all(isinstance(manifest.get(k), str) for k in keys):
         raise ParseError(f"manifest must be a JSON object with string fields {', '.join(keys)}")
-    g = parse_truth_table((base / manifest["g"]).read_text())
-    f = parse_relation((base / manifest["f"]).read_text())
-    mu = parse_dist((base / manifest["mu"]).read_text())
-    lam = parse_dist((base / manifest["lambda"]).read_text())
-    inst = build_instance(
-        f, g, mu, lam,
-        epsilon=parse_fraction(manifest["epsilon"]),
-        theta=parse_fraction(manifest["theta"]),
+    inst = load_instance(
+        base / manifest["g"], base / manifest["f"], base / manifest["mu"],
+        base / manifest["lambda"], manifest["epsilon"], manifest["theta"],
     )
-    if inst.inner_complexity != manifest.get("inner_complexity"):
-        raise ParseError(
-            "manifest inner_complexity disagrees with the recomputed value"
-        )
+    for key in ("n", "m", "inner_complexity"):
+        value, actual = manifest.get(key), getattr(inst, key)
+        if type(value) is not int or value != actual:  # a bool or a float is no count
+            raise ParseError(f"manifest {key} {value!r} disagrees with the instance's {actual}")
     return inst
 
 
@@ -272,14 +273,4 @@ def read_instance(manifest_path: Path) -> ComposedInstance:
 def record_to_json(record: dict) -> str:
     """One report record as a canonical JSON line.  Fractions become exact
     strings; record keys are sorted so output is byte-stable."""
-
-    def convert(value):
-        if isinstance(value, Fraction):
-            return format_fraction(value)
-        if isinstance(value, dict):
-            return {str(k): convert(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
-        if isinstance(value, (list, tuple)):
-            return [convert(v) for v in value]
-        return value
-
-    return json.dumps(convert(record), sort_keys=True)
+    return json.dumps(record, sort_keys=True, default=format_fraction)

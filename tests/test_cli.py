@@ -106,6 +106,24 @@ class TestDce:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["dce", "--mu", "{mu}", "--eps", "1/4"],
+    ["rqc", "--eps", "1/3"],
+])
+def test_alphabet_size_does_not_set_the_dp(files, tmp_path, capsys, command):
+    """A relation header's alphabet size is read unchecked: the DP builds
+    rows only up to the largest accepted label, so a 10^12-label header
+    gives the records of the same relation with alphabet 2."""
+    outputs = []
+    for alphabet in (10**12, 2):
+        rel = tmp_path / f"a{alphabet}.rel"
+        rel.write_text(f"arity=2 alphabet={alphabet}\n00: 0\n01: 1\n10: 1\n11: 0,1\n")
+        argv = [arg.format(mu=files["mu_u2"]) for arg in command]
+        assert main([*argv, "--f", str(rel)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 class TestRqc:
     def test_xor_certified(self, files):
         code = main(["rqc", "--g", files["g_xor2"], "--eps", "1/3",
@@ -395,6 +413,28 @@ class TestSimulate:
         assert [r["record"] for r in read_records(files["out"])].count("verify-instance") == 2
         assert len(compiled) == 2
 
+    def test_leaf_keys_in_string_order(self, files, tmp_path):
+        """Leaf ids are record keys, sorted as strings: "10" before "2"."""
+        def parity(v, acc):
+            if v > 4:
+                return f"(leaf {acc})"
+            return f"(q {v} {parity(v + 1, acc)} {parity(v + 1, acc ^ 1)})"
+
+        tree, f_xor2 = tmp_path / "parity4.sexp", tmp_path / "xor2.rel"
+        tree.write_text(parity(1, 0) + "\n")
+        f_xor2.write_text(format_relation(Relation.from_function(xor_fn(2))))
+        assert main(["simulate", "--g", files["g_xor2"], "--f", str(f_xor2), "--mu", files["mu_u2"],
+                     "--tree", str(tree), "--eps", "1/4", "--theta", "1/2",
+                     "--out", files["out"]]) == 0
+        lines = Path(files["out"]).read_text().splitlines()
+        records = [dict(json.loads(line, object_pairs_hook=list)) for line in lines]
+        zs = [r for r in records if r["record"] == "simulate-z"]
+        assert len(zs) == 4
+        for record in zs:
+            keys = [key for key, _ in record["leaves"]]
+            assert keys == sorted(str(lid) for lid in range(16))
+            assert keys.index("10") < keys.index("2")
+
     def test_byte_identical_reruns(self, files, tmp_path):
         args = ["simulate", "--g", files["g_xor2"], "--f", files["f_id1"],
                 "--mu", files["mu_u2"], "--tree", files["tree"],
@@ -422,6 +462,8 @@ VERDICT_INPUTS = [
      "xor-stack.jsonl"),
     (["verify", "--m", "2"], "verify-m2.jsonl"),
     (["verify", "--m", "3"], "verify-m3.jsonl"),
+    (["dce", "--g", str(VERDICTS / "g.tt"), "--mu", str(VERDICTS / "mu.dist"), "--eps", "7/16"],
+     "dce.jsonl"),
 ])
 def test_verdict_bytes_are_pinned(capsys, command, golden):
     """The verdict stream of one small fixture, byte for byte.  Its tree has
@@ -430,7 +472,8 @@ def test_verdict_bytes_are_pinned(capsys, command, golden):
     they are snipped; x1 = x2 = 1 has no mass, so the branch there is dead
     and leaves 4 and 5 have p = q = 0.  The game on its g runs 9 rounds to
     depth 2 at eps 7/16, and the stacked g^2 reaches depth 5.  ``verify``
-    without a tree pins the three sweeps' case counts at --m 2 and 3."""
+    without a tree pins the three sweeps' case counts at --m 2 and 3, and
+    ``dce`` the DP's depth, success and witness on g under mu."""
     assert main(command) == 0
     assert capsys.readouterr().out == (VERDICTS / golden).read_text()
 

@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from qclab.core import Dist, ParseError, Relation, and_fn, xor_fn
+from qclab.core import Dist, ParseError, Relation, and_fn, identity1, xor_fn
 from qclab.compose import build_instance
 from qclab.io import (
     format_dist,
@@ -105,6 +106,18 @@ class TestDistFormat:
             parse_dist("arity=1\n1/2\n1/3\n")
 
 
+@pytest.mark.parametrize("parse, header", [
+    (parse_truth_table, "arity=2"), (parse_relation, "arity=1 alphabet=2"), (parse_dist, "arity=1"),
+])
+def test_bad_headers_name_line_1(parse, header):
+    """One header reader serves the three table formats: line 1 must be
+    exactly their ``key=<int>`` fields, in order."""
+    for bad in ("", "arity", "arity=x", "arity=1=1", "arity: 1", "alphabet=2 arity=1",
+                f"{header} extra=1"):
+        with pytest.raises(ParseError, match=r"\(line 1\)$"):
+            parse(bad + "\n0\n")
+
+
 class TestTreeFormat:
     def test_roundtrip(self):
         rng = random.Random(4)
@@ -149,6 +162,25 @@ class TestInstanceManifest:
         text = manifest.read_text().replace('"inner_complexity": 2', '"inner_complexity": 1')
         manifest.write_text(text)
         with pytest.raises(ParseError):
+            read_instance(manifest)
+
+    @pytest.mark.parametrize("inner, key, value", [
+        (xor_fn(2), "n", 7), (xor_fn(2), "m", 9), (xor_fn(2), "inner_complexity", 3),
+        (xor_fn(2), "n", 2.0), (xor_fn(2), "m", 2.0), (xor_fn(2), "inner_complexity", 2.0),
+        (xor_fn(2), "n", "2"), (xor_fn(2), "m", None),
+        (identity1(), "m", True), (identity1(), "inner_complexity", True),
+    ])
+    def test_tampered_counts_detected(self, tmp_path, inner, key, value):
+        """n, m and the inner complexity must equal the rebuilt instance's,
+        as JSON integers: 2.0 and true compare equal to 2 and 1 in Python."""
+        inst = build_instance(
+            Relation.from_function(xor_fn(2)), inner,
+            Dist.uniform(inner.arity), Dist.uniform(2), epsilon=F(1, 4),
+        )
+        manifest = write_instance(inst, tmp_path / "inst")
+        fields = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**fields, key: value}))
+        with pytest.raises(ParseError, match=f"^manifest {key} "):
             read_instance(manifest)
 
 
