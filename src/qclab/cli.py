@@ -2,8 +2,16 @@
 run the simulator, and run the verification sweeps.
 
 Every command is deterministic given its arguments (including seeds) and
-emits line-delimited JSON records with exact rationals as "p/q" strings.
-The process exits 0 exactly when every verdict in the run passes.
+returns its line-delimited JSON records, with exact rationals as "p/q"
+strings; :func:`main` alone writes them, once the command has finished.
+``dce``, ``rqc``, ``simulate`` and ``verify`` write them to their --out
+report file, or to standard output when it is left out.  For
+``build-instance`` and ``xor-stack``, --out names the instance directory
+or the stacked truth table they build, which they write only after
+everything they report has been computed; their records go to standard
+output.  The process exits 0 exactly when every verdict in the run passes,
+1 when one fails, and 2 on an input or i/o error, such as an unwritable
+--out; a run that fails writes no records.
 """
 
 from __future__ import annotations
@@ -31,25 +39,6 @@ from .io import (
 )
 from .simulate import Simulation
 from .sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
-
-
-class _Emitter:
-    def __init__(self, out_path: str | None):
-        self.records: list[str] = []
-        self.out_path = out_path
-        self.all_pass = True
-
-    def emit(self, record: dict):
-        if record.get("passed") is False:
-            self.all_pass = False
-        self.records.append(record_to_json(record))
-
-    def flush(self):
-        text = "\n".join(self.records) + "\n" if self.records else ""
-        if self.out_path is not None:
-            Path(self.out_path).write_text(text)
-        else:
-            sys.stdout.write(text)
 
 
 def _given(args, names) -> list[str]:
@@ -96,26 +85,26 @@ def _load_instance(args):
     return read_instance(Path(args.instance))
 
 
-def cmd_dce(args, emit: _Emitter) -> None:
+def cmd_dce(args) -> list[dict]:
     _require(args, ("g", "f"), "mu", "eps")
     h = _load_problem(args)
     mu = parse_dist(Path(args.mu).read_text())
     eps = parse_fraction(args.eps)
     depth, dp = dist_solution(h, mu, eps)
-    emit.emit({
+    return [{
         "record": "dce",
         "depth": depth,
         "success": dp.success,
         "witness_tree": format_tree(dp.witness).strip(),
         "passed": True,
-    })
+    }]
 
 
-def cmd_rqc(args, emit: _Emitter) -> None:
+def cmd_rqc(args) -> list[dict]:
     _require(args, ("g", "f"), "eps")
     h = _load_problem(args)
     result = rand_complexity(h, parse_fraction(args.eps))
-    emit.emit({
+    return [{
         "record": "rqc",
         "depth": result.depth,
         "lower_value": result.lower_value,
@@ -126,15 +115,14 @@ def cmd_rqc(args, emit: _Emitter) -> None:
         "limit_hit": result.limit_hit,
         "certified_depth": result.certified_depth,
         "passed": result.certified_depth >= result.depth,
-    })
+    }]
 
 
-def cmd_build_instance(args, emit: _Emitter) -> None:
+def cmd_build_instance(args) -> list[dict]:
     _require(args, "g", "f")
     inst = _load_instance(args)
-    out_dir = Path(args.out) if args.out is not None else Path("instance")
-    manifest = write_instance(inst, out_dir)
-    emit.emit({
+    manifest = write_instance(inst, Path("instance" if args.data is None else args.data))
+    return [{
         "record": "build-instance",
         "manifest": str(manifest),
         "n": inst.n,
@@ -143,11 +131,10 @@ def cmd_build_instance(args, emit: _Emitter) -> None:
         "epsilon": inst.epsilon,
         "theta": inst.theta,
         "passed": True,
-    })
-    emit.out_path = None  # manifest written; record goes to stdout
+    }]
 
 
-def cmd_simulate(args, emit: _Emitter) -> None:
+def cmd_simulate(args) -> list[dict]:
     if args.seed < 0:
         # Random(-s) seeds the stream Random(s) does, so z would repeat
         # another z's walk (-1 + 0 and -1 + 2) or another seed's run
@@ -157,12 +144,13 @@ def cmd_simulate(args, emit: _Emitter) -> None:
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     simulation = Simulation(inst, tree)  # once for every z below
     snips = simulation.snips()
+    records = []
     for z in range(1 << inst.n):
         if inst.lam.prob(z) == 0:
             continue
         p, q = simulation.p(z), simulation.q(z)
         trace = simulation.run(z, args.seed + z)
-        emit.emit({
+        records.append({
             "record": "simulate-z",
             "z": z,
             "trace_leaf": trace.leaf_id,
@@ -176,7 +164,7 @@ def cmd_simulate(args, emit: _Emitter) -> None:
             "passed": len(trace.z_queries) <= simulation.budget,
         })
     chain = simulation.chain()
-    emit.emit({
+    return records + [{
         "record": "success-chain",
         "success_outer": chain.success_outer,
         "success_sim": chain.success_sim,
@@ -185,10 +173,10 @@ def cmd_simulate(args, emit: _Emitter) -> None:
         "expected_z_queries": chain.expected_z_queries,
         "budget": chain.budget,
         "passed": chain.passed,
-    })
+    }]
 
 
-def cmd_verify(args, emit: _Emitter) -> None:
+def cmd_verify(args) -> list[dict]:
     unread = [] if args.tree is not None else _given(args, _INSTANCE)
     if unread:
         raise QclabError(f"verify reads {', '.join(unread)} only with --tree")
@@ -202,39 +190,38 @@ def cmd_verify(args, emit: _Emitter) -> None:
     if args.tree is not None:
         inst = _load_instance(args)
         tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
-    for report in (
+    records = [{
+        "record": f"sweep-{report.name}",
+        "cases": report.cases,
+        "violations": len(report.violations),
+        "passed": report.passed,
+    } for report in (
         sweep_unbias() if max_m == 3 else sweep_unbias(max_m=max_m, sampled_m4=0),
         sweep_rbias(max_m=max_m),
         sweep_fullbias(max_m=max_m),
-    ):
-        emit.emit({
-            "record": f"sweep-{report.name}",
-            "cases": report.cases,
-            "violations": len(report.violations),
-            "passed": report.passed,
+    )]
+    if args.tree is None:
+        return records
+    simulation = Simulation(inst, tree)  # once for every z below
+    for z in range(1 << inst.n):
+        if inst.lam.prob(z) == 0:
+            continue
+        sim, lil = simulation.simileaf(z), simulation.lilsnip(z)
+        records.append({
+            "record": "verify-instance",
+            "z": z,
+            "simileaf_checked": sim.checked_leaves,
+            "simileaf_violations": len(sim.violations),
+            "lilsnip_total_mass": lil.total_snipped_mass,
+            "passed": sim.passed and lil.passed,
         })
-    if args.tree is not None:
-        simulation = Simulation(inst, tree)  # once for every z below
-        for z in range(1 << inst.n):
-            if inst.lam.prob(z) == 0:
-                continue
-            sim, lil = simulation.simileaf(z), simulation.lilsnip(z)
-            emit.emit({
-                "record": "verify-instance",
-                "z": z,
-                "simileaf_checked": sim.checked_leaves,
-                "simileaf_violations": len(sim.violations),
-                "lilsnip_total_mass": lil.total_snipped_mass,
-                "passed": sim.passed and lil.passed,
-            })
+    return records
 
 
-def cmd_xor_stack(args, emit: _Emitter) -> None:
+def cmd_xor_stack(args) -> list[dict]:
     _require(args, "g")
     g = parse_truth_table(Path(args.g).read_text())
     stacked = xor_stack(g, args.t)
-    if args.out is not None:
-        Path(args.out).write_text(format_truth_table(stacked))
     record = {
         "record": "xor-stack",
         "t": args.t,
@@ -245,9 +232,9 @@ def cmd_xor_stack(args, emit: _Emitter) -> None:
         result = rand_complexity(stacked, parse_fraction(args.eps))
         record["depth"] = result.depth
         record["limit_hit"] = result.limit_hit
-    emit.emit(record)
-    if args.out is not None:
-        emit.out_path = None  # table written; record goes to stdout
+    if args.data is not None:  # after the game, so a failed one writes no table
+        Path(args.data).write_text(format_truth_table(stacked))
+    return [record]
 
 
 _FLAGS = {
@@ -262,18 +249,20 @@ _FLAGS = {
     "eps": ("--eps", dict(help="error bound as p/q")),
     "theta": ("--theta", dict(help="bias threshold as p/q")),
     "seed": ("--seed", dict(type=int, default=0)),
-    "out": ("--out", dict(help="output path (report file or directory)")),
+    "out": ("--out", dict(help="report file (default: standard output)")),
+    "data": ("--out", dict(dest="data", help="directory or file to write what is built")),
 }
 
-# each command with the flags it reads (_load_instance reads _INSTANCE)
+# each command with the flags it reads (_load_instance reads _INSTANCE); the
+# report commands write their records to --out, the builders their data
 _INSTANCE = ("instance", "g", "f", "mu", "lam", "eps", "theta")
 _COMMANDS = {
     "dce": (cmd_dce, ("g", "f", "mu", "eps", "out")),
     "rqc": (cmd_rqc, ("g", "f", "eps", "out")),
-    "build-instance": (cmd_build_instance, ("g", "f", "mu", "lam", "eps", "theta", "out")),
+    "build-instance": (cmd_build_instance, ("g", "f", "mu", "lam", "eps", "theta", "data")),
     "simulate": (cmd_simulate, _INSTANCE + ("tree", "seed", "out")),
     "verify": (cmd_verify, _INSTANCE + ("tree", "m", "out")),
-    "xor-stack": (cmd_xor_stack, ("g", "t", "eps", "out")),
+    "xor-stack": (cmd_xor_stack, ("g", "t", "eps", "data")),
 }
 
 
@@ -296,19 +285,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its records; the module docstring says
+    where they go and what each exit code means."""
     args = build_parser().parse_args(argv)
-    emit = _Emitter(args.out)
     try:
         _no_empty_values(args)
-        args.handler(args, emit)
+        records = args.handler(args)
+        text = "".join(record_to_json(record) + "\n" for record in records)
+        report = getattr(args, "out", None)  # build-instance and xor-stack have none
+        if report is None:
+            sys.stdout.write(text)
+        else:
+            Path(report).write_text(text)
     except QclabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 2
-    emit.flush()
-    return 0 if emit.all_pass else 1
+    return 0 if all(record["passed"] for record in records) else 1
 
 
 if __name__ == "__main__":

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache, partial
 from itertools import count
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -74,18 +73,21 @@ class _TreeDP:
     """Optimal depth-bounded trees for a fixed problem and input weights,
     solved once over the subcube lattice; depths are added on demand.
 
-    ``accepts[r, x]`` says whether label ``r`` is correct on input ``x``, and
-    ``weights`` are integer point weights over ``den``.  Tie-breaking is
-    deterministic: answering beats querying at equal value, lower variable
-    index beats higher, lower label beats higher.
+    ``accepts`` is ``(labels, table)`` as :func:`_accepts` gives it:
+    ``table[r, x]`` says whether ``labels[r]`` is correct on input ``x``.
+    The DP works on rows ``r``, and the witness's leaves answer
+    ``labels[r]``.  ``weights`` are integer point weights over ``den``.
+    Tie-breaking is deterministic: answering beats querying at equal value,
+    lower variable index beats higher, lower label beats higher.
     """
 
-    def __init__(self, accepts: np.ndarray, weights: np.ndarray, den: int):
-        self.arity = accepts.shape[1].bit_length() - 1
+    def __init__(self, accepts: tuple[list[int], np.ndarray], weights: np.ndarray, den: int):
+        self.labels, table = accepts
+        self.arity = table.shape[1].bit_length() - 1
         if self.arity > DP_CAP:
             raise CapExceeded(f"arity {self.arity} exceeds the DP cap")
         self.den = den
-        self.label_mass = lattice.masses(weights * accepts, self.arity)
+        self.label_mass = lattice.masses(weights * table, self.arity)
         self._deeper = lattice.layers(self.label_mass.max(axis=0), self.arity)
         self.values: list[np.ndarray] = []
 
@@ -128,16 +130,16 @@ class _TreeDP:
                 self._node(index + step, d - 1, leaf_ids),
                 self._node(index + 2 * step, d - 1, leaf_ids),
             )
-        return Leaf(k, next(leaf_ids))
+        return Leaf(self.labels[k], next(leaf_ids))
 
     def _choice(self, index: int, d: int) -> tuple[bool, int]:
         """What the optimal depth-``d`` tree does on subcube ``index``, for
-        the witness and the best-response walk alike: ``(False, label)``
-        answers the lowest label of largest mass unless some query beats
-        every answer; then ``(True, var)`` queries the lowest variable whose
-        two halves sum to the best value.  The layers up to ``d`` must be
-        solved.  Values are read as Python ints, which compare far faster
-        than numpy scalars."""
+        the witness and the best-response walk alike: ``(False, row)``
+        answers the label of the lowest row of largest mass unless some
+        query beats every answer; then ``(True, var)`` queries the lowest
+        variable whose two halves sum to the best value.  The layers up to
+        ``d`` must be solved.  Values are read as Python ints, which compare
+        far faster than numpy scalars."""
         best = self.values[d].item(index)
         if self.values[0].item(index) < best:  # some query beats every answer
             below = self.values[d - 1]
@@ -152,11 +154,12 @@ class _TreeDP:
         return False, counts.index(max(counts))
 
     def correct(self, depth: int, rows: list[list[bool]]) -> list[bool]:
-        """``rows[label][x]`` at the label the depth-``depth`` witness gives
-        each input ``x``.  The walk carries each node's subcube as its
-        lattice index and as the bits it fixes and the variables it leaves
-        free; a leaf's points are its fixed bits joined with each subset of
-        its free variables.  No tree is built and no input is evaluated."""
+        """``rows[r][x]`` at the row ``r`` of the label the depth-``depth``
+        witness gives each input ``x``.  The walk carries each node's
+        subcube as its lattice index and as the bits it fixes and the
+        variables it leaves free; a leaf's points are its fixed bits joined
+        with each subset of its free variables.  No tree is built and no
+        input is evaluated."""
         depth = min(depth, self.arity)
         self._layer(depth)
         correct = [False] * (1 << self.arity)
@@ -178,13 +181,16 @@ class _TreeDP:
         return correct
 
 
-def _accepts(h: Relation) -> np.ndarray:
-    """Which labels each input accepts, one row per label up to the largest
-    accepted one.  A label above it has mass 0 on every subcube and loses
-    ties to lower labels, so it is never answered; the rows stop there, not
-    at the alphabet size, which a relation file may set to anything."""
-    labels = range(max(map(max, h.accepted)) + 1)
-    return np.array([[r in acc for acc in h.accepted] for r in labels])
+def _accepts(h: Relation) -> tuple[list[int], np.ndarray]:
+    """The labels the DP may answer, and a table of which of them each
+    input accepts, one row per label.  The labels are 0 and every accepted
+    label, in increasing order.  Any other label has mass 0 on every
+    subcube and loses ties to label 0, so it is never answered; 0 stays, to
+    answer a subcube of mass 0.  So the rows grow with the number of
+    accepted labels, not with their values or the alphabet size, which a
+    relation file may set to anything."""
+    labels = sorted(set().union({0}, *h.accepted))
+    return labels, np.array([[r in acc for acc in h.accepted] for r in labels])
 
 
 def _tree_dp(h: Relation, mu: Dist) -> _TreeDP:
@@ -237,14 +243,15 @@ class GameResult:
 
 
 def _solve_game(
-    accepts: np.ndarray, depth: int, eps: Fraction, first_round: Callable[[], _TreeDP],
+    accepts: tuple[list[int], np.ndarray], depth: int, eps: Fraction, uniform_dp: _TreeDP,
 ) -> GameResult:
-    """One depth of the game.  Its ``hard_dist`` is the last distribution and
+    """One depth of the game, whose first round, on uniform weights, plays
+    ``uniform_dp``.  Its ``hard_dist`` is the last distribution and
     ``certified_depth`` that distribution's exact D_eps, read off the last
     round's DP; so a game that ends without ``limit_hit`` rejected ``depth``
     exactly when ``certified_depth > depth``."""
-    rows = accepts.tolist()
-    n_inputs = accepts.shape[1]
+    rows = accepts[1].tolist()
+    n_inputs = len(rows[0])
     shrink_num, shrink_den = (1 - ETA).as_integer_ratio()
     target = 1 - eps
     bound = target - TOL
@@ -272,10 +279,9 @@ def _solve_game(
             certified_depth=cert_dp.min_depth(eps),
         )
 
+    dp = uniform_dp
     for t in range(1, MAX_ITER + 1):
-        if t == 1:
-            dp = first_round()
-        else:
+        if t > 1:
             dp = _TreeDP(accepts, lattice.weight_array(weights, den), den)
         value = dp.value(depth)
         br_values.append((value, den))
@@ -325,15 +331,13 @@ def rand_complexity(h: Problem, eps) -> GameResult:
     eps = _checked_eps(eps)
     rel = _as_relation(h)
     accepts = _accepts(rel)
-    uniform = [ONE_WEIGHT] * accepts.shape[1]
-    # every depth's game starts from these weights: the first round to run
-    # solves their DP and later first rounds reuse it
-    first_round = cache(partial(
-        _TreeDP, accepts, lattice.weight_array(uniform, sum(uniform)), sum(uniform),
-    ))
+    uniform = [ONE_WEIGHT] * (1 << rel.arity)
+    # every depth's game starts from these weights, so its first round
+    # plays this one DP
+    uniform_dp = _TreeDP(accepts, lattice.weight_array(uniform, sum(uniform)), sum(uniform))
     rejected = None  # the last rejected depth's game
     for depth in range(rel.arity + 1):
-        game = _solve_game(accepts, depth, eps, first_round)
+        game = _solve_game(accepts, depth, eps, uniform_dp)
         if game.limit_hit or game.certified_depth <= depth:
             if rejected is None:
                 return game

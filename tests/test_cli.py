@@ -36,24 +36,16 @@ def files(tmp_path):
 @pytest.fixture()
 def dp_solves(monkeypatch):
     """Every ``_TreeDP`` built, as its point weights over their denominator
-    and whether a game round built it."""
-    solves, rounds = [], []
+    and whether the game built it: ``_tree_dp`` builds every DP outside it."""
+    solves = []
     init = complexity._TreeDP.__init__
-    solve_game = complexity._solve_game
 
     def spy(self, accepts, weights, den):
-        solves.append(([F(w, den) for w in weights.tolist()], bool(rounds)))
+        in_game = sys._getframe(1).f_code is not complexity._tree_dp.__code__
+        solves.append(([F(w, den) for w in weights.tolist()], in_game))
         init(self, accepts, weights, den)
 
-    def game(*args):
-        rounds.append(True)
-        try:
-            return solve_game(*args)
-        finally:
-            rounds.pop()
-
     monkeypatch.setattr(complexity._TreeDP, "__init__", spy)
-    monkeypatch.setattr(complexity, "_solve_game", game)
     return solves
 
 
@@ -122,6 +114,27 @@ def test_alphabet_size_does_not_set_the_dp(files, tmp_path, capsys, command):
         assert main([*argv, "--f", str(rel)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["dce", "--mu", "{mu}", "--eps", "1/4"],
+    ["rqc", "--eps", "1/3"],
+])
+def test_label_values_do_not_set_the_dp(files, tmp_path, capsys, command):
+    """The DP builds one row per accepted label, not one per label up to
+    the largest: a relation that accepts {0, 200000} gives the records of
+    the same relation with 200000 relabelled 1, but for the witness's
+    label."""
+    outputs = []
+    for label in (200000, 1):
+        rel = tmp_path / f"l{label}.rel"
+        rel.write_text(f"arity=2 alphabet={label + 1}\n"
+                       f"00: 0\n01: {label}\n10: {label}\n11: 0,{label}\n")
+        argv = [arg.format(mu=files["mu_u2"]) for arg in command]
+        assert main([*argv, "--f", str(rel)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "(leaf 200000)" in outputs[0]
+    assert outputs[0].replace("(leaf 200000)", "(leaf 1)") == outputs[1]
 
 
 class TestRqc:
@@ -617,6 +630,24 @@ def test_one_parser_serves_many_commands(files, capsys):
     assert codes == [0, 0, 2, 0, 2, 0]
 
 
+@pytest.mark.parametrize("command", [
+    ["dce", "--g", "{g}", "--mu", "{mu}", "--eps", "1/4"],
+    ["rqc", "--g", "{g}", "--eps", "1/3"],
+    ["simulate", "--g", "{g}", "--f", "{f}", "--mu", "{mu}", "--tree", "{tree}", "--eps", "1/4"],
+    ["verify", "--m", "1"],
+])
+@pytest.mark.parametrize("report", ["directory", "missing/report.jsonl"])
+def test_unwritable_report_exits_2(files, tmp_path, capsys, command, report):
+    # the records were written after main's error handling: the verdict
+    # passed, then the write raised a traceback and exited 1
+    (tmp_path / "directory").mkdir()
+    argv = [arg.format(g=files["g_xor2"], f=files["f_id1"], mu=files["mu_u2"], tree=files["tree"])
+            for arg in command]
+    assert main([*argv, "--out", str(tmp_path / report)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("i/o error: ")
+
+
 class TestXorStack:
     def test_writes_table(self, files, tmp_path, capsys):
         out = tmp_path / "stack.tt"
@@ -633,3 +664,11 @@ class TestXorStack:
         assert code == 0
         record = json.loads(capsys.readouterr().out.strip())
         assert record["depth"] == 2
+
+    def test_failed_game_writes_no_table(self, files, tmp_path, capsys):
+        # the table was written before the game rejected eps
+        out = tmp_path / "t.tt"
+        code = main(["xor-stack", "--g", files["g_xor2"], "--eps", "1/2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: eps must lie in [0, 1/2)\n")
+        assert not out.exists()

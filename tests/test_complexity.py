@@ -76,6 +76,23 @@ class TestBestSuccess:
             assert best_success(h, mu, depth, with_witness=False).success == \
                 brute_best_success(h, mu, depth)
 
+    def test_rows_are_label_0_and_the_accepted_labels(self):
+        # rows ran from label 0 to the largest accepted one, 200,001 of them here
+        top = 200000
+        h = Relation(2, 10**12, (frozenset({5}), frozenset({7, top}), frozenset({5}), frozenset({7})))
+        labels, table = complexity._accepts(h)
+        assert labels == [0, 5, 7, top]
+        assert table.tolist() == [[False] * 4, [True, False, True, False],
+                                  [False, True, False, True], [False, True, False, False]]
+
+    def test_a_subcube_of_mass_0_answers_label_0(self):
+        # no input accepts 0, but the half x0 = 1 has no mass
+        h = Relation(2, 8, (frozenset({5}), frozenset({7}), frozenset({7}), frozenset({7})))
+        mu = Dist(2, (F(1, 2), F(0), F(1, 2), F(0)))
+        result = best_success(h, mu, 2)
+        assert result.success == 1
+        assert format_tree(result.witness).strip() == "(q 1 (q 2 (leaf 5) (leaf 7)) (leaf 0))"
+
 
 class TestDistComplexity:
     def test_identity(self):
@@ -171,8 +188,8 @@ class TestBestResponseWalker:
         for _ in range(40):
             m = rng.randint(1, 6)
             h = random_relation(rng, m, rng.choice([2, 3]))
-            accepts = complexity._accepts(h)
-            rows = accepts.tolist()
+            labels, table = accepts = complexity._accepts(h)
+            rows = table.tolist()
             for weights in (
                 [1] * (1 << m),
                 [rng.randrange(4) for _ in range(1 << m)],
@@ -183,7 +200,7 @@ class TestBestResponseWalker:
                 dp = complexity._TreeDP(accepts, np.array(weights, dtype=np.int64), den)
                 for depth in range(m + 2):
                     tree = dp.witness(depth)
-                    expected = [rows[tree.output(x)][x] for x in range(1 << m)]
+                    expected = [rows[labels.index(tree.output(x))][x] for x in range(1 << m)]
                     assert dp.correct(depth, rows) == expected
 
 
