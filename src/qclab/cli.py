@@ -25,6 +25,7 @@ from .compose import xor_stack
 from .complexity import dist_solution, rand_complexity
 from .core import QclabError, Relation, TruthTable
 from .io import (
+    format_ratio,
     format_tree,
     format_truth_table,
     load_instance,
@@ -145,10 +146,12 @@ def cmd_simulate(args) -> list[dict]:
     simulation = Simulation(inst, tree)  # once for every z below
     snips = simulation.snips()
     records = []
+    leaves = [(str(leaf.leaf_id), 1 if any(snips[leaf.leaf_id]) else 0)
+              for leaf, _ in simulation.leaves]
     for z in range(1 << inst.n):
         if inst.lam.prob(z) == 0:
             continue
-        p, q = simulation.p(z), simulation.q(z)
+        p_nums, p_dens, q_nums, q_dens = simulation.rows(z)
         trace = simulation.run(z, args.seed + z)
         records.append({
             "record": "simulate-z",
@@ -158,8 +161,8 @@ def cmd_simulate(args) -> list[dict]:
             "trace_z_queries": trace.z_queries,
             "budget": simulation.budget,
             "leaves": {
-                str(lid): {"p": p[lid], "q": q[lid], "snip": 1 if any(snips[lid]) else 0}
-                for lid in p
+                lid: {"p": format_ratio(pn, pd), "q": format_ratio(qn, qd), "snip": snip}
+                for (lid, snip), pn, pd, qn, qd in zip(leaves, p_nums, p_dens, q_nums, q_dens)
             },
             "passed": len(trace.z_queries) <= simulation.budget,
         })

@@ -28,10 +28,18 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}") from exc
 
 
+def format_ratio(num: int, den: int) -> str:
+    """``num/den`` in decimal digits, as given.  str() stops at the
+    interpreter's digit limit, which stays in place because it guards
+    parsing; past it, Decimal prints ints of any length."""
+    try:
+        return f"{num}/{den}"
+    except ValueError:
+        return f"{Decimal(num)}/{Decimal(den)}"
+
+
 def format_fraction(x: Fraction) -> str:
-    # Decimal prints ints of any length; str() stops at the interpreter's
-    # digit limit, which stays in place because it guards parsing
-    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    return format_ratio(x.numerator, x.denominator)
 
 
 def _lines(text: str) -> list[str]:
@@ -224,8 +232,13 @@ def load_instance(g, f, mu=None, lam=None, epsilon=None, theta=None) -> Composed
 
 
 def write_instance(inst: ComposedInstance, directory: Path) -> Path:
+    """Write the four tables, then the manifest through a temporary file,
+    with any old manifest removed first: no manifest names two instances'
+    tables, even after a write fails."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    path, temp = directory / "instance.json", directory / "instance.json.tmp"
+    path.unlink(missing_ok=True)
     (directory / "g.tt").write_text(format_truth_table(inst.g))
     (directory / "f.rel").write_text(format_relation(inst.f))
     (directory / "mu.dist").write_text(format_dist(inst.mu))
@@ -241,8 +254,12 @@ def write_instance(inst: ComposedInstance, directory: Path) -> Path:
         "theta": format_fraction(inst.theta),
         "inner_complexity": inst.inner_complexity,
     }
-    path = directory / "instance.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    try:
+        temp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        temp.replace(path)
+    except OSError:
+        temp.unlink(missing_ok=True)
+        raise
     return path
 
 

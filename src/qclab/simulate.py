@@ -16,12 +16,14 @@ subcube's mass is the sum of its two entries, its mass restricted to g=b is
 entry b over entry b of the full cube, and its bias is their difference
 over their sum.  ``Simulation(inst, tree)`` compiles an outer tree once,
 in one walk that carries, per copy, the ``lattice.index_of`` index of the
-copy's subcube after each of its answers.  Its methods read everything off
-that one compiled tree: the exact laws ``p(z)`` of the outer tree and
-``q(z)`` of the simulation, the snip flags ``snips(theta)``, the verifiers
-``simileaf(z)`` and ``lilsnip(z)``, the success accounting ``chain()``, and
-the random walks ``walker(z)`` and ``run(z, seed)``.  ``AprimeSimulator``
-keeps the walker of one z.
+copy's subcube after each of its answers, and then into tables that each z
+only reads: its laws are gathers and row products over exact integers
+(numpy object arrays), and its walker a selection of rows.  The methods
+give the exact laws ``p(z)`` of the outer tree and ``q(z)`` of the
+simulation (``rows(z)`` in lowest terms), the snip flags ``snips(theta)``,
+the verifiers ``simileaf(z)`` and ``lilsnip(z)``, the success accounting
+``chain()``, and the random walks ``walker(z)`` and ``run(z, seed)``.
+``AprimeSimulator`` keeps the walker of one z.
 
 Branch decisions compare a 128-bit uniform integer drawn from a seeded
 Mersenne Twister against the exact branch probability scaled by 2^128, so
@@ -36,8 +38,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
+from functools import cached_property
+from math import lcm, prod
 from typing import Optional
+
+import numpy as np
 
 from .core import (
     ArityMismatch,
@@ -51,6 +56,7 @@ from .dtree import DecisionTree, Leaf
 from .walk import TreeWalker
 
 ZERO = Fraction(0)
+_WORD = (1 << 64) - 1
 
 
 def _restricted(inst: ComposedInstance, z: int) -> list[list]:
@@ -130,16 +136,6 @@ class ChainReport:
         return self.bound_holds and self.worst_z_queries <= self.budget
 
 
-def _sum_terms(terms) -> Fraction:
-    """The exact sum of ``(numerator, denominator)`` terms: numerators over
-    one denominator are added as integers, then each group once as a
-    Fraction."""
-    by_den: dict[int, int] = {}
-    for num, den in terms:
-        by_den[den] = by_den.get(den, 0) + num
-    return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
-
-
 class Simulation:
     """The simulation of ``tree`` on ``inst``, compiled once, in one
     preorder walk.  The walk carries each copy's history: the lattice index
@@ -147,18 +143,19 @@ class Simulation:
     the full cube, so entry k fixes its first k answers.
 
     ``payload`` holds each leaf's trace (for z = 0 with seed 0; a run sets
-    both) and ``None`` at each branch.  ``branches`` lists each branch's
-    position, the copy it samples from the restricted law (-1 while the
-    copy has had fewer than c answers), its subcube's index before and
-    after answering 1, its child 1 and the end of its subtree.  ``leaves``
-    lists each leaf with its per-copy histories, from which the exact laws
-    and the snip flags are read; interior histories are prefixes of these.
-    ``walker(z)`` adds the thresholds and dead nodes of one z.  The flags
-    are kept per theta and the integer terms of p and q per z (see
-    ``_terms``), for the object's life.  ``budget`` is the inner-query
-    budget ``depth // c``.  A tree of the wrong arity, or with a leaf label
-    outside f's alphabet, is rejected here, before any law; every
-    ``DecisionTree`` is valid when it is made."""
+    both) and ``None`` at each branch, and ``depths`` each node's depth.
+    ``branches`` lists each branch's position, the copy it samples from the
+    restricted law (-1 while the copy has had fewer than c answers), its
+    subcube's index before and after answering 1, and its two children.
+    ``leaves`` lists each leaf with its per-copy histories, from which the
+    snip flags are read; interior histories are prefixes of these.  On
+    first use, what the laws and walks of every z share is compiled once
+    more, into ``_law_tables`` and ``_walk_tables``.  The flags are kept
+    per theta and the integer terms of p and q per z (see ``_terms``), for
+    the object's life.  ``budget`` is the inner-query budget ``depth //
+    c``.  A tree of the wrong arity, or with a leaf label outside f's
+    alphabet, is rejected here, before any law; every ``DecisionTree`` is
+    valid when it is made."""
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree):
         if tree.arity != inst.total_arity:
@@ -168,11 +165,12 @@ class Simulation:
         m0, m1, _ = inst.g_masses
         self.mass = [a + b for a, b in zip(m0, m1)]
         self.payload: list = []
+        self.depths: list = []
         self.branches: list = []
         self.leaves: list = []
         self._snips: dict = {}
         self._records: dict = {}
-        self._compile(tree.root, ((0,),) * inst.n, ())
+        self._compile(tree.root, ((0,),) * inst.n, (), 0)
         alphabet = inst.f.alphabet_size
         for leaf, _ in self.leaves:
             if not 0 <= leaf.label < alphabet:
@@ -180,11 +178,12 @@ class Simulation:
                     f"tree label {leaf.label} is outside f's alphabet 0..{alphabet - 1}"
                 )
 
-    def _compile(self, node, state, z_queries) -> None:
+    def _compile(self, node, state, z_queries, depth) -> None:
         # a method, not a closure: a self-referencing closure would keep
         # the compiled tree alive until the cyclic collector runs
         k = len(self.payload)
         self.payload.append(None)
+        self.depths.append(depth)
         if isinstance(node, Leaf):
             codims = tuple([len(hist) - 1 for hist in state])
             self.payload[k] = SimulationTrace(
@@ -202,72 +201,109 @@ class Simulation:
         entry = [k, i if nth >= c else -1, cube, cube + 2 * step]
         self.branches.append(entry)
         for child, below in ((node.child0, cube + step), (node.child1, cube + 2 * step)):
-            self._compile(child, state[:i] + (hist + (below,),) + state[i + 1:], z_queries)
             entry.append(len(self.payload))
+            child_state = state[:i] + (hist + (below,),) + state[i + 1:]
+            self._compile(child, child_state, z_queries, depth + 1)
+
+    @cached_property
+    def _walk_tables(self) -> tuple:
+        """Per node, the copy whose bit of z picks its row (0 where the rows
+        agree); per row, the nodes' children and threshold words; per node,
+        whether it is a leaf, and its depth (see ``TreeWalker``).  In row b
+        a branch samples from the unrestricted mass table, or from g = b's
+        if its copy has been read; where that table gives its subcube no
+        mass, it is dead and absorbs."""
+        size = len(self.payload)
+        k, copy, cube, cube1, zero, one = np.array(self.branches, np.intp).reshape(-1, 6).T
+        tables = np.array([self.mass, *self.inst.g_masses[:2]], dtype=object)
+        law = np.where(copy < 0, 0, [[1], [2]])
+        den = tables[law, cube]
+        dead = den == 0
+        t = _threshold(tables[law, cube1], np.where(dead, 1, den))
+        child = np.tile(np.arange(size).repeat(2), (2, 1))
+        certain = t == 1 << 128  # its kept words are 0, so child 0 must be child 1
+        child[:, 2 * k] = np.where(dead, k, np.where(certain, one, zero))
+        child[:, 2 * k + 1] = np.where(dead, k, one)
+        words = np.zeros((2, 2, size), np.uint64)
+        words[:, :, k] = [(t >> shift & _WORD).astype(np.uint64) for shift in (64, 0)]
+        node_copy = np.zeros(size, np.intp)
+        node_copy[k] = np.maximum(copy, 0)
+        leaf = np.array([trace is not None for trace in self.payload])
+        return node_copy, child, *words, leaf, np.array(self.depths, np.intp)
 
     def walker(self, z: int) -> TreeWalker:
-        """The walker of the simulation on ``z``: a branch whose subcube has
-        no mass under its sampling law is dead (``None``), and so, never
-        reached, is everything below it."""
-        restricted = _restricted(self.inst, z)
-        nodes = list(self.payload)
-        skip = 0
-        for k, copy, cube, cube1, one, end in self.branches:
-            if k < skip:
-                continue
-            table = self.mass if copy < 0 else restricted[copy]
-            if table[cube] == 0:
-                nodes[k:end] = [None] * (end - k)
-                skip = end
-            else:
-                nodes[k] = (_threshold(table[cube1], table[cube]), k + 1, one)
-        return TreeWalker(nodes)
+        """The walker of the simulation on ``z``: each node reads its row of
+        ``_walk_tables`` off the bit of z its copy is conditioned on."""
+        _restricted(self.inst, z)  # z's range, and mass on each value of g
+        copy, child, hi, lo, leaf, depth = self._walk_tables
+        bit, nodes = (z >> copy) & 1, np.arange(len(copy))
+        return TreeWalker(self.payload, child[bit.repeat(2), np.arange(2 * len(bit))],
+                          hi[bit, nodes], lo[bit, nodes], leaf, depth)
 
     def run(self, z: int, seed: int) -> SimulationTrace:
         return _run(self.walker(z), z, seed)
 
-    def q_terms(self, restricted: list) -> list[tuple[int, int]]:
-        """Per leaf, the simulation's probability of its leaf as an
-        unreduced ``(numerator, denominator)`` pair."""
+    @cached_property
+    def _law_tables(self) -> tuple:
+        """Per leaf (rows) and copy (columns): the index of the copy's last
+        subcube; the index of its prefix, the subcube after its first
+        ``c - 1`` answers, or all if fewer, and the prefix's mass; and
+        whether the copy went deeper than its prefix, so that its later
+        answers follow the restricted law."""
         c = self.inst.inner_complexity
-        m0, m1, den = self.inst.g_masses
-        out = []
-        for _, state in self.leaves:
-            num, dnm = 1, den ** self.inst.n
-            for i, hist in enumerate(state):
-                prefix = hist[:c][-1]  # after its first c - 1 answers, or all if fewer
-                num *= m0[prefix] + m1[prefix]
-                if num and len(hist) > c:
-                    table = restricted[i]
-                    if table[prefix] == 0:
-                        raise ZeroConditioningMass(
-                            f"restricted distribution has no mass on a copy-{i} prefix"
-                        )
-                    num *= table[hist[-1]]
-                    dnm *= table[prefix]
-                if num == 0:
-                    break
-            out.append((num, dnm))
-        return out
+        states = [state for _, state in self.leaves]
+        last = np.array([[hist[-1] for hist in state] for state in states], np.intp)
+        prefix = np.array([[hist[:c][-1] for hist in state] for state in states], np.intp)
+        deep = np.array([[len(hist) > c for hist in state] for state in states])
+        return last, prefix, np.array(self.mass, dtype=object)[prefix], deep
 
-    def p_terms(self, restricted: list) -> tuple[list[int], int]:
+    def q_terms(self, restricted: list) -> tuple[np.ndarray, np.ndarray]:
+        """Per leaf, the simulation's probability of its leaf as unreduced
+        numerators and denominators."""
+        last, prefix, mass, deep = self._law_tables
+        tables, copies = np.array(restricted, dtype=object), np.arange(self.inst.n)
+        below, above = tables[copies, last], tables[copies, prefix]
+        factors = mass * np.where(deep, below, 1)
+        # multiplied copy by copy, a leaf's probability stops at its first
+        # factor 0, and only there can it meet a prefix of restricted mass 0
+        first = (factors == 0).argmax(axis=1)
+        leaves = np.arange(len(first))
+        raised = deep[leaves, first] & (above[leaves, first] == 0) & (mass[leaves, first] != 0)
+        if raised.any():
+            raise ZeroConditioningMass(
+                f"restricted distribution has no mass on a copy-{first[raised.argmax()]} prefix"
+            )
+        dens = np.multiply.reduce(np.where(deep & (above != 0), above, 1), axis=1)
+        return np.multiply.reduce(factors, axis=1), self.inst.g_masses[2] ** self.inst.n * dens
+
+    def p_terms(self, restricted: list) -> tuple[np.ndarray, int]:
         """Per leaf, the numerator of the outer tree's probability of its
         leaf, and the denominator they share."""
-        den = prod(table[0] for table in restricted)
-        nums = [prod(t[h[-1]] for t, h in zip(restricted, state)) for _, state in self.leaves]
-        return nums, den
+        last = self._law_tables[0]
+        tables = np.array(restricted, dtype=object)[np.arange(self.inst.n), last]
+        return np.multiply.reduce(tables, axis=1), prod(table[0] for table in restricted)
 
     def _terms(self, z: int, q: bool = False) -> list:
         """The record of ``z``: ``[p numerators, their denominator, q
-        terms]``, each computed once.  The q terms are computed when first
-        asked for (``q=True``), since only they can find a prefix without
-        restricted mass, and p does without them."""
+        numerators and denominators]``, each computed once.  The q terms are
+        computed when first asked for (``q=True``), since only they can find
+        a prefix without restricted mass, and p does without them."""
         record = self._records.get(z)
         if record is None:
             record = self._records[z] = [*self.p_terms(_restricted(self.inst, z)), None]
         if q and record[2] is None:
             record[2] = self.q_terms(_restricted(self.inst, z))
         return record
+
+    def rows(self, z: int) -> tuple[list[int], ...]:
+        """``p(z)`` and ``q(z)`` in lowest terms, as integer rows in the
+        order of ``leaves``: p's numerators and denominators, then q's."""
+        p_nums, p_den, q_terms = self._terms(z, q=True)
+        rows = []
+        for nums, dens in ((p_nums, p_den), q_terms):
+            common = np.gcd(nums, dens)
+            rows += [(nums // common).tolist(), (dens // common).tolist()]
+        return tuple(rows)
 
     def p(self, z: int) -> dict[int, Fraction]:
         """Exact leaf-reach probabilities of the outer tree on an input drawn
@@ -284,10 +320,8 @@ class Simulation:
         times the conditional mass of the remaining outcomes under the
         restricted distribution (an empty remainder contributes 1).
         """
-        terms = self._terms(z, q=True)[2]
-        return {
-            leaf.leaf_id: Fraction(num, dnm) for (leaf, _), (num, dnm) in zip(self.leaves, terms)
-        }
+        nums, dens = self._terms(z, q=True)[2]
+        return {leaf.leaf_id: Fraction(n, d) for (leaf, _), n, d in zip(self.leaves, nums, dens)}
 
     def snips(self, theta: Optional[Fraction] = None) -> dict[int, tuple[int, ...]]:
         """Per-leaf, per-copy flags: a copy is flagged when some path node
@@ -327,7 +361,7 @@ class Simulation:
         n = inst.n
         lower = max(ZERO, 1 - 4 * theta) ** n
         upper = (1 + 4 * theta) ** n
-        nums, den, terms = self._terms(z, q=True)
+        nums, den, (q_nums, q_dens) = self._terms(z, q=True)
         snips = self.snips(theta)
         violations = []
         checked = 0
@@ -335,7 +369,7 @@ class Simulation:
         # with p = pn/den and q = qn/qd, a bound q >= (a/b)*p holds iff
         # a*pn*qd <= b*qn*den: integers throughout, and a Fraction only for
         # a violation
-        for (leaf, _), pn, (qn, qd) in zip(self.leaves, nums, terms):
+        for (leaf, _), pn, qn, qd in zip(self.leaves, nums, q_nums, q_dens):
             if any(snips[leaf.leaf_id]):
                 continue
             checked += 1
@@ -386,29 +420,30 @@ class Simulation:
         probability against the outer tree's, plus the inner-query
         budget."""
         inst, leaves = self.inst, self.leaves
-        c = inst.inner_complexity
         success_outer = success_sim = snipped = expected_zq = ZERO
         snips = self.snips()
-        z_queries = [sum(len(h) > c for h in state) for _, state in leaves]
-        snipped_leaves = [any(snips[leaf.leaf_id]) for leaf, _ in leaves]
+        z_queries = self._law_tables[3].sum(axis=1)  # per leaf, the bits of z it reads
+        snipped_leaves = np.array([any(snips[leaf.leaf_id]) for leaf, _ in leaves])
         for z in range(1 << inst.n):
             w = inst.lam.prob(z)
             if w == 0:
                 continue
-            p_nums, p_den, q_terms = self._terms(z, q=True)
-            acc = [leaf.label in inst.f.accepted[z] for leaf, _ in leaves]
-            # per z, numerators over a shared denominator add as integers first
-            success_outer += w * Fraction(sum(n for n, a in zip(p_nums, acc) if a), p_den)
-            snipped += w * Fraction(sum(n for n, s in zip(p_nums, snipped_leaves) if s), p_den)
-            success_sim += w * _sum_terms(t for t, a in zip(q_terms, acc) if a)
-            expected_zq += w * _sum_terms((n * k, d) for (n, d), k in zip(q_terms, z_queries))
+            p_nums, p_den, (q_nums, q_dens) = self._terms(z, q=True)
+            acc = np.array([leaf.label in inst.f.accepted[z] for leaf, _ in leaves])
+            # per z, numerators over one common denominator add as integers first
+            common = lcm(*q_dens)
+            q_nums = q_nums * (common // q_dens)
+            success_outer += w * Fraction(p_nums[acc].sum(), p_den)
+            snipped += w * Fraction(p_nums[snipped_leaves].sum(), p_den)
+            success_sim += w * Fraction(q_nums[acc].sum(), common)
+            expected_zq += w * Fraction((q_nums * z_queries).sum(), common)
         bound = max(ZERO, 1 - 4 * inst.theta) ** inst.n * (success_outer - snipped)
         return ChainReport(
             success_outer=success_outer,
             success_sim=success_sim,
             lower_bound=bound,
             bound_holds=success_sim >= bound,
-            worst_z_queries=max(z_queries),
+            worst_z_queries=int(z_queries.max()),
             expected_z_queries=expected_zq,
             budget=self.budget,
         )
@@ -433,7 +468,7 @@ class AprimeSimulator:
     Every branch compiles to its threshold and every leaf to its trace, in
     a ``TreeWalker``, so repeated runs only draw random words and walk the
     tree's arrays.  A node whose subcube has no mass under its sampling law
-    compiles to ``None``, and a walk that reaches it raises.  Only the
+    compiles dead, and a walk that reaches it raises.  Only the
     thresholds and dead nodes depend on ``z`` (see ``Simulation``).
     """
 

@@ -4,9 +4,10 @@ stream.
 A walk starts at the root.  At each branch it draws one 128-bit word with
 ``getrandbits(128)`` and goes to child 1 exactly when the word lies below
 the branch's threshold; successive walks read successive words.
-``TreeWalker`` decides many walks at once with numpy from the very same
-words, so every walk ends where the one-at-a-time loop ends it, for every
-stream.
+``TreeWalker`` takes the tree as flat per-node arrays, which its caller
+builds (``simulate.Simulation.walker`` selects them per input), and decides
+many walks at once with numpy from the very same words, so every walk ends
+where the one-at-a-time loop ends it, for every stream.
 """
 
 from __future__ import annotations
@@ -19,48 +20,28 @@ import numpy as np
 from .core import ZeroConditioningMass
 
 CHUNK = 1024  # walk starts decided per bulk step; bounds the working set
-_MASK128 = (1 << 128) - 1
 
 
 class TreeWalker:
     """A compiled tree as flat arrays, and the bulk walk over them.
 
-    ``nodes`` lists the tree in preorder, the root first: a branch is a
-    ``(threshold, child0, child1)`` tuple with its threshold in
-    ``[0, 2^128]``, a leaf is its payload, and a dead node is ``None``.
-    Per node the arrays hold the threshold as high and low 64-bit words,
-    the children as ``child[2 * node + bit]``, whether the node is dead,
-    and the step of a walk that ends there (see ``ends``).  A threshold of
-    2^128 makes its branch certain, so both its children are child1 and
-    every threshold kept fits in two words.  Leaves and dead nodes are
-    absorbing: both their children are themselves.
+    ``payload[k]`` is what a walk that ends at node k returns; node 0 is
+    the root.  Per node, the arrays hold its children as
+    ``child[2 * node + bit]``, its threshold in ``[0, 2^128)`` as high and
+    low 64-bit words, whether it is a leaf, and its depth.  A walk at a
+    branch goes to child 1 exactly when its draw lies below the threshold;
+    a certain branch has child 1 as both children.  Leaves and dead nodes
+    are absorbing: both their children are themselves, and a walk that
+    ends at a dead node, a branch that absorbs, raises.
     """
 
-    def __init__(self, nodes: list):
-        size = len(nodes)
-        depth = [0] * size
-        child = [k >> 1 for k in range(2 * size)]
-        kept = [0] * size
-        leaves = []
-        for k, node in enumerate(nodes):
-            if type(node) is tuple:
-                t, child0, child1 = node
-                depth[child0] = depth[child1] = depth[k] + 1
-                child[2 * k] = child1 if t >> 128 else child0
-                child[2 * k + 1] = child1
-                kept[k] = t & _MASK128
-            elif node is not None:
-                leaves.append(k)
-        self.payload = nodes
-        self.child = np.array(child, np.intp)
-        words = b"".join([t.to_bytes(16, "little") for t in kept])
-        self.lo, self.hi = np.frombuffer(words, "<u8").reshape(size, 2).T
-        self.dead = np.array([node is None for node in nodes])
+    def __init__(self, payload, child, hi, lo, leaves, depth):
+        self.payload, self.child, self.hi, self.lo = payload, child, hi, lo
+        self.dead = (child[::2] == np.arange(len(leaves))) & ~leaves
         # A walk draws as many words as its end's depth, and one that ends
         # at a dead node raises, so every walk starts a multiple of the
         # leaves' depths' gcd into the stream; a walk's step is its length
         # in those strides.
-        depth = np.array(depth, np.intp)
         self.depth = int(depth.max())
         self.stride = int(np.gcd.reduce(depth[leaves])) or 1
         self.step = np.maximum(depth // self.stride, 1)

@@ -9,9 +9,11 @@ fullbias sweep's reference takes each function's complexity from
 ``dist_complexity``, which the DP tests hold to tree enumeration.  The
 subcube mass kernel's reference is its original concatenating form, and
 the simileaf check's is its original form in Fraction products, and the
-sweep grid's is its original recursive generator of compositions.  Composed
-inputs are split into their copies by ``Blocks`` here, not by the package's
-own block arithmetic.
+sweep grid's is its original recursive generator of compositions.  The
+random walks' reference is the original node list of a compiled tree, a
+tuple per branch and built one branch at a time, walked one draw at a
+time.  Composed inputs are split into their copies by ``Blocks`` here, not
+by the package's own block arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 import numpy as np
 
@@ -37,7 +39,8 @@ from qclab.core import (
     subcube_prob,
 )
 from qclab.dtree import DecisionTree, InternalNode, Leaf
-from qclab.simulate import SimileafReport
+from qclab.simulate import SimileafReport, Simulation
+from qclab.walk import TreeWalker
 
 
 def concat_masses(weights: np.ndarray, m: int) -> np.ndarray:
@@ -183,10 +186,72 @@ def brute_simulation_law(inst, tree: DecisionTree, z: int) -> dict[int, Fraction
     return out
 
 
+def loop_q(sim, z: int) -> dict[int, Fraction]:
+    """``Simulation.q`` leaf by leaf and copy by copy in Fractions, raising
+    where the simulation first conditions on a subcube without mass."""
+    c, masses = sim.inst.inner_complexity, sim.inst.g_masses
+    restricted = [masses[(z >> i) & 1] for i in range(sim.inst.n)]
+    for i, table in enumerate(restricted):
+        if table[0] == 0:
+            raise ZeroConditioningMass(f"Pr[g={(z >> i) & 1}] = 0")
+    out = {}
+    for leaf, state in sim.leaves:
+        prob = Fraction(1)
+        for i, hist in enumerate(state):
+            prefix = hist[:c][-1]
+            prob *= Fraction(sim.mass[prefix], sim.mass[0])
+            if prob and len(hist) > c:
+                if restricted[i][prefix] == 0:
+                    raise ZeroConditioningMass(
+                        f"restricted distribution has no mass on a copy-{i} prefix"
+                    )
+                prob *= Fraction(restricted[i][hist[-1]], restricted[i][prefix])
+        out[leaf.leaf_id] = prob
+    return out
+
+
+def compiled_nodes(sim, z: int) -> list:
+    """The walk of ``sim`` (a ``Simulation``) on ``z`` as a node list in
+    preorder, one branch at a time: a branch is its ``(threshold, child0,
+    child1)``, the ceiling of its probability of child 1 times 2^128; a
+    leaf is its payload; a branch whose subcube has no mass under its
+    sampling law is dead (``None``), and so, never reached, is everything
+    below it."""
+    restricted = [sim.inst.g_masses[(z >> i) & 1] for i in range(sim.inst.n)]
+    nodes, dead = list(sim.payload), set()
+    for k, copy, cube, cube1, child0, child1 in sim.branches:  # parents first
+        table = sim.mass if copy < 0 else restricted[copy]
+        if k in dead or table[cube] == 0:
+            dead |= {k, child0, child1}
+        else:
+            nodes[k] = (ceil(Fraction(table[cube1], table[cube]) * 2**128), child0, child1)
+    return [None if k in dead else node for k, node in enumerate(nodes)]
+
+
+def node_walker(nodes: list) -> TreeWalker:
+    """The ``TreeWalker`` of a node list (see ``compiled_nodes``), node by
+    node."""
+    size = len(nodes)
+    depth = [0] * size
+    child = [k >> 1 for k in range(2 * size)]
+    kept = [0] * size
+    for k, node in enumerate(nodes):
+        if type(node) is tuple:
+            t, child0, child1 = node
+            depth[child0] = depth[child1] = depth[k] + 1
+            child[2 * k] = child1 if t >> 128 else child0
+            child[2 * k + 1] = child1
+            kept[k] = t & ((1 << 128) - 1)
+    words = b"".join([t.to_bytes(16, "little") for t in kept])
+    lo, hi = np.frombuffer(words, "<u8").reshape(size, 2).T
+    leaves = np.array([node is not None and type(node) is not tuple for node in nodes])
+    return TreeWalker(nodes, np.array(child, np.intp), hi, lo, leaves, np.array(depth, np.intp))
+
+
 def _loop_walk(nodes: list, rng: random.Random):
-    """One walk over a simulator's compiled nodes (see ``TreeWalker``):
-    from the root, draw ``getrandbits(128)`` at each branch and go to child
-    1 exactly when the draw lies below the branch's threshold."""
+    """One walk over a node list (see ``compiled_nodes``): from the root,
+    draw ``getrandbits(128)`` at each branch and go to child 1 exactly when
+    the draw lies below the branch's threshold."""
     node = nodes[0]
     while type(node) is tuple:
         threshold, child0, child1 = node
@@ -196,17 +261,21 @@ def _loop_walk(nodes: list, rng: random.Random):
     return node
 
 
+def _nodes(sim) -> list:
+    return compiled_nodes(Simulation(sim.inst, sim.tree), sim.z)
+
+
 def loop_run(sim, seed: int):
     """``AprimeSimulator.run`` one branch at a time."""
-    return replace(_loop_walk(sim._walker.payload, random.Random(seed)), z=sim.z, rng_seed=seed)
+    return replace(_loop_walk(_nodes(sim), random.Random(seed)), z=sim.z, rng_seed=seed)
 
 
 def loop_run_stream(sim, samples: int, seed: int) -> dict[int, int]:
     """``AprimeSimulator.run_stream`` one walk at a time."""
-    rng = random.Random(seed)
+    rng, nodes = random.Random(seed), _nodes(sim)
     counts: dict[int, int] = {}
     for _ in range(samples):
-        lid = _loop_walk(sim._walker.payload, rng).leaf_id
+        lid = _loop_walk(nodes, rng).leaf_id
         counts[lid] = counts.get(lid, 0) + 1
     return counts
 

@@ -177,6 +177,21 @@ class TestBuildInstance:
         assert record["inner_complexity"] == 2
         assert (out_dir / "instance.json").exists()
 
+    def test_failed_write_leaves_no_manifest(self, files, tmp_path, capsys):
+        # the old manifest named the new g.tt beside the old f.rel
+        out_dir = tmp_path / "inst"
+        build = ["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
+                 "--mu", files["mu_u2"], "--eps", "1/4", "--out", str(out_dir)]
+        assert main(build) == 0
+        (out_dir / "f.rel").unlink()
+        (out_dir / "f.rel").mkdir()
+        capsys.readouterr()
+        assert main(build) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("i/o error: ")
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["f.rel", "g.tt", "lambda.dist", "mu.dist"]
+
     def test_one_dp_on_the_hard_distribution_after_the_game(self, files, tmp_path, dp_solves):
         # the hard distribution's certificate is the instance's inner complexity
         out_dir = tmp_path / "inst"
@@ -465,6 +480,13 @@ VERDICT_INPUTS = [
     "--mu", str(VERDICTS / "mu.dist"), "--tree", str(VERDICTS / "tree.sexp"),
     "--eps", "7/16", "--theta", "1/2",
 ]
+# four copies of the same g under a complete depth-7 tree: 128 leaves, and
+# dead branches below x1 = x2 = 1 in a copy for every z
+VERDICT_INPUTS_N4 = [
+    "--g", str(VERDICTS / "g.tt"), "--f", str(VERDICTS / "f4.rel"),
+    "--mu", str(VERDICTS / "mu.dist"), "--tree", str(VERDICTS / "tree128.sexp"),
+    "--eps", "7/16", "--theta", "1/2",
+]
 
 
 @pytest.mark.parametrize("command, golden", [
@@ -477,6 +499,7 @@ VERDICT_INPUTS = [
     (["verify", "--m", "3"], "verify-m3.jsonl"),
     (["dce", "--g", str(VERDICTS / "g.tt"), "--mu", str(VERDICTS / "mu.dist"), "--eps", "7/16"],
      "dce.jsonl"),
+    (["simulate", "--seed", "5", *VERDICT_INPUTS_N4], "simulate-n4.jsonl"),
 ])
 def test_verdict_bytes_are_pinned(capsys, command, golden):
     """The verdict stream of one small fixture, byte for byte.  Its tree has
@@ -510,19 +533,20 @@ def test_build_instance_bytes_are_pinned(tmp_path, monkeypatch, capsys, name, fl
 
 
 def test_simulate_computes_each_z_laws_once(capsys, monkeypatch):
-    """The p and q terms of each z are computed once per command: the
-    simulate-z records and the success chain read the same record."""
+    """The p and q terms of each z are computed once per command, and read
+    once per z in lowest terms: the simulate-z records format those rows,
+    and the success chain reads the same terms."""
     computed = []
-    for name in ("p_terms", "q_terms"):
-        def spy(self, restricted, name=name, terms=getattr(simulate.Simulation, name)):
+    for name in ("p_terms", "q_terms", "rows"):
+        def spy(self, *args, name=name, law=getattr(simulate.Simulation, name)):
             computed.append(name)
-            return terms(self, restricted)
+            return law(self, *args)
 
         monkeypatch.setattr(simulate.Simulation, name, spy)
     assert main(["simulate", *VERDICT_INPUTS]) == 0
     zs = capsys.readouterr().out.count('"record": "simulate-z"')
     assert zs == 2
-    assert sorted(computed) == ["p_terms"] * zs + ["q_terms"] * zs
+    assert sorted(computed) == ["p_terms"] * zs + ["q_terms"] * zs + ["rows"] * zs
 
 
 class TestVerify:

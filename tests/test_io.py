@@ -1,6 +1,8 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from qclab.compose import build_instance
 from qclab.io import (
     format_dist,
     format_fraction,
+    format_ratio,
     format_relation,
     format_tree,
     format_truth_table,
@@ -43,6 +46,15 @@ class TestFractions:
         big = 10**4999 + 1  # 5,000 digits
         assert format_fraction(F(big, 7)) == "1" + "0" * 4998 + "1/7"
         assert format_fraction(F(-big, 7)) == "-1" + "0" * 4998 + "1/7"
+        assert format_ratio(3, big) == "3/1" + "0" * 4998 + "1"
+
+    def test_str_digits_are_decimal_digits(self):
+        # below the interpreter's digit limit, str() prints what Decimal does
+        rng = random.Random(41)
+        for _ in range(10_000):
+            bits = rng.choice((1, 8, 63, 64, 65, 300, 4000))
+            x = F(rng.randrange(-(1 << bits), 1 << bits), rng.randrange(1, 1 << bits))
+            assert format_fraction(x) == f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 class TestTruthTableFormat:
@@ -152,6 +164,22 @@ class TestInstanceManifest:
         manifest = write_instance(inst, tmp_path / "inst")
         again = read_instance(manifest)
         assert again == inst
+
+    def test_failed_manifest_write_leaves_no_files_of_its_own(self, tmp_path, monkeypatch):
+        inst = build_instance(
+            Relation.from_function(xor_fn(2)), xor_fn(2),
+            Dist.uniform(2), Dist.uniform(2), epsilon=F(1, 4),
+        )
+        write_instance(inst, tmp_path / "inst")
+
+        def fail(src, dst):
+            raise OSError("no room")
+
+        monkeypatch.setattr(Path, "replace", fail)
+        with pytest.raises(OSError, match="no room"):
+            write_instance(inst, tmp_path / "inst")
+        names = sorted(p.name for p in (tmp_path / "inst").iterdir())
+        assert names == ["f.rel", "g.tt", "lambda.dist", "mu.dist"]
 
     def test_tampered_complexity_detected(self, tmp_path):
         inst = build_instance(

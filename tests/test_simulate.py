@@ -7,6 +7,7 @@ import weakref
 from dataclasses import replace
 from functools import partial
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from qclab import lattice
 from qclab.compose import build_instance
 from qclab.dtree import DecisionTree, InternalNode, Leaf, make_tree
 from qclab.simulate import AprimeSimulator, ChainReport, Simulation, _threshold
-from qclab.walk import CHUNK, TreeWalker
+from qclab.walk import CHUNK
 
 from _oracles import (
     Blocks,
@@ -40,9 +41,12 @@ from _oracles import (
     brute_reach_probs,
     brute_simulation_law,
     brute_snip_labels,
+    compiled_nodes,
     fraction_simileaf,
+    loop_q,
     loop_run,
     loop_run_stream,
+    node_walker,
     random_relation,
     random_tree,
     random_truth_table,
@@ -344,7 +348,7 @@ class TestBulkWalk:
         edges = (0, 1, 2**64 - 1, 2**64, 2**128 - 1, 2**128)
         for t in edges:
             draws = sorted({d for x in edges for d in (x - 1, x) if 0 <= d < 1 << 128})
-            walker = TreeWalker([(t, 1, 2), "child0", "child1"])
+            walker = node_walker([(t, 1, 2), "child0", "child1"])
             ends = np.concatenate(list(walker.ends(_Words(draws), len(draws))))
             assert ends.tolist() == [2 if d < t else 1 for d in draws]
 
@@ -362,9 +366,10 @@ class TestBulkWalk:
                         sim = AprimeSimulator(inst, tree, z)
                     except ZeroConditioningMass:
                         continue
-                    walker = sim._walker
+                    nodes = compiled_nodes(Simulation(inst, tree), z)
+                    walker = node_walker(nodes)
                     seen.add(("stride", walker.stride > 1, walker.max_step > 1))
-                    thresholds = {node[0] for node in walker.payload if type(node) is tuple}
+                    thresholds = {node[0] for node in nodes if type(node) is tuple}
                     seen |= thresholds & {0, 1 << 128}
                     for samples in (0, 1, 3 * CHUNK + 5):
                         seed = rng.randrange(1 << 30)
@@ -515,6 +520,36 @@ class TestExactP:
                 for z in range(1 << inst.n):
                     flat = brute_reach_probs(tree, brute_gamma_z(inst, z))
                     assert sim.p(z) == flat
+
+
+class TestLawRows:
+    def test_rows_match_the_brute_laws(self):
+        # the rows gather each leaf's masses per copy; the oracles walk the
+        # tree or sum the flat distribution, and the loop raises where q does
+        rng = random.Random(89)
+        seen = set()
+        for inst in random_instances(rng, 12):
+            seen.add(("den^n >= 2^63", inst.g_masses[2] ** inst.n >= 1 << 63))
+            for _ in range(3):
+                tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
+                sim = Simulation(inst, tree)
+                ids = [leaf.leaf_id for leaf, _ in sim.leaves]
+                for z in range(1 << inst.n):
+                    expected = outcome(loop_q, sim, z)
+                    rows = outcome(sim.rows, z)
+                    seen.add(type(rows))
+                    if isinstance(expected, str):
+                        assert rows == expected
+                        continue
+                    p_nums, p_dens, q_nums, q_dens = rows
+                    flat = brute_reach_probs(tree, brute_gamma_z(inst, z))
+                    law = brute_simulation_law(inst, tree, z)
+                    q = [F(n, d) for n, d in zip(q_nums, q_dens)]
+                    assert [F(n, d) for n, d in zip(p_nums, p_dens)] == [flat[i] for i in ids]
+                    assert q == [law.get(i, F(0)) for i in ids] == [expected[i] for i in ids]
+                    assert all(gcd(n, d) == 1 for n, d in zip(p_nums + q_nums, p_dens + q_dens))
+                    seen.add(("p = 0 somewhere", 0 in p_nums))
+        assert {("den^n >= 2^63", True), ("p = 0 somewhere", True), tuple, str} <= seen
 
 
 class TestSnipLabels:
