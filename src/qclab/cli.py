@@ -144,10 +144,9 @@ def cmd_simulate(args) -> list[dict]:
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     simulation = Simulation(inst, tree)  # once for every z below
-    snips = simulation.snips()
     records = []
-    leaves = [(str(leaf.leaf_id), 1 if any(snips[leaf.leaf_id]) else 0)
-              for leaf, _ in simulation.leaves]
+    snipped = simulation.snips().any(1).astype(int).tolist()
+    leaves = list(zip(map(str, simulation.leaf_ids), snipped))
     for z in range(1 << inst.n):
         if inst.lam.prob(z) == 0:
             continue

@@ -15,15 +15,18 @@ Every law is a ratio of entries of the instance's lattice tables
 subcube's mass is the sum of its two entries, its mass restricted to g=b is
 entry b over entry b of the full cube, and its bias is their difference
 over their sum.  ``Simulation(inst, tree)`` compiles an outer tree once,
-in one walk that carries, per copy, the ``lattice.index_of`` index of the
-copy's subcube after each of its answers, and then into tables that each z
-only reads: its laws are gathers and row products over exact integers
-(numpy object arrays), and its walker a selection of rows.  The methods
-give the exact laws ``p(z)`` of the outer tree and ``q(z)`` of the
-simulation (``rows(z)`` in lowest terms), the snip flags ``snips(theta)``,
-the verifiers ``simileaf(z)`` and ``lilsnip(z)``, the success accounting
-``chain()``, and the random walks ``walker(z)`` and ``run(z, seed)``.
-``AprimeSimulator`` keeps the walker of one z.
+in one walk, into one row per leaf of ``lattice.index_of`` subcube
+indices (per copy, its subcubes after 0..c-1 answers, then its last), and
+then into tables that each z only reads: its laws are gathers and row
+products over exact integers (numpy object arrays), and its walker a
+selection of rows.  The methods give the exact laws ``p(z)`` of the outer
+tree and ``q(z)`` of the simulation (``rows(z)`` in lowest terms), the
+(leaves x n) snip flag array ``snips(theta)``, the verifiers
+``simileaf(z)`` and ``lilsnip(z)``, the success accounting ``chain()``,
+and the random walks ``walker(z)`` and ``run(z, seed)``, all over those
+rows.  ``AprimeSimulator`` keeps the walker of one z; it and the unused
+``subcube_prob`` import stay because the benchmark harness constructs,
+patches and checks them.
 
 Branch decisions compare a 128-bit uniform integer drawn from a seeded
 Mersenne Twister against the exact branch probability scaled by 2^128, so
@@ -138,24 +141,25 @@ class ChainReport:
 
 class Simulation:
     """The simulation of ``tree`` on ``inst``, compiled once, in one
-    preorder walk.  The walk carries each copy's history: the lattice index
-    of the copy's subcube after each of its answers so far, starting from
-    the full cube, so entry k fixes its first k answers.
+    preorder walk.  The walk carries one row per copy: the lattice indices
+    of the copy's subcubes after 0..c-1 answers (its window), padded with
+    the last of them, then its last subcube, so the window's last entry is
+    the prefix that its later answers are conditioned on.
 
     ``payload`` holds each leaf's trace (for z = 0 with seed 0; a run sets
     both) and ``None`` at each branch, and ``depths`` each node's depth.
     ``branches`` lists each branch's position, the copy it samples from the
     restricted law (-1 while the copy has had fewer than c answers), its
     subcube's index before and after answering 1, and its two children.
-    ``leaves`` lists each leaf with its per-copy histories, from which the
-    snip flags are read; interior histories are prefixes of these.  On
-    first use, what the laws and walks of every z share is compiled once
-    more, into ``_law_tables`` and ``_walk_tables``.  The flags are kept
-    per theta and the integer terms of p and q per z (see ``_terms``), for
-    the object's life.  ``budget`` is the inner-query budget ``depth //
-    c``.  A tree of the wrong arity, or with a leaf label outside f's
-    alphabet, is rejected here, before any law; every ``DecisionTree`` is
-    valid when it is made."""
+    ``leaves`` lists the leaves in preorder, ``leaf_ids`` and ``labels``
+    their ids and labels, and ``cubes`` their rows, a (leaves x n x c+1)
+    index array that the laws and snip flags read.  On first use, what the
+    laws and walks of every z share is compiled once more, into
+    ``_law_tables`` and ``_walk_tables``.  The integer terms of p and q are
+    kept per z (see ``_terms``) for the object's life.  ``budget`` is the
+    inner-query budget ``depth // c``.  A tree of the wrong arity, or with a
+    leaf label outside f's alphabet, is rejected here, before any law; every
+    ``DecisionTree`` is valid when it is made."""
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree):
         if tree.arity != inst.total_arity:
@@ -168,42 +172,47 @@ class Simulation:
         self.depths: list = []
         self.branches: list = []
         self.leaves: list = []
-        self._snips: dict = {}
+        rows: list = []
         self._records: dict = {}
-        self._compile(tree.root, ((0,),) * inst.n, (), 0)
-        alphabet = inst.f.alphabet_size
-        for leaf, _ in self.leaves:
-            if not 0 <= leaf.label < alphabet:
-                raise QclabError(
-                    f"tree label {leaf.label} is outside f's alphabet 0..{alphabet - 1}"
-                )
+        c = inst.inner_complexity
+        self._compile(tree.root, ((0,) * (c + 1),) * inst.n, (0,) * inst.n, (), 0, rows)
+        self.cubes = np.array(rows, np.intp)
+        self.leaf_ids = [leaf.leaf_id for leaf in self.leaves]
+        labels = np.array([leaf.label for leaf in self.leaves], dtype=object)
+        stray = (labels < 0) | (labels >= inst.f.alphabet_size)
+        if stray.any():
+            raise QclabError(f"tree label {labels[stray.argmax()]} is outside "
+                             f"f's alphabet 0..{inst.f.alphabet_size - 1}")
+        self.labels = labels.astype(np.intp)
 
-    def _compile(self, node, state, z_queries, depth) -> None:
+    def _compile(self, node, state, codims, z_queries, depth, rows) -> None:
         # a method, not a closure: a self-referencing closure would keep
         # the compiled tree alive until the cyclic collector runs
         k = len(self.payload)
         self.payload.append(None)
         self.depths.append(depth)
         if isinstance(node, Leaf):
-            codims = tuple([len(hist) - 1 for hist in state])
             self.payload[k] = SimulationTrace(
                 0, node.leaf_id, node.label, z_queries, codims, sum(codims), 0
             )
-            self.leaves.append((node, state))
+            self.leaves.append(node)
+            rows.append(state)
             return
         c = self.inst.inner_complexity
         i, j = divmod(node.query_var, self.inst.m)
-        hist = state[i]
-        cube, nth = hist[-1], len(hist)  # nth: this answer's number in copy i
+        row, nth = state[i], codims[i] + 1  # nth: this answer's number in copy i
+        cube = row[-1]
         if nth == c:
             z_queries += (i,)
         step = 3**j
         entry = [k, i if nth >= c else -1, cube, cube + 2 * step]
         self.branches.append(entry)
+        kept = row[:min(nth, c)]  # the window entries this answer leaves as they are
+        child_codims = codims[:i] + (nth,) + codims[i + 1:]
         for child, below in ((node.child0, cube + step), (node.child1, cube + 2 * step)):
             entry.append(len(self.payload))
-            child_state = state[:i] + (hist + (below,),) + state[i + 1:]
-            self._compile(child, child_state, z_queries, depth + 1)
+            child_state = state[:i] + (kept + (below,) * (c + 1 - len(kept)),) + state[i + 1:]
+            self._compile(child, child_state, child_codims, z_queries, depth + 1, rows)
 
     @cached_property
     def _walk_tables(self) -> tuple:
@@ -249,13 +258,11 @@ class Simulation:
         subcube; the index of its prefix, the subcube after its first
         ``c - 1`` answers, or all if fewer, and the prefix's mass; and
         whether the copy went deeper than its prefix, so that its later
-        answers follow the restricted law."""
-        c = self.inst.inner_complexity
-        states = [state for _, state in self.leaves]
-        last = np.array([[hist[-1] for hist in state] for state in states], np.intp)
-        prefix = np.array([[hist[:c][-1] for hist in state] for state in states], np.intp)
-        deep = np.array([[len(hist) > c for hist in state] for state in states])
-        return last, prefix, np.array(self.mass, dtype=object)[prefix], deep
+        answers follow the restricted law.  A read-once path never returns
+        to a subcube, so it went deeper exactly when its last subcube is not
+        its prefix."""
+        last, prefix = self.cubes[..., -1], self.cubes[..., -2]
+        return last, prefix, np.array(self.mass, dtype=object)[prefix], last != prefix
 
     def q_terms(self, restricted: list) -> tuple[np.ndarray, np.ndarray]:
         """Per leaf, the simulation's probability of its leaf as unreduced
@@ -309,7 +316,7 @@ class Simulation:
         """Exact leaf-reach probabilities of the outer tree on an input drawn
         from the per-z product distribution."""
         nums, den, _ = self._terms(z)
-        return {leaf.leaf_id: Fraction(num, den) for (leaf, _), num in zip(self.leaves, nums)}
+        return {lid: Fraction(num, den) for lid, num in zip(self.leaf_ids, nums)}
 
     def q(self, z: int) -> dict[int, Fraction]:
         """Exact probability of the simulation on ``z`` terminating at each
@@ -321,30 +328,19 @@ class Simulation:
         restricted distribution (an empty remainder contributes 1).
         """
         nums, dens = self._terms(z, q=True)[2]
-        return {leaf.leaf_id: Fraction(n, d) for (leaf, _), n, d in zip(self.leaves, nums, dens)}
+        return {lid: Fraction(n, d) for lid, n, d in zip(self.leaf_ids, nums, dens)}
 
-    def snips(self, theta: Optional[Fraction] = None) -> dict[int, tuple[int, ...]]:
-        """Per-leaf, per-copy flags: a copy is flagged when some path node
-        shows that copy at codimension below the inner complexity with bias
-        at least ``theta`` (the instance's by default).  Path subcubes with
-        zero inner-distribution mass are skipped: no probability ever flows
-        through them."""
+    def snips(self, theta: Optional[Fraction] = None) -> np.ndarray:
+        """Per leaf (rows) and copy (columns), whether the copy is snipped:
+        whether some subcube of its window, reached in fewer than c answers
+        on the leaf's path, has bias at least ``theta`` (the instance's by
+        default).  Subcubes with zero inner-distribution mass are skipped:
+        no probability ever flows through them."""
         theta = self.inst.theta if theta is None else Fraction(theta)
-        if theta not in self._snips:
-            c = self.inst.inner_complexity
-            m0, m1, _ = self.inst.g_masses
-
-            def flagged(hist) -> int:
-                for cube in hist[:c]:  # the subcubes of fewer than c answers
-                    mass, gap = m0[cube] + m1[cube], abs(m0[cube] - m1[cube])
-                    if mass and gap * theta.denominator >= theta.numerator * mass:
-                        return 1
-                return 0
-
-            self._snips[theta] = {
-                leaf.leaf_id: tuple(flagged(hist) for hist in state) for leaf, state in self.leaves
-            }
-        return self._snips[theta]
+        m0, m1, _ = (np.array(table, dtype=object) for table in self.inst.g_masses)
+        mass, gap = m0 + m1, abs(m0 - m1)
+        biased = (mass > 0) & (gap * theta.denominator >= theta.numerator * mass)
+        return biased[self.cubes[..., :-1]].any(-1)
 
     def simileaf(self, z: int, theta: Optional[Fraction] = None) -> SimileafReport:
         """On every snip-free leaf, check that the simulation's termination
@@ -362,31 +358,26 @@ class Simulation:
         lower = max(ZERO, 1 - 4 * theta) ** n
         upper = (1 + 4 * theta) ** n
         nums, den, (q_nums, q_dens) = self._terms(z, q=True)
-        snips = self.snips(theta)
-        violations = []
-        checked = 0
-        fixed_ok = True
+        checked = ~self.snips(theta).any(1)
         # with p = pn/den and q = qn/qd, a bound q >= (a/b)*p holds iff
         # a*pn*qd <= b*qn*den: integers throughout, and a Fraction only for
         # a violation
-        for (leaf, _), pn, qn, qd in zip(self.leaves, nums, q_nums, q_dens):
-            if any(snips[leaf.leaf_id]):
-                continue
-            checked += 1
-            pq, qp = pn * qd, qn * den
-            if not (lower.numerator * pq <= lower.denominator * qp
-                    and upper.denominator * qp <= upper.numerator * pq):
-                violations.append((leaf.leaf_id, Fraction(pn, den), Fraction(qn, qd)))
-            if not 8 * pq <= 9 * qp <= 10 * pq:
-                fixed_ok = False
+        pq, qp = nums * q_dens, q_nums * den
+        held = ((lower.numerator * pq <= lower.denominator * qp)
+                & (upper.denominator * qp <= upper.numerator * pq))
+        fixed = (8 * pq <= 9 * qp) & (9 * qp <= 10 * pq)
+        violations = tuple(
+            (self.leaf_ids[k], Fraction(nums[k], den), Fraction(q_nums[k], q_dens[k]))
+            for k in np.flatnonzero(checked & ~held)
+        )
         return SimileafReport(
             theta=theta,
             lower_factor=lower,
             upper_factor=upper,
-            checked_leaves=checked,
-            snipped_leaves=sum(1 for f in snips.values() if any(f)),
-            violations=tuple(violations),
-            fixed_constants_hold=fixed_ok,
+            checked_leaves=int(checked.sum()),
+            snipped_leaves=int(len(checked) - checked.sum()),
+            violations=violations,
+            fixed_constants_hold=bool(fixed[checked].all()),
         )
 
     def lilsnip(self, z: int) -> LilsnipReport:
@@ -402,11 +393,9 @@ class Simulation:
         if inst.theta * inst.theta != 4 * delta0:
             raise HypothesisViolated("instance theta is not 2*sqrt(1/2 - epsilon)")
         nums, den, _ = self._terms(z)
-        flags = self.snips().values()  # in the order of self.leaves, as nums
-        per_copy = tuple(
-            Fraction(sum(num for num, f in zip(nums, flags) if f[i]), den) for i in range(inst.n)
-        )
-        total = Fraction(sum(num for num, f in zip(nums, flags) if any(f)), den)
+        flags = self.snips()
+        per_copy = tuple(Fraction(s, den) for s in np.where(flags, nums[:, None], 0).sum(0))
+        total = Fraction(nums[flags.any(1)].sum(), den)
         return LilsnipReport(
             delta0=delta0,
             per_copy_mass=per_copy,
@@ -419,17 +408,18 @@ class Simulation:
         """Exact end-to-end accounting of the simulation's success
         probability against the outer tree's, plus the inner-query
         budget."""
-        inst, leaves = self.inst, self.leaves
+        inst = self.inst
         success_outer = success_sim = snipped = expected_zq = ZERO
-        snips = self.snips()
+        snipped_leaves = self.snips().any(1)
         z_queries = self._law_tables[3].sum(axis=1)  # per leaf, the bits of z it reads
-        snipped_leaves = np.array([any(snips[leaf.leaf_id]) for leaf, _ in leaves])
-        for z in range(1 << inst.n):
+        accepts = np.zeros((1 << inst.n, inst.f.alphabet_size), bool)
+        for z, labels in enumerate(inst.f.accepted):
+            accepts[z, list(labels)] = True
+        for z, acc in enumerate(accepts[:, self.labels]):  # per z, the leaves it accepts
             w = inst.lam.prob(z)
             if w == 0:
                 continue
             p_nums, p_den, (q_nums, q_dens) = self._terms(z, q=True)
-            acc = np.array([leaf.label in inst.f.accepted[z] for leaf, _ in leaves])
             # per z, numerators over one common denominator add as integers first
             common = lcm(*q_dens)
             q_nums = q_nums * (common // q_dens)

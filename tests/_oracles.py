@@ -188,26 +188,39 @@ def brute_simulation_law(inst, tree: DecisionTree, z: int) -> dict[int, Fraction
 
 def loop_q(sim, z: int) -> dict[int, Fraction]:
     """``Simulation.q`` leaf by leaf and copy by copy in Fractions, raising
-    where the simulation first conditions on a subcube without mass."""
-    c, masses = sim.inst.inner_complexity, sim.inst.g_masses
-    restricted = [masses[(z >> i) & 1] for i in range(sim.inst.n)]
+    where the simulation first conditions on a subcube without mass.  Each
+    copy's answers come from the tree's leaf paths, split by ``Blocks``."""
+    inst = sim.inst
+    c, (m0, m1, _) = inst.inner_complexity, inst.g_masses
+    restricted = [inst.g_masses[(z >> i) & 1] for i in range(inst.n)]
     for i, table in enumerate(restricted):
         if table[0] == 0:
             raise ZeroConditioningMass(f"Pr[g={(z >> i) & 1}] = 0")
+
+    def index(assigns) -> int:  # digit j in base 3: x_j free (0), 0 (1) or 1 (2)
+        return sum((b + 1) * 3**j for j, b in assigns)
+
     out = {}
-    for leaf, state in sim.leaves:
+    for leaf, path in sim.tree.leaf_paths():
         prob = Fraction(1)
-        for i, hist in enumerate(state):
-            prefix = hist[:c][-1]
-            prob *= Fraction(sim.mass[prefix], sim.mass[0])
-            if prob and len(hist) > c:
+        for i, assigns in enumerate(split_assignments(Blocks(inst.n, inst.m), path)):
+            prefix = index(assigns[:c - 1])
+            prob *= Fraction(m0[prefix] + m1[prefix], m0[0] + m1[0])
+            if prob and len(assigns) >= c:
                 if restricted[i][prefix] == 0:
                     raise ZeroConditioningMass(
                         f"restricted distribution has no mass on a copy-{i} prefix"
                     )
-                prob *= Fraction(restricted[i][hist[-1]], restricted[i][prefix])
+                prob *= Fraction(restricted[i][index(assigns)], restricted[i][prefix])
         out[leaf.leaf_id] = prob
     return out
+
+
+def snip_dict(sim, theta=None) -> dict[int, tuple[int, ...]]:
+    """``sim.snips(theta)`` keyed by leaf id, one 0/1 flag per copy, as
+    ``brute_snip_labels`` gives them."""
+    flags = sim.snips(theta).astype(int).tolist()
+    return {lid: tuple(row) for lid, row in zip(sim.leaf_ids, flags)}
 
 
 def compiled_nodes(sim, z: int) -> list:
@@ -314,7 +327,7 @@ def fraction_simileaf(sim, z: int, theta=None) -> SimileafReport:
     n = inst.n
     lower = max(Fraction(0), 1 - 4 * theta) ** n
     upper = (1 + 4 * theta) ** n
-    p, q, snips = sim.p(z), sim.q(z), sim.snips(theta)
+    p, q, snips = sim.p(z), sim.q(z), snip_dict(sim, theta)
     violations = []
     checked = 0
     fixed_ok = True

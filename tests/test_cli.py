@@ -500,6 +500,9 @@ VERDICT_INPUTS_N4 = [
     (["dce", "--g", str(VERDICTS / "g.tt"), "--mu", str(VERDICTS / "mu.dist"), "--eps", "7/16"],
      "dce.jsonl"),
     (["simulate", "--seed", "5", *VERDICT_INPUTS_N4], "simulate-n4.jsonl"),
+    # theta 1/8 gives a nonzero chain bound, so a wrong snipped sum shows
+    (["simulate", "--seed", "3", *VERDICT_INPUTS[:-1], "1/8"], "simulate-theta.jsonl"),
+    (["verify", "--m", "1", *VERDICT_INPUTS_N4], "verify-n4.jsonl"),
 ])
 def test_verdict_bytes_are_pinned(capsys, command, golden):
     """The verdict stream of one small fixture, byte for byte.  Its tree has

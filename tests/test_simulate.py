@@ -50,6 +50,7 @@ from _oracles import (
     random_relation,
     random_tree,
     random_truth_table,
+    snip_dict,
     split_assignments,
 )
 
@@ -495,7 +496,7 @@ class TestExactQ:
         for law in (sim.q, sim.p, sim.walker, partial(AprimeSimulator, inst, tree)):
             with pytest.raises(ZeroConditioningMass, match=r"Pr\[g=1\] = 0"):
                 law(1)
-        assert set(sim.snips()) == {0, 1, 2, 3}
+        assert set(snip_dict(sim)) == {0, 1, 2, 3}
 
     def test_monte_carlo_agreement(self):
         inst = tilted_and_instance()
@@ -533,7 +534,7 @@ class TestLawRows:
             for _ in range(3):
                 tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
                 sim = Simulation(inst, tree)
-                ids = [leaf.leaf_id for leaf, _ in sim.leaves]
+                ids = sim.leaf_ids
                 for z in range(1 << inst.n):
                     expected = outcome(loop_q, sim, z)
                     rows = outcome(sim.rows, z)
@@ -569,7 +570,8 @@ class TestSnipLabels:
         zero_mass_seen = 0
         for inst, tree in cases:
             for theta in (inst.theta, F(0), F(1, 3)):
-                assert Simulation(inst, tree).snips(theta) == brute_snip_labels(inst, tree, theta)
+                flags = snip_dict(Simulation(inst, tree), theta)
+                assert flags == brute_snip_labels(inst, tree, theta)
             zero_mass_seen += any(
                 len(assigns) < inst.inner_complexity
                 and subcube_prob(inst.mu, Subcube.from_mapping(inst.m, dict(assigns))) == 0
@@ -583,19 +585,19 @@ class TestSnipLabels:
     def test_zero_threshold_flags_everything_touched_early(self):
         inst = tilted_and_instance()
         tree = make_tree(2, (0, 0, 1))
-        flags = Simulation(inst, tree).snips(theta=F(0))
+        flags = snip_dict(Simulation(inst, tree), theta=F(0))
         assert all(f == (1,) for f in flags.values())
 
     def test_above_one_threshold_flags_nothing(self):
         inst = tilted_and_instance()
         tree = full_parity_tree(2)
-        flags = Simulation(inst, tree).snips(theta=F(3, 2))
+        flags = snip_dict(Simulation(inst, tree), theta=F(3, 2))
         assert all(f == (1 - 1,) for f in flags.values())
 
     def test_untouched_copy_unflagged(self):
         inst = xor_instance()
         tree = make_tree(4, (0, 0, 1))  # copy 1 never queried, bias 0 at root
-        flags = Simulation(inst, tree).snips(theta=F(1, 8))
+        flags = snip_dict(Simulation(inst, tree), theta=F(1, 8))
         assert all(f[1] == 0 for f in flags.values())
 
     def test_biased_cube_flagged(self):
@@ -608,7 +610,7 @@ class TestSnipLabels:
         )
         assert inst.inner_complexity == 2
         tree = full_parity_tree(2)
-        flags = Simulation(inst, tree).snips()
+        flags = snip_dict(Simulation(inst, tree))
         flagged = {lid for lid, f in flags.items() if f[0]}
         unflagged = set(flags) - flagged
         assert flagged and unflagged
@@ -635,7 +637,7 @@ class TestVerifySimileaf:
         # copy is asked too: then every leaf with q != p is a violation
         class Unsnipped(Simulation):
             def snips(self, theta=None):
-                return {lid: (0,) * self.inst.n for lid in super().snips(theta)}
+                return np.zeros_like(super().snips(theta))
 
         def answer(check, *args):
             try:
@@ -756,7 +758,7 @@ def chain_by_leaves(inst, tree) -> ChainReport:
     """``Simulation.chain`` from the public per-leaf laws, one Fraction
     term per leaf and z."""
     c = inst.inner_complexity
-    snips = Simulation(inst, tree).snips(inst.theta)
+    snips = brute_snip_labels(inst, tree, inst.theta)
     z_queries = {
         leaf.leaf_id: sum(len(a) >= c for a in split_assignments(Blocks(inst.n, inst.m), path))
         for leaf, path in tree.leaf_paths()
