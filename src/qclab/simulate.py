@@ -151,39 +151,38 @@ class Simulation:
     ``branches`` lists each branch's position, the copy it samples from the
     restricted law (-1 while the copy has had fewer than c answers), its
     subcube's index before and after answering 1, and its two children.
-    ``leaves`` lists the leaves in preorder, ``leaf_ids`` and ``labels``
-    their ids and labels, and ``cubes`` their rows, a (leaves x n x c+1)
-    index array that the laws and snip flags read.  On first use, what the
-    laws and walks of every z share is compiled once more, into
-    ``_law_tables`` and ``_walk_tables``.  The integer terms of p and q are
-    kept per z (see ``_terms``) for the object's life.  ``budget`` is the
-    inner-query budget ``depth // c``.  A tree of the wrong arity, or with a
-    leaf label outside f's alphabet, is rejected here, before any law; every
-    ``DecisionTree`` is valid when it is made."""
+    ``leaf_ids`` and ``labels`` hold the leaves' ids and labels in
+    preorder, and ``cubes`` their rows, a (leaves x n x c+1) index array
+    that the laws and snip flags read; ``mass`` is each subcube's inner
+    mass.  On first use, what the laws and walks of every z share is
+    compiled once more, into ``_law_tables`` and ``_walk_tables``.  The
+    integer terms of p and q are kept per z (see ``_terms``) for the
+    object's life.  ``budget`` is the inner-query budget ``depth // c``.  A
+    tree of the wrong arity, or with a leaf label outside f's alphabet, is
+    rejected here, before any law; every ``DecisionTree`` is valid when it
+    is made."""
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree):
         if tree.arity != inst.total_arity:
             raise ArityMismatch("tree arity does not match the instance")
         self.inst, self.tree = inst, tree
         self.budget = tree.depth() // inst.inner_complexity
-        m0, m1, _ = inst.g_masses
-        self.mass = [a + b for a, b in zip(m0, m1)]
+        self.mass = np.array(inst.g_masses[0], dtype=object) + inst.g_masses[1]
         self.payload: list = []
         self.depths: list = []
         self.branches: list = []
-        self.leaves: list = []
         rows: list = []
         self._records: dict = {}
         c = inst.inner_complexity
         self._compile(tree.root, ((0,) * (c + 1),) * inst.n, (0,) * inst.n, (), 0, rows)
         self.cubes = np.array(rows, np.intp)
-        self.leaf_ids = [leaf.leaf_id for leaf in self.leaves]
-        labels = np.array([leaf.label for leaf in self.leaves], dtype=object)
-        stray = (labels < 0) | (labels >= inst.f.alphabet_size)
+        traces = [trace for trace in self.payload if trace is not None]
+        self.leaf_ids = [trace.leaf_id for trace in traces]
+        self.labels = np.array([trace.output for trace in traces], dtype=object)
+        stray = (self.labels < 0) | (self.labels >= inst.f.alphabet_size)
         if stray.any():
-            raise QclabError(f"tree label {labels[stray.argmax()]} is outside "
+            raise QclabError(f"tree label {self.labels[stray.argmax()]} is outside "
                              f"f's alphabet 0..{inst.f.alphabet_size - 1}")
-        self.labels = labels.astype(np.intp)
 
     def _compile(self, node, state, codims, z_queries, depth, rows) -> None:
         # a method, not a closure: a self-referencing closure would keep
@@ -195,7 +194,6 @@ class Simulation:
             self.payload[k] = SimulationTrace(
                 0, node.leaf_id, node.label, z_queries, codims, sum(codims), 0
             )
-            self.leaves.append(node)
             rows.append(state)
             return
         c = self.inst.inner_complexity
@@ -262,7 +260,7 @@ class Simulation:
         to a subcube, so it went deeper exactly when its last subcube is not
         its prefix."""
         last, prefix = self.cubes[..., -1], self.cubes[..., -2]
-        return last, prefix, np.array(self.mass, dtype=object)[prefix], last != prefix
+        return last, prefix, self.mass[prefix], last != prefix
 
     def q_terms(self, restricted: list) -> tuple[np.ndarray, np.ndarray]:
         """Per leaf, the simulation's probability of its leaf as unreduced
@@ -304,7 +302,7 @@ class Simulation:
 
     def rows(self, z: int) -> tuple[list[int], ...]:
         """``p(z)`` and ``q(z)`` in lowest terms, as integer rows in the
-        order of ``leaves``: p's numerators and denominators, then q's."""
+        order of ``leaf_ids``: p's numerators and denominators, then q's."""
         p_nums, p_den, q_terms = self._terms(z, q=True)
         rows = []
         for nums, dens in ((p_nums, p_den), q_terms):
@@ -337,8 +335,8 @@ class Simulation:
         default).  Subcubes with zero inner-distribution mass are skipped:
         no probability ever flows through them."""
         theta = self.inst.theta if theta is None else Fraction(theta)
-        m0, m1, _ = (np.array(table, dtype=object) for table in self.inst.g_masses)
-        mass, gap = m0 + m1, abs(m0 - m1)
+        m0, m1, _ = self.inst.g_masses
+        gap, mass = abs(np.array(m0, dtype=object) - m1), self.mass
         biased = (mass > 0) & (gap * theta.denominator >= theta.numerator * mass)
         return biased[self.cubes[..., :-1]].any(-1)
 
@@ -412,10 +410,10 @@ class Simulation:
         success_outer = success_sim = snipped = expected_zq = ZERO
         snipped_leaves = self.snips().any(1)
         z_queries = self._law_tables[3].sum(axis=1)  # per leaf, the bits of z it reads
-        accepts = np.zeros((1 << inst.n, inst.f.alphabet_size), bool)
-        for z, labels in enumerate(inst.f.accepted):
-            accepts[z, list(labels)] = True
-        for z, acc in enumerate(accepts[:, self.labels]):  # per z, the leaves it accepts
+        # per z, whether it accepts each label the leaves carry, then each leaf
+        labels, of_leaf = np.unique(self.labels, return_inverse=True)
+        accepts = np.array([[label in acc for label in labels] for acc in inst.f.accepted])
+        for z, acc in enumerate(accepts[:, of_leaf]):
             w = inst.lam.prob(z)
             if w == 0:
                 continue

@@ -98,19 +98,27 @@ class TestDce:
         assert code == 2
 
 
+_COMPOSED = ["--g", "{g}", "--mu", "{mu}", "--tree", "{tree}", "--eps", "7/16"]
+
+
 @pytest.mark.parametrize("command", [
     ["dce", "--mu", "{mu}", "--eps", "1/4"],
     ["rqc", "--eps", "1/3"],
+    ["simulate", *_COMPOSED, "--theta", "1/2"],
+    ["verify", "--m", "1", *_COMPOSED],
 ])
 def test_alphabet_size_does_not_set_the_dp(files, tmp_path, capsys, command):
     """A relation header's alphabet size is read unchecked: the DP builds
-    rows only up to the largest accepted label, so a 10^12-label header
-    gives the records of the same relation with alphabet 2."""
+    rows only up to the largest accepted label, and the simulator's success
+    accounting one column per label on the tree's leaves, so a 10^12-label
+    header gives the records of the same relation with alphabet 2."""
+    tree = tmp_path / "tree4.sexp"
+    tree.write_text("(q 1 (q 3 (leaf 0) (leaf 1)) (q 3 (leaf 1) (leaf 0)))\n")
     outputs = []
     for alphabet in (10**12, 2):
         rel = tmp_path / f"a{alphabet}.rel"
         rel.write_text(f"arity=2 alphabet={alphabet}\n00: 0\n01: 1\n10: 1\n11: 0,1\n")
-        argv = [arg.format(mu=files["mu_u2"]) for arg in command]
+        argv = [arg.format(mu=files["mu_u2"], g=files["g_xor2"], tree=tree) for arg in command]
         assert main([*argv, "--f", str(rel)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
