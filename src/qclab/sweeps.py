@@ -14,18 +14,29 @@ orbit has its representative's case count, and has violations exactly
 where the representative has them.  The output complement g -> not g
 swaps the masses of g=0 and g=1, and every check is symmetric under that
 swap (unbias's up to its value b), so each representative is swept only
-on the functions with g = 0 on the top point and counts twice.  Only an
-orbit whose representative fails is swept again, point by point on every
-function, to list its violations.  The sampled 4-bit unbias fixtures run
-as one batch, one row of point weights per fixture.
+on the functions with g = 0 on the top point and counts twice.  The
+representatives go to the numpy kernels in blocks, one row of point
+weights each, as many as keep a block within ``BLOCK_CELLS`` lattice
+cells.  Only an orbit whose representative fails is swept again, point by
+point on every function, to list its violations.  The sampled 4-bit
+unbias fixtures run as one batch, a point with one function each.
+
+The rbias sweep bounds before it enumerates trees.  Each (function, eps)
+row first sums the masses of g=0 and of g=1 over every active subcube
+(shallow, of high bias); no leaf set's event can exceed these sums, and
+each check only tightens as the event grows, so a row whose sums pass
+passes on every tree shape.  Only the rows that the sums fail get the
+event mass of every shape, as one matrix product.
 
 Distribution masses are integer numerators over one common total and all
 comparisons are numpy int64 comparisons; each sweep checks before it runs
 that its largest product stays below 2^63, so nothing can wrap and the
-verdicts are exact.  The rbias leaf-event sums are the one float64 step,
-so that they run through BLAS: their terms are nonnegative integers and
-every partial sum is at most the grid total, which is checked to be below
-2^53, so each is exact and converts back to int64 unchanged.  Irrational
+verdicts are exact.  For rbias that includes the squared sums over every
+active subcube, which reach 2^m times the total, as each point lies in
+2^m subcubes.  The rbias event product is the one float64 step, so that
+it runs through BLAS: its terms are nonnegative integers and every
+partial sum is at most the grid total, which is checked to be below 2^53,
+so each is exact and converts back to int64 unchanged.  Irrational
 square-root thresholds are compared through squares.
 """
 
@@ -46,6 +57,10 @@ from .core import CapExceeded
 # 256 functions, so its grid is coarser to keep sweeps in budget
 GRID_DENOMINATOR = {1: 6, 2: 5, 3: 4}
 UNBIAS_DENOMINATOR = 6
+# _orbit_sweep hands its sweep as many orbit representatives at a time as
+# keep representatives * functions * 3^m within this many lattice cells:
+# 4 at 3 bits, where larger blocks raise the peak memory for little time
+BLOCK_CELLS = 1 << 14
 
 
 def grid_weight_vectors(points: int, max_denominator: int) -> tuple[list[tuple[int, ...]], int]:
@@ -116,33 +131,45 @@ def _check_arity(max_m: int) -> None:
 
 def _orbit_sweep(m: int, mus: list[tuple[int, ...]], point) -> tuple[int, list]:
     """Run ``point`` once per orbit of the cube's automorphisms on the grid
-    ``mus``, and again at every point of each orbit that fails.
+    ``mus``, on blocks of orbit representatives, and again at every point of
+    each orbit that fails.
 
-    ``point(g_rows, w)`` sweeps the functions ``g_rows`` (bit x of row k is
-    g(x)) at the point ``w``; it returns a case count and a list of int
-    arrays whose rows are violations, each naming a row of ``g_rows``,
-    sorted by every column, first to last.  A point first seen is its
-    orbit's representative and is swept on the half of the functions with
-    g = 0 on the top point; each grid point of its orbit counts twice its
-    cases.  Returns the case total and ``(w, rows)`` for each point of a
-    failing orbit, in grid order, with ``rows`` from ``point`` on all the
-    functions, so that each names a function by its index.
+    ``point(g_rows, weights)`` sweeps the functions ``g_rows`` (bit x of row
+    k is g(x)) at each row of the point weights ``weights``, shape
+    ``(R, 2^m)``.  It returns the case count of each of the R points and a
+    list of int arrays whose rows are violations: the first column names a
+    row of ``weights``, a later one a row of ``g_rows``, and for a block of
+    one the rows are sorted by every column, first to last.  A point first
+    seen is its orbit's representative; the representatives are swept in
+    grid order, as many at a time as ``BLOCK_CELLS`` allows, on the half of
+    the functions with g = 0 on the top point, and each grid point of an
+    orbit counts twice its representative's cases.  Returns the case total
+    and ``(w, rows)`` for each point of a failing orbit, in grid order, with
+    ``rows`` from a block of one on all the functions, less the first
+    column, so that each names a function by its index.
     """
     points, _ = lattice.automorphisms(m)
     tables = np.array(all_output_tables(m), dtype=np.int64)
+    half = tables[:len(tables) // 2]
     group = np.arange(len(points))[:, None]
-    unseen, failing, cases = set(mus), set(), 0
+    unseen, reps, orbits = set(mus), [], []
     for w in mus:
         if w in unseen:
-            n, found = point(tables[:len(tables) // 2], w)
             images = np.empty_like(points)
             images[group, points] = w
-            orbit = unseen.intersection(map(tuple, images.tolist()))
-            unseen -= orbit
-            cases += 2 * n * len(orbit)
-            if found:
-                failing |= orbit
-    return cases, [(w, np.vstack(point(tables, w)[1]).tolist()) for w in mus if w in failing]
+            orbits.append(unseen.intersection(map(tuple, images.tolist())))
+            unseen -= orbits[-1]
+            reps.append(w)
+    size = max(1, BLOCK_CELLS // (len(half) * 3**m))
+    cases, failing = 0, set()
+    for start in range(0, len(reps), size):
+        block = orbits[start:start + size]
+        n, found = point(half, np.array(reps[start:start + size], dtype=np.int64))
+        cases += 2 * sum(int(k) * len(orbit) for k, orbit in zip(n, block))
+        for r in {int(r) for rows in found for r in rows[:, 0]}:
+            failing |= block[r]
+    return cases, [(w, np.vstack(point(tables, np.array([w], dtype=np.int64))[1])[:, 1:].tolist())
+                   for w in mus if w in failing]
 
 
 @dataclass(frozen=True)
@@ -180,39 +207,41 @@ def sweep_unbias(
     labels = [str(d) for d in deltas]
     consts = [(d.numerator, d.denominator) for d in deltas]
 
-    def run(m: int, g_rows: np.ndarray, w, total: int):
-        """Cases and violation rows (delta index, b, row of g_rows, subcube)
-        under point weights ``w``, one row for all functions or one each."""
-        wv = np.asarray(w, dtype=np.int64)
-        M1 = (g_rows * wv).sum(axis=-1)       # g=1 masses of the full cube
+    def run(m: int, g_rows: np.ndarray, weights: np.ndarray, total: int):
+        """Case counts and violation rows (point, delta index, b, function,
+        subcube) for the functions ``g_rows`` at each of the point weights
+        ``weights``, shape ``(R, 2^m)``: ``g_rows`` has shape ``(1, F, 2^m)``
+        for the same F functions at every point, or ``(R, F, 2^m)``."""
+        gw = g_rows * weights[:, None, :]
+        M1 = gw.sum(axis=-1)                  # g=1 masses of the full cube
         gap = np.abs(total - 2 * M1)          # |M0 - M1|
+        cases = np.zeros(len(weights), dtype=np.int64)
         # only functions meeting the loosest hypothesis can be checked
-        sel = np.nonzero(gap * loosest.denominator <= loosest.numerator * total)[0]
-        if not sel.size:
-            return 0, []
-        rows, gap, M1 = g_rows[sel], gap[sel], M1[sel]
-        wv = wv[sel] if wv.ndim > 1 else wv
+        ri, ki = np.nonzero(gap * loosest.denominator <= loosest.numerator * total)
+        if not ri.size:
+            return cases, []
+        gap, M1 = gap[ri, ki], M1[ri, ki]
         M0 = total - M1
-        m1 = lattice.masses(rows * wv, m)     # g=1 masses, (n_sel, n_cubes)
-        mt = np.broadcast_to(lattice.masses(wv, m), m1.shape)  # subcube masses
+        m1 = lattice.masses(gw[ri, ki], m)    # g=1 masses, (n_sel, n_cubes)
+        mt = lattice.masses(weights, m)[ri]   # subcube masses
         m0 = mt - m1
         cube_gap = np.abs(m0 - m1)
         positive = mt > 0
-        cases, found = 0, []
+        found = []
         for d, (nd, dd) in enumerate(consts):
             hyp = gap * dd <= nd * total
             if not hyp.any():
                 continue
             low_bias = (cube_gap * dd <= nd * mt) & positive
             gi, ci = np.nonzero(low_bias & hyp[:, None])  # row-major
-            cases += gi.size
+            cases += np.bincount(ri[gi], minlength=len(weights))
             lhs_c = mt[gi, ci] * dd
             for b, (mb_cube, Mb) in enumerate(((m0, M0), (m1, M1))):
                 # Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
                 bad = np.nonzero(lhs_c * Mb[gi] > (dd + 4 * nd) * mb_cube[gi, ci] * total)[0]
                 if bad.size:
-                    found.append(np.column_stack((
-                        np.full(bad.size, d), np.full(bad.size, b), sel[gi[bad]], ci[bad])))
+                    found.append(np.column_stack((ri[gi[bad]], np.full(bad.size, d),
+                                                  np.full(bad.size, b), ki[gi[bad]], ci[bad])))
         return cases, found
 
     cases, violations = 0, []
@@ -220,12 +249,13 @@ def sweep_unbias(
     for m in range(1, max_m + 1):
         tables = all_output_tables(m)
         mus, total = grid_weight_vectors(1 << m, max_denominator)
-        n, found = _orbit_sweep(m, mus, lambda g_rows, w: run(m, g_rows, w, total))
+        n, found = _orbit_sweep(m, mus, lambda g_rows, w: run(m, g_rows[None], w, total))
         cases += n
         violations.extend((m, tables[g], w, labels[d], fixings[m][c])
                           for w, rows in found for d, _, g, c in rows)
 
-    # single (function, distribution) pairs, no orbit to share: one batch
+    # single (function, distribution) pairs, no orbit to share: one batch,
+    # each fixture a point with one function
     rng = _random.Random(seed)
     tables, mus = [], []
     for _ in range(sampled_m4):
@@ -233,12 +263,13 @@ def sweep_unbias(
         q = rng.randrange(1, max_denominator + 1)
         cuts = sorted(rng.randrange(q + 1) for _ in range(15))
         mus.append(tuple((b - a) * (total4 // q) for a, b in zip([0] + cuts, cuts + [q])))
-    n, found = run(4, *np.array((tables, mus), dtype=np.int64).reshape(2, -1, 16), total4)
-    cases += n
+    g_rows, weights = np.array((tables, mus), dtype=np.int64).reshape(2, -1, 16)
+    n, found = run(4, g_rows[:, None], weights, total4)
+    cases += int(n.sum())
     if found:
         rows = np.vstack(found)
-        rows = rows[np.lexsort(rows.T[[3, 1, 0, 2]])].tolist()  # by fixture, delta, b, subcube
-        violations.extend((4, tables[i], mus[i], labels[d], fixings[4][c]) for d, _, i, c in rows)
+        rows = rows[np.lexsort(rows.T[[4, 2, 1, 0]])].tolist()  # by fixture, delta, b, subcube
+        violations.extend((4, tables[i], mus[i], labels[d], fixings[4][c]) for i, d, _, _, c in rows)
 
     return SweepReport("unbias", cases, tuple(violations))
 
@@ -264,42 +295,53 @@ def sweep_rbias(
         mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
         _check_float64(total)
         for _, de, nd, dd in consts:
-            _check_int64(total**2 * max(de, dd, 16 * nd))
+            # the bound's row sums reach 2^m total: each point lies in 2^m subcubes
+            _check_int64(max(total**2 * max(de, 16 * nd), (total << m)**2 * dd))
         codim = np.array([len(lattice.assignment(i, m)) for i in range(3**m)])
         incidence = readonce_leaves(m, tree_depth).astype(np.float64)
 
-        def point(g_rows, w):
-            """Cases and violation rows (eps index, function, complexity),
-            one per violating (function, tree) pair."""
-            wv = np.array(w, dtype=np.int64)
-            mt = lattice.masses(wv, m)
-            m1 = lattice.masses(g_rows * wv, m)   # (n_g, n_cubes)
-            m0 = mt[None, :] - m1
+        def point(g_rows, weights):
+            """Case counts and violation rows (point, eps index, function,
+            complexity), one per violating (function, tree) pair."""
+            n_g = len(g_rows)
+            mt = np.repeat(lattice.masses(weights, m), n_g, axis=0)
+            m1 = lattice.masses((g_rows * weights[:, None, :]).reshape(-1, 1 << m), m)
+            m0 = mt - m1                          # row r * n_g + k: function k at point r
             # best depth-d success of every function, d = 0..m
             roots = np.array([v[:, 0] for v in lattice.layers(np.maximum(m0, m1), m)])
-            cases, found = 0, []
+            cases = np.zeros(len(weights), dtype=np.int64)
+            found = []
             for e, (ne, de, nd, dd) in enumerate(consts):
                 # distributional complexity: the first depth reaching 1 - eps
                 c_arr = np.argmax(roots * de >= ne * total, axis=0)
                 live = np.nonzero(c_arr)[0]
                 if not live.size:
                     continue
-                lm0, lm1 = m0[live], m1[live]
+                cases += np.bincount(live // n_g, minlength=len(weights)) * incidence.shape[1]
+                lm0, lm1, lmt = m0[live], m1[live], mt[live]
                 shallow = codim[None, :] < c_arr[live, None]
-                high_bias = (lm0 - lm1) ** 2 * dd >= 4 * nd * mt[None, :] ** 2
-                active = shallow & high_bias & (mt[None, :] > 0)
+                high_bias = (lm0 - lm1) ** 2 * dd >= 4 * nd * lmt**2
+                active = np.stack((lm0, lm1)) * (shallow & high_bias & (lmt > 0))
+                # no leaf set's event masses exceed the sums over every
+                # active cell, and each check only tightens as they grow, so
+                # a row whose sums pass passes on every shape
+                s0, s1 = active.sum(axis=-1)
+                bound_ok = (((s0 + s1)**2 * dd < nd * total**2)
+                            & (s0**2 * dd < 16 * nd * lm0[:, 0]**2)
+                            & (s1**2 * dd < 16 * nd * lm1[:, 0]**2))
+                risky = np.nonzero(~bound_ok)[0]
+                if not risky.size:
+                    continue
                 # leaf-event masses of every (function, shape) pair, exact in
                 # float64: sums of leaf masses of one tree, each <= total
-                events = np.stack((active * lm0, active * lm1)).astype(np.float64) @ incidence
-                event_0, event_1 = events.astype(np.int64)
+                event_0, event_1 = (active[:, risky].astype(np.float64) @ incidence).astype(np.int64)
                 event_mu = event_0 + event_1
-                cases += live.size * incidence.shape[1]
                 ok_a = event_mu**2 * dd < nd * total**2
-                ok_b0 = event_0**2 * dd < 16 * nd * lm0[:, :1] ** 2
-                ok_b1 = event_1**2 * dd < 16 * nd * lm1[:, :1] ** 2
-                gi = live[np.nonzero(~(ok_a & ok_b0 & ok_b1))[0]]
+                ok_b0 = event_0**2 * dd < 16 * nd * lm0[risky, :1] ** 2
+                ok_b1 = event_1**2 * dd < 16 * nd * lm1[risky, :1] ** 2
+                gi = live[risky[np.nonzero(~(ok_a & ok_b0 & ok_b1))[0]]]
                 if gi.size:
-                    found.append(np.column_stack((np.full(gi.size, e), gi, c_arr[gi])))
+                    found.append(np.column_stack((gi // n_g, np.full(gi.size, e), gi % n_g, c_arr[gi])))
             return cases, found
 
         n, found = _orbit_sweep(m, mus, point)
@@ -324,19 +366,20 @@ def sweep_fullbias(
         for c in consts:
             _check_int64(total * max(f.denominator for f in c))
 
-        def point(g_rows, w):
-            """Cases and violation rows (eps index, function)."""
-            M1 = g_rows @ np.array(w, dtype=np.int64)
+        def point(g_rows, weights):
+            """Case counts and violation rows (point, eps index, function)."""
+            M1 = weights @ g_rows.T               # (points, functions)
             M0 = total - M1
-            cases, found = 0, []
+            cases = np.zeros(len(weights), dtype=np.int64)
+            found = []
             for e, (success, eps, bound) in enumerate(consts):
                 positive_c = np.maximum(M0, M1) * success.denominator < success.numerator * total
-                cases += int(positive_c.sum())
+                cases += positive_c.sum(axis=1)
                 min_ok = np.minimum(M0, M1) * eps.denominator > eps.numerator * total
                 bias_ok = np.abs(M0 - M1) * bound.denominator < bound.numerator * total
-                gi = np.nonzero(positive_c & ~(min_ok & bias_ok))[0]
+                ri, gi = np.nonzero(positive_c & ~(min_ok & bias_ok))
                 if gi.size:
-                    found.append(np.column_stack((np.full(gi.size, e), gi)))
+                    found.append(np.column_stack((ri, np.full(gi.size, e), gi)))
             return cases, found
 
         n, found = _orbit_sweep(m, mus, point)

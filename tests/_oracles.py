@@ -425,15 +425,15 @@ def brute_sweep_unbias(grids, deltas) -> tuple[int, list]:
     return cases, violations
 
 
-def brute_sweep_rbias(grids, eps_list, tree_depth: int, every_cube: bool = False) -> tuple[int, list]:
+def brute_sweep_rbias(grids, eps_list, tree_depth: int, leaf_sets=None) -> tuple[int, list]:
     """The cases and violations of ``sweep_rbias`` by enumerating tree shapes
     and summing points, over ``grids`` as in :func:`brute_sweep_unbias`.
-    ``every_cube`` adds one leaf set that is not a tree: every subcube."""
+    ``leaf_sets`` maps an arity m to extra leaf sets that need not be trees,
+    each a list of the fixed ``(var, bit)`` pairs of its leaves."""
     cases, violations = 0, []
     for m, tables, mus, total in grids:
         shapes = [_shape_leaves(s) for s in enumerate_shapes(m, min(tree_depth, m))]
-        if every_cube:
-            shapes.append(_all_fixings(m))
+        shapes += (leaf_sets or {}).get(m, [])
         for w in mus:
             mu = Dist(m, tuple(Fraction(x, total) for x in w))
             # best success at each depth up to the first that meets every eps

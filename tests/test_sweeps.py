@@ -14,7 +14,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from qclab import sweeps
+from qclab import lattice, sweeps
 from qclab.core import CapExceeded
 
 from _oracles import (
@@ -74,38 +74,81 @@ def _orbits(m, mus):
     return orbits
 
 
-@pytest.mark.parametrize("m, max_denominator", [(2, 3), (3, 2)])
-def test_orbit_sweep_sweeps_clean_orbits_once_and_failing_ones_everywhere(m, max_denominator):
+@pytest.mark.parametrize("m, max_denominator, block", [
+    pytest.param(2, 3, None, id="2-3"),
+    pytest.param(3, 2, None, id="3-2"),
+    # a budget of two representatives, so that they span several blocks
+    pytest.param(2, 3, 2, id="2-3-blocks-of-2"),
+    pytest.param(3, 2, 2, id="3-2-blocks-of-2"),
+])
+def test_orbit_sweep_sweeps_clean_orbits_once_and_failing_ones_everywhere(
+        monkeypatch, m, max_denominator, block):
     mus, _ = REAL_GRID(1 << m, max_denominator)
     orbits = _orbits(m, mus)
     bad = max(orbits, key=len)  # the largest orbit, not the first
     assert 1 < len(bad) and bad != orbits[0]
+    half, every = 1 << (1 << m) - 1, 1 << (1 << m)
+    if block is not None:
+        monkeypatch.setattr(sweeps, "BLOCK_CELLS", block * half * 3**m)
     calls = []
 
-    def point(g_rows, w):
-        calls.append((len(g_rows), w))
-        # one case per function; at a failing point, violations naming the
-        # point's grid index and the last two functions, sorted by column
-        rows = [[mus.index(w), k] for k in (len(g_rows) - 2, len(g_rows) - 1)] if w in bad else []
-        return len(g_rows), [np.array(rows)] if rows else []
+    def point(g_rows, weights):
+        block_points = [tuple(w) for w in weights.tolist()]
+        calls.append((len(g_rows), block_points))
+        # one case per function at each point; at a failing point,
+        # violations naming the point's row, its grid index and the last two
+        # functions, sorted by column
+        rows = [[r, mus.index(w), k] for r, w in enumerate(block_points) if w in bad
+                for k in (len(g_rows) - 2, len(g_rows) - 1)]
+        return np.full(len(weights), len(g_rows)), [np.array(rows)] if rows else []
 
     cases, violations = sweeps._orbit_sweep(m, mus, point)
-    half, every = 1 << (1 << m) - 1, 1 << (1 << m)
     assert cases == every * len(mus)
-    orbit_of = {w: i for i, orbit in enumerate(orbits) for w in orbit}
-    assert sorted(orbit_of[w] for n, w in calls if n == half) == list(range(len(orbits)))
+    blocks = [points for n, points in calls if n == half]
+    # each representative once, in order of first sight, in full blocks
+    reps = [points[0] for points in (sorted(orbit, key=mus.index) for orbit in orbits)]
+    assert [w for points in blocks for w in points] == reps
+    size = len(reps) if block is None else block
+    assert [len(points) for points in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert len(blocks) == -(-len(reps) // size) > (block is not None)
     in_grid_order = [w for w in mus if w in bad]
-    assert [w for n, w in calls if n == every] == in_grid_order
-    assert len(calls) == len(orbits) + len(bad)
+    assert [points for n, points in calls if n == every] == [[w] for w in in_grid_order]
+    assert len(calls) == len(blocks) + len(bad)
     assert violations == [(w, [[mus.index(w), every - 2], [mus.index(w), every - 1]])
                           for w in in_grid_order]
 
 
-def _every_cube(monkeypatch):
-    """Add one leaf set that is not a tree to the rbias sweep: every subcube."""
+def _every_cube(arities):
+    """Leaf sets that are not trees: on each arity, every subcube."""
+    return {m: [[lattice.assignment(c, m) for c in range(3**m)]] for m in arities}
+
+
+def _random_cubes(seed, m):
+    """Leaf sets that are not trees: a seeded random set of m-bit subcubes,
+    each with chance 1/2, and its distinct images under the cube's
+    automorphisms, as the sweep needs its leaf sets closed under them."""
+    rng = random.Random(seed)
+    chosen = [lattice.assignment(c, m) for c in range(3**m) if rng.random() < 1 / 2]
+    images = {
+        tuple(sorted(tuple(sorted((perm[v], b ^ (mask >> perm[v] & 1)) for v, b in fixed))
+                     for fixed in chosen))
+        for perm in permutations(range(m)) for mask in range(1 << m)}
+    return {m: [list(image) for image in sorted(images)]}
+
+
+def _extra_leaf_sets(monkeypatch, leaf_sets):
+    """Add ``leaf_sets`` ({arity: [leaf set, ...]}) to the rbias sweep's tree
+    shapes, one incidence column each."""
     trees = sweeps.readonce_leaves
-    monkeypatch.setattr(sweeps, "readonce_leaves", lambda m, depth: np.hstack(
-        (trees(m, depth), np.ones((3**m, 1), dtype=np.int64))))
+
+    def leaves(m, depth):
+        extra = leaf_sets.get(m, [])
+        columns = np.zeros((3**m, len(extra)), dtype=np.int64)
+        for s, leaf_set in enumerate(extra):
+            columns[[lattice.index_of(fixed) for fixed in leaf_set], s] = 1
+        return np.hstack((trees(m, depth), columns))
+
+    monkeypatch.setattr(sweeps, "readonce_leaves", leaves)
 
 
 def _unbias_grids(grid, max_denominator, sampled_m4, seed):
@@ -144,27 +187,42 @@ def test_unbias_matches_point_sums(two_bit_grids, deltas, max_denominator):
         assert len({v[1] for v in violations if v[0] == 4}) > 1
 
 
-@pytest.mark.parametrize("eps_list, tree_depth, every_cube", [
-    ((F(1, 4), F(7, 16)), 3, False),
-    ((F(1, 8), F(1, 3)), 1, False),
-    # the lemma holds on every tree, so the check is shown to fail on a leaf
-    # set that is not one: every subcube, each point counted many times
-    ((F(1, 4), F(7, 16)), 2, True),
+# ids: does a leaf set that is not a tree join the trees
+@pytest.mark.parametrize("eps_list, tree_depth, leaf_sets", [
+    pytest.param((F(1, 4), F(7, 16)), 3, {}, id="eps_list0-3-False"),
+    pytest.param((F(1, 8), F(1, 3)), 1, {}, id="eps_list1-1-False"),
+    # the lemma holds on every tree, so the check is shown to fail on leaf
+    # sets that are not trees: every subcube, each point counted many times,
+    pytest.param((F(1, 4), F(7, 16)), 2, _every_cube((1, 2)), id="eps_list2-2-True"),
+    # and the images of a random set of subcubes, which the bound on the
+    # sums over every active subcube must not clear where one fails
+    pytest.param((F(1, 4), F(7, 16)), 2, _random_cubes(7, 2), id="eps_list3-2-random"),
 ])
-def test_rbias_matches_point_sums(monkeypatch, eps_list, tree_depth, every_cube):
+def test_rbias_matches_point_sums(monkeypatch, eps_list, tree_depth, leaf_sets):
     monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 1, 6)
     monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 2, 4)
-    if every_cube:
-        _every_cube(monkeypatch)
+    _extra_leaf_sets(monkeypatch, leaf_sets)
     report = sweeps.sweep_rbias(eps_list, max_m=2, tree_depth=tree_depth)
     grids = []
     for m in (1, 2):
         mus, total = sweeps.grid_weight_vectors(1 << m, sweeps.GRID_DENOMINATOR[m])
         grids.append((m, sweeps.all_output_tables(m), mus, total))
-    cases, violations = brute_sweep_rbias(grids, eps_list, tree_depth, every_cube)
+    cases, violations = brute_sweep_rbias(grids, eps_list, tree_depth, leaf_sets)
     assert report.cases == cases > 0
     assert list(report.violations) == violations
-    assert report.passed == (not every_cube)
+    assert report.passed == (not leaf_sets)
+    if leaf_sets:
+        # the trees pass, so the violations are the leaf sets': on each
+        # arity they add one case per function of positive complexity and
+        # leaf set, and some of those functions fail and some do not
+        tree_cases, tree_violations = brute_sweep_rbias(grids, eps_list, tree_depth)
+        assert tree_violations == []
+        (per_arity,) = {len(sets) for sets in leaf_sets.values()}
+        failing = set(violations)
+        assert 0 < len(failing) < (cases - tree_cases) // per_arity
+        if per_arity > 1:
+            # and a failing function passes on some of the random sets
+            assert len(violations) < len(failing) * per_arity
 
 
 @pytest.mark.parametrize("eps_list", [(F(1, 4), F(1, 3), F(5, 12)), (F(0), F(7, 16))])
@@ -196,11 +254,11 @@ def test_rbias_three_bits_matches_point_sums(monkeypatch):
     three = [w for w in mus if sum(map(bool, w)) == 3][::4]
     monkeypatch.setattr(sweeps, "grid_weight_vectors",
                         lambda points, den: (three if points == 8 else [], total))
-    _every_cube(monkeypatch)
+    _extra_leaf_sets(monkeypatch, _every_cube((3,)))
     eps_list = (F(1, 4), F(7, 16))
     report = sweeps.sweep_rbias(eps_list, max_m=3, tree_depth=1)
     grids = [(3, sweeps.all_output_tables(3), three, total)]
-    cases, violations = brute_sweep_rbias(grids, eps_list, 1, every_cube=True)
+    cases, violations = brute_sweep_rbias(grids, eps_list, 1, _every_cube((3,)))
     assert report.cases == cases > 0
     assert list(report.violations) == violations
     assert _both_complements(violations, 3) == {0, 1}
@@ -219,6 +277,19 @@ def test_float64_event_sums_refused_from_2_to_the_53(monkeypatch):
     sweeps._check_float64(2**53 - 1)
     with pytest.raises(CapExceeded, match="float64"):
         sweeps._check_float64(2**53)
+
+
+def test_rbias_bound_sums_refused_from_2_to_the_63(monkeypatch):
+    # each point lies in 2^m subcubes, so the sums over every active subcube
+    # reach 2^m total: lcm(1..22) passes the guard on the squared total at
+    # every arity and the one on the squared sums at 1 bit, but not at 2
+    total = lcm(*range(1, 23))
+    assert total**2 * 16 < (total << 1)**2 * 16 < 2**63 <= (total << 2)**2 * 16
+    monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 1, 22)
+    assert sweeps.sweep_rbias(max_m=1).passed
+    monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 2, 22)
+    with pytest.raises(CapExceeded, match="int64"):
+        sweeps.sweep_rbias(max_m=2)
 
 
 @pytest.mark.parametrize("sweep", [sweeps.sweep_unbias, sweeps.sweep_rbias, sweeps.sweep_fullbias])
