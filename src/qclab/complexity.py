@@ -108,10 +108,9 @@ class _TreeDP:
                 return d
         raise Unachievable("full-depth success below 1 - eps")
 
-    def result(self, depth: int, with_witness: bool = True) -> DPResult:
+    def result(self, depth: int) -> DPResult:
         """Best success of depth-``depth`` trees, with an optimal one."""
-        witness = self.witness(depth) if with_witness else None
-        return DPResult(success=Fraction(self.value(depth), self.den), witness=witness)
+        return DPResult(Fraction(self.value(depth), self.den), self.witness(depth))
 
     def witness(self, depth: int) -> DecisionTree:
         depth = min(depth, self.arity)
@@ -199,12 +198,12 @@ def _tree_dp(h: Relation, mu: Dist) -> _TreeDP:
     return _TreeDP(_accepts(h), *lattice.int_weights(mu))
 
 
-def best_success(h: Problem, mu: Dist, depth: int, with_witness: bool = True) -> DPResult:
+def best_success(h: Problem, mu: Dist, depth: int) -> DPResult:
     """Exact maximum success probability of depth-bounded deterministic trees
     on ``h`` under ``mu``, with an optimal witness tree."""
     if depth < 0:
         raise QclabError("depth must be >= 0")
-    return _tree_dp(_as_relation(h), mu).result(depth, with_witness)
+    return _tree_dp(_as_relation(h), mu).result(depth)
 
 
 def _checked_eps(eps) -> Fraction:

@@ -13,9 +13,9 @@ have two kernels that give the same integers, and each picks one by the
 size of its input.  ``masses`` takes one product with a cached 0/1 table
 of which points each subcube holds for small int64 inputs, and one pass
 per variable otherwise.  ``layers`` takes a gather of each layer through
-a cached child table, a few numpy calls whatever m is, for small inputs at
-m >= 3, and slices the reshaped lattice once per variable per layer
-otherwise.  The cached tables are built on first use.
+a cached child table, a few numpy calls whatever m is, for a single
+lattice at 3 <= m <= 6, and slices the reshaped lattice once per variable
+per layer otherwise.  The cached tables are built on first use.
 
 The automorphisms of the cube (permute the variables, flip bits) act on
 points and on subcube indices alike, and masses follow them: the image
@@ -42,9 +42,6 @@ INT64_LIMIT = 1 << 62
 # at or below the int64 crossover measured at m = 2 to 6 (see masses); at
 # m = 1 the passes win from some 2,500 rows, which no caller reaches
 PRODUCT_CELLS = 1 << 15
-# layers gathers while rows * (m + 1) * 3^m is at most this times m - 2:
-# the crossover measured at m = 3, 24 rows (see layers)
-GATHER_CELLS = 2592
 
 
 def int_weights(mu: Dist) -> tuple[np.ndarray, int]:
@@ -147,14 +144,12 @@ def layers(answer: np.ndarray, m: int):
     numpy calls per variable per layer on strided views; the gathered
     kernel makes a few calls per layer whatever m is, but reads m + 1 pairs
     of cells for every cell through a cached table.  The gather pays off on
-    small inputs, the more so the larger m: ``layers`` takes it while the
-    gathered cells ``rows * (m + 1) * 3^m`` (rows over the leading axes)
-    stay within ``GATHER_CELLS * (m - 2)``, at or below the measured
-    crossover for every m.  So it never gathers at m <= 2, takes up to 24
-    rows at m = 3, and a single lattice up to m = 6 but not from m = 7.
+    small inputs, the more so the larger m: ``layers`` takes it for a
+    single lattice (no leading axes, as ``_TreeDP`` gives) at 3 <= m <= 6,
+    where it measured faster, and slices at m <= 2, from m = 7, and under
+    leading axes, which the sweeps give by the hundred rows.
     """
-    rows = prod(answer.shape[:-1])
-    if rows * (m + 1) * 3**m <= GATHER_CELLS * (m - 2):
+    if answer.ndim == 1 and 3 <= m <= 6:
         return _gathered_layers(answer, m)
     return _sliced_layers(answer, m)
 
@@ -200,26 +195,21 @@ def _children(m: int) -> np.ndarray:
 
 
 def _gathered_layers(answer: np.ndarray, m: int):
-    """:func:`layers` by gathering: each layer is two gathers through the
-    :func:`_children` table, one sum and one maximum over its rows.  A
-    single lattice gathers by plain indexing, the fastest form for one
-    axis; with leading axes ``take`` along the last one is the fastest."""
+    """:func:`layers` by gathering, on a single lattice: each layer is two
+    gathers through the :func:`_children` table, one sum and one maximum
+    over its rows."""
     lo, hi = _children(m)
     n = 3**m
-    buf = np.empty(answer.shape[:-1] + (2 * n + 1,), dtype=answer.dtype)
-    buf[..., n:2 * n] = answer
-    buf[..., 2 * n] = 0
+    buf = np.empty(2 * n + 1, dtype=answer.dtype)
+    buf[n:2 * n] = answer
+    buf[2 * n] = 0
     value = answer
     yield value
     for _ in range(m):
-        buf[..., :n] = value
-        if buf.ndim == 1:
-            pairs = buf[lo]
-            pairs += buf[hi]
-        else:
-            pairs = buf.take(lo, axis=-1)
-            pairs += buf.take(hi, axis=-1)
-        value = pairs.max(axis=-2)
+        buf[:n] = value
+        pairs = buf[lo]
+        pairs += buf[hi]
+        value = pairs.max(axis=0)
         yield value
 
 

@@ -24,16 +24,19 @@ tree and ``q(z)`` of the simulation (``rows(z)`` in lowest terms), the
 (leaves x n) snip flag array ``snips(theta)``, the verifiers
 ``simileaf(z)`` and ``lilsnip(z)``, the success accounting ``chain()``,
 and the random walks ``walker(z)`` and ``run(z, seed)``, all over those
-rows.  ``AprimeSimulator`` keeps the walker of one z; it and the unused
-``subcube_prob`` import stay because the benchmark harness constructs,
-patches and checks them.
+rows.  ``AprimeSimulator`` keeps the walker of one z for ``run_stream``;
+it and the unused ``subcube_prob`` import stay because the benchmark
+harness constructs, patches and checks them.
 
 Branch decisions compare a 128-bit uniform integer drawn from a seeded
 Mersenne Twister against the exact branch probability scaled by 2^128, so
 the only sampling bias is below 2^-128 per branch and identical seeds give
-identical traces.  Streams are drawn in bulk from the same Mersenne Twister
-words and walked with numpy (``walk.TreeWalker``); every count and trace
-is the one the walk-at-a-time loop gives, for every seed.
+identical traces.  Every walk reads exactly D words, D the tree's depth:
+walk k of a stream reads words [kD, (k+1)D) and follows them from the root
+until a leaf absorbs it, so a run, one walk, reads the words a walk that
+stops at its leaf reads.  Streams are drawn in bulk and walked with numpy
+(``walk.TreeWalker``); every count and trace is the one the
+walk-at-a-time loop over the same words gives, for every seed.
 """
 
 from __future__ import annotations
@@ -147,17 +150,18 @@ class Simulation:
     the prefix that its later answers are conditioned on.
 
     ``payload`` holds each leaf's trace (for z = 0 with seed 0; a run sets
-    both) and ``None`` at each branch, and ``depths`` each node's depth.
-    ``branches`` lists each branch's position, the copy it samples from the
-    restricted law (-1 while the copy has had fewer than c answers), its
-    subcube's index before and after answering 1, and its two children.
+    both) and ``None`` at each branch.  ``branches`` lists each branch's
+    position, the copy it samples from the restricted law (-1 while the
+    copy has had fewer than c answers), its subcube's index before and
+    after answering 1, and its two children.
     ``leaf_ids`` and ``labels`` hold the leaves' ids and labels in
     preorder, and ``cubes`` their rows, a (leaves x n x c+1) index array
     that the laws and snip flags read; ``mass`` is each subcube's inner
     mass.  On first use, what the laws and walks of every z share is
     compiled once more, into ``_law_tables`` and ``_walk_tables``.  The
     integer terms of p and q are kept per z (see ``_terms``) for the
-    object's life.  ``budget`` is the inner-query budget ``depth // c``.  A
+    object's life.  ``depth`` is the tree's depth, the words each walk
+    reads, and ``budget`` the inner-query budget ``depth // c``.  A
     tree of the wrong arity, or with a leaf label outside f's alphabet, is
     rejected here, before any law; every ``DecisionTree`` is valid when it
     is made."""
@@ -166,15 +170,15 @@ class Simulation:
         if tree.arity != inst.total_arity:
             raise ArityMismatch("tree arity does not match the instance")
         self.inst, self.tree = inst, tree
-        self.budget = tree.depth() // inst.inner_complexity
+        self.depth = tree.depth()
+        self.budget = self.depth // inst.inner_complexity
         self.mass = np.array(inst.g_masses[0], dtype=object) + inst.g_masses[1]
         self.payload: list = []
-        self.depths: list = []
         self.branches: list = []
         rows: list = []
         self._records: dict = {}
         c = inst.inner_complexity
-        self._compile(tree.root, ((0,) * (c + 1),) * inst.n, (0,) * inst.n, (), 0, rows)
+        self._compile(tree.root, ((0,) * (c + 1),) * inst.n, (0,) * inst.n, (), rows)
         self.cubes = np.array(rows, np.intp)
         traces = [trace for trace in self.payload if trace is not None]
         self.leaf_ids = [trace.leaf_id for trace in traces]
@@ -184,12 +188,11 @@ class Simulation:
             raise QclabError(f"tree label {self.labels[stray.argmax()]} is outside "
                              f"f's alphabet 0..{inst.f.alphabet_size - 1}")
 
-    def _compile(self, node, state, codims, z_queries, depth, rows) -> None:
+    def _compile(self, node, state, codims, z_queries, rows) -> None:
         # a method, not a closure: a self-referencing closure would keep
         # the compiled tree alive until the cyclic collector runs
         k = len(self.payload)
         self.payload.append(None)
-        self.depths.append(depth)
         if isinstance(node, Leaf):
             self.payload[k] = SimulationTrace(
                 0, node.leaf_id, node.label, z_queries, codims, sum(codims), 0
@@ -210,13 +213,13 @@ class Simulation:
         for child, below in ((node.child0, cube + step), (node.child1, cube + 2 * step)):
             entry.append(len(self.payload))
             child_state = state[:i] + (kept + (below,) * (c + 1 - len(kept)),) + state[i + 1:]
-            self._compile(child, child_state, child_codims, z_queries, depth + 1, rows)
+            self._compile(child, child_state, child_codims, z_queries, rows)
 
     @cached_property
     def _walk_tables(self) -> tuple:
         """Per node, the copy whose bit of z picks its row (0 where the rows
-        agree); per row, the nodes' children and threshold words; per node,
-        whether it is a leaf, and its depth (see ``TreeWalker``).  In row b
+        agree); per row, the nodes' children and threshold words; and per
+        node, whether it is a leaf (see ``TreeWalker``).  In row b
         a branch samples from the unrestricted mass table, or from g = b's
         if its copy has been read; where that table gives its subcube no
         mass, it is dead and absorbs."""
@@ -236,19 +239,21 @@ class Simulation:
         node_copy = np.zeros(size, np.intp)
         node_copy[k] = np.maximum(copy, 0)
         leaf = np.array([trace is not None for trace in self.payload])
-        return node_copy, child, *words, leaf, np.array(self.depths, np.intp)
+        return node_copy, child, *words, leaf
 
     def walker(self, z: int) -> TreeWalker:
         """The walker of the simulation on ``z``: each node reads its row of
         ``_walk_tables`` off the bit of z its copy is conditioned on."""
         _restricted(self.inst, z)  # z's range, and mass on each value of g
-        copy, child, hi, lo, leaf, depth = self._walk_tables
+        copy, child, hi, lo, leaf = self._walk_tables
         bit, nodes = (z >> copy) & 1, np.arange(len(copy))
         return TreeWalker(self.payload, child[bit.repeat(2), np.arange(2 * len(bit))],
-                          hi[bit, nodes], lo[bit, nodes], leaf, depth)
+                          hi[bit, nodes], lo[bit, nodes], leaf, self.depth)
 
     def run(self, z: int, seed: int) -> SimulationTrace:
-        return _run(self.walker(z), z, seed)
+        """One walk of the simulation on ``z``, on the stream of ``seed``."""
+        end = next(self.walker(z).ends(_rng(seed), 1))[0]
+        return replace(self.payload[end], z=z, rng_seed=seed)
 
     @cached_property
     def _law_tables(self) -> tuple:
@@ -445,19 +450,14 @@ def _rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def _run(walker: TreeWalker, z: int, seed: int) -> SimulationTrace:
-    end = next(walker.ends(_rng(seed), 1))[0]
-    return replace(walker.payload[end], z=z, rng_seed=seed)
-
-
 class AprimeSimulator:
     """Compiled simulation of one outer tree on one input ``z``.
 
     Every branch compiles to its threshold and every leaf to its trace, in
-    a ``TreeWalker``, so repeated runs only draw random words and walk the
-    tree's arrays.  A node whose subcube has no mass under its sampling law
-    compiles dead, and a walk that reaches it raises.  Only the
-    thresholds and dead nodes depend on ``z`` (see ``Simulation``).
+    a ``TreeWalker``, so a stream of walks only draws random words and
+    walks the tree's arrays.  A node whose subcube has no mass under its
+    sampling law compiles dead, and a walk that reaches it raises.  Only
+    the thresholds and dead nodes depend on ``z`` (see ``Simulation``).
     """
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree, z: int):
@@ -465,9 +465,6 @@ class AprimeSimulator:
         self.tree = tree
         self.z = z
         self._walker = Simulation(inst, tree).walker(z)
-
-    def run(self, seed: int) -> SimulationTrace:
-        return _run(self._walker, self.z, seed)
 
     def run_stream(self, samples: int, seed: int) -> dict[int, int]:
         """Leaf-id frequency counts over ``samples`` runs sharing one seeded

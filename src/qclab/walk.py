@@ -3,11 +3,13 @@ stream.
 
 A walk starts at the root.  At each branch it draws one 128-bit word with
 ``getrandbits(128)`` and goes to child 1 exactly when the word lies below
-the branch's threshold; successive walks read successive words.
-``TreeWalker`` takes the tree as flat per-node arrays, which its caller
-builds (``simulate.Simulation.walker`` selects them per input), and decides
-many walks at once with numpy from the very same words, so every walk ends
-where the one-at-a-time loop ends it, for every stream.
+the branch's threshold.  Every walk reads exactly D words, D the tree's
+depth: walk k reads words [kD, (k+1)D) and follows them from the root until
+it reaches a leaf, which absorbs, so a walk that ends above depth D leaves
+its last words unread.  One walk reads the same words as a walk that stops
+drawing at its leaf.  ``TreeWalker`` takes the tree as flat per-node
+arrays, which its caller builds (``simulate.Simulation.walker`` selects
+them per input), and decides many walks at once with numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .core import ZeroConditioningMass
 
-CHUNK = 1024  # walk starts decided per bulk step; bounds the working set
+CHUNK = 1024  # walks decided per bulk step; bounds the working set
 
 
 class TreeWalker:
@@ -28,24 +30,18 @@ class TreeWalker:
     ``payload[k]`` is what a walk that ends at node k returns; node 0 is
     the root.  Per node, the arrays hold its children as
     ``child[2 * node + bit]``, its threshold in ``[0, 2^128)`` as high and
-    low 64-bit words, whether it is a leaf, and its depth.  A walk at a
-    branch goes to child 1 exactly when its draw lies below the threshold;
-    a certain branch has child 1 as both children.  Leaves and dead nodes
-    are absorbing: both their children are themselves, and a walk that
-    ends at a dead node, a branch that absorbs, raises.
+    low 64-bit words, and whether it is a leaf; ``depth`` is the tree's
+    depth, the words each walk reads.  A walk at a branch goes to child 1
+    exactly when its draw lies below the threshold; a certain branch has
+    child 1 as both children.  Leaves and dead nodes are absorbing: both
+    their children are themselves, and a walk that ends at a dead node, a
+    branch that absorbs, raises.
     """
 
-    def __init__(self, payload, child, hi, lo, leaves, depth):
+    def __init__(self, payload, child, hi, lo, leaves, depth: int):
         self.payload, self.child, self.hi, self.lo = payload, child, hi, lo
         self.dead = (child[::2] == np.arange(len(leaves))) & ~leaves
-        # A walk draws as many words as its end's depth, and one that ends
-        # at a dead node raises, so every walk starts a multiple of the
-        # leaves' depths' gcd into the stream; a walk's step is its length
-        # in those strides.
-        self.depth = int(depth.max())
-        self.stride = int(np.gcd.reduce(depth[leaves])) or 1
-        self.step = np.maximum(depth // self.stride, 1)
-        self.max_step = int(self.step[leaves].max(initial=1))
+        self.depth = depth
 
     def counts(self, rng: random.Random, samples: int) -> list[int]:
         """How many of ``samples`` successive walks end at each node."""
@@ -59,42 +55,25 @@ class TreeWalker:
         ``rng``, chunk by chunk.
 
         ``getrandbits(128 * k)`` is exactly k successive ``getrandbits(128)``
-        draws, draw i in bits [128i, 128i + 128), so a chunk reads its words
-        in bulk as (low, high) pairs.  A walk from every stride-th word of
-        the chunk goes down all levels at once; the real walks are the chain from the
-        chunk's first start, each one step after the last.  Words past the
-        chain's end carry over to the next chunk."""
-        stride, depth = self.stride, self.depth
-        words = np.empty((0, 2), np.uint64)
+        draws, draw i in bits [128i, 128i + 128), so a chunk of walks reads
+        its words in bulk as (low, high) pairs, walk by walk and level by
+        level, and goes down all levels at once."""
+        depth = self.depth
         while samples > 0:
-            starts = min(CHUNK, (samples - 1) * self.max_step + 1)
-            need = (starts - 1) * stride + depth if depth else 0  # a lone leaf draws none
-            if len(words) < need:
-                k = need - len(words)
-                fresh = np.frombuffer(rng.getrandbits(128 * k).to_bytes(16 * k, "little"), "<u8")
-                fresh = fresh.reshape(k, 2)
-                words = np.concatenate((words, fresh)) if len(words) else fresh
+            starts = min(CHUNK, samples)
+            k = starts * depth
+            words = np.frombuffer(rng.getrandbits(128 * k).to_bytes(16 * k, "little"), "<u8")
+            words = words.reshape(starts, depth, 2)
             node = np.zeros(starts, np.intp)
             for level in range(depth):
-                draws = words[level: level + starts * stride: stride]
-                bit = _below(draws[:, 1], draws[:, 0], self.hi[node], self.lo[node])
+                bit = _below(words[:, level, 1], words[:, level, 0], self.hi[node], self.lo[node])
                 node = self.child[2 * node + bit]
-            if self.max_step == 1:  # every leaf is one stride deep: each start is a walk
-                end, s = node, starts
-            else:
-                step = self.step[node].tolist()
-                chain, s = [], 0
-                while s < starts and len(chain) < samples:
-                    chain.append(s)
-                    s += step[s]
-                end = node[chain]
-            if self.dead[end].any():
+            if self.dead[node].any():
                 raise ZeroConditioningMass(
                     "conditioning event has zero probability during simulation"
                 )
-            yield end
-            samples -= len(end)
-            words = words[s * stride:]
+            yield node
+            samples -= starts
 
 
 def _below(hi, lo, t_hi, t_lo):

@@ -12,8 +12,9 @@ the simileaf check's is its original form in Fraction products, and the
 sweep grid's is its original recursive generator of compositions.  The
 random walks' reference is the original node list of a compiled tree, a
 tuple per branch and built one branch at a time, walked one draw at a
-time.  Composed inputs are split into their copies by ``Blocks`` here, not
-by the package's own block arithmetic.
+time, the tree's depth in draws per walk.  Composed inputs are split into
+their copies by ``Blocks`` here, not by the package's own block
+arithmetic.
 """
 
 from __future__ import annotations
@@ -66,29 +67,37 @@ def enumerate_shapes(arity: int, depth: int, used: frozenset = frozenset()):
                     yield (var, s0, s1)
 
 
-def _shape_success(h: Relation, mu: Dist, shape, points) -> Fraction:
+def _shape_success(h: Relation, mu: Dist, shape, points: tuple, memo: dict) -> Fraction:
+    """The success of ``shape`` on ``points`` with each leaf's best label,
+    kept in ``memo`` by (shape, points)."""
+    key = (shape, points)
+    if key in memo:
+        return memo[key]
     if shape is None:
         best = Fraction(0)
         for r in range(h.alphabet_size):
             mass = sum((mu.probs[x] for x in points if r in h.accepted[x]), Fraction(0))
             if mass > best:
                 best = mass
-        return best
-    var, s0, s1 = shape
-    pts0 = [x for x in points if not (x >> var) & 1]
-    pts1 = [x for x in points if (x >> var) & 1]
-    return _shape_success(h, mu, s0, pts0) + _shape_success(h, mu, s1, pts1)
+    else:
+        var, s0, s1 = shape
+        pts0 = tuple(x for x in points if not (x >> var) & 1)
+        pts1 = tuple(x for x in points if (x >> var) & 1)
+        best = _shape_success(h, mu, s0, pts0, memo) + _shape_success(h, mu, s1, pts1, memo)
+    memo[key] = best
+    return best
 
 
 def brute_best_success(h, mu: Dist, depth: int) -> Fraction:
     """Maximum success of any depth-bounded tree, by enumerating every tree
-    shape and giving each leaf its best label."""
+    shape and giving each leaf its best label.  A sub-shape recurs under
+    many shapes and siblings, so each is scored once per point set."""
     if isinstance(h, TruthTable):
         h = Relation.from_function(h)
-    points = list(range(1 << h.arity))
-    best = Fraction(0)
+    points = tuple(range(1 << h.arity))
+    best, memo = Fraction(0), {}
     for shape in enumerate_shapes(h.arity, min(depth, h.arity)):
-        value = _shape_success(h, mu, shape, points)
+        value = _shape_success(h, mu, shape, points, memo)
         if value > best:
             best = value
     return best
@@ -241,54 +250,53 @@ def compiled_nodes(sim, z: int) -> list:
     return [None if k in dead else node for k, node in enumerate(nodes)]
 
 
-def node_walker(nodes: list) -> TreeWalker:
-    """The ``TreeWalker`` of a node list (see ``compiled_nodes``), node by
-    node."""
+def node_walker(nodes: list, depth: int) -> TreeWalker:
+    """The ``TreeWalker`` of a node list (see ``compiled_nodes``) of a tree
+    of depth ``depth``, node by node."""
     size = len(nodes)
-    depth = [0] * size
     child = [k >> 1 for k in range(2 * size)]
     kept = [0] * size
     for k, node in enumerate(nodes):
         if type(node) is tuple:
             t, child0, child1 = node
-            depth[child0] = depth[child1] = depth[k] + 1
             child[2 * k] = child1 if t >> 128 else child0
             child[2 * k + 1] = child1
             kept[k] = t & ((1 << 128) - 1)
     words = b"".join([t.to_bytes(16, "little") for t in kept])
     lo, hi = np.frombuffer(words, "<u8").reshape(size, 2).T
     leaves = np.array([node is not None and type(node) is not tuple for node in nodes])
-    return TreeWalker(nodes, np.array(child, np.intp), hi, lo, leaves, np.array(depth, np.intp))
+    return TreeWalker(nodes, np.array(child, np.intp), hi, lo, leaves, depth)
 
 
-def _loop_walk(nodes: list, rng: random.Random):
-    """One walk over a node list (see ``compiled_nodes``): from the root,
-    draw ``getrandbits(128)`` at each branch and go to child 1 exactly when
-    the draw lies below the branch's threshold."""
+def _loop_walk(nodes: list, depth: int, rng: random.Random):
+    """One walk over a node list (see ``compiled_nodes``) of a tree of depth
+    ``depth``: it draws ``getrandbits(128)`` ``depth`` times, and from the
+    root goes to child 1 of a branch exactly when that level's draw lies
+    below the branch's threshold.  A leaf, or a dead node, keeps the walk,
+    and the draws after it go unread."""
     node = nodes[0]
-    while type(node) is tuple:
-        threshold, child0, child1 = node
-        node = nodes[child1 if rng.getrandbits(128) < threshold else child0]
+    for _ in range(depth):
+        draw = rng.getrandbits(128)
+        if type(node) is tuple:
+            threshold, child0, child1 = node
+            node = nodes[child1 if draw < threshold else child0]
     if node is None:
         raise ZeroConditioningMass("conditioning event has zero probability during simulation")
     return node
 
 
-def _nodes(sim) -> list:
-    return compiled_nodes(Simulation(sim.inst, sim.tree), sim.z)
-
-
-def loop_run(sim, seed: int):
-    """``AprimeSimulator.run`` one branch at a time."""
-    return replace(_loop_walk(_nodes(sim), random.Random(seed)), z=sim.z, rng_seed=seed)
+def loop_run(sim, z: int, seed: int):
+    """``Simulation.run`` one branch at a time."""
+    walk = _loop_walk(compiled_nodes(sim, z), sim.tree.depth(), random.Random(seed))
+    return replace(walk, z=z, rng_seed=seed)
 
 
 def loop_run_stream(sim, samples: int, seed: int) -> dict[int, int]:
     """``AprimeSimulator.run_stream`` one walk at a time."""
-    rng, nodes = random.Random(seed), _nodes(sim)
-    counts: dict[int, int] = {}
+    rng, nodes = random.Random(seed), compiled_nodes(Simulation(sim.inst, sim.tree), sim.z)
+    depth, counts = sim.tree.depth(), {}
     for _ in range(samples):
-        lid = _loop_walk(nodes, rng).leaf_id
+        lid = _loop_walk(nodes, depth, rng).leaf_id
         counts[lid] = counts.get(lid, 0) + 1
     return counts
 

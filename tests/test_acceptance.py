@@ -125,7 +125,7 @@ def test_criterion_4_dp_vs_enumeration():
             h = random_truth_table(rng, arity)
         mu = random_dist(rng, arity)
         depth = rng.randrange(min(arity, 3) + 1)
-        dp = best_success(h, mu, depth, with_witness=False).success
+        dp = best_success(h, mu, depth).success
         if dp != brute_best_success(h, mu, depth):
             mismatches += 1
     report(

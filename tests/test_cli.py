@@ -8,9 +8,20 @@ from pathlib import Path
 import pytest
 
 import qclab
-from qclab import complexity, simulate
+from qclab import cli, complexity, simulate
 from qclab.cli import build_parser, main
-from qclab.core import Dist, Relation, and_fn, identity1, maj3, xor_fn
+from qclab.core import (
+    CapExceeded,
+    Dist,
+    HypothesisViolated,
+    ParseError,
+    QclabError,
+    Relation,
+    and_fn,
+    identity1,
+    maj3,
+    xor_fn,
+)
 from qclab.io import format_dist, format_relation, format_truth_table, read_instance
 from qclab.sweeps import sweep_unbias
 
@@ -260,6 +271,12 @@ class TestBuildInstance:
         assert "zero-query" in capsys.readouterr().err
 
 
+VERDICTS = Path(__file__).parent / "data" / "verdicts"
+# the verdict fixture's instance, its tree aside
+INSTANCE_FLAGS = ["--g", "{v}/g.tt", "--f", "{v}/f.rel", "--mu", "{v}/mu.dist",
+                  "--eps", "7/16", "--theta", "1/2"]
+
+
 class TestInputErrors:
     """Malformed input ends as exit 2 with an ``error:`` line."""
 
@@ -408,6 +425,38 @@ class TestInputErrors:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {command} got an empty value for {flag}\n"
 
+    @pytest.mark.parametrize("argv, error, message", [
+        (["dce", "--g", "t13.tt", "--mu", "mu13.dist", "--eps", "1/4"], CapExceeded,
+         "arity 13 exceeds the DP cap"),
+        (["rqc", "--g", "t13.tt", "--eps", "1/4"], CapExceeded, "arity 13 exceeds the DP cap"),
+        (["dce", "--g", "{v}/g.tt", "--mu", "mu2.dist", "--eps", "1/4"], QclabError,
+         "relation and distribution arity mismatch"),
+        (["build-instance", "--g", "{v}/g.tt", "--f", "{v}/f.rel", "--mu", "{v}/mu.dist",
+          "--eps", "1/2", "--out", "inst"], QclabError, "epsilon must lie in [0, 1/2)"),
+        (["xor-stack", "--g", "{v}/g.tt", "--t", "9", "--eps", "1/4"], CapExceeded,
+         "stacked arity 27 exceeds cap"),
+        (["simulate", "--tree", "open.sexp", *INSTANCE_FLAGS], ParseError,
+         "unexpected end of tree text"),
+        (["simulate", "--tree", "leaf.sexp", *INSTANCE_FLAGS], ParseError,
+         "unexpected end of tree text"),
+        (["verify", "--m", "1", "--tree", "{v}/tree.sexp", "--g", "{v}/g.tt", "--f", "{v}/f.rel",
+          "--mu", "{v}/mu.dist", "--eps", "1/5", "--theta", "1/2"], HypothesisViolated,
+         "epsilon must be at least 1/4"),
+    ], ids=["dce-dp-cap", "rqc-dp-cap", "dce-mu-arity", "build-instance-eps", "xor-stack-cap",
+            "tree-open", "tree-leaf", "verify-lilsnip-eps"])
+    def test_checks_name_their_error(self, tmp_path, monkeypatch, capsys, argv, error, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t13.tt").write_text(format_truth_table(xor_fn(13)))
+        (tmp_path / "mu13.dist").write_text(format_dist(Dist.uniform(13)))
+        (tmp_path / "mu2.dist").write_text(format_dist(Dist.uniform(2)))
+        (tmp_path / "open.sexp").write_text("(")
+        (tmp_path / "leaf.sexp").write_text("(leaf")
+        # main reports only this class of error: any other one escapes
+        monkeypatch.setattr(cli, "QclabError", error)
+        assert main([arg.format(v=VERDICTS) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "inst").exists()
+
     @pytest.mark.parametrize("command", ["dce", "rqc"])
     def test_problem_is_g_or_f(self, files, capsys, command):
         # --g won and --f was silently ignored
@@ -482,7 +531,6 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-VERDICTS = Path(__file__).parent / "data" / "verdicts"
 VERDICT_INPUTS = [
     "--g", str(VERDICTS / "g.tt"), "--f", str(VERDICTS / "f.rel"),
     "--mu", str(VERDICTS / "mu.dist"), "--tree", str(VERDICTS / "tree.sexp"),

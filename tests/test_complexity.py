@@ -64,7 +64,7 @@ class TestBestSuccess:
         for _ in range(20):
             h = random_truth_table(rng, 3)
             mu = random_dist(rng, 3)
-            values = [best_success(h, mu, d, with_witness=False).success for d in range(4)]
+            values = [best_success(h, mu, d).success for d in range(4)]
             assert values == sorted(values)
 
     def test_matches_enumeration_oracle(self):
@@ -73,8 +73,7 @@ class TestBestSuccess:
             h = random_relation(rng, 3, 2)
             mu = random_dist(rng, 3)
             depth = rng.randrange(3)
-            assert best_success(h, mu, depth, with_witness=False).success == \
-                brute_best_success(h, mu, depth)
+            assert best_success(h, mu, depth).success == brute_best_success(h, mu, depth)
 
     def test_rows_are_label_0_and_the_accepted_labels(self):
         # rows ran from label 0 to the largest accepted one, 200,001 of them here

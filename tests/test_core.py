@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qclab.core import (
+    ArityMismatch,
+    CapExceeded,
     Dist,
     HypothesisViolated,
     QclabError,
@@ -22,14 +24,53 @@ from qclab.core import (
     restrict_dist,
     subcube_prob,
     xor_fn,
+    _check_arity,
 )
 from qclab import lattice
-from qclab.complexity import dist_complexity
+from qclab.complexity import best_success, dist_complexity
+from qclab.compose import build_instance, compose_relation
 
 from _oracles import check_fullbias, random_dist, random_truth_table
 
 U2 = Dist.uniform(2)
 U3 = Dist.uniform(3)
+XOR2 = Relation.from_function(xor_fn(2))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TruthTable(0, (0,)), QclabError, "arity must be >= 1"),
+    (lambda: TruthTable(17, ()), CapExceeded, "arity 17 exceeds cap"),
+    (lambda: TruthTable(1, (0, 2)), QclabError, "outputs must be bits"),
+    (lambda: Relation(1, 0, (frozenset({0}),) * 2), QclabError,
+     "arity and alphabet size must be >= 1"),
+    (lambda: Relation(1, 2, (frozenset({0}),)), QclabError, "accepted length must be 2^arity"),
+    (lambda: Relation(1, 2, (frozenset({0}), frozenset({2}))), QclabError,
+     "label out of range at input 1"),
+    (lambda: Subcube(2, ((2, 0),)), QclabError, "variable 2 out of range"),
+    (lambda: Subcube(2, ((0, 2),)), QclabError, "assignment must be a bit"),
+    (lambda: Subcube(2, ((0, 0), (0, 1))), QclabError, "variable 0 fixed twice"),
+    (lambda: Dist(17, ()), CapExceeded, "arity 17 exceeds cap"),
+    (lambda: Dist(1, (F(1),)), QclabError, "probs length must be 2^arity"),
+    (lambda: Dist.from_weights([0, 0]), QclabError, "weights must have positive total"),
+    (lambda: Dist.from_weights([1, 1, 1]), QclabError,
+     "weight vector length must be a power of two"),
+    (lambda: _check_arity(2, 3), ArityMismatch, "arity mismatch: 2 != 3"),
+    (lambda: lattice.g_masses(xor_fn(2), U3), ArityMismatch, "arity mismatch: 2 != 3"),
+    (lambda: compose_relation(XOR2, xor_fn(2), 3), QclabError, "outer arity 2 != n = 3"),
+    (lambda: compose_relation(XOR2, xor_fn(7), 2), CapExceeded,
+     "composed arity 14 exceeds the flat cap"),
+    (lambda: build_instance(XOR2, xor_fn(2), U3), QclabError, "inner distribution arity mismatch"),
+    (lambda: best_success(xor_fn(2), U2, -1), QclabError, "depth must be >= 0"),
+], ids=[
+    "truth-table-arity", "truth-table-cap", "truth-table-bits", "relation-alphabet",
+    "relation-length", "relation-label", "subcube-variable", "subcube-bit", "subcube-twice",
+    "dist-cap", "dist-length", "weights-total", "weights-length", "check-arity", "g-masses",
+    "compose-outer-arity", "compose-cap", "build-instance-mu", "best-success-depth",
+])
+def test_library_checks_raise_their_error(call, error, message):
+    with pytest.raises(QclabError) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 class TestTruthTable:

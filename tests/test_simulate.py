@@ -36,6 +36,7 @@ from qclab.simulate import AprimeSimulator, ChainReport, Simulation, _threshold
 from qclab.walk import CHUNK
 
 from _oracles import (
+    _loop_walk,
     Blocks,
     brute_gamma_z,
     brute_reach_probs,
@@ -173,7 +174,7 @@ class TestRunAprime:
     def test_determinism(self):
         inst = xor_instance()
         tree = full_parity_tree(4)
-        assert Simulation(inst, tree).run(2, 99) == AprimeSimulator(inst, tree, 2).run(99)
+        assert Simulation(inst, tree).run(2, 99) == Simulation(inst, tree).run(2, 99)
 
     def test_budget_invariant(self):
         rng = random.Random(61)
@@ -195,19 +196,19 @@ class TestRunAprime:
         # 11, which has no mass on x0 = 0
         inst = and_uniform_instance()
         tree = make_tree(2, (0, (1, 0, 1), 1))
-        sim = AprimeSimulator(inst, tree, 1)
+        sim = Simulation(inst, tree)
         seen = set()
         for seed in range(24):
             dead = random.Random(seed).getrandbits(128) >= 1 << 127  # Pr[x0 = 1] = 1/2
             seen.add(dead)
             if dead:
                 with pytest.raises(ZeroConditioningMass, match="during simulation"):
-                    sim.run(seed)
+                    sim.run(1, seed)
             else:
-                assert sim.run(seed).leaf_id == 2
+                assert sim.run(1, seed).leaf_id == 2
         assert seen == {False, True}
         with pytest.raises(ZeroConditioningMass, match="during simulation"):
-            sim.run_stream(50, seed=0)
+            AprimeSimulator(inst, tree, 1).run_stream(50, seed=0)
 
     def test_threshold_matches_fraction_rule(self):
         rng = random.Random(97)
@@ -290,31 +291,13 @@ class TestInvalidInput:
         # Random(-s) replays Random(s), so seed -1 would walk seed 1's draws
         sim = Simulation(self.inst, full_parity_tree(4))
         compiled = AprimeSimulator(self.inst, full_parity_tree(4), 3)
-        runs = (lambda seed: sim.run(3, seed), compiled.run,
-                lambda seed: compiled.run_stream(10, seed))
+        runs = (lambda seed: sim.run(3, seed), lambda seed: compiled.run_stream(10, seed))
         for run in runs:
             for seed in (-1, -5):
                 with pytest.raises(QclabError, match=f"^seed must be at least 0, got {seed}$"):
                     run(seed)
             run(0)  # the least seed allowed
-        assert sim.run(3, 0) == compiled.run(0)
         assert sum(compiled.run_stream(10, 0).values()) == 10
-
-
-def stride_tree(rng, arity, stride, depth):
-    """A random tree whose leaves all lie at positive multiples of
-    ``stride``, at most ``depth`` (itself a multiple of ``stride``, at most
-    ``arity``)."""
-    counter = [0]
-
-    def build(d, used):
-        if d and d % stride == 0 and (d == depth or rng.random() < 0.4):
-            counter[0] += 1
-            return Leaf(rng.randrange(2), counter[0] - 1)
-        var = rng.choice([v for v in range(arity) if v not in used])
-        return InternalNode(var, build(d + 1, used | {var}), build(d + 1, used | {var}))
-
-    return DecisionTree(arity, build(0, frozenset()))
 
 
 def outcome(walk, *args):
@@ -349,7 +332,7 @@ class TestBulkWalk:
         edges = (0, 1, 2**64 - 1, 2**64, 2**128 - 1, 2**128)
         for t in edges:
             draws = sorted({d for x in edges for d in (x - 1, x) if 0 <= d < 1 << 128})
-            walker = node_walker([(t, 1, 2), "child0", "child1"])
+            walker = node_walker([(t, 1, 2), "child0", "child1"], 1)
             ends = np.concatenate(list(walker.ends(_Words(draws), len(draws))))
             assert ends.tolist() == [2 if d < t else 1 for d in draws]
 
@@ -359,17 +342,16 @@ class TestBulkWalk:
         seen = set()
         for inst in instances:
             arity = inst.total_arity
-            trees = [random_tree(rng, arity, arity, 2), full_parity_tree(arity),
-                     stride_tree(rng, arity, 2, arity - arity % 2)]
-            for tree in trees:
+            for tree in (random_tree(rng, arity, arity, 2), full_parity_tree(arity)):
+                compiled = Simulation(inst, tree)
+                depths = {len(path) for _, path in tree.leaf_paths()}
                 for z in range(1 << inst.n):
                     try:
                         sim = AprimeSimulator(inst, tree, z)
                     except ZeroConditioningMass:
                         continue
-                    nodes = compiled_nodes(Simulation(inst, tree), z)
-                    walker = node_walker(nodes)
-                    seen.add(("stride", walker.stride > 1, walker.max_step > 1))
+                    seen.add(("mixed depths", len(depths) > 1))
+                    nodes = compiled_nodes(compiled, z)
                     thresholds = {node[0] for node in nodes if type(node) is tuple}
                     seen |= thresholds & {0, 1 << 128}
                     for samples in (0, 1, 3 * CHUNK + 5):
@@ -378,9 +360,25 @@ class TestBulkWalk:
                         assert got == outcome(loop_run_stream, sim, samples, seed)
                         seen.add(type(got))
                     for seed in range(3):
-                        assert outcome(sim.run, seed) == outcome(loop_run, sim, seed)
-        assert seen == {("stride", False, True), ("stride", True, True), ("stride", False, False),
-                        ("stride", True, False), 0, 1 << 128, dict, str}
+                        trace = outcome(compiled.run, z, seed)
+                        assert trace == outcome(loop_run, compiled, z, seed)
+        assert seen == {("mixed depths", False), ("mixed depths", True), 0, 1 << 128, dict, str}
+
+    def test_each_walk_reads_the_tree_depth_in_words(self):
+        # leaves at depths 1 and 2, so D = 2: walk 1 ends at depth 1 and
+        # leaves word 1 unread, and walk 2 starts at word 2; read from word
+        # 1, walk 2 would end at node 2
+        inst = xor_instance()
+        tree = make_tree(4, (0, (2, 0, 1), 1))
+        sim = Simulation(inst, tree)
+        nodes = compiled_nodes(sim, 0)
+        assert [node[0] for node in nodes[:2]] == [1 << 127] * 2  # x0 then x2, each 1/2
+        low, high = 0, (1 << 128) - 1
+        words = [low, high, high, low]
+        ends = np.concatenate(list(sim.walker(0).ends(_Words(words), 2))).tolist()
+        assert ends == [4, 3]
+        source = _Words(words)
+        assert [_loop_walk(nodes, sim.depth, source) for _ in ends] == [nodes[4], nodes[3]]
 
     def test_one_compiled_shape_serves_every_z(self):
         # qclab simulate compiles the tree once and runs every z on it, in
@@ -391,18 +389,19 @@ class TestBulkWalk:
             compiled = Simulation(inst, tree)
             zs = list(range(1 << inst.n))
             for z in zs + zs[::-1]:
+                own = Simulation(inst, tree)
                 try:
-                    sim = AprimeSimulator(inst, tree, z)
+                    walker = own.walker(z)
                 except ZeroConditioningMass:
                     with pytest.raises(ZeroConditioningMass):
                         compiled.walker(z)
                     continue
                 for seed in range(4):
                     trace = outcome(compiled.run, z, seed)
-                    assert trace == outcome(sim.run, seed)
+                    assert trace == outcome(own.run, z, seed)
                     assert isinstance(trace, str) or (trace.z, trace.rng_seed) == (z, seed)
                 stream = outcome(compiled.walker(z).counts, random.Random(z), 200)
-                assert stream == outcome(sim._walker.counts, random.Random(z), 200)
+                assert stream == outcome(walker.counts, random.Random(z), 200)
 
     def test_dropped_simulation_dies_without_the_cyclic_collector(self):
         # the compiled tree is freed on its last reference, not when the
