@@ -13,16 +13,13 @@ from .core import (
     CapExceeded,
     ZeroConditioningMass,
     HypothesisViolated,
-    Unachievable,
     InnerComplexityZero,
     ParseError,
     and_fn,
-    bias,
     constant_fn,
     identity1,
     maj3,
     or_fn,
-    restrict_dist,
     subcube_prob,
     xor_fn,
 )
@@ -30,7 +27,6 @@ from .dtree import (
     DecisionTree,
     InternalNode,
     Leaf,
-    make_tree,
 )
 from .complexity import (
     DPResult,

@@ -145,7 +145,7 @@ def cmd_simulate(args) -> list[dict]:
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     simulation = Simulation(inst, tree)  # once for every z below
     records = []
-    snipped = simulation.snips().any(1).astype(int).tolist()
+    snipped = simulation.snipped.any(1).astype(int).tolist()
     leaves = list(zip(map(str, simulation.leaf_ids), snipped))
     for z in range(1 << inst.n):
         if inst.lam.prob(z) == 0:

@@ -43,7 +43,6 @@ from .core import (
     QclabError,
     Relation,
     TruthTable,
-    Unachievable,
 )
 from .dtree import DecisionTree, InternalNode, Leaf
 
@@ -103,10 +102,12 @@ class _TreeDP:
     def min_depth(self, eps: Fraction) -> int:
         """Smallest depth whose best success is at least ``1 - eps``."""
         target = 1 - eps
-        for d in range(self.arity + 1):
+        for d in range(self.arity):
             if self.value(d) * target.denominator >= target.numerator * self.den:
                 return d
-        raise Unachievable("full-depth success below 1 - eps")
+        # at full depth every input's own subcube answers a label it
+        # accepts, so the value is ``den``
+        return self.arity
 
     def result(self, depth: int) -> DPResult:
         """Best success of depth-``depth`` trees, with an optimal one."""
@@ -335,7 +336,8 @@ def rand_complexity(h: Problem, eps) -> GameResult:
     # plays this one DP
     uniform_dp = _TreeDP(accepts, lattice.weight_array(uniform, sum(uniform)), sum(uniform))
     rejected = None  # the last rejected depth's game
-    for depth in range(rel.arity + 1):
+    # certified_depth is at most the arity, so the full-depth game returns
+    for depth in count():
         game = _solve_game(accepts, depth, eps, uniform_dp)
         if game.limit_hit or game.certified_depth <= depth:
             if rejected is None:
@@ -343,4 +345,3 @@ def rand_complexity(h: Problem, eps) -> GameResult:
             return replace(game, hard_dist=rejected.hard_dist,
                            certified_depth=rejected.certified_depth)
         rejected = game
-    raise Unachievable("no depth accepted up to the full arity")

@@ -100,20 +100,3 @@ class DecisionTree:
                 yield from walk(node.child1, path + ((node.query_var, 1),))
 
         yield from walk(self.root, ())
-
-
-def make_tree(arity: int, root_spec) -> DecisionTree:
-    """Build a tree from a nested spec: a leaf label ``int`` or a triple
-    ``(var, spec0, spec1)``.  Leaf ids are assigned in depth-first order."""
-    counter = [0]
-
-    def build(spec) -> Node:
-        if isinstance(spec, int):
-            leaf = Leaf(spec, counter[0])
-            counter[0] += 1
-            return leaf
-        var, s0, s1 = spec
-        return InternalNode(var, build(s0), build(s1))
-
-    return DecisionTree(arity, build(root_spec))
-

@@ -100,7 +100,7 @@ def parse_relation(text: str) -> Relation:
         key = key.strip()
         if len(key) != arity or set(key) - {"0", "1"}:
             raise ParseError(f"bad input bitstring {key!r} (line {ln_no})")
-        x = sum(1 << j for j, ch in enumerate(key) if ch == "1")
+        x = int(key[::-1], 2)  # the leftmost character is variable 1, bit 0
         if x in accepted:
             raise ParseError(f"duplicate input {key!r} (line {ln_no})")
         try:

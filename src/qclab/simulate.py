@@ -15,18 +15,20 @@ Every law is a ratio of entries of the instance's lattice tables
 subcube's mass is the sum of its two entries, its mass restricted to g=b is
 entry b over entry b of the full cube, and its bias is their difference
 over their sum.  ``Simulation(inst, tree)`` compiles an outer tree once,
-in one walk, into one row per leaf of ``lattice.index_of`` subcube
-indices (per copy, its subcubes after 0..c-1 answers, then its last), and
-then into tables that each z only reads: its laws are gathers and row
-products over exact integers (numpy object arrays), and its walker a
-selection of rows.  The methods give the exact laws ``p(z)`` of the outer
-tree and ``q(z)`` of the simulation (``rows(z)`` in lowest terms), the
-(leaves x n) snip flag array ``snips(theta)``, the verifiers
-``simileaf(z)`` and ``lilsnip(z)``, the success accounting ``chain()``,
-and the random walks ``walker(z)`` and ``run(z, seed)``, all over those
-rows.  ``AprimeSimulator`` keeps the walker of one z for ``run_stream``;
-it and the unused ``subcube_prob`` import stay because the benchmark
-harness constructs, patches and checks them.
+in one walk, into three (leaves x n) arrays: per leaf and copy, the
+``lattice.index_of`` index of the copy's prefix (its subcube after its
+first c - 1 answers, or all of them if fewer) and of its last subcube,
+and whether it is snipped at the instance's theta.  What the walks of
+every z share is compiled into tables that each z only reads: its laws
+are gathers and row products over exact integers (numpy object arrays),
+and its walker a selection of rows.  The methods give the exact laws
+``p(z)`` of the outer tree and ``q(z)`` of the simulation (``rows(z)`` in
+lowest terms), the verifiers ``simileaf(z)`` and ``lilsnip(z)``, the
+success accounting ``chain()``, and the random walks ``walker(z)`` and
+``run(z, seed)``, all over those arrays.  ``AprimeSimulator`` keeps the
+walker of one z for ``run_stream``; it and the unused ``subcube_prob``
+import stay because the benchmark harness constructs, patches and checks
+them.
 
 Branch decisions compare a 128-bit uniform integer drawn from a seeded
 Mersenne Twister against the exact branch probability scaled by 2^128, so
@@ -46,7 +48,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
-from typing import Optional
 
 import numpy as np
 
@@ -144,10 +145,13 @@ class ChainReport:
 
 class Simulation:
     """The simulation of ``tree`` on ``inst``, compiled once, in one
-    preorder walk.  The walk carries one row per copy: the lattice indices
-    of the copy's subcubes after 0..c-1 answers (its window), padded with
-    the last of them, then its last subcube, so the window's last entry is
-    the prefix that its later answers are conditioned on.
+    preorder walk.  The walk carries a triple per copy: the lattice index
+    of its prefix, the subcube its later answers are conditioned on; the
+    index of its last subcube; and whether it is snipped, whether some
+    subcube it reached in fewer than c answers has bias at least the
+    instance's theta.  An answer before the c-th moves the prefix and the
+    last subcube to the new subcube and ORs in that subcube's bias flag; a
+    later answer moves only the last subcube.
 
     ``payload`` holds each leaf's trace (for z = 0 with seed 0; a run sets
     both) and ``None`` at each branch.  ``branches`` lists each branch's
@@ -155,16 +159,15 @@ class Simulation:
     copy has had fewer than c answers), its subcube's index before and
     after answering 1, and its two children.
     ``leaf_ids`` and ``labels`` hold the leaves' ids and labels in
-    preorder, and ``cubes`` their rows, a (leaves x n x c+1) index array
-    that the laws and snip flags read; ``mass`` is each subcube's inner
-    mass.  On first use, what the laws and walks of every z share is
-    compiled once more, into ``_law_tables`` and ``_walk_tables``.  The
-    integer terms of p and q are kept per z (see ``_terms``) for the
-    object's life.  ``depth`` is the tree's depth, the words each walk
-    reads, and ``budget`` the inner-query budget ``depth // c``.  A
-    tree of the wrong arity, or with a leaf label outside f's alphabet, is
-    rejected here, before any law; every ``DecisionTree`` is valid when it
-    is made."""
+    preorder, ``prefix`` and ``last`` their (leaves x n) index arrays, and
+    ``snipped`` their (leaves x n) snip flags; ``mass`` is each subcube's
+    inner mass.  On first use, what the walks of every z share is compiled
+    once more, into ``_walk_tables``.  The integer terms of p and q are
+    kept per z (see ``_terms``) for the object's life.  ``depth`` is the
+    tree's depth, the words each walk reads, and ``budget`` the
+    inner-query budget ``depth // c``.  A tree of the wrong arity, or with
+    a leaf label outside f's alphabet, is rejected here, before any law;
+    every ``DecisionTree`` is valid when it is made."""
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree):
         if tree.arity != inst.total_arity:
@@ -172,14 +175,20 @@ class Simulation:
         self.inst, self.tree = inst, tree
         self.depth = tree.depth()
         self.budget = self.depth // inst.inner_complexity
-        self.mass = np.array(inst.g_masses[0], dtype=object) + inst.g_masses[1]
+        m0, m1, _ = inst.g_masses
+        self.mass = np.array(m0, dtype=object) + m1
+        gap, theta = abs(np.array(m0, dtype=object) - m1), inst.theta
+        # per subcube, whether it is biased: no probability flows through
+        # a subcube without mass, so it never is
+        self._biased = ((self.mass > 0)
+                        & (gap * theta.denominator >= theta.numerator * self.mass)).tolist()
         self.payload: list = []
         self.branches: list = []
         rows: list = []
         self._records: dict = {}
-        c = inst.inner_complexity
-        self._compile(tree.root, ((0,) * (c + 1),) * inst.n, (0,) * inst.n, (), rows)
-        self.cubes = np.array(rows, np.intp)
+        self._compile(tree.root, ((0, 0, self._biased[0]),) * inst.n, (0,) * inst.n, (), rows)
+        self.prefix, self.last, snipped = np.array(rows, np.intp).transpose(2, 0, 1)
+        self.snipped = snipped.astype(bool)
         traces = [trace for trace in self.payload if trace is not None]
         self.leaf_ids = [trace.leaf_id for trace in traces]
         self.labels = np.array([trace.output for trace in traces], dtype=object)
@@ -201,28 +210,31 @@ class Simulation:
             return
         c = self.inst.inner_complexity
         i, j = divmod(node.query_var, self.inst.m)
-        row, nth = state[i], codims[i] + 1  # nth: this answer's number in copy i
-        cube = row[-1]
+        prefix, cube, snipped = state[i]
+        nth = codims[i] + 1  # this answer's number in copy i
         if nth == c:
             z_queries += (i,)
         step = 3**j
         entry = [k, i if nth >= c else -1, cube, cube + 2 * step]
         self.branches.append(entry)
-        kept = row[:min(nth, c)]  # the window entries this answer leaves as they are
         child_codims = codims[:i] + (nth,) + codims[i + 1:]
         for child, below in ((node.child0, cube + step), (node.child1, cube + 2 * step)):
             entry.append(len(self.payload))
-            child_state = state[:i] + (kept + (below,) * (c + 1 - len(kept)),) + state[i + 1:]
+            if nth < c:
+                copy = (below, below, snipped or self._biased[below])
+            else:
+                copy = (prefix, below, snipped)
+            child_state = state[:i] + (copy,) + state[i + 1:]
             self._compile(child, child_state, child_codims, z_queries, rows)
 
     @cached_property
     def _walk_tables(self) -> tuple:
         """Per node, the copy whose bit of z picks its row (0 where the rows
-        agree); per row, the nodes' children and threshold words; and per
-        node, whether it is a leaf (see ``TreeWalker``).  In row b
-        a branch samples from the unrestricted mass table, or from g = b's
-        if its copy has been read; where that table gives its subcube no
-        mass, it is dead and absorbs."""
+        agree); and per row, the nodes' children, threshold words and dead
+        flags (see ``TreeWalker``).  In row b a branch samples from the
+        unrestricted mass table, or from g = b's if its copy has been read;
+        where that table gives its subcube no mass, it is dead and
+        absorbs."""
         size = len(self.payload)
         k, copy, cube, cube1, zero, one = np.array(self.branches, np.intp).reshape(-1, 6).T
         tables = np.array([self.mass, *self.inst.g_masses[:2]], dtype=object)
@@ -236,41 +248,33 @@ class Simulation:
         child[:, 2 * k + 1] = np.where(dead, k, one)
         words = np.zeros((2, 2, size), np.uint64)
         words[:, :, k] = [(t >> shift & _WORD).astype(np.uint64) for shift in (64, 0)]
+        dead_nodes = np.zeros((2, size), bool)
+        dead_nodes[:, k] = dead
         node_copy = np.zeros(size, np.intp)
         node_copy[k] = np.maximum(copy, 0)
-        leaf = np.array([trace is not None for trace in self.payload])
-        return node_copy, child, *words, leaf
+        return node_copy, child, *words, dead_nodes
 
     def walker(self, z: int) -> TreeWalker:
         """The walker of the simulation on ``z``: each node reads its row of
         ``_walk_tables`` off the bit of z its copy is conditioned on."""
         _restricted(self.inst, z)  # z's range, and mass on each value of g
-        copy, child, hi, lo, leaf = self._walk_tables
+        copy, child, hi, lo, dead = self._walk_tables
         bit, nodes = (z >> copy) & 1, np.arange(len(copy))
-        return TreeWalker(self.payload, child[bit.repeat(2), np.arange(2 * len(bit))],
-                          hi[bit, nodes], lo[bit, nodes], leaf, self.depth)
+        return TreeWalker(child[bit.repeat(2), np.arange(2 * len(bit))],
+                          hi[bit, nodes], lo[bit, nodes], dead[bit, nodes], self.depth)
 
     def run(self, z: int, seed: int) -> SimulationTrace:
         """One walk of the simulation on ``z``, on the stream of ``seed``."""
         end = next(self.walker(z).ends(_rng(seed), 1))[0]
         return replace(self.payload[end], z=z, rng_seed=seed)
 
-    @cached_property
-    def _law_tables(self) -> tuple:
-        """Per leaf (rows) and copy (columns): the index of the copy's last
-        subcube; the index of its prefix, the subcube after its first
-        ``c - 1`` answers, or all if fewer, and the prefix's mass; and
-        whether the copy went deeper than its prefix, so that its later
-        answers follow the restricted law.  A read-once path never returns
-        to a subcube, so it went deeper exactly when its last subcube is not
-        its prefix."""
-        last, prefix = self.cubes[..., -1], self.cubes[..., -2]
-        return last, prefix, self.mass[prefix], last != prefix
-
     def q_terms(self, restricted: list) -> tuple[np.ndarray, np.ndarray]:
         """Per leaf, the simulation's probability of its leaf as unreduced
-        numerators and denominators."""
-        last, prefix, mass, deep = self._law_tables
+        numerators and denominators.  A copy whose last subcube is not its
+        prefix went deeper (a read-once path never returns to a subcube),
+        so its later answers follow the restricted law."""
+        last, prefix = self.last, self.prefix
+        mass, deep = self.mass[prefix], last != prefix
         tables, copies = np.array(restricted, dtype=object), np.arange(self.inst.n)
         below, above = tables[copies, last], tables[copies, prefix]
         factors = mass * np.where(deep, below, 1)
@@ -289,8 +293,7 @@ class Simulation:
     def p_terms(self, restricted: list) -> tuple[np.ndarray, int]:
         """Per leaf, the numerator of the outer tree's probability of its
         leaf, and the denominator they share."""
-        last = self._law_tables[0]
-        tables = np.array(restricted, dtype=object)[np.arange(self.inst.n), last]
+        tables = np.array(restricted, dtype=object)[np.arange(self.inst.n), self.last]
         return np.multiply.reduce(tables, axis=1), prod(table[0] for table in restricted)
 
     def _terms(self, z: int, q: bool = False) -> list:
@@ -333,25 +336,13 @@ class Simulation:
         nums, dens = self._terms(z, q=True)[2]
         return {lid: Fraction(n, d) for lid, n, d in zip(self.leaf_ids, nums, dens)}
 
-    def snips(self, theta: Optional[Fraction] = None) -> np.ndarray:
-        """Per leaf (rows) and copy (columns), whether the copy is snipped:
-        whether some subcube of its window, reached in fewer than c answers
-        on the leaf's path, has bias at least ``theta`` (the instance's by
-        default).  Subcubes with zero inner-distribution mass are skipped:
-        no probability ever flows through them."""
-        theta = self.inst.theta if theta is None else Fraction(theta)
-        m0, m1, _ = self.inst.g_masses
-        gap, mass = abs(np.array(m0, dtype=object) - m1), self.mass
-        biased = (mass > 0) & (gap * theta.denominator >= theta.numerator * mass)
-        return biased[self.cubes[..., :-1]].any(-1)
-
-    def simileaf(self, z: int, theta: Optional[Fraction] = None) -> SimileafReport:
+    def simileaf(self, z: int) -> SimileafReport:
         """On every snip-free leaf, check that the simulation's termination
         probability is within the parametric per-copy distortion factors
         ``max(0, 1 - 4*theta)^n`` and ``(1 + 4*theta)^n`` of the outer
-        tree's reach probability."""
+        tree's reach probability, theta the instance's."""
         inst = self.inst
-        theta = inst.theta if theta is None else Fraction(theta)
+        theta = inst.theta
         if theta > Fraction(1, 2):
             raise HypothesisViolated("theta must be at most 1/2")
         m0, m1, den = inst.g_masses
@@ -361,7 +352,7 @@ class Simulation:
         lower = max(ZERO, 1 - 4 * theta) ** n
         upper = (1 + 4 * theta) ** n
         nums, den, (q_nums, q_dens) = self._terms(z, q=True)
-        checked = ~self.snips(theta).any(1)
+        checked = ~self.snipped.any(1)
         # with p = pn/den and q = qn/qd, a bound q >= (a/b)*p holds iff
         # a*pn*qd <= b*qn*den: integers throughout, and a Fraction only for
         # a violation
@@ -396,7 +387,7 @@ class Simulation:
         if inst.theta * inst.theta != 4 * delta0:
             raise HypothesisViolated("instance theta is not 2*sqrt(1/2 - epsilon)")
         nums, den, _ = self._terms(z)
-        flags = self.snips()
+        flags = self.snipped
         per_copy = tuple(Fraction(s, den) for s in np.where(flags, nums[:, None], 0).sum(0))
         total = Fraction(nums[flags.any(1)].sum(), den)
         return LilsnipReport(
@@ -413,8 +404,8 @@ class Simulation:
         budget."""
         inst = self.inst
         success_outer = success_sim = snipped = expected_zq = ZERO
-        snipped_leaves = self.snips().any(1)
-        z_queries = self._law_tables[3].sum(axis=1)  # per leaf, the bits of z it reads
+        snipped_leaves = self.snipped.any(1)
+        z_queries = (self.last != self.prefix).sum(axis=1)  # per leaf, the bits of z it reads
         # per z, whether it accepts each label the leaves carry, then each leaf
         labels, of_leaf = np.unique(self.labels, return_inverse=True)
         accepts = np.array([[label in acc for label in labels] for acc in inst.f.accepted])
@@ -453,21 +444,23 @@ def _rng(seed: int) -> random.Random:
 class AprimeSimulator:
     """Compiled simulation of one outer tree on one input ``z``.
 
-    Every branch compiles to its threshold and every leaf to its trace, in
-    a ``TreeWalker``, so a stream of walks only draws random words and
-    walks the tree's arrays.  A node whose subcube has no mass under its
-    sampling law compiles dead, and a walk that reaches it raises.  Only
-    the thresholds and dead nodes depend on ``z`` (see ``Simulation``).
+    Every branch compiles to its threshold in a ``TreeWalker``, so a
+    stream of walks only draws random words and walks the tree's arrays;
+    the ``Simulation``'s payload maps each end node to its leaf.  A node
+    whose subcube has no mass under its sampling law compiles dead, and a
+    walk that reaches it raises.  Only the thresholds and dead nodes depend
+    on ``z`` (see ``Simulation``).
     """
 
     def __init__(self, inst: ComposedInstance, tree: DecisionTree, z: int):
         self.inst = inst
         self.tree = tree
         self.z = z
-        self._walker = Simulation(inst, tree).walker(z)
+        simulation = Simulation(inst, tree)
+        self._payload, self._walker = simulation.payload, simulation.walker(z)
 
     def run_stream(self, samples: int, seed: int) -> dict[int, int]:
         """Leaf-id frequency counts over ``samples`` runs sharing one seeded
         random stream."""
         counts = self._walker.counts(_rng(seed), samples)
-        return {self._walker.payload[k].leaf_id: n for k, n in enumerate(counts) if n}
+        return {self._payload[k].leaf_id: n for k, n in enumerate(counts) if n}

@@ -8,8 +8,10 @@ depth: walk k reads words [kD, (k+1)D) and follows them from the root until
 it reaches a leaf, which absorbs, so a walk that ends above depth D leaves
 its last words unread.  One walk reads the same words as a walk that stops
 drawing at its leaf.  ``TreeWalker`` takes the tree as flat per-node
-arrays, which its caller builds (``simulate.Simulation.walker`` selects
-them per input), and decides many walks at once with numpy.
+arrays (children, thresholds and dead flags), which its caller builds
+(``simulate.Simulation.walker`` selects them per input), and decides many
+walks at once with numpy; it returns end nodes, which the caller maps to
+leaves.
 """
 
 from __future__ import annotations
@@ -27,25 +29,24 @@ CHUNK = 1024  # walks decided per bulk step; bounds the working set
 class TreeWalker:
     """A compiled tree as flat arrays, and the bulk walk over them.
 
-    ``payload[k]`` is what a walk that ends at node k returns; node 0 is
-    the root.  Per node, the arrays hold its children as
+    Node 0 is the root.  Per node, the arrays hold its children as
     ``child[2 * node + bit]``, its threshold in ``[0, 2^128)`` as high and
-    low 64-bit words, and whether it is a leaf; ``depth`` is the tree's
-    depth, the words each walk reads.  A walk at a branch goes to child 1
-    exactly when its draw lies below the threshold; a certain branch has
-    child 1 as both children.  Leaves and dead nodes are absorbing: both
-    their children are themselves, and a walk that ends at a dead node, a
-    branch that absorbs, raises.
+    low 64-bit words, and whether it is dead, a branch whose sampling law
+    gives its subcube no mass; ``depth`` is the tree's depth, the words
+    each walk reads.  A walk at a branch goes to child 1 exactly when its
+    draw lies below the threshold; a certain branch has child 1 as both
+    children.  Leaves and dead nodes are absorbing: both their children
+    are themselves, and a walk that ends at a dead node raises.  The
+    caller maps end nodes to what they stand for.
     """
 
-    def __init__(self, payload, child, hi, lo, leaves, depth: int):
-        self.payload, self.child, self.hi, self.lo = payload, child, hi, lo
-        self.dead = (child[::2] == np.arange(len(leaves))) & ~leaves
+    def __init__(self, child, hi, lo, dead, depth: int):
+        self.child, self.hi, self.lo, self.dead = child, hi, lo, dead
         self.depth = depth
 
     def counts(self, rng: random.Random, samples: int) -> list[int]:
         """How many of ``samples`` successive walks end at each node."""
-        total = np.zeros(len(self.payload), np.int64)
+        total = np.zeros(len(self.dead), np.int64)
         for end in self.ends(rng, samples):
             total += np.bincount(end, minlength=len(total))
         return total.tolist()

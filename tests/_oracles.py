@@ -14,7 +14,9 @@ random walks' reference is the original node list of a compiled tree, a
 tuple per branch and built one branch at a time, walked one draw at a
 time, the tree's depth in draws per walk.  Composed inputs are split into
 their copies by ``Blocks`` here, not by the package's own block
-arithmetic.
+arithmetic.  Conditioning on g and subcube bias are summed point by point
+(``restrict_dist``, ``bias``), and trees are written as nested specs
+(``make_tree``) here; no command uses them.
 """
 
 from __future__ import annotations
@@ -35,13 +37,57 @@ from qclab.core import (
     Subcube,
     TruthTable,
     ZeroConditioningMass,
-    bias,
-    restrict_dist,
+    _check_arity,
     subcube_prob,
 )
 from qclab.dtree import DecisionTree, InternalNode, Leaf
 from qclab.simulate import SimileafReport, Simulation
 from qclab.walk import TreeWalker
+
+
+def restrict_dist(mu: Dist, g: TruthTable, b: int) -> Dist:
+    """Condition ``mu`` on ``g(x) = b`` and renormalize exactly."""
+    _check_arity(mu.arity, g.arity)
+    mass = sum((p for x, p in enumerate(mu.probs) if p and g.outputs[x] == b), Fraction(0))
+    if mass == 0:
+        raise ZeroConditioningMass(f"Pr[g={b}] = 0")
+    probs = tuple(p / mass if g.outputs[x] == b else Fraction(0)
+                  for x, p in enumerate(mu.probs))
+    return Dist(mu.arity, probs)
+
+
+def bias(g: TruthTable, mu: Dist, cube: Subcube) -> Fraction:
+    """|Pr[g=0 | cube] - Pr[g=1 | cube]| under ``mu``."""
+    _check_arity(mu.arity, g.arity)
+    _check_arity(mu.arity, cube.arity)
+    m0 = m1 = Fraction(0)
+    for x in cube.points():
+        p = mu.probs[x]
+        if p:
+            if g.outputs[x]:
+                m1 += p
+            else:
+                m0 += p
+    total = m0 + m1
+    if total == 0:
+        raise ZeroConditioningMass("subcube has zero mass")
+    return abs(m0 - m1) / total
+
+
+def make_tree(arity: int, root_spec) -> DecisionTree:
+    """Build a tree from a nested spec: a leaf label ``int`` or a triple
+    ``(var, spec0, spec1)``.  Leaf ids are assigned in depth-first order."""
+    counter = [0]
+
+    def build(spec):
+        if isinstance(spec, int):
+            leaf = Leaf(spec, counter[0])
+            counter[0] += 1
+            return leaf
+        var, s0, s1 = spec
+        return InternalNode(var, build(s0), build(s1))
+
+    return DecisionTree(arity, build(root_spec))
 
 
 def concat_masses(weights: np.ndarray, m: int) -> np.ndarray:
@@ -225,10 +271,10 @@ def loop_q(sim, z: int) -> dict[int, Fraction]:
     return out
 
 
-def snip_dict(sim, theta=None) -> dict[int, tuple[int, ...]]:
-    """``sim.snips(theta)`` keyed by leaf id, one 0/1 flag per copy, as
+def snip_dict(sim) -> dict[int, tuple[int, ...]]:
+    """``sim.snipped`` keyed by leaf id, one 0/1 flag per copy, as
     ``brute_snip_labels`` gives them."""
-    flags = sim.snips(theta).astype(int).tolist()
+    flags = sim.snipped.astype(int).tolist()
     return {lid: tuple(row) for lid, row in zip(sim.leaf_ids, flags)}
 
 
@@ -264,8 +310,8 @@ def node_walker(nodes: list, depth: int) -> TreeWalker:
             kept[k] = t & ((1 << 128) - 1)
     words = b"".join([t.to_bytes(16, "little") for t in kept])
     lo, hi = np.frombuffer(words, "<u8").reshape(size, 2).T
-    leaves = np.array([node is not None and type(node) is not tuple for node in nodes])
-    return TreeWalker(nodes, np.array(child, np.intp), hi, lo, leaves, depth)
+    dead = np.array([node is None for node in nodes])
+    return TreeWalker(np.array(child, np.intp), hi, lo, dead, depth)
 
 
 def _loop_walk(nodes: list, depth: int, rng: random.Random):
@@ -322,11 +368,11 @@ def brute_snip_labels(inst, tree: DecisionTree, theta: Fraction) -> dict[int, tu
     return out
 
 
-def fraction_simileaf(sim, z: int, theta=None) -> SimileafReport:
-    """``sim.simileaf(z, theta)`` as it was first written: p and q per leaf
-    as Fractions, each bound a Fraction product with p."""
+def fraction_simileaf(sim, z: int) -> SimileafReport:
+    """``sim.simileaf(z)`` as it was first written: p and q per leaf as
+    Fractions, each bound a Fraction product with p."""
     inst = sim.inst
-    theta = inst.theta if theta is None else Fraction(theta)
+    theta = inst.theta
     if theta > Fraction(1, 2):
         raise HypothesisViolated("theta must be at most 1/2")
     m0, m1, den = inst.g_masses
@@ -335,7 +381,7 @@ def fraction_simileaf(sim, z: int, theta=None) -> SimileafReport:
     n = inst.n
     lower = max(Fraction(0), 1 - 4 * theta) ** n
     upper = (1 + 4 * theta) ** n
-    p, q, snips = sim.p(z), sim.q(z), snip_dict(sim, theta)
+    p, q, snips = sim.p(z), sim.q(z), snip_dict(sim)
     violations = []
     checked = 0
     fixed_ok = True
@@ -414,21 +460,31 @@ def brute_sweep_unbias(grids, deltas) -> tuple[int, list]:
     for m, tables, mus, total in grids:
         cubes = [(fixed, _subcube_points(m, fixed)) for fixed in _all_fixings(m)]
         for w in mus:
+            # the sums and biases depend only on (w, g), not on (delta, b)
+            sums = []
+            for g in tables:
+                full = [sum(w[x] for x in range(1 << m) if g[x] == v) for v in (0, 1)]
+                masses = []
+                for fixed, points in cubes:
+                    cube = [sum(w[x] for x in points if g[x] == v) for v in (0, 1)]
+                    mass = cube[0] + cube[1]
+                    if mass:
+                        masses.append((fixed, cube, Fraction(abs(cube[0] - cube[1]), mass),
+                                       Fraction(mass, total)))
+                sums.append((full, Fraction(abs(full[0] - full[1]), total), masses))
             for delta in deltas:
+                low, high = 1 - 4 * delta, 1 + 4 * delta
                 for b in (0, 1):
-                    for g in tables:
-                        full = [sum(w[x] for x in range(1 << m) if g[x] == v) for v in (0, 1)]
-                        if Fraction(abs(full[0] - full[1]), total) > delta:
+                    for g, (full, full_bias, masses) in zip(tables, sums):
+                        if full_bias > delta:
                             continue
-                        for fixed, points in cubes:
-                            cube = [sum(w[x] for x in points if g[x] == v) for v in (0, 1)]
-                            mass = cube[0] + cube[1]
-                            if mass == 0 or Fraction(abs(cube[0] - cube[1]), mass) > delta:
+                        for fixed, cube, cube_bias, share in masses:
+                            if cube_bias > delta:
                                 continue
                             cases += b == 0
                             # Pr_mu[C] = mass/total against Pr_mu_b[C] = cube[b]/full[b]
-                            scaled = Fraction(mass, total) * full[b]
-                            if not (1 - 4 * delta) * cube[b] <= scaled <= (1 + 4 * delta) * cube[b]:
+                            scaled = share * full[b]
+                            if not low * cube[b] <= scaled <= high * cube[b]:
                                 violations.append((m, tuple(g), w, str(delta), fixed))
     return cases, violations
 
@@ -442,6 +498,7 @@ def brute_sweep_rbias(grids, eps_list, tree_depth: int, leaf_sets=None) -> tuple
     for m, tables, mus, total in grids:
         shapes = [_shape_leaves(s) for s in enumerate_shapes(m, min(tree_depth, m))]
         shapes += (leaf_sets or {}).get(m, [])
+        leaves_points = {fixed: _subcube_points(m, fixed) for leaves in shapes for fixed in leaves}
         for w in mus:
             mu = Dist(m, tuple(Fraction(x, total) for x in w))
             # best success at each depth up to the first that meets every eps
@@ -451,6 +508,7 @@ def brute_sweep_rbias(grids, eps_list, tree_depth: int, leaf_sets=None) -> tuple
                 while successes[g][-1] < 1 - min(eps_list):
                     depth = len(successes[g])
                     successes[g].append(brute_best_success(TruthTable(m, g), mu, depth))
+            sums = {}  # per g, taken once: its value masses, and each leaf's with its bias squared
             for eps in eps_list:
                 delta = Fraction(1, 2) - eps
                 for g in tables:
@@ -458,15 +516,22 @@ def brute_sweep_rbias(grids, eps_list, tree_depth: int, leaf_sets=None) -> tuple
                     if c == 0:
                         continue
                     cases += len(shapes)
-                    full = [sum(w[x] for x in range(1 << m) if g[x] == v) for v in (0, 1)]
+                    if g not in sums:
+                        leaf_masses = {}
+                        for fixed, points in leaves_points.items():
+                            leaf = [sum(w[x] for x in points if g[x] == v) for v in (0, 1)]
+                            mass = leaf[0] + leaf[1]
+                            square = Fraction(leaf[0] - leaf[1], mass) ** 2 if mass else None
+                            leaf_masses[fixed] = leaf, square
+                        full = [sum(w[x] for x in range(1 << m) if g[x] == v) for v in (0, 1)]
+                        sums[g] = full, leaf_masses
+                    full, leaf_masses = sums[g]
                     for leaves in shapes:
                         event = [0, 0]
                         for fixed in leaves:
-                            points = _subcube_points(m, fixed)
-                            leaf = [sum(w[x] for x in points if g[x] == v) for v in (0, 1)]
-                            mass = leaf[0] + leaf[1]
+                            leaf, square = leaf_masses[fixed]
                             # shallow, and bias at least 2*sqrt(delta)
-                            if len(fixed) < c and mass and Fraction(leaf[0] - leaf[1], mass) ** 2 >= 4 * delta:
+                            if len(fixed) < c and square is not None and square >= 4 * delta:
                                 event = [event[0] + leaf[0], event[1] + leaf[1]]
                         if not (
                             Fraction(event[0] + event[1], total) ** 2 < delta

@@ -13,14 +13,12 @@ from qclab.core import (
     Relation,
     TruthTable,
     and_fn,
-    bias,
     identity1,
     maj3,
     xor_fn,
 )
 from qclab.complexity import best_success, dist_complexity, rand_complexity
 from qclab.compose import build_instance, xor_stack
-from qclab.dtree import make_tree
 from qclab.simulate import AprimeSimulator, Simulation
 from qclab.sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
@@ -28,6 +26,7 @@ from _oracles import (
     Blocks,
     brute_best_success,
     brute_simulation_law,
+    make_tree,
     random_dist,
     random_full_support_dist,
     random_relation,

@@ -102,6 +102,8 @@ class TestDistComplexity:
 
     def test_xor(self):
         assert dist_complexity(xor_fn(2), U2, F(1, 4)) == 2
+        # only the full-depth tree errs nowhere
+        assert dist_complexity(xor_fn(3), Dist.uniform(3), 0) == 3
 
     def test_eps_monotone(self):
         rng = random.Random(41)
@@ -125,6 +127,7 @@ class TestRandComplexity:
 
     def test_xor2(self):
         assert rand_complexity(xor_fn(2), F(1, 3)).depth == 2
+        assert rand_complexity(xor_fn(2), 0).depth == 2
 
     def test_constant(self):
         assert rand_complexity(constant_fn(2, 1), F(1, 3)).depth == 0

@@ -23,7 +23,6 @@ from qclab.compose import (
     default_theta,
     xor_stack,
 )
-from qclab.dtree import make_tree
 from qclab.simulate import Simulation
 
 from _oracles import (
@@ -31,6 +30,7 @@ from _oracles import (
     brute_gamma_z,
     brute_reach_probs,
     inner_values,
+    make_tree,
     random_full_support_dist,
     random_tree,
     random_truth_table,

@@ -15,13 +15,11 @@ from qclab.core import (
     TruthTable,
     ZeroConditioningMass,
     and_fn,
-    bias,
     constant_fn,
     identity1,
     index_of,
     maj3,
     or_fn,
-    restrict_dist,
     subcube_prob,
     xor_fn,
     _check_arity,
@@ -30,7 +28,7 @@ from qclab import lattice
 from qclab.complexity import best_success, dist_complexity
 from qclab.compose import build_instance, compose_relation
 
-from _oracles import check_fullbias, random_dist, random_truth_table
+from _oracles import bias, check_fullbias, random_dist, random_truth_table, restrict_dist
 
 U2 = Dist.uniform(2)
 U3 = Dist.uniform(3)

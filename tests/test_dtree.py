@@ -6,15 +6,17 @@ import pytest
 
 from qclab import lattice
 from qclab.core import Dist, ParseError, QclabError, Subcube
-from qclab.dtree import (
-    DecisionTree,
-    InternalNode,
-    Leaf,
-    make_tree,
-)
+from qclab.dtree import DecisionTree, InternalNode, Leaf
 from qclab.io import format_tree, parse_tree
 
-from _oracles import Blocks, brute_reach_probs, random_dist, random_tree, split_assignments
+from _oracles import (
+    Blocks,
+    brute_reach_probs,
+    make_tree,
+    random_dist,
+    random_tree,
+    split_assignments,
+)
 
 
 def dictator_tree(arity=2, var=0):

@@ -96,6 +96,8 @@ class TestRelationFormat:
             parse_relation("arity=1 alphabet=2\n0: 0\n0: 1\n1: 0\n")
         with pytest.raises(ParseError):
             parse_relation("arity=1\n0: 0\n1: 0\n")
+        with pytest.raises(ParseError, match="bad label list on line 2"):
+            parse_relation("arity=1 alphabet=2\n0: x\n1: 0\n")
 
 
 class TestDistFormat:

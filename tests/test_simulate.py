@@ -31,7 +31,7 @@ from qclab.core import (
 )
 from qclab import lattice
 from qclab.compose import build_instance
-from qclab.dtree import DecisionTree, InternalNode, Leaf, make_tree
+from qclab.dtree import DecisionTree, InternalNode, Leaf
 from qclab.simulate import AprimeSimulator, ChainReport, Simulation, _threshold
 from qclab.walk import CHUNK
 
@@ -47,6 +47,7 @@ from _oracles import (
     loop_q,
     loop_run,
     loop_run_stream,
+    make_tree,
     node_walker,
     random_relation,
     random_tree,
@@ -232,7 +233,7 @@ def public_entries(inst, tree, z):
     return {
         "p": lambda: Simulation(inst, tree).p(z),
         "q": lambda: Simulation(inst, tree).q(z),
-        "snips": lambda: Simulation(inst, tree).snips(),
+        "snipped": lambda: Simulation(inst, tree).snipped,
         "chain": lambda: Simulation(inst, tree).chain(),
         "simileaf": lambda: Simulation(inst, tree).simileaf(z),
         "lilsnip": lambda: Simulation(inst, tree).lilsnip(z),
@@ -420,10 +421,12 @@ class TestBulkWalk:
         code = """if True:
             import sys, tracemalloc
             from fractions import Fraction
-            from qclab import AprimeSimulator, Dist, Relation, build_instance, make_tree, xor_fn
+            from qclab import AprimeSimulator, Dist, Relation, build_instance, xor_fn
+            from qclab.io import parse_tree
             inst = build_instance(Relation.from_function(xor_fn(2)), xor_fn(2), Dist.uniform(2),
                                   Dist.uniform(2), epsilon=Fraction(1, 4), theta=Fraction(1, 2))
-            tree = make_tree(4, (0, (1, (2, 0, 1), (3, 1, 0)), (2, (3, 0, 1), 1)))
+            tree = parse_tree("(q 1 (q 2 (q 3 (leaf 0) (leaf 1)) (q 4 (leaf 1) (leaf 0)))"
+                              " (q 3 (q 4 (leaf 0) (leaf 1)) (leaf 1)))", 4)
             sim = AprimeSimulator(inst, tree, 1)
 
             def peak(samples):
@@ -569,7 +572,7 @@ class TestSnipLabels:
         zero_mass_seen = 0
         for inst, tree in cases:
             for theta in (inst.theta, F(0), F(1, 3)):
-                flags = snip_dict(Simulation(inst, tree), theta)
+                flags = snip_dict(Simulation(replace(inst, theta=theta), tree))
                 assert flags == brute_snip_labels(inst, tree, theta)
             zero_mass_seen += any(
                 len(assigns) < inst.inner_complexity
@@ -584,19 +587,19 @@ class TestSnipLabels:
     def test_zero_threshold_flags_everything_touched_early(self):
         inst = tilted_and_instance()
         tree = make_tree(2, (0, 0, 1))
-        flags = snip_dict(Simulation(inst, tree), theta=F(0))
+        flags = snip_dict(Simulation(replace(inst, theta=F(0)), tree))
         assert all(f == (1,) for f in flags.values())
 
     def test_above_one_threshold_flags_nothing(self):
         inst = tilted_and_instance()
         tree = full_parity_tree(2)
-        flags = snip_dict(Simulation(inst, tree), theta=F(3, 2))
+        flags = snip_dict(Simulation(replace(inst, theta=F(3, 2)), tree))
         assert all(f == (1 - 1,) for f in flags.values())
 
     def test_untouched_copy_unflagged(self):
         inst = xor_instance()
         tree = make_tree(4, (0, 0, 1))  # copy 1 never queried, bias 0 at root
-        flags = snip_dict(Simulation(inst, tree), theta=F(1, 8))
+        flags = snip_dict(Simulation(replace(inst, theta=F(1, 8)), tree))
         assert all(f[1] == 0 for f in flags.values())
 
     def test_biased_cube_flagged(self):
@@ -620,7 +623,7 @@ class TestVerifySimileaf:
         inst = xor_instance(theta=F(0))
         tree = full_parity_tree(4)
         sim = Simulation(inst, tree)
-        assert sim.simileaf(z=1, theta=F(0)).passed
+        assert sim.simileaf(z=1).passed
         assert sim.p(1) == sim.q(1)
 
     def test_parametric_bounds_hold(self):
@@ -635,8 +638,9 @@ class TestVerifySimileaf:
         # at theta 0 every leaf is snipped, so a Simulation that flags no
         # copy is asked too: then every leaf with q != p is a violation
         class Unsnipped(Simulation):
-            def snips(self, theta=None):
-                return np.zeros_like(super().snips(theta))
+            def __init__(self, inst, tree):
+                super().__init__(inst, tree)
+                self.snipped = np.zeros_like(self.snipped)
 
         def answer(check, *args):
             try:
@@ -650,11 +654,11 @@ class TestVerifySimileaf:
         for inst in instances:
             for _ in range(3):
                 tree = random_tree(rng, inst.total_arity, inst.total_arity, 2)
-                for sim in (Simulation(inst, tree), Unsnipped(inst, tree)):
-                    for z in range(1 << inst.n):
-                        for theta in (None, F(0)):
-                            got = answer(sim.simileaf, z, theta)
-                            assert got == answer(fraction_simileaf, sim, z, theta)
+                for at_theta in (inst, replace(inst, theta=F(0))):
+                    for sim in (Simulation(at_theta, tree), Unsnipped(at_theta, tree)):
+                        for z in range(1 << inst.n):
+                            got = answer(sim.simileaf, z)
+                            assert got == answer(fraction_simileaf, sim, z)
                             seen["violations"] += "violations=((" in got
                             seen["fixed band left"] += "fixed_constants_hold=False" in got
         assert all(seen.values()), seen
