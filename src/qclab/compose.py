@@ -131,7 +131,8 @@ def build_instance(
     * ``lam``: uniform on the n outer bits;
     * ``mu``: the hard distribution of g's game at ``epsilon``
       (``rand_complexity(g, epsilon).hard_dist``), played only after the
-      checks that do not need it;
+      checks that do not need it; the inner complexity is then the game's
+      ``certified_depth``, with no DP of its own;
     * ``theta``: ``default_theta(n, epsilon)``, which follows epsilon.
 
     Fails early when the inner distribution is degenerate for ``g`` or when
@@ -149,14 +150,17 @@ def build_instance(
     theta = default_theta(n, epsilon) if theta is None else Fraction(theta)
     if theta < 0:
         raise QclabError("theta must be at least 0")
+    game = None
     if mu is None:
-        mu = rand_complexity(g, epsilon).hard_dist
+        game = rand_complexity(g, epsilon)
+        mu = game.hard_dist
     for b in (0, 1):
         if all(mu.probs[x] == 0 for x in g.preimage(b)):
             raise ZeroConditioningMass(
                 f"inner distribution puts no mass on g^-1({b})"
             )
-    c = dist_complexity(g, mu, epsilon)
+    # the game's certificate is the exact D_eps of its hard distribution
+    c = dist_complexity(g, mu, epsilon) if game is None else game.certified_depth
     if c == 0:
         raise InnerComplexityZero(
             "a zero-query answer already meets the inner error bound"

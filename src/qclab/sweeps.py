@@ -3,7 +3,9 @@
 These sweeps cover every Boolean function on up to 3 bits, a rational grid
 of distributions, and (where relevant) every canonical read-once tree of
 bounded depth.  Subcube masses and complexities come from the lattice
-kernel of :mod:`qclab.lattice`, solved for every function at once.
+kernel of :mod:`qclab.lattice`, solved for every function at once.  The
+grid is one int64 array, a point's weights per row, built by numpy
+expansion of each denominator's compositions.
 
 Each sweep does that work once per orbit of the grid under the cube's
 2^m m! automorphisms (permute the variables, flip bits), and exactly so:
@@ -11,15 +13,16 @@ every function is swept, so an automorphism maps the swept functions onto
 themselves; the grid holds every permutation of each of its points; and
 the tree shapes are closed under the automorphisms.  So every point of an
 orbit has its representative's case count, and has violations exactly
-where the representative has them.  The output complement g -> not g
-swaps the masses of g=0 and g=1, and every check is symmetric under that
-swap (unbias's up to its value b), so each representative is swept only
-on the functions with g = 0 on the top point and counts twice.  The
-representatives go to the numpy kernels in blocks, one row of point
-weights each, as many as keep a block within ``BLOCK_CELLS`` lattice
-cells.  Only an orbit whose representative fails is swept again, point by
-point on every function, to list its violations.  The sampled 4-bit
-unbias fixtures run as one batch, a point with one function each.
+where the representative has them.  The orbits come from one integer key
+per image of a point (``_orbit_partition``).  The output complement
+g -> not g swaps the masses of g=0 and g=1, and every check is symmetric
+under that swap (unbias's up to its value b), so each representative is
+swept only on the functions with g = 0 on the top point and counts
+twice.  The representatives go to the numpy kernels in blocks, one row of
+point weights each, as many as keep a block within ``BLOCK_CELLS``
+lattice cells.  Only an orbit whose representative fails is swept again,
+point by point on every function, to list its violations.  The sampled
+4-bit unbias fixtures run as one batch, a point with one function each.
 
 The rbias sweep bounds before it enumerates trees.  Each (function, eps)
 row first sums the masses of g=0 and of g=1 over every active subcube
@@ -45,8 +48,8 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
-from math import comb, lcm
+from itertools import chain
+from math import lcm
 
 import numpy as np
 
@@ -63,23 +66,26 @@ UNBIAS_DENOMINATOR = 6
 BLOCK_CELLS = 1 << 14
 
 
-def grid_weight_vectors(points: int, max_denominator: int) -> tuple[list[tuple[int, ...]], int]:
+def grid_weight_vectors(points: int, max_denominator: int) -> tuple[np.ndarray, int]:
     """All distributions on ``points`` outcomes whose probabilities have
-    denominator at most ``max_denominator``, as unique integer weight
-    vectors over the common total lcm(1..max_denominator), by least
-    denominator q and then lexicographically.  The parts of q are the gaps
-    between ``points - 1`` bars among ``q + points - 1`` slots; those whose
+    denominator at most ``max_denominator``, as the rows of one int64 array
+    of unique weight vectors over the common total lcm(1..max_denominator),
+    by least denominator q and then lexicographically.  Every composition of
+    each q is built by expanding its leading parts one at a time, each row
+    into every value its remainder allows, in increasing order; those whose
     gcd is 1 are the ones no smaller denominator gives."""
     total = lcm(*range(1, max_denominator + 1))
     _check_int64(total)  # every weight is at most the total
-    out = []
-    for q in range(1, max_denominator + 1):
-        slots, bars = q + points - 1, points - 1
-        cuts = np.fromiter(chain.from_iterable(combinations(range(slots), bars)), np.int64)
-        parts = np.diff(cuts.reshape(comb(slots, bars), bars), prepend=-1, append=slots) - 1
-        new = np.gcd.reduce(parts, axis=1) == 1
-        out.extend(map(tuple, (parts[new] * (total // q)).tolist()))
-    return out, total
+    q = np.arange(1, max_denominator + 1)
+    parts, rest = np.empty((len(q), 0), dtype=np.int64), q
+    for _ in range(points - 1):
+        counts = rest + 1  # a row's next part runs from 0 to its remainder
+        rows = np.repeat(np.arange(len(rest)), counts)
+        part = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts, rest, q = np.column_stack((parts[rows], part)), rest[rows] - part, q[rows]
+    parts = np.column_stack((parts, rest))
+    new = np.gcd.reduce(parts, axis=1) == 1
+    return parts[new] * (total // q[new])[:, None], total
 
 
 def all_output_tables(m: int) -> list[tuple[int, ...]]:
@@ -104,8 +110,8 @@ def readonce_leaves(m: int, depth: int) -> np.ndarray:
 
     shapes = rec(tuple(range(m)), min(depth, m), 0)
     incidence = np.zeros((3**m, len(shapes)), dtype=np.int64)
-    for s, leaves in enumerate(shapes):
-        incidence[list(leaves), s] = 1
+    incidence[list(chain.from_iterable(shapes)),
+              np.repeat(np.arange(len(shapes)), list(map(len, shapes)))] = 1
     return incidence
 
 
@@ -129,7 +135,35 @@ def _check_arity(max_m: int) -> None:
         raise CapExceeded(f"sweeps cover at most {max(GRID_DENOMINATOR)} bits, got max_m={max_m}")
 
 
-def _orbit_sweep(m: int, mus: list[tuple[int, ...]], point) -> tuple[int, list]:
+def _orbit_partition(m: int, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbits of the cube's automorphisms on the grid ``mus`` (one
+    point's weights per row), numbered in order of first sight: the row of
+    each orbit's first point, each orbit's number of grid points, and the
+    orbit of each grid point.
+
+    Each image gets one integer key: with each weight replaced by its rank
+    among the grid's B distinct weights, the image reads as the base-B
+    number of its ranks, point 0 first, and each point's least key over the
+    group names its orbit.  The keys are below B^(2^m), which
+    ``_check_int64`` bounds: 153^8 < 2^63 on the finest grid the sweeps
+    accept (3 bits, denominator 22), where keys of the raw weights would
+    wrap.  The grid need not be closed under the automorphisms; an orbit
+    then holds only its points in the grid.
+    """
+    points, _ = lattice.automorphisms(m)
+    # the distinct weights (all at least 0) by a sort, several times faster
+    # here than np.unique with its inverse
+    flat = np.sort(mus, axis=None)
+    values = flat[np.flatnonzero(np.diff(flat, prepend=-1))]
+    _check_int64(len(values) ** (1 << m) - 1)  # the largest key
+    keys = np.searchsorted(values, mus) @ len(values) ** ((1 << m) - 1 - points.T)
+    _, first, orbit, sizes = np.unique(keys.min(axis=1), return_index=True,
+                                       return_inverse=True, return_counts=True)
+    by_sight = np.argsort(first)
+    return first[by_sight], sizes[by_sight], np.argsort(by_sight)[orbit.reshape(-1)]
+
+
+def _orbit_sweep(m: int, mus: np.ndarray, point) -> tuple[int, list]:
     """Run ``point`` once per orbit of the cube's automorphisms on the grid
     ``mus``, on blocks of orbit representatives, and again at every point of
     each orbit that fails.
@@ -139,37 +173,29 @@ def _orbit_sweep(m: int, mus: list[tuple[int, ...]], point) -> tuple[int, list]:
     ``(R, 2^m)``.  It returns the case count of each of the R points and a
     list of int arrays whose rows are violations: the first column names a
     row of ``weights``, a later one a row of ``g_rows``, and for a block of
-    one the rows are sorted by every column, first to last.  A point first
-    seen is its orbit's representative; the representatives are swept in
-    grid order, as many at a time as ``BLOCK_CELLS`` allows, on the half of
-    the functions with g = 0 on the top point, and each grid point of an
-    orbit counts twice its representative's cases.  Returns the case total
-    and ``(w, rows)`` for each point of a failing orbit, in grid order, with
-    ``rows`` from a block of one on all the functions, less the first
-    column, so that each names a function by its index.
+    one the rows are sorted by every column, first to last.  The first point
+    of each orbit (``_orbit_partition``) is its representative; the
+    representatives are swept in grid order, as many at a time as
+    ``BLOCK_CELLS`` allows, on the half of the functions with g = 0 on the
+    top point, and each counts twice for each grid point of its orbit.
+    Returns the case total and ``(w, rows)`` for each point of a failing
+    orbit, in grid order, with ``rows`` from a block of one on all the
+    functions, less the first column, so that each names a function by its
+    index.
     """
-    points, _ = lattice.automorphisms(m)
     tables = np.array(all_output_tables(m), dtype=np.int64)
     half = tables[:len(tables) // 2]
-    group = np.arange(len(points))[:, None]
-    unseen, reps, orbits = set(mus), [], []
-    for w in mus:
-        if w in unseen:
-            images = np.empty_like(points)
-            images[group, points] = w
-            orbits.append(unseen.intersection(map(tuple, images.tolist())))
-            unseen -= orbits[-1]
-            reps.append(w)
+    first, sizes, orbit = _orbit_partition(m, mus)
     size = max(1, BLOCK_CELLS // (len(half) * 3**m))
-    cases, failing = 0, set()
-    for start in range(0, len(reps), size):
-        block = orbits[start:start + size]
-        n, found = point(half, np.array(reps[start:start + size], dtype=np.int64))
-        cases += 2 * sum(int(k) * len(orbit) for k, orbit in zip(n, block))
-        for r in {int(r) for rows in found for r in rows[:, 0]}:
-            failing |= block[r]
-    return cases, [(w, np.vstack(point(tables, np.array([w], dtype=np.int64))[1])[:, 1:].tolist())
-                   for w in mus if w in failing]
+    cases, failing = 0, np.zeros(len(first), dtype=bool)
+    for start in range(0, len(first), size):
+        n, found = point(half, mus[first[start:start + size]])
+        cases += 2 * int(np.dot(n, sizes[start:start + size]))
+        for rows in found:
+            failing[start + rows[:, 0]] = True
+    bad = mus[failing[orbit]]
+    return cases, [(tuple(w), np.vstack(point(tables, row[None])[1])[:, 1:].tolist())
+                   for w, row in zip(bad.tolist(), bad)]
 
 
 @dataclass(frozen=True)
@@ -274,6 +300,15 @@ def sweep_unbias(
     return SweepReport("unbias", cases, tuple(violations))
 
 
+def _rbias_bounds_hold(event, full, total: int, nd: int, dd: int) -> np.ndarray:
+    """Both rbias bounds at delta = nd/dd, on the event masses of g = 0 and
+    g = 1 along the first axis of ``event``, against the full-cube masses
+    ``full`` of g = 0 and g = 1, all over ``total``: Pr[event]^2 < delta and
+    Pr[event | g=b]^2 < 16 delta for b = 0, 1."""
+    return ((event.sum(axis=0)**2 * dd < nd * total**2)
+            & (event**2 * dd < 16 * nd * full**2).all(axis=0))
+
+
 def sweep_rbias(
     eps_list=(Fraction(1, 4), Fraction(1, 2) - Fraction(1, 16)),
     max_m: int = 3,
@@ -322,24 +357,19 @@ def sweep_rbias(
                 shallow = codim[None, :] < c_arr[live, None]
                 high_bias = (lm0 - lm1) ** 2 * dd >= 4 * nd * lmt**2
                 active = np.stack((lm0, lm1)) * (shallow & high_bias & (lmt > 0))
+                full = np.stack((lm0[:, :1], lm1[:, :1]))  # full-cube masses of g=0, g=1
                 # no leaf set's event masses exceed the sums over every
                 # active cell, and each check only tightens as they grow, so
                 # a row whose sums pass passes on every shape
-                s0, s1 = active.sum(axis=-1)
-                bound_ok = (((s0 + s1)**2 * dd < nd * total**2)
-                            & (s0**2 * dd < 16 * nd * lm0[:, 0]**2)
-                            & (s1**2 * dd < 16 * nd * lm1[:, 0]**2))
-                risky = np.nonzero(~bound_ok)[0]
+                sums = active.sum(axis=-1, keepdims=True)
+                risky = np.nonzero(~_rbias_bounds_hold(sums, full, total, nd, dd)[:, 0])[0]
                 if not risky.size:
                     continue
                 # leaf-event masses of every (function, shape) pair, exact in
                 # float64: sums of leaf masses of one tree, each <= total
-                event_0, event_1 = (active[:, risky].astype(np.float64) @ incidence).astype(np.int64)
-                event_mu = event_0 + event_1
-                ok_a = event_mu**2 * dd < nd * total**2
-                ok_b0 = event_0**2 * dd < 16 * nd * lm0[risky, :1] ** 2
-                ok_b1 = event_1**2 * dd < 16 * nd * lm1[risky, :1] ** 2
-                gi = live[risky[np.nonzero(~(ok_a & ok_b0 & ok_b1))[0]]]
+                events = (active[:, risky].astype(np.float64) @ incidence).astype(np.int64)
+                holds = _rbias_bounds_hold(events, full[:, risky], total, nd, dd)
+                gi = live[risky[np.nonzero(~holds)[0]]]
                 if gi.size:
                     found.append(np.column_stack((gi // n_g, np.full(gi.size, e), gi % n_g, c_arr[gi])))
             return cases, found

@@ -211,14 +211,16 @@ class TestBuildInstance:
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["f.rel", "g.tt", "lambda.dist", "mu.dist"]
 
-    def test_one_dp_on_the_hard_distribution_after_the_game(self, files, tmp_path, dp_solves):
-        # the hard distribution's certificate is the instance's inner complexity
+    def test_no_dp_after_the_game(self, files, tmp_path, capsys, dp_solves):
+        # the instance's inner complexity is the certificate the game read
+        # off its own DP of the hard distribution
         out_dir = tmp_path / "inst"
         assert main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],
                      "--eps", "1/4", "--out", str(out_dir)]) == 0
-        after_game = [probs for probs, in_game in dp_solves if not in_game]
-        assert len(after_game) == 1 and len(dp_solves) > 1
-        assert after_game[0] == list(read_instance(out_dir / "instance.json").mu.probs)
+        solves = list(dp_solves)
+        assert solves and all(in_game for _, in_game in solves)
+        assert list(read_instance(out_dir / "instance.json").mu.probs) in [p for p, _ in solves]
+        assert json.loads(capsys.readouterr().out)["inner_complexity"] == 2
 
     def test_one_dp_with_a_given_distribution(self, files, tmp_path, dp_solves):
         assert main(["build-instance", "--g", files["g_xor2"], "--f", files["f_id1"],

@@ -27,11 +27,16 @@ from _oracles import (
 REAL_GRID = sweeps.grid_weight_vectors
 
 
+def _rows(mus):
+    """A grid's points as weight tuples, as the point-sum references read them."""
+    return list(map(tuple, mus.tolist()))
+
+
 @pytest.fixture()
 def two_bit_grids(monkeypatch):
     def grid(points, max_denominator):
         mus, total = REAL_GRID(points, max_denominator)
-        return (mus if points <= 4 else []), total
+        return (mus if points <= 4 else mus[:0]), total
 
     monkeypatch.setattr(sweeps, "grid_weight_vectors", grid)
     return grid
@@ -48,14 +53,16 @@ def _both_complements(violations, m):
 @pytest.mark.parametrize("points", [1, 2, 4, 8, 16])
 def test_grid_matches_recursive_reference(points):
     for max_denominator in range(1, 7):
-        assert sweeps.grid_weight_vectors(points, max_denominator) == \
-            recursive_grid(points, max_denominator)
+        mus, total = sweeps.grid_weight_vectors(points, max_denominator)
+        assert mus.dtype == np.int64 and mus.shape[1] == points
+        assert (_rows(mus), total) == recursive_grid(points, max_denominator)
 
 
 def test_grid_refuses_totals_from_2_to_the_63():
     # the weights are int64 products of at most the total, lcm(1..42) < 2^63
     assert lcm(*range(1, 43)) < 2**63 <= lcm(*range(1, 44))
-    assert sweeps.grid_weight_vectors(2, 42) == recursive_grid(2, 42)
+    mus, total = sweeps.grid_weight_vectors(2, 42)
+    assert (_rows(mus), total) == recursive_grid(2, 42)
     with pytest.raises(CapExceeded, match="int64"):
         sweeps.grid_weight_vectors(2, 43)
 
@@ -65,13 +72,65 @@ def _orbits(m, mus):
     m variables with every flip mask, as sets, by first point."""
     orbits = []
     for w in mus:
-        orbit = frozenset(
+        if any(w in orbit for orbit in orbits):
+            continue
+        orbits.append(frozenset(
             tuple(w[sum(((x >> perm[j] ^ mask >> j) & 1) << j for j in range(m))]
                   for x in range(1 << m))
-            for perm in permutations(range(m)) for mask in range(1 << m))
-        if orbit not in orbits:
-            orbits.append(orbit)
+            for perm in permutations(range(m)) for mask in range(1 << m)))
     return orbits
+
+
+def _assert_partition(m, mus):
+    """``_orbit_partition`` of the grid ``mus`` against ``_orbits``: each
+    orbit's first point and its number of grid points, orbits by first
+    point, and each point's orbit."""
+    grid = _rows(mus)
+    orbits = _orbits(m, grid)
+    first, sizes, orbit = sweeps._orbit_partition(m, mus)
+    assert first.tolist() == [min(map(grid.index, o & set(grid))) for o in orbits]
+    assert sizes.tolist() == [len(o & set(grid)) for o in orbits]
+    assert orbit.tolist() == [next(k for k, o in enumerate(orbits) if w in o) for w in grid]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_orbit_partition_matches_orbits_on_every_grid(m):
+    for max_denominator in range(1, 7):
+        _assert_partition(m, REAL_GRID(1 << m, max_denominator)[0])
+
+
+@pytest.mark.parametrize("m, max_denominator", [(2, 5), (3, 4)])
+def test_orbit_partition_of_a_grid_not_closed_under_the_automorphisms(m, max_denominator):
+    # a seeded half of the grid in a shuffled order: orbits lose points,
+    # and the first point of each is the first one left in the new order
+    mus, _ = REAL_GRID(1 << m, max_denominator)
+    rows = np.random.default_rng(m).permutation(len(mus))[:len(mus) // 2]
+    shuffled, ordered = mus[rows], mus[np.sort(rows)]
+    grid = _rows(shuffled)
+    assert any(len(o & set(grid)) < len(o) for o in _orbits(m, grid))
+    reps = [set(_rows(g[sweeps._orbit_partition(m, g)[0]])) for g in (shuffled, ordered)]
+    assert reps[0] != reps[1]
+    _assert_partition(m, shuffled)
+
+
+def test_orbit_keys_refused_from_2_to_the_63():
+    # keys are base-B numbers of 2^m digits, below B^8 at 3 bits:
+    # 234 distinct weights pass, 235 would wrap
+    assert 234**8 < 2**63 <= 235**8
+    mus = np.arange(30 * 8).reshape(30, 8) % 234
+    _assert_partition(3, mus)
+    mus[0, 0] = 234
+    with pytest.raises(CapExceeded, match="int64"):
+        sweeps._orbit_sweep(3, mus, None)
+
+
+def test_unbias_where_raw_weight_keys_would_wrap():
+    # at denominator 22 the 2-bit grid total is lcm(1..22), whose fourth
+    # power is past 2^63; its 153 distinct weights give keys below 153^4.
+    # The report is the one the per-point orbit sets gave.
+    assert lcm(*range(1, 23))**4 >= 2**63
+    report = sweeps.sweep_unbias(max_denominator=22, max_m=2, sampled_m4=0)
+    assert (report.cases, report.violations) == (334892, ())
 
 
 @pytest.mark.parametrize("m, max_denominator, block", [
@@ -84,7 +143,8 @@ def _orbits(m, mus):
 def test_orbit_sweep_sweeps_clean_orbits_once_and_failing_ones_everywhere(
         monkeypatch, m, max_denominator, block):
     mus, _ = REAL_GRID(1 << m, max_denominator)
-    orbits = _orbits(m, mus)
+    grid = _rows(mus)
+    orbits = _orbits(m, grid)
     bad = max(orbits, key=len)  # the largest orbit, not the first
     assert 1 < len(bad) and bad != orbits[0]
     half, every = 1 << (1 << m) - 1, 1 << (1 << m)
@@ -98,23 +158,23 @@ def test_orbit_sweep_sweeps_clean_orbits_once_and_failing_ones_everywhere(
         # one case per function at each point; at a failing point,
         # violations naming the point's row, its grid index and the last two
         # functions, sorted by column
-        rows = [[r, mus.index(w), k] for r, w in enumerate(block_points) if w in bad
+        rows = [[r, grid.index(w), k] for r, w in enumerate(block_points) if w in bad
                 for k in (len(g_rows) - 2, len(g_rows) - 1)]
         return np.full(len(weights), len(g_rows)), [np.array(rows)] if rows else []
 
     cases, violations = sweeps._orbit_sweep(m, mus, point)
-    assert cases == every * len(mus)
+    assert cases == every * len(grid)
     blocks = [points for n, points in calls if n == half]
     # each representative once, in order of first sight, in full blocks
-    reps = [points[0] for points in (sorted(orbit, key=mus.index) for orbit in orbits)]
+    reps = [points[0] for points in (sorted(orbit, key=grid.index) for orbit in orbits)]
     assert [w for points in blocks for w in points] == reps
     size = len(reps) if block is None else block
     assert [len(points) for points in blocks[:-1]] == [size] * (len(blocks) - 1)
     assert len(blocks) == -(-len(reps) // size) > (block is not None)
-    in_grid_order = [w for w in mus if w in bad]
+    in_grid_order = [w for w in grid if w in bad]
     assert [points for n, points in calls if n == every] == [[w] for w in in_grid_order]
     assert len(calls) == len(blocks) + len(bad)
-    assert violations == [(w, [[mus.index(w), every - 2], [mus.index(w), every - 1]])
+    assert violations == [(w, [[grid.index(w), every - 2], [grid.index(w), every - 1]])
                           for w in in_grid_order]
 
 
@@ -157,7 +217,7 @@ def _unbias_grids(grid, max_denominator, sampled_m4, seed):
     grids = []
     for m in (1, 2, 3):
         mus, total = grid(1 << m, max_denominator)
-        grids.append((m, sweeps.all_output_tables(m), mus, total))
+        grids.append((m, sweeps.all_output_tables(m), _rows(mus), total))
     total4 = lcm(*range(1, max_denominator + 1))
     rng = random.Random(seed)
     for _ in range(sampled_m4):
@@ -206,7 +266,7 @@ def test_rbias_matches_point_sums(monkeypatch, eps_list, tree_depth, leaf_sets):
     grids = []
     for m in (1, 2):
         mus, total = sweeps.grid_weight_vectors(1 << m, sweeps.GRID_DENOMINATOR[m])
-        grids.append((m, sweeps.all_output_tables(m), mus, total))
+        grids.append((m, sweeps.all_output_tables(m), _rows(mus), total))
     cases, violations = brute_sweep_rbias(grids, eps_list, tree_depth, leaf_sets)
     assert report.cases == cases > 0
     assert list(report.violations) == violations
@@ -225,6 +285,60 @@ def test_rbias_matches_point_sums(monkeypatch, eps_list, tree_depth, leaf_sets):
             assert len(violations) < len(failing) * per_arity
 
 
+def _one_point_grid(monkeypatch, w, total):
+    """Patch the sweeps' grid to the one point ``w`` on its arity, with
+    ``total``, and no point on the other arities."""
+    def grid(points, max_denominator):
+        return np.array([w] if points == len(w) else [], dtype=np.int64).reshape(-1, points), total
+
+    monkeypatch.setattr(sweeps, "grid_weight_vectors", grid)
+
+
+def test_rbias_event_at_sqrt_delta_matches_point_sums(monkeypatch):
+    # at eps 1/4, delta = 1/4 and the high-bias cells are the pure ones.
+    # g = AND3 at (0, 0, 0, 1, 0, 1, 1, 3)/6 has complexity 2, and its three
+    # pure faces, one point of mass 1/6 each, hold half the mass: on the
+    # leaf set of every subcube Pr[event]^2 = delta exactly, which fails
+    # the strict bound, both the one on the sums over every active cell and
+    # the one on the event
+    w, eps_list = (0, 0, 0, 1, 0, 1, 1, 3), (F(1, 4),)
+    _one_point_grid(monkeypatch, w, 6)
+    _extra_leaf_sets(monkeypatch, _every_cube((3,)))
+    report = sweeps.sweep_rbias(eps_list, max_m=3, tree_depth=1)
+    cases, violations = brute_sweep_rbias(
+        [(3, sweeps.all_output_tables(3), [w], 6)], eps_list, 1, _every_cube((3,)))
+    assert report.cases == cases > 0
+    assert list(report.violations) == violations
+    assert (3, (0, 0, 0, 0, 0, 0, 0, 1), w, "1/4", 2) in violations
+
+
+def test_rbias_bounds_are_strict():
+    # Pr[event]^2 < delta and Pr[event | g=b]^2 < 16 delta at delta = 1/4,
+    # with g-masses 100 and 900 of 1000.  No sweep input fails the second
+    # bound where the first holds, on any leaf set: 4 sqrt(delta) M_b <=
+    # Pr[event] < sqrt(delta) needs M_b < 1/4, so eps < 1/4 for positive
+    # complexity, and then no cell has bias 2 sqrt(delta) > 1 and the event
+    # is empty.  So the check is tested here on its own, on both sides of
+    # each bound.
+    event = np.array([[194, 199, 200, 0, 0], [0, 0, 0, 499, 500]])[:, None, :]
+    full = np.array([100, 900]).reshape(2, 1, 1)
+    holds = sweeps._rbias_bounds_hold(event, full, 1000, 1, 4)
+    assert holds.tolist() == [[True, True, False, True, False]]
+
+
+def test_unbias_on_its_bound_matches_point_sums(monkeypatch):
+    # at (1/12, 1/4, 2/3, 0) g = (0, 1, 0, 0) has full-cube bias 1/2, and
+    # its cube x1 = 0 bias 1/2 the other way: Pr[C] / Pr_0[C] = 3, which is
+    # 1 + 4 delta at delta = 1/2 and passes, but above 1 + 3 delta
+    w = (5, 15, 40, 0)
+    _one_point_grid(monkeypatch, w, 60)
+    report = sweeps.sweep_unbias((F(1, 2),), sampled_m4=0, max_m=2)
+    cases, violations = brute_sweep_unbias([(2, sweeps.all_output_tables(2), [w], 60)], (F(1, 2),))
+    assert report.cases == cases > 0
+    assert list(report.violations) == violations
+    assert report.passed
+
+
 @pytest.mark.parametrize("eps_list", [(F(1, 4), F(1, 3), F(5, 12)), (F(0), F(7, 16))])
 def test_fullbias_matches_point_sums(monkeypatch, eps_list):
     monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 2, 4)
@@ -232,7 +346,7 @@ def test_fullbias_matches_point_sums(monkeypatch, eps_list):
     grids = []
     for m in (1, 2):
         mus, total = sweeps.grid_weight_vectors(1 << m, sweeps.GRID_DENOMINATOR[m])
-        grids.append((m, sweeps.all_output_tables(m), mus, total))
+        grids.append((m, sweeps.all_output_tables(m), _rows(mus), total))
     cases, violations = brute_sweep_fullbias(grids, eps_list)
     assert report.cases == cases > 0
     assert list(report.violations) == violations
@@ -251,13 +365,13 @@ def test_rbias_three_bits_matches_point_sums(monkeypatch):
     # on a denominator-2 grid no function has complexity 2, so no leaf is
     # shallow and nothing can fail; three equal point masses can need 2
     mus, total = REAL_GRID(8, 3)
-    three = [w for w in mus if sum(map(bool, w)) == 3][::4]
+    three = mus[np.count_nonzero(mus, axis=1) == 3][::4]
     monkeypatch.setattr(sweeps, "grid_weight_vectors",
-                        lambda points, den: (three if points == 8 else [], total))
+                        lambda points, den: (three if points == 8 else mus[:0, :points], total))
     _extra_leaf_sets(monkeypatch, _every_cube((3,)))
     eps_list = (F(1, 4), F(7, 16))
     report = sweeps.sweep_rbias(eps_list, max_m=3, tree_depth=1)
-    grids = [(3, sweeps.all_output_tables(3), three, total)]
+    grids = [(3, sweeps.all_output_tables(3), _rows(three), total)]
     cases, violations = brute_sweep_rbias(grids, eps_list, 1, _every_cube((3,)))
     assert report.cases == cases > 0
     assert list(report.violations) == violations
