@@ -188,9 +188,12 @@ def _accepts(h: Relation) -> tuple[list[int], np.ndarray]:
     subcube and loses ties to label 0, so it is never answered; 0 stays, to
     answer a subcube of mass 0.  So the rows grow with the number of
     accepted labels, not with their values or the alphabet size, which a
-    relation file may set to anything."""
-    labels = sorted(set().union({0}, *h.accepted))
-    return labels, np.array([[r in acc for acc in h.accepted] for r in labels])
+    relation file may set to anything.  The table has one column per
+    distinct accepted set, gathered into one per input."""
+    column = {acc: i for i, acc in enumerate(dict.fromkeys(h.accepted))}
+    labels = sorted(set().union({0}, *column))
+    distinct = np.array([[r in acc for acc in column] for r in labels])
+    return labels, np.take(distinct, [column[acc] for acc in h.accepted], axis=1)
 
 
 def _tree_dp(h: Relation, mu: Dist) -> _TreeDP:

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping
@@ -138,12 +138,14 @@ class Relation:
             raise QclabError("arity and alphabet size must be >= 1")
         if len(self.accepted) != 1 << self.arity:
             raise QclabError("accepted length must be 2^arity")
+        # each distinct set is checked once; the scan by input only names
+        # the first bad one
         rng = range(self.alphabet_size)
+        bad = {s for s in set(self.accepted) if not s or any(r not in rng for r in s)}
         for x, s in enumerate(self.accepted):
-            if not s:
-                raise QclabError(f"accepted set empty at input {x}")
-            if any(r not in rng for r in s):
-                raise QclabError(f"label out of range at input {x}")
+            if s in bad:
+                raise QclabError(f"accepted set empty at input {x}" if not s
+                                 else f"label out of range at input {x}")
 
     @classmethod
     def from_function(cls, g: TruthTable) -> "Relation":
@@ -204,28 +206,41 @@ class Subcube:
 
 @dataclass(frozen=True)
 class Dist:
-    """An exact probability distribution on ``{0,1}^arity``."""
+    """An exact probability distribution on ``{0,1}^arity``.
+
+    The probabilities' integer numerators over their least common
+    denominator are computed once, when the object is made, and kept."""
 
     arity: int
     probs: tuple[Fraction, ...]
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.arity > ARITY_CAP:
             raise CapExceeded(f"arity {self.arity} exceeds cap")
         if len(self.probs) != 1 << self.arity:
             raise QclabError("probs length must be 2^arity")
-        # checked on integers, not by Fraction comparisons and sums
-        if any(p.numerator < 0 for p in self.probs):
+        # checked on integers, not by Fraction comparisons and sums, once
+        # per distinct object: a parsed Dist shares one Fraction among
+        # equal lines, and identity hashes where a Fraction's hash takes a
+        # modular inverse
+        ids = tuple(map(id, self.probs))
+        distinct = dict(zip(ids, self.probs)).values()
+        if any(p.numerator < 0 for p in distinct):
             raise QclabError("negative probability")
-        nums, den = self.numerators()
+        den = lcm(*{p.denominator for p in distinct})
+        scaled = {id(p): p.numerator * (den // p.denominator) for p in distinct}
+        nums = tuple(map(scaled.__getitem__, ids))
         if sum(nums) != den:
             raise QclabError("probabilities must sum to exactly 1")
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
 
     def numerators(self) -> tuple[list[int], int]:
         """The probabilities as integer numerators over their least common
-        denominator, and that denominator."""
-        den = lcm(*(p.denominator for p in self.probs))
-        return [p.numerator * (den // p.denominator) for p in self.probs], den
+        denominator, and that denominator.  The list is the caller's own."""
+        return list(self._nums), self._den
 
     @classmethod
     def uniform(cls, arity: int) -> "Dist":

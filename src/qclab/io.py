@@ -2,12 +2,24 @@
 instance manifests, plus line-delimited report records.
 
 All rational values travel as exact ``numerator/denominator`` strings; no
-verdict-bearing field is ever a float.
+verdict-bearing field is ever a float.  Every integer field (header
+values, relation labels, tree variables and labels, both halves of a
+rational) reads one grammar, what the formatters write: after stripping,
+ASCII ``-?[0-9]+``, and ``/[0-9]+`` after a rational's numerator.  ``int``
+alone would also take other scripts' digits, underscores, a plus sign and
+inner spaces.
+
+The table parsers do each per-line step once per distinct value: a
+relation builds one frozenset per distinct label-list text and a
+distribution one ``Fraction`` per distinct line, which later lines share.
+Table files repeat few values over many lines.  Nothing is kept past the
+call, and a bad value still raises at its first line.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,13 +29,24 @@ from .compose import ComposedInstance, build_instance
 from .dtree import DecisionTree, InternalNode, Leaf, Node
 
 
+_SIGNED = re.compile(r"-?[0-9]+")
+_UNSIGNED = re.compile(r"[0-9]+")
+
+
+def _int(text: str, signed: bool = True) -> int:
+    """``text`` as an int if it is ASCII ``-?[0-9]+`` (``[0-9]+`` when not
+    ``signed``), else ValueError; so is a value past the interpreter's
+    digit limit."""
+    if not (_SIGNED if signed else _UNSIGNED).fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_fraction(text: str) -> Fraction:
     text = text.strip()
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        return Fraction(_int(num), _int(den, signed=False) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}") from exc
 
@@ -43,7 +66,7 @@ def format_fraction(x: Fraction) -> str:
 
 
 def _lines(text: str) -> list[str]:
-    return [ln.strip() for ln in text.splitlines() if ln.strip()]
+    return [ln for ln in map(str.strip, text.splitlines()) if ln]
 
 
 def _check_arity(arity: int, lowest: int) -> None:
@@ -61,7 +84,7 @@ def _header(lines: list[str], *keys: str) -> list[int]:
     fields = [field.partition("=") for field in first.split()]
     if [(key, eq) for key, eq, _ in fields] == [(key, "=") for key in keys]:
         try:
-            return [int(value) for _, _, value in fields]
+            return [_int(value) for _, _, value in fields]
         except ValueError:
             pass
     expected = " ".join(f"{key}=<int>" for key in keys)
@@ -95,18 +118,22 @@ def parse_relation(text: str) -> Relation:
     arity, alphabet = _header(lines, "arity", "alphabet")
     _check_arity(arity, 1)
     accepted: dict[int, frozenset] = {}
+    label_sets: dict[str, frozenset] = {}  # label-list text -> its set, shared
     for ln_no, line in enumerate(lines[1:], start=2):
         key, _, vals = line.partition(":")
         key = key.strip()
-        if len(key) != arity or set(key) - {"0", "1"}:
+        if len(key) != arity or key.strip("01"):
             raise ParseError(f"bad input bitstring {key!r} (line {ln_no})")
         x = int(key[::-1], 2)  # the leftmost character is variable 1, bit 0
         if x in accepted:
             raise ParseError(f"duplicate input {key!r} (line {ln_no})")
-        try:
-            labels = frozenset(int(v) for v in vals.split(",") if v.strip())
-        except ValueError as exc:
-            raise ParseError(f"bad label list on line {ln_no}") from exc
+        labels = label_sets.get(vals)
+        if labels is None:
+            try:
+                labels = frozenset(_int(v.strip()) for v in vals.split(",") if v.strip())
+            except ValueError as exc:
+                raise ParseError(f"bad label list on line {ln_no}") from exc
+            label_sets[vals] = labels
         accepted[x] = labels
     if len(accepted) != 1 << arity:  # keys are distinct and below 2^arity
         raise ParseError("relation file must list every input exactly once")
@@ -131,13 +158,14 @@ def parse_dist(text: str) -> Dist:
     _check_arity(arity, 0)
     if len(lines) != 1 + (1 << arity):
         raise ParseError(f"expected {1 << arity} probability lines")
-    probs = []
+    values: dict[str, Fraction] = {}  # line -> its value, shared by equal lines
     for ln_no, line in enumerate(lines[1:], start=2):
-        try:
-            probs.append(parse_fraction(line))
-        except ParseError as exc:
-            raise ParseError(f"{exc} (line {ln_no})") from exc
-    return Dist(arity, tuple(probs))
+        if line not in values:
+            try:
+                values[line] = parse_fraction(line)
+            except ParseError as exc:
+                raise ParseError(f"{exc} (line {ln_no})") from exc
+    return Dist(arity, tuple(map(values.__getitem__, lines[1:])))
 
 
 def format_dist(mu: Dist) -> str:
@@ -167,7 +195,7 @@ def parse_tree(text: str, arity: int) -> DecisionTree:
         if pos[0] >= len(tokens):
             raise ParseError("unexpected end of tree text")
         try:
-            value = int(tokens[pos[0]])
+            value = _int(tokens[pos[0]])
         except ValueError as exc:
             raise ParseError(f"expected integer, got {tokens[pos[0]]!r}") from exc
         pos[0] += 1

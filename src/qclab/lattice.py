@@ -12,7 +12,9 @@ The masses (:func:`masses`) and the optimal-tree DP (:func:`layers`) each
 have two kernels that give the same integers, and each picks one by the
 size of its input.  ``masses`` takes one product with a cached 0/1 table
 of which points each subcube holds for small int64 inputs, and one pass
-per variable otherwise.  ``layers`` takes a gather of each layer through
+per variable otherwise, variable 0 first, so that every pass copies and
+adds contiguous blocks of the trits already made, longest in the last and
+largest passes.  ``layers`` takes a gather of each layer through
 a cached child table, a few numpy calls whatever m is, for a single
 lattice at 3 <= m <= 6, and slices the reshaped lattice once per variable
 per layer otherwise.  The cached tables are built on first use.
@@ -38,9 +40,11 @@ import numpy as np
 from .core import ArityMismatch, Dist, TruthTable
 
 INT64_LIMIT = 1 << 62
-# masses takes the product kernel while rows * 2^m * 3^m is at most this:
-# at or below the int64 crossover measured at m = 2 to 6 (see masses); at
-# m = 1 the passes win from some 2,500 rows, which no caller reaches
+# masses takes the product kernel while rows * 2^m * 3^m is at most this.
+# Against the innermost-first passes, the int64 crossover lies between 0.75
+# and 1 times it at m = 3 to 5 (at this bound the passes lead by about 10%),
+# and past 8 times it at m = 2; at m = 6 the passes win from one row, and at
+# m = 1 from some 2,700 rows, which no caller reaches
 PRODUCT_CELLS = 1 << 15
 
 
@@ -83,27 +87,28 @@ def _product_masses(weights: np.ndarray, m: int) -> np.ndarray:
 
 
 def _pass_masses(weights: np.ndarray, m: int) -> np.ndarray:
-    """:func:`masses` by one pass per variable, the outermost (variable
-    m - 1) first.
+    """:func:`masses` by one pass per variable, the innermost (variable 0)
+    first.
 
     Before the pass for variable j the array is viewed as
-    ``(rows, 2, rest)``: rows run over the leading axes and the trits of
-    the variables above j, the middle axis is bit j and ``rest`` spans the
-    2^j points below it.  The pass writes a fresh ``(rows, 3, rest)``
-    array: the two fixed halves are copied into trits 1 and 2, then added
-    into trit 0, the free sum.  Going outermost first keeps each copied
-    half a contiguous block of ``rest`` values.
+    ``(rows, 2^(m-j-1), 2, 3^j)``: rows run over the leading axes, the
+    second axis over the bits of the variables above j, the third is bit
+    j, and the last spans the trits of the variables below j, which the
+    earlier passes made.  The pass writes a fresh ``(rows, 2^(m-j-1), 3,
+    3^j)`` array: the two fixed halves are copied into trits 1 and 2, then
+    added into trit 0, the free sum.  Going innermost first, every copy and
+    add moves contiguous blocks of 3^j values, so the last passes, which
+    move the most values, move the longest blocks.
     """
     lead = weights.shape[:-1]
     rows = prod(lead)
     a = weights
-    for j in reversed(range(m)):
-        a = a.reshape(rows, 2, 1 << j)
-        out = np.empty((rows, 3, 1 << j), dtype=a.dtype)
-        out[:, 1:] = a
-        np.add(a[:, 0], a[:, 1], out=out[:, 0])
+    for j in range(m):
+        a = a.reshape(rows, 1 << (m - j - 1), 2, 3**j)
+        out = np.empty((rows, 1 << (m - j - 1), 3, 3**j), dtype=a.dtype)
+        out[:, :, 1:] = a
+        np.add(a[:, :, 0], a[:, :, 1], out=out[:, :, 0])
         a = out
-        rows *= 3
     return a.reshape(lead + (3**m,))
 
 

@@ -12,7 +12,9 @@ the simileaf check's is its original form in Fraction products, and the
 sweep grid's is its original recursive generator of compositions.  The
 random walks' reference is the original node list of a compiled tree, a
 tuple per branch and built one branch at a time, walked one draw at a
-time, the tree's depth in draws per walk.  Composed inputs are split into
+time, the tree's depth in draws per walk.  The table parsers' reference
+reads a relation or a distribution file one line at a time, with no value
+shared between lines.  Composed inputs are split into
 their copies by ``Blocks`` here, not by the package's own block
 arithmetic.  Conditioning on g and subcube bias are summed point by point
 (``restrict_dist``, ``bias``), and trees are written as nested specs
@@ -635,6 +637,38 @@ def random_relation(rng, arity: int, alphabet: int) -> Relation:
 
 def random_truth_table(rng, arity: int) -> TruthTable:
     return TruthTable(arity, tuple(rng.randrange(2) for _ in range(1 << arity)))
+
+
+def line_parse_relation(text: str) -> Relation:
+    """A well-formed relation file read one line at a time, every label list
+    parsed afresh."""
+    head, *rows = text.splitlines()
+    fields = dict(field.split("=") for field in head.split())
+    arity = int(fields["arity"])
+    accepted = {}
+    for line in rows:
+        key, vals = line.split(":")
+        labels = frozenset(int(v) for v in vals.split(",") if v.strip())
+        accepted[int(key.strip()[::-1], 2)] = labels
+    return Relation(arity, int(fields["alphabet"]), tuple(accepted[x] for x in range(1 << arity)))
+
+
+def line_parse_dist(text: str) -> Dist:
+    """A well-formed distribution file read one line at a time, every line
+    parsed afresh."""
+    head, *rows = text.splitlines()
+    probs = []
+    for line in rows:
+        num, _, den = line.partition("/")
+        probs.append(Fraction(int(num), int(den or 1)))
+    return Dist(int(head.split("=")[1]), tuple(probs))
+
+
+def line_numerators(mu: Dist) -> tuple[list[int], int]:
+    """The numerators of ``mu`` over the lcm of all its denominators, one
+    point at a time."""
+    den = lcm(*(p.denominator for p in mu.probs))
+    return [p.numerator * (den // p.denominator) for p in mu.probs], den
 
 
 def _on_grid(w: Fraction) -> Fraction:

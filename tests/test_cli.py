@@ -561,6 +561,10 @@ VERDICT_INPUTS_N4 = [
     # theta 1/8 gives a nonzero chain bound, so a wrong snipped sum shows
     (["simulate", "--seed", "3", *VERDICT_INPUTS[:-1], "1/8"], "simulate-theta.jsonl"),
     (["verify", "--m", "1", *VERDICT_INPUTS_N4], "verify-n4.jsonl"),
+    # 256 lines of five label lists and four probabilities, recorded before
+    # the parsers shared equal values and the mass passes were reordered
+    (["dce", "--f", str(VERDICTS / "f8.rel"), "--mu", str(VERDICTS / "mu8.dist"), "--eps", "1/3"],
+     "dce8.jsonl"),
 ])
 def test_verdict_bytes_are_pinned(capsys, command, golden):
     """The verdict stream of one small fixture, byte for byte.  Its tree has
@@ -570,7 +574,8 @@ def test_verdict_bytes_are_pinned(capsys, command, golden):
     and leaves 4 and 5 have p = q = 0.  The game on its g runs 9 rounds to
     depth 2 at eps 7/16, and the stacked g^2 reaches depth 5.  ``verify``
     without a tree pins the three sweeps' case counts at --m 2 and 3, and
-    ``dce`` the DP's depth, success and witness on g under mu."""
+    ``dce`` the DP's depth, success and witness on g under mu, and on an
+    arity-8 relation of three labels, where the masses take the passes."""
     assert main(command) == 0
     assert capsys.readouterr().out == (VERDICTS / golden).read_text()
 

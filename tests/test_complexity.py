@@ -84,6 +84,19 @@ class TestBestSuccess:
         assert table.tolist() == [[False] * 4, [True, False, True, False],
                                   [False, True, False, True], [False, True, False, False]]
 
+    def test_table_gathers_one_column_per_distinct_set(self):
+        """Equal sets, shared or built apart, give equal columns, laid out
+        one row per label as the DP's product with the weights reads them."""
+        rng = random.Random(37)
+        for arity, alphabet in ((1, 2), (4, 3), (8, 5)):
+            h = random_relation(rng, arity, alphabet)
+            fresh = Relation(arity, alphabet, tuple(frozenset(acc) for acc in h.accepted))
+            for rel in (h, fresh):
+                labels, table = complexity._accepts(rel)
+                assert labels == sorted({0}.union(*h.accepted))
+                assert table.dtype == bool and table.flags.c_contiguous
+                assert table.tolist() == [[r in acc for acc in h.accepted] for r in labels]
+
     def test_a_subcube_of_mass_0_answers_label_0(self):
         # no input accepts 0, but the half x0 = 1 has no mass
         h = Relation(2, 8, (frozenset({5}), frozenset({7}), frozenset({7}), frozenset({7})))

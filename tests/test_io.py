@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from qclab.core import Dist, ParseError, Relation, and_fn, identity1, xor_fn
+from qclab import lattice
+from qclab.cli import main
+from qclab.core import Dist, ParseError, QclabError, Relation, and_fn, identity1, xor_fn
 from qclab.compose import build_instance
 from qclab.io import (
     format_dist,
@@ -25,7 +27,15 @@ from qclab.io import (
     write_instance,
 )
 
-from _oracles import random_dist, random_relation, random_tree, random_truth_table
+from _oracles import (
+    line_numerators,
+    line_parse_dist,
+    line_parse_relation,
+    random_dist,
+    random_relation,
+    random_tree,
+    random_truth_table,
+)
 
 
 class TestFractions:
@@ -118,6 +128,130 @@ class TestDistFormat:
     def test_not_a_distribution(self):
         with pytest.raises(Exception):
             parse_dist("arity=1\n1/2\n1/3\n")
+
+
+# Each bad value repeats on later lines, which read it from the parse's
+# shared values: the error still names the first line or input that has it.
+REL = "arity=2 alphabet=3\n"
+
+
+@pytest.mark.parametrize("parse, text, error, message", [
+    (parse_relation, REL + "00: 0\n0x: 1\n0x: 1\n11: 1\n", ParseError,
+     "bad input bitstring '0x' (line 3)"),
+    (parse_relation, REL + "00: 0\n10: 1\n00: 1\n00: 1\n11: 1\n", ParseError,
+     "duplicate input '00' (line 4)"),
+    (parse_relation, REL + "00: 0\n10: 1,x\n01: 1,x\n11: 1,x\n", ParseError,
+     "bad label list on line 3"),
+    # out of range on inputs 3 (line 3) and 1 (line 4): the lowest input is named
+    (parse_relation, REL + "00: 0\n11: 0,3\n10: 0,3\n01: 0,3\n", QclabError,
+     "label out of range at input 1"),
+    (parse_relation, REL + "00: 0\n11:\n01: 1\n10:\n", QclabError,
+     "accepted set empty at input 1"),
+    (parse_dist, "arity=2\n1/4\n1/x\n1/4\n1/x\n", ParseError, "bad rational '1/x' (line 3)"),
+    (parse_dist, "arity=2\n3/4\n-1/4\n1/4\n-1/4\n", QclabError, "negative probability"),
+    (parse_dist, "arity=2\n1/4\n1/3\n1/4\n1/3\n", QclabError,
+     "probabilities must sum to exactly 1"),
+], ids=["bitstring", "duplicate", "label-list", "label-range", "empty-set", "rational",
+        "negative", "sum"])
+def test_repeated_bad_value_raises_at_its_first_line(parse, text, error, message):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("few", [True, False], ids=["few-values", "all-distinct"])
+def test_parsers_match_line_by_line_reference(few):
+    """Parsed objects equal those of a parser that reads every line afresh,
+    and so do the distribution's integer numerators, whether the files
+    repeat a few values or none."""
+    rng = random.Random(29 + few)
+    for arity in (1, 3, 6, 8):
+        n = 1 << arity
+        if few:
+            lists = [frozenset(rng.sample(range(3), rng.randint(1, 3))) for _ in range(3)]
+            accepted = [rng.choice(lists) for _ in range(n)]
+            weights = [rng.randint(0, 3) or 1 for _ in range(n)]
+        else:
+            # a distinct label set per input, and distinct weights over
+            # distinct denominators
+            accepted = [frozenset((x, n + x % 3)) for x in range(n)]
+            weights = [F(rng.randint(1, 10**6), d) for d in rng.sample(range(1, 10 * n), n)]
+        rel = Relation(arity, n + 3, tuple(accepted))
+        mu = Dist.from_weights(weights)
+        rel_text, mu_text = format_relation(rel), format_dist(mu)
+        assert parse_relation(rel_text) == line_parse_relation(rel_text) == rel
+        parsed = parse_dist(mu_text)
+        assert parsed == line_parse_dist(mu_text) == mu
+        assert parsed.numerators() == line_numerators(mu)
+        if few:
+            assert len(set(rel.accepted)) <= 3 and len(set(mu.probs)) <= 3
+        else:
+            assert len(set(rel.accepted)) == len(set(mu.probs)) == n
+
+
+def test_numerators_are_the_callers_own():
+    mu = parse_dist("arity=2\n1/4\n1/2\n1/8\n1/8\n")
+    nums, den = mu.numerators()
+    assert (nums, den) == ([2, 4, 1, 1], 8)
+    nums[0] = 99
+    nums.append(5)
+    assert mu.numerators() == ([2, 4, 1, 1], 8)
+    weights, den = lattice.int_weights(mu)
+    assert weights.tolist() == [2, 4, 1, 1] and den == 8
+
+
+class TestIntegerGrammar:
+    """Every integer field reads ASCII ``-?[0-9]+`` after stripping, and a
+    rational adds ``/[0-9]+``: what the formatters write.  ``int`` would
+    also take other scripts' digits, underscores, a plus sign and inner
+    spaces."""
+
+    BAD_INTS = ("\u0662", "1_0", "+1", "1 0", "\u0661\u0660", "0x1", "")
+
+    def test_fractions(self):
+        assert parse_fraction(" -3/4 ") == F(-3, 4) and parse_fraction("007/014") == F(1, 2)
+        for text in ("\u0661/\u0664", "1_000/3000", "+1/2", "1/+2", "1/-2", "1 /2", "1/ 2",
+                     "- 1/2", "1/", "/2", "1.5", "\u0661"):
+            with pytest.raises(ParseError, match="bad rational"):
+                parse_fraction(text)
+
+    def test_headers(self):
+        for bad in self.BAD_INTS:
+            with pytest.raises(ParseError, match=r"\(line 1\)$"):
+                parse_truth_table(f"arity={bad}\n00\n")
+            with pytest.raises(ParseError, match=r"\(line 1\)$"):
+                parse_relation(f"arity=1 alphabet={bad}\n0: 0\n1: 0\n")
+        with pytest.raises(ParseError, match=r"arity -1 is below 0 \(line 1\)"):
+            parse_dist("arity=-1\n1\n")
+
+    def test_relation_labels(self):
+        assert parse_relation("arity=1 alphabet=3\n0:  0 , 2\n1: 1,,\n").accepted == (
+            frozenset({0, 2}), frozenset({1}))
+        for bad in self.BAD_INTS[:-1]:
+            with pytest.raises(ParseError, match="bad label list on line 3"):
+                parse_relation(f"arity=1 alphabet=3\n0: 0\n1: 1,{bad}\n")
+
+    def test_dist_lines(self):
+        for bad in ("\u0661/\u0664", "1_0/40", "+1/4"):
+            with pytest.raises(ParseError, match=f"bad rational .* \\(line 4\\)$"):
+                parse_dist(f"arity=2\n1/4\n1/4\n{bad}\n1/4\n")
+
+    def test_tree_tokens(self):
+        assert format_tree(parse_tree("(q 1 (leaf -1) (leaf 2))", 1)) == "(q 1 (leaf -1) (leaf 2))\n"
+        for bad in ("\u0662", "1_0", "+1"):
+            with pytest.raises(ParseError, match="expected integer"):
+                parse_tree(f"(q 1 (leaf {bad}) (leaf 0))", 1)
+            with pytest.raises(ParseError, match="expected integer"):
+                parse_tree(f"(q {bad} (leaf 0) (leaf 0))", 2)
+
+    def test_cli_exits_2_naming_the_line(self, tmp_path, capsys):
+        (tmp_path / "g.tt").write_text("arity=2\n0110\n")
+        (tmp_path / "mu.dist").write_text("arity=2\n1/4\n1/4\n1/4\n\u0661/\u0664\n")
+        assert main(["dce", "--g", str(tmp_path / "g.tt"), "--mu", str(tmp_path / "mu.dist"),
+                     "--eps", "1/4"]) == 2
+        assert capsys.readouterr().err == "error: bad rational '\u0661/\u0664' (line 5)\n"
+        assert main(["dce", "--g", str(tmp_path / "g.tt"), "--mu", str(tmp_path / "mu.dist"),
+                     "--eps", "1_0/40"]) == 2
 
 
 @pytest.mark.parametrize("parse, header", [

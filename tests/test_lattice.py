@@ -70,6 +70,28 @@ class TestMasses:
                     assert F(mass, den) == subcube_prob(mu, cube)
         assert not lattice._incidence(m).flags.writeable
 
+    @pytest.mark.parametrize("m", range(7, 13))
+    def test_passes_match_reference_past_6_bits(self, m):
+        """The sizes where the pass order matters and the DP's cap lies: one
+        lattice, and leading axes of two rows and of zero."""
+        rng = np.random.default_rng(m)
+        for lead in ((), (2,), (1, 2), (0, 3)):
+            weights = rng.integers(0, 1 << 40, size=lead + (1 << m,))
+            got = lattice._pass_masses(weights, m)
+            assert got.shape == lead + (3**m,) and got.dtype == np.int64
+            assert (got == concat_masses(weights, m)).all()
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_object_passes_match_reference_past_6_bits(self, m):
+        rng = random.Random(300 + m)
+        scale = (1 << 62) + 1  # weights over a den >= 2^62
+        rows = [[rng.randrange(50) * scale for _ in range(1 << m)] for _ in range(2)]
+        for weights in (np.array(rows[0], dtype=object), np.array(rows, dtype=object)):
+            got = lattice._pass_masses(weights, m)
+            assert got.shape == weights.shape[:-1] + (3**m,) and got.dtype == object
+            assert (got == concat_masses(weights, m)).all()
+        assert sum(rows[0]) >= lattice.INT64_LIMIT
+
     def test_size_chooses_the_kernel(self, monkeypatch):
         monkeypatch.setattr(lattice, "_product_masses", lambda weights, m: "product")
         monkeypatch.setattr(lattice, "_pass_masses", lambda weights, m: "passes")
