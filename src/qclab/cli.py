@@ -25,6 +25,7 @@ from .compose import xor_stack
 from .complexity import dist_solution, rand_complexity
 from .core import QclabError, Relation, TruthTable
 from .io import (
+    _int,
     format_ratio,
     format_tree,
     format_truth_table,
@@ -65,6 +66,19 @@ def _require(args, *needs) -> None:
     ]
     if unmet:
         raise QclabError(f"{args.command} needs {', '.join(unmet)}")
+
+
+def _int_flag(args, name: str, default: int) -> int:
+    """The value of the integer option ``name``, read by the grammar of
+    the input files' integer fields, or ``default`` when it is left out."""
+    text = getattr(args, name)
+    if text is None:
+        return default
+    try:
+        return _int(text.strip())
+    except ValueError:
+        option = _FLAGS[name][0]
+        raise QclabError(f"{args.command} {option} needs an integer, got {text!r}") from None
 
 
 def _load_problem(args) -> Relation | TruthTable:
@@ -136,10 +150,11 @@ def cmd_build_instance(args) -> list[dict]:
 
 
 def cmd_simulate(args) -> list[dict]:
-    if args.seed < 0:
+    seed = _int_flag(args, "seed", 0)
+    if seed < 0:
         # Random(-s) seeds the stream Random(s) does, so z would repeat
         # another z's walk (-1 + 0 and -1 + 2) or another seed's run
-        raise QclabError(f"simulate --seed must be at least 0, got {args.seed}")
+        raise QclabError(f"simulate --seed must be at least 0, got {seed}")
     _require(args, "tree", *(() if args.instance is not None else ("g", "f", "mu")))
     inst = _load_instance(args)
     tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
@@ -151,7 +166,7 @@ def cmd_simulate(args) -> list[dict]:
         if inst.lam.prob(z) == 0:
             continue
         p_nums, p_dens, q_nums, q_dens = simulation.rows(z)
-        trace = simulation.run(z, args.seed + z)
+        trace = simulation.run(z, seed + z)
         records.append({
             "record": "simulate-z",
             "z": z,
@@ -184,7 +199,7 @@ def cmd_verify(args) -> list[dict]:
         raise QclabError(f"verify reads {', '.join(unread)} only with --tree")
     if args.tree is not None and args.instance is None and len(_given(args, ("g", "f", "mu"))) < 3:
         raise QclabError("verify --tree needs --instance, or all of --g, --f and --mu")
-    max_m = 3 if args.m is None else args.m
+    max_m = _int_flag(args, "m", 3)
     if max_m < 1:
         raise QclabError(f"verify --m must be at least 1, got {max_m}")
     if max_m > 3:
@@ -223,10 +238,11 @@ def cmd_verify(args) -> list[dict]:
 def cmd_xor_stack(args) -> list[dict]:
     _require(args, "g")
     g = parse_truth_table(Path(args.g).read_text())
-    stacked = xor_stack(g, args.t)
+    t = _int_flag(args, "t", 2)
+    stacked = xor_stack(g, t)
     record = {
         "record": "xor-stack",
-        "t": args.t,
+        "t": t,
         "arity": stacked.arity,
         "passed": True,
     }
@@ -246,11 +262,11 @@ _FLAGS = {
     "lam": ("--lambda", dict(dest="lam", help="outer distribution file")),
     "tree": ("--tree", dict(help="decision tree file")),
     "instance": ("--instance", dict(help="instance manifest (JSON)")),
-    "m": ("--m", dict(type=int, help="sweep arity bound, 1 to 3 (default 3)")),
-    "t": ("--t", dict(type=int, default=2, help="stack height")),
+    "m": ("--m", dict(help="sweep arity bound, 1 to 3 (default 3)")),
+    "t": ("--t", dict(help="stack height (default 2)")),
     "eps": ("--eps", dict(help="error bound as p/q")),
     "theta": ("--theta", dict(help="bias threshold as p/q")),
-    "seed": ("--seed", dict(type=int, default=0)),
+    "seed": ("--seed", dict(help="random seed, at least 0 (default 0)")),
     "out": ("--out", dict(help="report file (default: standard output)")),
     "data": ("--out", dict(dest="data", help="directory or file to write what is built")),
 }

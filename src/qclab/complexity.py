@@ -5,24 +5,20 @@ input-vs-algorithm zero-sum game.
 The DP runs on the subcube lattice of :mod:`qclab.lattice` and is exact:
 it takes integer point weights over one common denominator, in numpy
 int64 only while that denominator is below 2^62 and in Python ints above
-it, so every comparison is exact integer arithmetic.  The game solver is
-approximate but bracketed, and every accept/reject decision it makes is
-backed by an exact quantity (a best-response value below the target
-rejects a depth; the rejecting distribution is an exact certificate for the
-next depth).  :func:`rand_complexity` returns that certificate with its
-result: the hard distribution and its exact distributional complexity,
-read off the DP the game already solved for it.  The multiplicative
-weights are Python ints on one fixed grid, the largest always
-``ONE_WEIGHT``, and each round's distribution, the weights over their sum,
-goes to the DP as int64 point weights; a :class:`Dist` is built only at the
-end of a depth.  A round builds no tree: the best response is scored by
-walking the DP's choices from the full cube, by the same tie-break rule as
-the witness tree, which is built once per depth from the last round's DP.
-The walk reads the DP's values as Python ints and carries each node's
-subcube as its lattice index and its fixed bits; each leaf scores the
-points of its subcube, read off a cached table of the subsets of its free
-variables.  A round whose largest weight is still ``ONE_WEIGHT`` skips the
-rescale, which would change no weight.
+it.  It solves one depth d at a time into one buffer over the 3^m
+subcubes: each starts at its best answer, then the levels d - 1 up to the
+full cube take the larger of that and their best child pair sum, so a
+subcube that fixes k variables ends with its best depth-(d - k) value.
+The game solver is approximate but bracketed, and every accept/reject
+decision it makes is backed by an exact quantity (a best-response value
+below the target rejects a depth; the rejecting distribution is an exact
+certificate for the next depth).  :func:`rand_complexity` returns that
+certificate, the hard distribution and its exact distributional
+complexity, read off the DP the game already solved for it.  The
+multiplicative weights are Python ints on one fixed grid, the largest
+always ``ONE_WEIGHT``, and go to the DP as int64 point weights.  A round
+builds no tree: it scores the best response by walking the DP's choices
+from the full cube by the witness tree's tie-break rule.
 """
 
 from __future__ import annotations
@@ -70,7 +66,7 @@ class DPResult:
 
 class _TreeDP:
     """Optimal depth-bounded trees for a fixed problem and input weights,
-    solved once over the subcube lattice; depths are added on demand.
+    solved on the subcube lattice for one depth at a time.
 
     ``accepts`` is ``(labels, table)`` as :func:`_accepts` gives it:
     ``table[r, x]`` says whether ``labels[r]`` is correct on input ``x``.
@@ -87,71 +83,93 @@ class _TreeDP:
             raise CapExceeded(f"arity {self.arity} exceeds the DP cap")
         self.den = den
         self.label_mass = lattice.masses(weights * table, self.arity)
-        self._deeper = lattice.layers(self.label_mass.max(axis=0), self.arity)
-        self.values: list[np.ndarray] = []
+        # after _solve(d), a cell of level k <= d holds V_{d-k}, the best
+        # success of depth-(d - k) trees on it, and a deeper one its answer
+        self.values = np.empty(3**self.arity, dtype=self.label_mass.dtype)
+        self.depth = -1
 
-    def _layer(self, depth: int) -> np.ndarray:
-        while len(self.values) <= depth:
-            self.values.append(next(self._deeper))
-        return self.values[depth]
+    def _solve(self, depth: int) -> None:
+        """Solve ``min(depth, arity)`` into ``values`` unless it is solved.
+        V grows with the depth, so after a shallower solve a cell's value
+        lies between its best answer and its new value and stands for the
+        answer; only a first or a shallower solve writes the answers."""
+        depth = min(depth, self.arity)
+        if depth != self.depth:
+            values = self.values
+            if depth < self.depth or self.depth < 0:
+                np.max(self.label_mass, axis=0, out=values)
+            for k in range(depth - 1, -1, -1):
+                free = self.arity - k
+                for table in lattice.level(self.arity, k):
+                    pairs = values[table[:free + 1]]  # each cell, then its 0-children
+                    pairs[1:] += values[table[free + 1:]]
+                    values[table[0]] = pairs.max(axis=0)
+            self.depth = depth
 
     def value(self, depth: int) -> int:
         """Best success numerator (over ``den``) of depth-``depth`` trees."""
-        return int(self._layer(min(depth, self.arity))[0])
+        self._solve(depth)
+        return int(self.values[0])
 
     def min_depth(self, eps: Fraction) -> int:
-        """Smallest depth whose best success is at least ``1 - eps``."""
+        """Smallest depth whose best success is at least ``1 - eps``.  The
+        value grows with the depth, so the search walks from the solved
+        depth: down while the depth below meets the target, else up until
+        one does, at the latest at full depth, where every input's own
+        subcube answers a label it accepts and the value is ``den``."""
         target = 1 - eps
-        for d in range(self.arity):
-            if self.value(d) * target.denominator >= target.numerator * self.den:
-                return d
-        # at full depth every input's own subcube answers a label it
-        # accepts, so the value is ``den``
-        return self.arity
+
+        def meets(d: int) -> bool:
+            return (d >= self.arity
+                    or self.value(d) * target.denominator >= target.numerator * self.den)
+
+        d = max(self.depth, 0)
+        if meets(d):
+            while d and meets(d - 1):
+                d -= 1
+            return d
+        while not meets(d + 1):
+            d += 1
+        return d + 1
 
     def result(self, depth: int) -> DPResult:
         """Best success of depth-``depth`` trees, with an optimal one."""
         return DPResult(Fraction(self.value(depth), self.den), self.witness(depth))
 
     def witness(self, depth: int) -> DecisionTree:
-        depth = min(depth, self.arity)
-        self._layer(depth)
-        root = self._node(0, depth, count())
-        return DecisionTree(self.arity, root)
+        self._solve(depth)
+        return DecisionTree(self.arity, self._node(0, count()))
 
-    def _node(self, index: int, d: int, leaf_ids):
+    def _node(self, index: int, leaf_ids):
         # a method, not a closure: a self-referencing closure would keep
         # the lattice arrays alive until the cyclic collector runs
-        query, k = self._choice(index, d)
+        query, k = self._choice(index)
         if query:
             step = 3**k
-            return InternalNode(
-                k,
-                self._node(index + step, d - 1, leaf_ids),
-                self._node(index + 2 * step, d - 1, leaf_ids),
-            )
+            return InternalNode(k, self._node(index + step, leaf_ids),
+                                self._node(index + 2 * step, leaf_ids))
         return Leaf(self.labels[k], next(leaf_ids))
 
-    def _choice(self, index: int, d: int) -> tuple[bool, int]:
-        """What the optimal depth-``d`` tree does on subcube ``index``, for
-        the witness and the best-response walk alike: ``(False, row)``
+    def _choice(self, index: int) -> tuple[bool, int]:
+        """What the solved depth's optimal tree does on subcube ``index``,
+        for the witness and the best-response walk alike: ``(False, row)``
         answers the label of the lowest row of largest mass unless some
         query beats every answer; then ``(True, var)`` queries the lowest
-        variable whose two halves sum to the best value.  The layers up to
-        ``d`` must be solved.  Values are read as Python ints, which compare
-        far faster than numpy scalars."""
-        best = self.values[d].item(index)
-        if self.values[0].item(index) < best:  # some query beats every answer
-            below = self.values[d - 1]
+        variable whose two halves sum to the best value.  Values are read
+        as Python ints, which compare far faster than numpy scalars."""
+        values = self.values
+        best = values.item(index)
+        counts = self.label_mass[:, index].tolist()
+        top = max(counts)
+        if top < best:  # some query beats every answer
             step = 1
             for v in range(self.arity):
                 # v is free here and its two halves reach the best value
                 if (index // step % 3 == 0
-                        and below.item(index + step) + below.item(index + 2 * step) == best):
+                        and values.item(index + step) + values.item(index + 2 * step) == best):
                     return True, v
                 step *= 3
-        counts = self.label_mass[:, index].tolist()
-        return False, counts.index(max(counts))
+        return False, counts.index(top)
 
     def correct(self, depth: int, rows: list[list[bool]]) -> list[bool]:
         """``rows[r][x]`` at the row ``r`` of the label the depth-``depth``
@@ -160,19 +178,18 @@ class _TreeDP:
         variables it leaves free; a leaf's points are its fixed bits joined
         with each subset of its free variables.  No tree is built and no
         input is evaluated."""
-        depth = min(depth, self.arity)
-        self._layer(depth)
+        self._solve(depth)
         correct = [False] * (1 << self.arity)
         subsets = lattice.subsets(self.arity)
-        stack = [(0, depth, 0, (1 << self.arity) - 1)]
+        stack = [(0, 0, (1 << self.arity) - 1)]
         while stack:
-            index, d, fixed, free = stack.pop()
-            query, k = self._choice(index, d)
+            index, fixed, free = stack.pop()
+            query, k = self._choice(index)
             if query:
                 bit, step = 1 << k, 3**k
                 free ^= bit
-                stack.append((index + step, d - 1, fixed, free))
-                stack.append((index + 2 * step, d - 1, fixed | bit, free))
+                stack.append((index + step, fixed, free))
+                stack.append((index + 2 * step, fixed | bit, free))
             else:
                 row = rows[k]
                 for s in subsets[free]:

@@ -1,23 +1,24 @@
 """The subcube lattice of {0,1}^m behind the exact tree DP, the sweeps and
-the simulator's exact laws: one indexing, one mass computation, one
-optimal-tree DP.
+the simulator's exact laws: one indexing, one mass computation, and the
+tables of the optimal-tree DP.
 
 Subcube indices carry one trit per variable: 0 leaves variable j free, 1
 fixes it to 0, 2 fixes it to 1.  Trit j has weight 3^j, as variable j is
 bit j of a point, so an array of shape ``(..., 3^m)`` reshapes to
 ``(..., 3, ..., 3)`` with variable j on axis ``-1 - j``; index 0 is the full
-cube.  Every function is vectorized over leading axes.
+cube.
 
-The masses (:func:`masses`) and the optimal-tree DP (:func:`layers`) each
-have two kernels that give the same integers, and each picks one by the
-size of its input.  ``masses`` takes one product with a cached 0/1 table
-of which points each subcube holds for small int64 inputs, and one pass
-per variable otherwise, variable 0 first, so that every pass copies and
-adds contiguous blocks of the trits already made, longest in the last and
-largest passes.  ``layers`` takes a gather of each layer through
-a cached child table, a few numpy calls whatever m is, for a single
-lattice at 3 <= m <= 6, and slices the reshaped lattice once per variable
-per layer otherwise.  The cached tables are built on first use.
+:func:`masses` gives every subcube's mass under integer point weights, by
+one product with a cached 0/1 table of which points each subcube holds for
+small int64 inputs, and by one pass per variable otherwise, variable 0
+first, so that every pass copies and adds contiguous blocks of the trits
+already made.  Both give the same integers.
+
+A depth-d tree at the full cube reads the values of depth d - k only on the
+cells that fix k variables, level k.  :func:`level` gives each level's cells
+and their children along each free variable as cached intp gather tables,
+built by concatenation when a DP first reaches the level.  :func:`layers`
+gives every depth on every cell, under leading axes, for the sweeps.
 
 The automorphisms of the cube (permute the variables, flip bits) act on
 points and on subcube indices alike, and masses follow them: the image
@@ -46,6 +47,9 @@ INT64_LIMIT = 1 << 62
 # and past 8 times it at m = 2; at m = 6 the passes win from one row, and at
 # m = 1 from some 2,700 rows, which no caller reaches
 PRODUCT_CELLS = 1 << 15
+# cells per level gather table: it bounds a solve's temporaries, which over
+# whole levels left 14 MB more resident at m = 12, eps 0
+BLOCK = 1 << 14
 
 
 def int_weights(mu: Dist) -> tuple[np.ndarray, int]:
@@ -139,31 +143,17 @@ def _fixing(j: int, t: int) -> tuple:
 
 
 def layers(answer: np.ndarray, m: int):
-    """Yield the optimal depth-r tree values V_0, ..., V_m on every subcube.
+    """Yield the optimal depth-r tree values V_0, ..., V_m on every subcube,
+    under any leading axes.
 
     ``answer`` is the best a single leaf achieves on each subcube, and
     V_r = max(answer, max_j V_{r-1}[j<-0] + V_{r-1}[j<-1]) over the free
     variables j.  Beyond depth m nothing is left to query, so V_m is final.
-
-    Two kernels compute the same integers.  The slicing kernel makes a few
-    numpy calls per variable per layer on strided views; the gathered
-    kernel makes a few calls per layer whatever m is, but reads m + 1 pairs
-    of cells for every cell through a cached table.  The gather pays off on
-    small inputs, the more so the larger m: ``layers`` takes it for a
-    single lattice (no leading axes, as ``_TreeDP`` gives) at 3 <= m <= 6,
-    where it measured faster, and slices at m <= 2, from m = 7, and under
-    leading axes, which the sweeps give by the hundred rows.
+    For each j, the view of the cells that leave j free takes the maximum
+    with the sum of the two views that fix j, summed into one buffer.
     """
-    if answer.ndim == 1 and 3 <= m <= 6:
-        return _gathered_layers(answer, m)
-    return _sliced_layers(answer, m)
-
-
-def _sliced_layers(answer: np.ndarray, m: int):
-    """:func:`layers` by slicing: for each free variable j, the view of the
-    cells that leave j free takes the maximum with the sum of the two views
-    that fix it."""
     shape = answer.shape[:-1] + (3,) * m
+    pair = np.empty(shape[:-1], dtype=answer.dtype)
     value = answer
     yield value
     for _ in range(m):
@@ -171,51 +161,44 @@ def _sliced_layers(answer: np.ndarray, m: int):
         nxt = answer.reshape(shape).copy()
         for j in range(m):
             free = nxt[_fixing(j, 0)]
-            np.maximum(free, prev[_fixing(j, 1)] + prev[_fixing(j, 2)], out=free)
+            np.add(prev[_fixing(j, 1)], prev[_fixing(j, 2)], out=pair)
+            np.maximum(free, pair, out=free)
         value = nxt.reshape(answer.shape)
         yield value
 
 
 @lru_cache(maxsize=None)
-def _children(m: int) -> np.ndarray:
-    """Gather table of shape ``(2, m + 1, 3^m)`` into the buffer
-    ``(V, answer, 0)`` of length 2 * 3^m + 1.
-
-    For variable j < m, row j pairs each cell with its two subcubes that fix
-    j to 0 and to 1, or, where j is already fixed, twice with the zero pad.
-    Row m pairs each cell's own answer with the pad.  Values are
-    non-negative, so a pad sum never beats the answer row, and the maximum
-    over the m + 1 rows of the pair sums is the next layer.
-    """
-    n = 3**m
-    cells = np.arange(n)
-    step = 3 ** np.arange(m)[:, None]
-    free = cells // step % 3 == 0
-    pad = np.full(n, 2 * n)
-    lo = np.vstack((np.where(free, cells + step, pad), n + cells))
-    hi = np.vstack((np.where(free, cells + 2 * step, pad), pad))
-    table = np.stack((lo, hi))
-    table.flags.writeable = False
-    return table
-
-
-def _gathered_layers(answer: np.ndarray, m: int):
-    """:func:`layers` by gathering, on a single lattice: each layer is two
-    gathers through the :func:`_children` table, one sum and one maximum
-    over its rows."""
-    lo, hi = _children(m)
-    n = 3**m
-    buf = np.empty(2 * n + 1, dtype=answer.dtype)
-    buf[n:2 * n] = answer
-    buf[2 * n] = 0
-    value = answer
-    yield value
-    for _ in range(m):
-        buf[:n] = value
-        pairs = buf[lo]
-        pairs += buf[hi]
-        value = pairs.max(axis=0)
-        yield value
+def level(m: int, k: int) -> tuple[np.ndarray, ...]:
+    """Gather tables of level k, the cells that fix k variables, in
+    increasing index and in blocks of at most ``BLOCK`` cells.  A table has
+    ``2 * (m - k) + 1`` rows: the cells, then for the i-th free variable of
+    each cell, in increasing variable order, row 1 + i holds the child of
+    level k + 1 that fixes it to 0 and row 1 + (m - k) + i the one that
+    fixes it to 1."""
+    # each cell's count of fixed variables and mask of free ones, by
+    # concatenation: the cells that leave variable j free, fix it to 0, to 1
+    fixed, free = np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.uint16)
+    for j in range(m):
+        fixed = np.concatenate((fixed, fixed + 1, fixed + 1))
+        free = np.concatenate((free | (1 << j), free, free))
+    cells = np.flatnonzero(fixed == k)
+    step = np.zeros(1 << m, dtype=np.intp)  # 2^j -> 3^j
+    step[1 << np.arange(m)] = 3 ** np.arange(m)
+    tables = []
+    for block in np.split(cells, range(BLOCK, len(cells), BLOCK)):
+        mask = free[block].astype(np.intp)
+        table = np.empty((2 * (m - k) + 1, len(block)), dtype=np.intp)
+        table[0] = block
+        lo, hi = table[1:m - k + 1], table[m - k + 1:]
+        for row in hi:  # the steps, peeled off the masks lowest first
+            low = mask & -mask
+            np.take(step, low, out=row)
+            mask ^= low
+        np.add(block, hi, out=lo)
+        hi += lo
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
 
 
 @lru_cache(maxsize=None)

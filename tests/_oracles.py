@@ -7,7 +7,8 @@ solver's reference is its original multiplicative-weights loop in
 Fractions, which the integer loop must follow iterate for iterate.  The
 fullbias sweep's reference takes each function's complexity from
 ``dist_complexity``, which the DP tests hold to tree enumeration.  The
-subcube mass kernel's reference is its original concatenating form, and
+subcube mass kernel's reference is its original concatenating form, the
+tree-value layers' reference fills each cell of each layer in Python ints,
 the simileaf check's is its original form in Fraction products, and the
 sweep grid's is its original recursive generator of compositions.  The
 random walks' reference is the original node list of a compiled tree, a
@@ -100,6 +101,21 @@ def concat_masses(weights: np.ndarray, m: int) -> np.ndarray:
     for axis in range(-m, 0):
         a = np.concatenate((a.sum(axis=axis, keepdims=True), a), axis=axis)
     return a.reshape(lead + (3**m,))
+
+
+def python_layers(answer: list[int], m: int) -> list[list[int]]:
+    """V_0, ..., V_m of one lattice, cell by cell: V_r of a cell is the
+    larger of its answer and its best sum of V_{r-1} over the two halves of
+    a free variable."""
+    layers = [list(answer)]
+    for _ in range(m):
+        prev = layers[-1]
+        layers.append([
+            max([a] + [prev[c + 3**j] + prev[c + 2 * 3**j]
+                       for j in range(m) if c // 3**j % 3 == 0])
+            for c, a in enumerate(answer)
+        ])
+    return layers
 
 
 def enumerate_shapes(arity: int, depth: int, used: frozenset = frozenset()):

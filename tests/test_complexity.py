@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,10 +16,11 @@ from qclab.core import (
     maj3,
     xor_fn,
 )
-from qclab import complexity
+from qclab import complexity, lattice
 from qclab.complexity import (
     best_success,
     dist_complexity,
+    dist_solution,
     rand_complexity,
 )
 from qclab.io import format_tree
@@ -196,27 +199,102 @@ class TestHardDistribution:
                 assert dist_complexity(g, mu, F(1, 3)) <= result.depth
 
 
+def _game_weights(rng, m: int, big: bool) -> list[list[int]]:
+    """Weight vectors as the game gives them, zeros and ties included,
+    scaled over a denominator of at least 2^62 when ``big``."""
+    scale = (1 << 62) + 1 if big else 1
+    return [[w * scale for w in weights] for weights in (
+        [1] * (1 << m),
+        [rng.randrange(4) for _ in range(1 << m)],
+        [rng.choice([0, 0, 0, 1 << 40]) for _ in range(1 << m)],
+        [rng.randrange(1 << 40) for _ in range(1 << m)],
+    )]
+
+
+class TestLevelDP:
+    """The level DP solves one depth at a time into one buffer, reusing a
+    shallower solve's values; every depth, in any order, must give the
+    root of the layer oracle and a witness that scores it point by point."""
+
+    @pytest.mark.parametrize("m, big", [(m, False) for m in range(13)] +
+                             [(m, True) for m in range(9)])
+    def test_values_match_the_layers_and_the_witness(self, m, big):
+        rng = random.Random(1000 * m + big)
+        scale = (1 << 62) + 1 if big else 1
+        dtype = object if big else np.int64
+        for n_labels in (2, 3):
+            # a relation's table as _accepts gives it, built here since a
+            # Relation has arity at least 1
+            labels = list(range(n_labels))
+            table = np.array([[rng.random() < 0.5 for _ in range(1 << m)] for _ in labels])
+            accepts = labels, table
+            weights = [rng.choice((0, rng.randrange(1, 50))) * scale for _ in range(1 << m)]
+            den = max(sum(weights), 1)
+            assert (den >= lattice.INT64_LIMIT) == (big and den > 1)
+            w = np.array(weights, dtype=dtype)
+            answer = lattice.masses(w * table, m).max(axis=0)
+            roots = [int(layer[0]) for layer in lattice.layers(answer, m)]
+            dp = complexity._TreeDP(accepts, w, den)
+            assert dp.label_mass.dtype == dtype
+            depths = list(range(m + 2))
+            rows = table.tolist()
+            for d in depths:
+                assert dp.value(d) == roots[min(d, m)]
+                tree = dp.witness(d)
+                assert tree.depth() <= d
+                scored = sum(weights[x] for x in range(1 << m)
+                             if rows[labels.index(tree.output(x))][x])
+                assert scored == dp.value(d)
+            rng.shuffle(depths)
+            for d in depths[::-1] + depths:  # down, up and back
+                assert dp.value(d) == roots[min(d, m)]
+
+
 class TestBestResponseWalker:
     def test_walker_matches_the_witness(self):
-        # game weights floor to 0 and start uniform, so zeros and ties matter
+        # game weights floor to 0 and start uniform, so zeros and ties
+        # matter; object weights lie over a denominator of at least 2^62
         rng = random.Random(71)
-        for _ in range(40):
-            m = rng.randint(1, 6)
+        for big in [False] * 40 + [True] * 20:
+            m = rng.randint(1, 9)
             h = random_relation(rng, m, rng.choice([2, 3]))
             labels, table = accepts = complexity._accepts(h)
             rows = table.tolist()
-            for weights in (
-                [1] * (1 << m),
-                [rng.randrange(4) for _ in range(1 << m)],
-                [rng.choice([0, 0, 0, 1 << 40]) for _ in range(1 << m)],
-                [rng.randrange(1 << 40) for _ in range(1 << m)],
-            ):
+            for weights in _game_weights(rng, m, big):
                 den = max(sum(weights), 1)
-                dp = complexity._TreeDP(accepts, np.array(weights, dtype=np.int64), den)
+                w = np.array(weights, dtype=object if big else np.int64)
+                dp = complexity._TreeDP(accepts, w, den)
                 for depth in range(m + 2):
                     tree = dp.witness(depth)
                     expected = [rows[labels.index(tree.output(x))][x] for x in range(1 << m)]
                     assert dp.correct(depth, rows) == expected
+
+
+class TestNoCycles:
+    def test_a_solved_dp_dies_with_its_call(self, monkeypatch):
+        """No reference cycle may hold a DP: with the cyclic collector off,
+        every DP a call built is freed when the call returns.  A closure
+        that refers to itself would keep the lattice arrays alive."""
+        refs = []
+        init = complexity._TreeDP.__init__
+
+        def spy(self, accepts, weights, den):
+            refs.append(weakref.ref(self))
+            init(self, accepts, weights, den)
+
+        monkeypatch.setattr(complexity._TreeDP, "__init__", spy)
+        rng = random.Random(97)
+        h, mu = random_relation(rng, 4, 3), random_dist(rng, 4)
+        calls = (lambda: best_success(h, mu, 3), lambda: dist_solution(h, mu, F(1, 4)),
+                 lambda: rand_complexity(h, F(1, 3)))
+        gc.disable()
+        try:
+            for call in calls:
+                refs.clear()
+                call()
+                assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestGameDPs:

@@ -253,6 +253,22 @@ class TestIntegerGrammar:
         assert main(["dce", "--g", str(tmp_path / "g.tt"), "--mu", str(tmp_path / "mu.dist"),
                      "--eps", "1_0/40"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--m"],
+        ["xor-stack", "--g", str(Path(__file__).parent / "data" / "verdicts" / "g.tt"), "--t"],
+        ["simulate", "--seed"],
+    ], ids=["m", "t", "seed"])
+    def test_cli_integer_flags(self, capsys, argv):
+        # argparse's int ran xor-stack --t \u0662 with t = 2 and read
+        # verify --m 1_0 as 10
+        command, flag = argv[0], argv[-1]
+        for bad in self.BAD_INTS:
+            assert main([*argv, bad]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"error: {command} {flag} needs an integer, got {bad!r}\n" if bad
+                else f"error: {command} got an empty value for {flag}\n")
+
 
 @pytest.mark.parametrize("parse, header", [
     (parse_truth_table, "arity=2"), (parse_relation, "arity=1 alphabet=2"), (parse_dist, "arity=1"),

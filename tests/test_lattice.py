@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -11,7 +11,13 @@ from qclab.core import CapExceeded, Dist, Relation, Subcube, subcube_prob
 from qclab.io import format_tree
 from qclab.sweeps import readonce_leaves, sweep_rbias, sweep_unbias
 
-from _oracles import brute_best_success, concat_masses, random_dist, random_relation
+from _oracles import (
+    brute_best_success,
+    concat_masses,
+    python_layers,
+    random_dist,
+    random_relation,
+)
 
 
 class TestIndexing:
@@ -136,36 +142,62 @@ class TestLayers:
     @pytest.mark.parametrize("m", range(8))
     @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
     def test_kernels_agree(self, m, big):
+        """The slicing kernel, under leading axes, agrees with the
+        cell-by-cell reference on each lattice."""
         rng = random.Random(200 * m + big)
         scale = (1 << 62) + 1 if big else 1  # object values over a den >= 2^62
         dtype = object if big else np.int64
-        rows = np.array([[rng.randrange(50) * scale for _ in range(3**m)] for _ in range(4)],
-                        dtype=dtype)
-        # the gather takes a single lattice; the slices take leading axes too
-        gathered = [list(lattice._gathered_layers(row, m)) for row in rows]
+        rows = np.array([[rng.choice((0, rng.randrange(50))) * scale for _ in range(3**m)]
+                         for _ in range(4)], dtype=dtype)
+        expected = [python_layers(row, m) for row in rows.tolist()]
         for answer in (rows[0], rows, rows.reshape(2, 2, 3**m)):
-            sliced = list(lattice._sliced_layers(answer, m))
-            assert len(sliced) == len(gathered[0]) == m + 1
-            for d, layer in enumerate(sliced):
-                assert layer.shape == answer.shape
-                assert layer.dtype == gathered[0][d].dtype == dtype
-                flat = layer.reshape(-1, 3**m)
-                assert (flat == np.stack([g[d] for g in gathered[:len(flat)]])).all()
+            # every layer is kept until the end: the reused sum buffer
+            # must not show through them
+            got = list(lattice.layers(answer, m))
+            assert len(got) == m + 1
+            for d, layer in enumerate(got):
+                assert layer.shape == answer.shape and layer.dtype == dtype
+                flat = layer.reshape(-1, 3**m).tolist()
+                assert flat == [e[d] for e in expected[:len(flat)]]
 
-    def test_size_chooses_the_kernel(self, monkeypatch):
-        monkeypatch.setattr(lattice, "_sliced_layers", lambda answer, m: "sliced")
-        monkeypatch.setattr(lattice, "_gathered_layers", lambda answer, m: "gathered")
 
-        def kernel(lead, m):
-            return lattice.layers(np.zeros(lead + (3**m,), dtype=np.int64), m)
+class TestLevels:
+    @pytest.mark.parametrize("m", range(9))
+    def test_tables_list_each_level_and_its_children(self, m):
+        trits = [[c // 3**j % 3 for j in range(m)] for c in range(3**m)]
+        seen = []
+        for k in range(m + 1):
+            (table,) = lattice.level(m, k)  # one block up to BLOCK cells
+            assert table.dtype == np.intp and not table.flags.writeable
+            assert table.shape == (2 * (m - k) + 1, comb(m, k) << k)
+            cells = table[0].tolist()
+            assert cells == [c for c in range(3**m) if m - trits[c].count(0) == k]
+            for i, c in enumerate(cells):
+                steps = [3**j for j in range(m) if trits[c][j] == 0]
+                assert table[1:m - k + 1, i].tolist() == [c + s for s in steps]
+                assert table[m - k + 1:, i].tolist() == [c + 2 * s for s in steps]
+            seen += cells
+        assert sorted(seen) == list(range(3**m))
 
-        # a single lattice gathers at 3 <= m <= 6
-        assert [kernel((), m) for m in range(10)] == \
-            ["sliced"] * 3 + ["gathered"] * 4 + ["sliced"] * 3
-        # leading axes, even of one row, are sliced, as the sweeps' 256 rows are
-        for m in range(10):
-            assert kernel((1,), m) == kernel((2,), m) == kernel((1, 1), m) == "sliced"
-        assert kernel((256,), 3) == "sliced"
+    @pytest.mark.parametrize("m, k", [(12, 0), (12, 3), (12, 8), (11, 6)])
+    def test_blocks_of_large_levels(self, m, k):
+        blocks = lattice.level(m, k)
+        assert blocks is lattice.level(m, k)  # cached
+        sizes = [b.shape[1] for b in blocks]
+        assert sum(sizes) == comb(m, k) << k and all(0 < n <= lattice.BLOCK for n in sizes)
+        assert sizes[:-1] == [lattice.BLOCK] * (len(sizes) - 1)
+        table = np.hstack(blocks)
+        cells = table[0]
+        assert (np.diff(cells) > 0).all()
+        trits = cells[:, None] // 3 ** np.arange(m) % 3
+        assert ((trits > 0).sum(axis=1) == k).all()
+        # each cell's free variables' steps 3^j, in increasing order
+        steps = np.broadcast_to(3 ** np.arange(m), trits.shape)[trits == 0]
+        steps = steps.reshape(len(cells), m - k).T
+        assert (table[1:m - k + 1] == cells + steps).all()
+        assert (table[m - k + 1:] == cells + 2 * steps).all()
+        for b in blocks:
+            assert b.flags.c_contiguous and not b.flags.writeable
 
 
 class TestAutomorphisms:
