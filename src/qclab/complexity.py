@@ -5,28 +5,32 @@ input-vs-algorithm zero-sum game.
 The DP runs on the subcube lattice of :mod:`qclab.lattice` and is exact:
 it takes integer point weights over one common denominator, in numpy
 int64 only while that denominator is below 2^62 and in Python ints above
-it.  It solves one depth d at a time into one buffer over the 3^m
-subcubes: each starts at its best answer, then the levels d - 1 up to the
-full cube take the larger of that and their best child pair sum, so a
-subcube that fixes k variables ends with its best depth-(d - k) value.
-The game solver is approximate but bracketed, and every accept/reject
-decision it makes is backed by an exact quantity (a best-response value
-below the target rejects a depth; the rejecting distribution is an exact
-certificate for the next depth).  :func:`rand_complexity` returns that
+it.  Every subcube's best answer takes the place of the last label's
+masses, and a solve at depth d writes only the levels d - 1 up to the
+full cube of one buffer over the 3^m subcubes: each takes the larger of
+its answer and its best child pair sum, so a subcube that fixes k
+variables ends with its best depth-(d - k) value.  The game solver is
+approximate but bracketed, and every accept/reject decision it makes is
+backed by an exact quantity (a best-response value below the target
+rejects a depth; the rejecting distribution is an exact certificate for
+the next depth).  :func:`rand_complexity` returns that
 certificate, the hard distribution and its exact distributional
 complexity, read off the DP the game already solved for it.  The
 multiplicative weights are Python ints on one fixed grid, the largest
 always ``ONE_WEIGHT``, and go to the DP as int64 point weights.  A round
 builds no tree: it scores the best response by walking the DP's choices
-from the full cube by the witness tree's tie-break rule.
+from the full cube by the witness tree's tie-break rule.  A call builds
+its result, hard distribution and witness tree once, after its last
+depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -73,7 +77,9 @@ class _TreeDP:
     The DP works on rows ``r``, and the witness's leaves answer
     ``labels[r]``.  ``weights`` are integer point weights over ``den``.
     Tie-breaking is deterministic: answering beats querying at equal value,
-    lower variable index beats higher, lower label beats higher.
+    lower variable index beats higher, lower label beats higher.  ``_query``
+    and ``_row`` keep that rule for the witness and the best-response walk
+    alike.
     """
 
     def __init__(self, accepts: tuple[list[int], np.ndarray], weights: np.ndarray, den: int):
@@ -83,33 +89,40 @@ class _TreeDP:
             raise CapExceeded(f"arity {self.arity} exceeds the DP cap")
         self.den = den
         self.label_mass = lattice.masses(weights * table, self.arity)
-        # after _solve(d), a cell of level k <= d holds V_{d-k}, the best
-        # success of depth-(d - k) trees on it, and a deeper one its answer
-        self.values = np.empty(3**self.arity, dtype=self.label_mass.dtype)
-        self.depth = -1
+        # the last row gives way to every cell's best answer, V_0, so a
+        # leaf answers the lowest row whose mass equals it, which is the
+        # last row when no other does
+        self.answers = self.label_mass[-1]
+        for row in self.label_mass[:-1]:
+            np.maximum(self.answers, row, out=self.answers)
+        # after _solve(d), a cell of level k < d holds V_{d-k}, the best
+        # success of depth-(d - k) trees on it; no solve touches the others
+        self.values = np.empty_like(self.answers)
+        self.depth = 0
 
     def _solve(self, depth: int) -> None:
         """Solve ``min(depth, arity)`` into ``values`` unless it is solved.
-        V grows with the depth, so after a shallower solve a cell's value
-        lies between its best answer and its new value and stands for the
-        answer; only a first or a shallower solve writes the answers."""
+        Each level from d - 1 up to the full cube takes the larger of a
+        cell's answer and its best child pair sum, the children read off
+        the answers at level d and off the level below otherwise."""
         depth = min(depth, self.arity)
         if depth != self.depth:
-            values = self.values
-            if depth < self.depth or self.depth < 0:
-                np.max(self.label_mass, axis=0, out=values)
+            answers, values = self.answers, self.values
+            children = answers
             for k in range(depth - 1, -1, -1):
-                free = self.arity - k
-                for table in lattice.level(self.arity, k):
-                    pairs = values[table[:free + 1]]  # each cell, then its 0-children
-                    pairs[1:] += values[table[free + 1:]]
-                    values[table[0]] = pairs.max(axis=0)
+                for cells, head, tail in _level_views(self.arity, k):
+                    pairs = children[head]  # each cell, then its 0-children
+                    if children is values:  # a cell's own entry is its answer
+                        pairs[0] = answers[cells]
+                    pairs[1:] += children[tail]
+                    values[cells] = pairs.max(axis=0)
+                children = values
             self.depth = depth
 
     def value(self, depth: int) -> int:
         """Best success numerator (over ``den``) of depth-``depth`` trees."""
         self._solve(depth)
-        return int(self.values[0])
+        return int((self.values if self.depth else self.answers)[0])
 
     def min_depth(self, eps: Fraction) -> int:
         """Smallest depth whose best success is at least ``1 - eps``.  The
@@ -123,7 +136,7 @@ class _TreeDP:
             return (d >= self.arity
                     or self.value(d) * target.denominator >= target.numerator * self.den)
 
-        d = max(self.depth, 0)
+        d = self.depth
         if meets(d):
             while d and meets(d - 1):
                 d -= 1
@@ -138,64 +151,86 @@ class _TreeDP:
 
     def witness(self, depth: int) -> DecisionTree:
         self._solve(depth)
-        return DecisionTree(self.arity, self._node(0, count()))
+        root = self._node(0, (1 << self.arity) - 1, self.depth, count())
+        return DecisionTree(self.arity, root)
 
-    def _node(self, index: int, leaf_ids):
+    def _node(self, index: int, free: int, left: int, leaf_ids):
         # a method, not a closure: a self-referencing closure would keep
         # the lattice arrays alive until the cyclic collector runs
-        query, k = self._choice(index)
-        if query:
-            step = 3**k
-            return InternalNode(k, self._node(index + step, leaf_ids),
-                                self._node(index + 2 * step, leaf_ids))
-        return Leaf(self.labels[k], next(leaf_ids))
+        var = self._query(index, free, left)
+        if var < 0:
+            return Leaf(self.labels[self._row(index)], next(leaf_ids))
+        step = 3**var
+        free ^= 1 << var
+        return InternalNode(var, self._node(index + step, free, left - 1, leaf_ids),
+                            self._node(index + 2 * step, free, left - 1, leaf_ids))
 
-    def _choice(self, index: int) -> tuple[bool, int]:
-        """What the solved depth's optimal tree does on subcube ``index``,
-        for the witness and the best-response walk alike: ``(False, row)``
-        answers the label of the lowest row of largest mass unless some
-        query beats every answer; then ``(True, var)`` queries the lowest
-        variable whose two halves sum to the best value.  Values are read
-        as Python ints, which compare far faster than numpy scalars."""
-        values = self.values
-        best = values.item(index)
-        counts = self.label_mass[:, index].tolist()
-        top = max(counts)
-        if top < best:  # some query beats every answer
-            step = 1
-            for v in range(self.arity):
-                # v is free here and its two halves reach the best value
-                if (index // step % 3 == 0
-                        and values.item(index + step) + values.item(index + 2 * step) == best):
-                    return True, v
-                step *= 3
-        return False, counts.index(top)
+    def _query(self, index: int, free: int, left: int) -> int:
+        """The variable the solved depth's optimal tree queries on subcube
+        ``index``, which leaves the variables of mask ``free`` free with
+        ``left`` queries to go, or -1 where it answers.  It answers unless
+        some query beats the cell's best answer, and then queries the
+        lowest free variable whose two halves sum to the best value.  Values
+        are read as Python ints, which compare far faster than numpy
+        scalars."""
+        if left:
+            best = self.values.item(index)
+            if self.answers.item(index) < best:
+                # the halves' values: V_{left-1}, the answers when left is 1
+                halves = self.values if left > 1 else self.answers
+                while free:
+                    bit = free & -free
+                    var = bit.bit_length() - 1
+                    step = 3**var
+                    if halves.item(index + step) + halves.item(index + 2 * step) == best:
+                        return var
+                    free ^= bit
+        return -1
+
+    def _row(self, index: int) -> int:
+        """The row a leaf on subcube ``index`` answers: the lowest of
+        largest mass, the first entry of the cell's column that equals its
+        last, the best answer."""
+        masses = self.label_mass[:, index].tolist()
+        return masses.index(masses[-1])
 
     def correct(self, depth: int, rows: list[list[bool]]) -> list[bool]:
         """``rows[r][x]`` at the row ``r`` of the label the depth-``depth``
         witness gives each input ``x``.  The walk carries each node's
-        subcube as its lattice index and as the bits it fixes and the
-        variables it leaves free; a leaf's points are its fixed bits joined
-        with each subset of its free variables.  No tree is built and no
-        input is evaluated."""
+        subcube as its lattice index, the bits it fixes, the variables it
+        leaves free and the queries left; it reads the answers and values
+        the solve left, and only a leaf reads its label masses.  A leaf's
+        points are its fixed bits joined with each subset of its free
+        variables.  No tree is built and no input is evaluated."""
         self._solve(depth)
         correct = [False] * (1 << self.arity)
         subsets = lattice.subsets(self.arity)
-        stack = [(0, 0, (1 << self.arity) - 1)]
+        query = self._query
+        stack = [(0, 0, (1 << self.arity) - 1, self.depth)]
         while stack:
-            index, fixed, free = stack.pop()
-            query, k = self._choice(index)
-            if query:
-                bit, step = 1 << k, 3**k
-                free ^= bit
-                stack.append((index + step, fixed, free))
-                stack.append((index + 2 * step, fixed | bit, free))
-            else:
-                row = rows[k]
+            index, fixed, free, left = stack.pop()
+            var = query(index, free, left)
+            if var < 0:
+                row = rows[self._row(index)]
                 for s in subsets[free]:
                     x = fixed | s
                     correct[x] = row[x]
+            else:
+                bit, step = 1 << var, 3**var
+                free ^= bit
+                stack.append((index + step, fixed, free, left - 1))
+                stack.append((index + 2 * step, fixed | bit, free, left - 1))
         return correct
+
+
+@lru_cache(maxsize=None)
+def _level_views(m: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The blocks of :func:`lattice.level` as ``(cells, head, tail)``
+    views: the cells, the cells over their 0-children, and their
+    1-children, sliced once rather than on every solve of a game's
+    rounds."""
+    free = m - k
+    return tuple((table[0], table[:free + 1], table[free + 1:]) for table in lattice.level(m, k))
 
 
 def _accepts(h: Relation) -> tuple[list[int], np.ndarray]:
@@ -262,63 +297,60 @@ class GameResult:
     certified_depth: int
 
 
+class _Game(NamedTuple):
+    """The state one depth's game ends in: the last round's DP, the
+    weights and their sum as the game left them, each input's payoff sum,
+    each round's best-response value as ``(numerator, den)``, and how it
+    ended.  A game is ``rejected`` exactly when its last round's value is
+    below ``1 - eps``; the weights are then that round's, and the payoffs
+    and values, which no result reads, stop before it."""
+
+    dp: _TreeDP
+    weights: list[int]
+    den: int
+    payoff_sums: list[int]
+    br_values: list[tuple[int, int]]
+    rejected: bool
+    limit_hit: bool
+
+
 def _solve_game(
     accepts: tuple[list[int], np.ndarray], depth: int, eps: Fraction, uniform_dp: _TreeDP,
-) -> GameResult:
-    """One depth of the game, whose first round, on uniform weights, plays
-    ``uniform_dp``.  Its ``hard_dist`` is the last distribution and
-    ``certified_depth`` that distribution's exact D_eps, read off the last
-    round's DP; so a game that ends without ``limit_hit`` rejected ``depth``
-    exactly when ``certified_depth > depth``."""
+) -> _Game:
+    """Play one depth of the game until it rejects, accepts or reaches
+    ``MAX_ITER`` rounds, and return the state it ends in, from which
+    :func:`rand_complexity` builds its result.  The first round, on uniform
+    weights, plays ``uniform_dp``; a rejecting round stops before it scores
+    its best response."""
     rows = accepts[1].tolist()
     n_inputs = len(rows[0])
     shrink_num, shrink_den = (1 - ETA).as_integer_ratio()
-    target = 1 - eps
-    bound = target - TOL
+    target_num, target_den = (1 - eps).as_integer_ratio()
+    bound_num, bound_den = (1 - eps - TOL).as_integer_ratio()
     weights = [ONE_WEIGHT] * n_inputs
     den = sum(weights)
     payoff_sums = [0] * n_inputs
-    br_values = []  # best-response value of each round, as (numerator, den)
-
-    def result(t: int, limit_hit: bool = False) -> GameResult:
-        # the rounds' denominators differ, so add the pairs unreduced and
-        # reduce once
-        num, dnm = 0, 1
-        for v, d in br_values:
-            num, dnm = num * d + v * dnm, dnm * d
-        # on limit_hit the last round moved the weights, so their DP is new
-        cert_dp = _TreeDP(accepts, lattice.weight_array(weights, den), den) if limit_hit else dp
-        return GameResult(
-            depth,
-            lower_value=Fraction(min(payoff_sums), t),
-            upper_value=Fraction(num, dnm * t),
-            hard_dist=Dist(dp.arity, tuple(Fraction(w, den) for w in weights)),
-            best_tree=dp.witness(depth),
-            iterations=t,
-            limit_hit=limit_hit,
-            certified_depth=cert_dp.min_depth(eps),
-        )
-
+    br_values = []
     dp = uniform_dp
     for t in range(1, MAX_ITER + 1):
         if t > 1:
             dp = _TreeDP(accepts, lattice.weight_array(weights, den), den)
         value = dp.value(depth)
+        if value * target_den < target_num * den:
+            # exact rejection: even the best depth-d tree fails under this
+            # round's distribution
+            return _Game(dp, weights, den, payoff_sums, br_values, True, False)
         br_values.append((value, den))
         correct = dp.correct(depth, rows)
         payoff_sums = [s + c for s, c in zip(payoff_sums, correct)]
-        if value * target.denominator < target.numerator * den:
-            # exact rejection: even the best depth-d tree fails under this
-            # round's distribution
-            return result(t)
-        if min(payoff_sums) * bound.denominator >= bound.numerator * t:
-            return result(t)
+        if min(payoff_sums) * bound_den >= bound_num * t:
+            return _Game(dp, weights, den, payoff_sums, br_values, False, False)
         weights = [w * shrink_num // shrink_den if c else w for w, c in zip(weights, correct)]
         top = max(weights)
         if top != ONE_WEIGHT:  # else the rescale is the identity
             weights = [w * ONE_WEIGHT // top for w in weights]
         den = sum(weights)
-    return result(MAX_ITER, limit_hit=True)
+    return _Game(dp, weights, den, payoff_sums, br_values, False, True)
 
 
 def rand_complexity(h: Problem, eps) -> GameResult:
@@ -336,17 +368,18 @@ def rand_complexity(h: Problem, eps) -> GameResult:
     The result's ``hard_dist`` is the last rejected depth's witness (the
     first depth's last distribution when none was rejected) and
     ``certified_depth`` its exact distributional complexity, read off the
-    DP the game solved for it.  A depth that ends on ``limit_hit`` solves
-    one more DP, of the weights its last round moved.
+    DP the game solved for it when it rejected.  A first depth that ends on
+    ``limit_hit`` solves one more DP, of the weights its last round moved.
 
     Weights are integers, the largest equal to ``ONE_WEIGHT``.  Each round
     shrinks the weight of every input the best response answers correctly
     to floor(w * (1 - ETA)), then rescales every weight to
     floor(w * ONE_WEIGHT / max), so a weight that floors to 0 stays 0.  The
     next distribution is the weights over their sum; it goes to the DP as
-    int64 point weights, and a :class:`Dist` is built only at the end of a
-    depth.  Every depth starts from uniform weights, so their first rounds
-    share one DP.
+    int64 point weights.  A depth's game returns its raw state, and the one
+    :class:`GameResult`, its :class:`Dist` and its witness tree are built
+    once per call, from the accepted depth's game.  Every depth starts from
+    uniform weights, so their first rounds share one DP.
     """
     eps = _checked_eps(eps)
     rel = _as_relation(h)
@@ -355,13 +388,37 @@ def rand_complexity(h: Problem, eps) -> GameResult:
     # every depth's game starts from these weights, so its first round
     # plays this one DP
     uniform_dp = _TreeDP(accepts, lattice.weight_array(uniform, sum(uniform)), sum(uniform))
-    rejected = None  # the last rejected depth's game
-    # certified_depth is at most the arity, so the full-depth game returns
+    hard = None  # the hard distribution's weights, their sum and exact D_eps
+    # a depth whose best tree meets 1 - eps is not rejected, and the full
+    # depth's best tree succeeds everywhere, so the loop ends
     for depth in count():
         game = _solve_game(accepts, depth, eps, uniform_dp)
-        if game.limit_hit or game.certified_depth <= depth:
-            if rejected is None:
-                return game
-            return replace(game, hard_dist=rejected.hard_dist,
-                           certified_depth=rejected.certified_depth)
-        rejected = game
+        if not game.rejected:
+            break
+        # D_eps is read off the rejecting round's DP, which then dies with
+        # its depth instead of living through the next depth's game
+        hard = game.weights, game.den, game.dp.min_depth(eps)
+        del game
+    best_tree = game.dp.witness(depth)
+    if hard is None:  # this first depth's last distribution
+        # on limit_hit the last round moved the weights, so their DP is new
+        cert_dp = (_TreeDP(accepts, lattice.weight_array(game.weights, game.den), game.den)
+                   if game.limit_hit else game.dp)
+        hard = game.weights, game.den, cert_dp.min_depth(eps)
+    weights, den, certified_depth = hard
+    # the rounds' denominators differ, so add the pairs unreduced and
+    # reduce once
+    num, dnm = 0, 1
+    for v, d in game.br_values:
+        num, dnm = num * d + v * dnm, dnm * d
+    t = len(game.br_values)
+    return GameResult(
+        depth,
+        lower_value=Fraction(min(game.payoff_sums), t),
+        upper_value=Fraction(num, dnm * t),
+        hard_dist=Dist(rel.arity, tuple(Fraction(w, den) for w in weights)),
+        best_tree=best_tree,
+        iterations=t,
+        limit_hit=game.limit_hit,
+        certified_depth=certified_depth,
+    )

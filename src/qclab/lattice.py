@@ -12,7 +12,8 @@ cube.
 one product with a cached 0/1 table of which points each subcube holds for
 small int64 inputs, and by one pass per variable otherwise, variable 0
 first, so that every pass copies and adds contiguous blocks of the trits
-already made.  Both give the same integers.
+already made.  Both give the same integers.  The product runs in float64,
+which is exact while the full-cube mass is below ``FLOAT64_LIMIT``.
 
 A depth-d tree at the full cube reads the values of depth d - k only on the
 cells that fix k variables, level k.  :func:`level` gives each level's cells
@@ -41,11 +42,15 @@ import numpy as np
 from .core import ArityMismatch, Dist, TruthTable
 
 INT64_LIMIT = 1 << 62
+# float64 holds every integer below 2^53 exactly
+FLOAT64_LIMIT = 1 << 53
 # masses takes the product kernel while rows * 2^m * 3^m is at most this.
 # Against the innermost-first passes, the int64 crossover lies between 0.75
 # and 1 times it at m = 3 to 5 (at this bound the passes lead by about 10%),
 # and past 8 times it at m = 2; at m = 6 the passes win from one row, and at
-# m = 1 from some 2,700 rows, which no caller reaches
+# m = 1 from some 2,700 rows, which no caller reaches.  Those are the int64
+# product's; the float64 product that masses runs is 1.5 to 3.5 times faster
+# than the passes at this bound for m = 1 to 5, so its crossover lies higher
 PRODUCT_CELLS = 1 << 15
 # cells per level gather table: it bounds a solve's temporaries, which over
 # whole levels left 14 MB more resident at m = 12, eps 0
@@ -66,8 +71,8 @@ def weight_array(nums: list[int], den: int) -> np.ndarray:
 
 
 def masses(weights: np.ndarray, m: int) -> np.ndarray:
-    """Subcube masses, shape ``(..., 3^m)``, from point weights of shape
-    ``(..., 2^m)``.
+    """Subcube masses, shape ``(..., 3^m)``, from nonnegative point weights
+    of shape ``(..., 2^m)``.
 
     Two kernels give the same integers, for int64 and object arrays alike.
     The product kernel is one matrix product with the cached 0/1 table of
@@ -76,8 +81,10 @@ def masses(weights: np.ndarray, m: int) -> np.ndarray:
     pass kernel makes a few numpy calls per variable and moves about
     ``rows * 3^m`` values in each.  ``masses`` takes the product for int64
     inputs of at most ``PRODUCT_CELLS`` multiply-adds, the measured
-    crossover, and the passes otherwise.  A product of Python ints costs
-    some fifty times an int64 one, so object inputs always take the passes.
+    crossover, and the passes otherwise.  That product runs in float64, and
+    in int64 only when some row's total reaches ``FLOAT64_LIMIT``, where
+    float64 could round.  A product of Python ints costs some fifty times
+    an int64 one, so object inputs always take the passes.
     """
     rows = prod(weights.shape[:-1])
     if weights.dtype != object and rows * 6**m <= PRODUCT_CELLS:
@@ -86,8 +93,21 @@ def masses(weights: np.ndarray, m: int) -> np.ndarray:
 
 
 def _product_masses(weights: np.ndarray, m: int) -> np.ndarray:
-    """:func:`masses` as one product with the :func:`_incidence` table."""
-    return weights @ _incidence(m)
+    """:func:`masses` as one product with the :func:`_incidence` table.
+
+    An int64 product runs in float64, which numpy hands to BLAS; its
+    integer product runs in a plain loop, some three times slower at
+    m = 5.  The weights are nonnegative, so every partial sum is
+    at most its row's full-cube mass, column 0, and the product is exact
+    when every column 0 reads below ``FLOAT64_LIMIT``.  Rounding is
+    monotone, so a total of at least ``FLOAT64_LIMIT`` reads at least that
+    in float64 too; those inputs, and Python ints, take the exact integer
+    product."""
+    if weights.dtype != object:
+        out = weights.astype(np.float64) @ _incidence(m, np.float64)
+        if out[..., 0].max(initial=0) < FLOAT64_LIMIT:
+            return out.astype(np.int64)
+    return weights @ _incidence(m, np.int64)
 
 
 def _pass_masses(weights: np.ndarray, m: int) -> np.ndarray:
@@ -117,11 +137,11 @@ def _pass_masses(weights: np.ndarray, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _incidence(m: int) -> np.ndarray:
-    """Read-only int64 table of shape ``(2^m, 3^m)``: entry ``[x, c]`` is 1
-    when subcube ``c`` holds point ``x`` and 0 otherwise.  Row x is the
-    masses of the unit weight on x."""
-    table = _pass_masses(np.eye(1 << m, dtype=np.int64), m)
+def _incidence(m: int, dtype: type) -> np.ndarray:
+    """Read-only table of shape ``(2^m, 3^m)``: entry ``[x, c]`` is 1 when
+    subcube ``c`` holds point ``x`` and 0 otherwise.  Row x is the masses
+    of the unit weight on x."""
+    table = _pass_masses(np.eye(1 << m, dtype=np.int64), m).astype(dtype, copy=False)
     table.flags.writeable = False
     return table
 

@@ -36,10 +36,11 @@ comparisons are numpy int64 comparisons; each sweep checks before it runs
 that its largest product stays below 2^63, so nothing can wrap and the
 verdicts are exact.  For rbias that includes the squared sums over every
 active subcube, which reach 2^m times the total, as each point lies in
-2^m subcubes.  The rbias event product is the one float64 step, so that
-it runs through BLAS: its terms are nonnegative integers and every
-partial sum is at most the grid total, which is checked to be below 2^53,
-so each is exact and converts back to int64 unchanged.  Irrational
+2^m subcubes.  The rbias event product runs in float64, as do
+:func:`lattice.masses`' small products, so that it runs through BLAS: its
+terms are nonnegative integers and every partial sum is at most the grid
+total, which is checked to be below 2^53, so each is exact and converts
+back to int64 unchanged.  Irrational
 square-root thresholds are compared through squares.
 """
 
@@ -125,7 +126,7 @@ def _check_int64(bound: int) -> None:
 def _check_float64(bound: int) -> None:
     """Every float64 sum of a sweep is an integer of at most ``bound``;
     refuse to run where one could round."""
-    if bound >= 1 << 53:
+    if bound >= lattice.FLOAT64_LIMIT:
         raise CapExceeded(f"sweep sums up to {bound} are not exact in float64")
 
 

@@ -269,6 +269,26 @@ class TestBestResponseWalker:
                     expected = [rows[labels.index(tree.output(x))][x] for x in range(1 << m)]
                     assert dp.correct(depth, rows) == expected
 
+    def test_walk_after_a_deeper_solve(self):
+        """``value(d + 2)`` leaves deeper values on the levels above d;
+        ``correct(d)`` must solve d again and walk it as a fresh DP's
+        witness answers, in int64 and object dtype alike."""
+        rng = random.Random(73)
+        for big in [False] * 20 + [True] * 10:
+            m = rng.randint(2, 8)
+            h = random_relation(rng, m, rng.choice([2, 3]))
+            labels, table = accepts = complexity._accepts(h)
+            rows = table.tolist()
+            for weights in _game_weights(rng, m, big):
+                den = max(sum(weights), 1)
+                w = np.array(weights, dtype=object if big else np.int64)
+                for depth in range(m - 1):
+                    dp = complexity._TreeDP(accepts, w, den)
+                    dp.value(depth + 2)
+                    tree = complexity._TreeDP(accepts, w, den).witness(depth)
+                    expected = [rows[labels.index(tree.output(x))][x] for x in range(1 << m)]
+                    assert dp.correct(depth, rows) == expected
+
 
 class TestNoCycles:
     def test_a_solved_dp_dies_with_its_call(self, monkeypatch):
@@ -327,6 +347,35 @@ class TestGameDPs:
         result = rand_complexity(and_fn(2), F(1, 3))
         assert result.limit_hit and result.depth == 0
         assert result.certified_depth == dist_complexity(and_fn(2), result.hard_dist, F(1, 3))
+
+
+class TestResultsOncePerCall:
+    def test_one_witness_and_one_dist_per_call(self, monkeypatch):
+        """However many depths a call rejects, it builds one witness tree
+        and one ``Dist``, and its result is the Fraction loop's."""
+        rng = random.Random(89)
+        cases = [(xor_fn(2), F(1, 3)), (xor_fn(3), F(1, 4)),
+                 (random_truth_table(rng, 4), F(1, 4)), (random_relation(rng, 4, 3), F(1, 3))]
+        for h, eps in cases:
+            expected = fraction_rand_complexity(h, eps)
+            built = {"witness": 0, "dist": 0}
+            witness, post_init = complexity._TreeDP.witness, Dist.__post_init__
+
+            def spy_witness(self, depth):
+                built["witness"] += 1
+                return witness(self, depth)
+
+            def spy_dist(self):
+                built["dist"] += 1
+                post_init(self)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(complexity._TreeDP, "witness", spy_witness)
+                patch.setattr(Dist, "__post_init__", spy_dist)
+                result = rand_complexity(h, eps)
+            assert result.depth >= 2  # depths 0 and 1 were rejected
+            assert built == {"witness": 1, "dist": 1}
+            assert _game_fields(result) == _game_fields(expected)
 
 
 def _game_fields(result):

@@ -74,7 +74,37 @@ class TestMasses:
                 for index, mass in enumerate(masses):
                     cube = Subcube(m, lattice.assignment(index, m))
                     assert F(mass, den) == subcube_prob(mu, cube)
-        assert not lattice._incidence(m).flags.writeable
+        assert not any(lattice._incidence(m, t).flags.writeable for t in (np.int64, np.float64))
+
+    def test_float_product_is_exact_below_2_to_the_53(self, monkeypatch):
+        """The int64 product runs in float64 while every row's full-cube
+        mass is below 2^53, so every partial sum is exact; at 2^53 and above
+        it takes the integer product, since 2^53 + 1 reads 2^53 in float64."""
+        tables = []
+        incidence = lattice._incidence
+
+        def spy(m, dtype):
+            tables.append(dtype)
+            return incidence(m, dtype)
+
+        monkeypatch.setattr(lattice, "_incidence", spy)
+        limit = lattice.FLOAT64_LIMIT
+        # parts summing to 2^53 - 1, the largest total the float product takes
+        below = [(1 << 52) - 1, (1 << 51) + 1, (1 << 50) + 3, (1 << 50) - 4]
+        assert sum(below) == limit - 1
+        cases = [
+            (below, 2, [np.float64]),
+            ([[5, 7], [limit - 2, 1]], 1, [np.float64]),
+            ([limit, 1], 1, [np.float64, np.int64]),
+            ([limit, 0], 1, [np.float64, np.int64]),
+            ([[limit - 1, 0], [limit, 1]], 1, [np.float64, np.int64]),
+        ]
+        for rows, m, path in cases:
+            weights = np.array(rows, dtype=np.int64)
+            tables.clear()
+            got = lattice.masses(weights, m)
+            assert tables == path
+            assert got.dtype == np.int64 and (got == concat_masses(weights, m)).all()
 
     @pytest.mark.parametrize("m", range(7, 13))
     def test_passes_match_reference_past_6_bits(self, m):
