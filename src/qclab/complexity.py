@@ -6,10 +6,10 @@ The DP runs on the subcube lattice of :mod:`qclab.lattice` and is exact:
 it takes integer point weights over one common denominator, in numpy
 int64 only while that denominator is below 2^62 and in Python ints above
 it.  Every subcube's best answer takes the place of the last label's
-masses, and a solve at depth d writes only the levels d - 1 up to the
-full cube of one buffer over the 3^m subcubes: each takes the larger of
-its answer and its best child pair sum, so a subcube that fixes k
-variables ends with its best depth-(d - k) value.  The game solver is
+masses, and :func:`lattice.solve`, the one home of the optimal-tree
+recurrence, solves a depth d into one buffer over the 3^m subcubes: it
+writes only the levels d - 1 up to the full cube, so a subcube that fixes
+k variables ends with its best depth-(d - k) value.  The game solver is
 approximate but bracketed, and every accept/reject decision it makes is
 backed by an exact quantity (a best-response value below the target
 rejects a depth; the rejecting distribution is an exact certificate for
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 from typing import NamedTuple, Union
 
@@ -101,22 +100,11 @@ class _TreeDP:
         self.depth = 0
 
     def _solve(self, depth: int) -> None:
-        """Solve ``min(depth, arity)`` into ``values`` unless it is solved.
-        Each level from d - 1 up to the full cube takes the larger of a
-        cell's answer and its best child pair sum, the children read off
-        the answers at level d and off the level below otherwise."""
+        """Solve ``min(depth, arity)`` into ``values`` unless it is solved,
+        by :func:`lattice.solve`, the one home of the tree recurrence."""
         depth = min(depth, self.arity)
         if depth != self.depth:
-            answers, values = self.answers, self.values
-            children = answers
-            for k in range(depth - 1, -1, -1):
-                for cells, head, tail in _level_views(self.arity, k):
-                    pairs = children[head]  # each cell, then its 0-children
-                    if children is values:  # a cell's own entry is its answer
-                        pairs[0] = answers[cells]
-                    pairs[1:] += children[tail]
-                    values[cells] = pairs.max(axis=0)
-                children = values
+            lattice.solve(self.answers, self.values, self.arity, depth)
             self.depth = depth
 
     def value(self, depth: int) -> int:
@@ -221,16 +209,6 @@ class _TreeDP:
                 stack.append((index + step, fixed, free, left - 1))
                 stack.append((index + 2 * step, fixed | bit, free, left - 1))
         return correct
-
-
-@lru_cache(maxsize=None)
-def _level_views(m: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The blocks of :func:`lattice.level` as ``(cells, head, tail)``
-    views: the cells, the cells over their 0-children, and their
-    1-children, sliced once rather than on every solve of a game's
-    rounds."""
-    free = m - k
-    return tuple((table[0], table[:free + 1], table[free + 1:]) for table in lattice.level(m, k))
 
 
 def _accepts(h: Relation) -> tuple[list[int], np.ndarray]:

@@ -1,6 +1,6 @@
 """The subcube lattice of {0,1}^m behind the exact tree DP, the sweeps and
 the simulator's exact laws: one indexing, one mass computation, and the
-tables of the optimal-tree DP.
+one optimal-tree recurrence, on cached level tables.
 
 Subcube indices carry one trit per variable: 0 leaves variable j free, 1
 fixes it to 0, 2 fixes it to 1.  Trit j has weight 3^j, as variable j is
@@ -18,8 +18,9 @@ which is exact while the full-cube mass is below ``FLOAT64_LIMIT``.
 A depth-d tree at the full cube reads the values of depth d - k only on the
 cells that fix k variables, level k.  :func:`level` gives each level's cells
 and their children along each free variable as cached intp gather tables,
-built by concatenation when a DP first reaches the level.  :func:`layers`
-gives every depth on every cell, under leading axes, for the sweeps.
+built by concatenation when a solve first reaches the level, and
+:func:`solve` runs the optimal-tree recurrence on them, for the exact DP
+and the rbias sweep alike.
 
 The automorphisms of the cube (permute the variables, flip bits) act on
 points and on subcube indices alike, and masses follow them: the image
@@ -157,44 +158,15 @@ def g_masses(g: TruthTable, mu: Dist) -> tuple[list, list, int]:
     return m0, m1, den
 
 
-def _fixing(j: int, t: int) -> tuple:
-    """Index selecting trit ``t`` of variable ``j`` on a reshaped lattice."""
-    return (Ellipsis, t) + (slice(None),) * j
-
-
-def layers(answer: np.ndarray, m: int):
-    """Yield the optimal depth-r tree values V_0, ..., V_m on every subcube,
-    under any leading axes.
-
-    ``answer`` is the best a single leaf achieves on each subcube, and
-    V_r = max(answer, max_j V_{r-1}[j<-0] + V_{r-1}[j<-1]) over the free
-    variables j.  Beyond depth m nothing is left to query, so V_m is final.
-    For each j, the view of the cells that leave j free takes the maximum
-    with the sum of the two views that fix j, summed into one buffer.
-    """
-    shape = answer.shape[:-1] + (3,) * m
-    pair = np.empty(shape[:-1], dtype=answer.dtype)
-    value = answer
-    yield value
-    for _ in range(m):
-        prev = value.reshape(shape)
-        nxt = answer.reshape(shape).copy()
-        for j in range(m):
-            free = nxt[_fixing(j, 0)]
-            np.add(prev[_fixing(j, 1)], prev[_fixing(j, 2)], out=pair)
-            np.maximum(free, pair, out=free)
-        value = nxt.reshape(answer.shape)
-        yield value
-
-
 @lru_cache(maxsize=None)
-def level(m: int, k: int) -> tuple[np.ndarray, ...]:
+def level(m: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Gather tables of level k, the cells that fix k variables, in
-    increasing index and in blocks of at most ``BLOCK`` cells.  A table has
-    ``2 * (m - k) + 1`` rows: the cells, then for the i-th free variable of
-    each cell, in increasing variable order, row 1 + i holds the child of
-    level k + 1 that fixes it to 0 and row 1 + (m - k) + i the one that
-    fixes it to 1."""
+    increasing index and in blocks of at most ``BLOCK`` cells, each block
+    as ``(cells, head, tail)``.  ``head`` has ``m - k + 1`` rows: the
+    cells, then for the i-th free variable of each cell, in increasing
+    variable order, row 1 + i holds the child of level k + 1 that fixes it
+    to 0; row i of ``tail`` holds the child that fixes it to 1.  The three
+    are read-only views of one table."""
     # each cell's count of fixed variables and mask of free ones, by
     # concatenation: the cells that leave variable j free, fix it to 0, to 1
     fixed, free = np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.uint16)
@@ -204,7 +176,7 @@ def level(m: int, k: int) -> tuple[np.ndarray, ...]:
     cells = np.flatnonzero(fixed == k)
     step = np.zeros(1 << m, dtype=np.intp)  # 2^j -> 3^j
     step[1 << np.arange(m)] = 3 ** np.arange(m)
-    tables = []
+    blocks = []
     for block in np.split(cells, range(BLOCK, len(cells), BLOCK)):
         mask = free[block].astype(np.intp)
         table = np.empty((2 * (m - k) + 1, len(block)), dtype=np.intp)
@@ -217,8 +189,29 @@ def level(m: int, k: int) -> tuple[np.ndarray, ...]:
         np.add(block, hi, out=lo)
         hi += lo
         table.flags.writeable = False
-        tables.append(table)
-    return tuple(tables)
+        blocks.append((table[0], table[:m - k + 1], table[m - k + 1:]))
+    return tuple(blocks)
+
+
+def solve(answers: np.ndarray, values: np.ndarray, m: int, depth: int) -> None:
+    """Solve ``depth`` (at most m) into ``values``: each cell of level
+    k < depth gets V_{depth-k}, its best success over trees of that depth,
+    and no other cell is written.  ``answers`` is V_0, each cell's best
+    single answer, and V_r = max(V_0, max_j V_{r-1}[j<-0] + V_{r-1}[j<-1])
+    over the free variables j.  Both arrays hold the 3^m cells on their
+    first axis, with any trailing axes.  Each level from depth - 1 up to
+    the full cube reads its children off the answers at level ``depth``
+    and off the level just written otherwise, so no solve reads an earlier
+    one's values and every depth may share one buffer."""
+    children = answers
+    for k in range(depth - 1, -1, -1):
+        for cells, head, tail in level(m, k):
+            pairs = children[head]  # each cell, then its 0-children
+            if children is values:  # a cell's own entry is its answer
+                pairs[0] = answers[cells]
+            pairs[1:] += children[tail]
+            values[cells] = pairs.max(axis=0)
+        children = values
 
 
 @lru_cache(maxsize=None)

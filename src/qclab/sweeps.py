@@ -2,10 +2,11 @@
 
 These sweeps cover every Boolean function on up to 3 bits, a rational grid
 of distributions, and (where relevant) every canonical read-once tree of
-bounded depth.  Subcube masses and complexities come from the lattice
-kernel of :mod:`qclab.lattice`, solved for every function at once.  The
-grid is one int64 array, a point's weights per row, built by numpy
-expansion of each denominator's compositions.
+bounded depth.  Subcube masses come from :func:`lattice.masses` and
+complexities from :func:`lattice.solve`, the exact DP's own tree
+recurrence, for every function at once.  The grid is one int64 array, a
+point's weights per row, built by numpy expansion of each denominator's
+compositions.
 
 Each sweep does that work once per orbit of the grid under the cube's
 2^m m! automorphisms (permute the variables, flip bits), and exactly so:
@@ -343,8 +344,14 @@ def sweep_rbias(
             mt = np.repeat(lattice.masses(weights, m), n_g, axis=0)
             m1 = lattice.masses((g_rows * weights[:, None, :]).reshape(-1, 1 << m), m)
             m0 = mt - m1                          # row r * n_g + k: function k at point r
-            # best depth-d success of every function, d = 0..m
-            roots = np.array([v[:, 0] for v in lattice.layers(np.maximum(m0, m1), m)])
+            # best depth-d success of every function, d = 0..m: row 0, the
+            # full cube, of each depth's solve (depth 0 writes no cell)
+            answers = np.maximum(m0, m1).T.copy()  # the cells on the first axis
+            values = answers.copy()
+            roots = np.empty((m + 1, answers.shape[1]), dtype=answers.dtype)
+            for d in range(m + 1):
+                lattice.solve(answers, values, m, d)
+                roots[d] = values[0]
             cases = np.zeros(len(weights), dtype=np.int64)
             found = []
             for e, (ne, de, nd, dd) in enumerate(consts):

@@ -28,9 +28,11 @@ from qclab.io import format_tree
 from _oracles import (
     brute_best_success,
     fraction_rand_complexity,
+    python_layers,
     random_dist,
     random_relation,
     random_truth_table,
+    sliced_layers,
 )
 
 U1 = Dist.uniform(1)
@@ -212,9 +214,11 @@ def _game_weights(rng, m: int, big: bool) -> list[list[int]]:
 
 
 class TestLevelDP:
-    """The level DP solves one depth at a time into one buffer, reusing a
-    shallower solve's values; every depth, in any order, must give the
-    root of the layer oracle and a witness that scores it point by point."""
+    """The level DP solves one depth at a time into one buffer; every
+    depth, in any order, must give each cell within d queries of the full
+    cube, the root among them, its value in the cell-by-cell layer oracle
+    (the slicing oracle past 9 bits, where the first is too slow), and a
+    witness that scores the root point by point."""
 
     @pytest.mark.parametrize("m, big", [(m, False) for m in range(13)] +
                              [(m, True) for m in range(9)])
@@ -222,6 +226,7 @@ class TestLevelDP:
         rng = random.Random(1000 * m + big)
         scale = (1 << 62) + 1 if big else 1
         dtype = object if big else np.int64
+        codim = (np.arange(3**m)[:, None] // 3 ** np.arange(m) % 3 > 0).sum(axis=1)
         for n_labels in (2, 3):
             # a relation's table as _accepts gives it, built here since a
             # Relation has arity at least 1
@@ -233,13 +238,23 @@ class TestLevelDP:
             assert (den >= lattice.INT64_LIMIT) == (big and den > 1)
             w = np.array(weights, dtype=dtype)
             answer = lattice.masses(w * table, m).max(axis=0)
-            roots = [int(layer[0]) for layer in lattice.layers(answer, m)]
+            oracle = python_layers(answer.tolist(), m) if m < 10 else sliced_layers(answer, m)
+            layers = np.array(oracle, dtype=dtype)
+            roots = [int(root) for root in layers[:, 0]]
             dp = complexity._TreeDP(accepts, w, den)
             assert dp.label_mass.dtype == dtype
             depths = list(range(m + 2))
             rows = table.tolist()
-            for d in depths:
+
+            def check(d):
                 assert dp.value(d) == roots[min(d, m)]
+                # every cell of level k < d holds V_{d-k}
+                d = min(d, m)
+                within = np.flatnonzero(codim < d)
+                assert (dp.values[within] == layers[d - codim[within], within]).all()
+
+            for d in depths:
+                check(d)
                 tree = dp.witness(d)
                 assert tree.depth() <= d
                 scored = sum(weights[x] for x in range(1 << m)
@@ -247,7 +262,7 @@ class TestLevelDP:
                 assert scored == dp.value(d)
             rng.shuffle(depths)
             for d in depths[::-1] + depths:  # down, up and back
-                assert dp.value(d) == roots[min(d, m)]
+                check(d)
 
 
 class TestBestResponseWalker:

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qclab.core import (
+    ARITY_CAP,
+    DP_CAP,
+    FLAT_CAP,
     ArityMismatch,
     CapExceeded,
     Dist,
@@ -26,7 +29,8 @@ from qclab.core import (
 )
 from qclab import lattice
 from qclab.complexity import best_success, dist_complexity
-from qclab.compose import build_instance, compose_relation
+from qclab.compose import build_instance, compose_relation, xor_stack
+from qclab.io import parse_truth_table
 
 from _oracles import bias, check_fullbias, random_dist, random_truth_table, restrict_dist
 
@@ -71,6 +75,28 @@ def test_library_checks_raise_their_error(call, error, message):
     assert (type(info.value), str(info.value)) == (error, message)
 
 
+def _accept_all(arity: int) -> Relation:
+    return Relation(arity, 1, (frozenset({0}),) * (1 << arity))
+
+
+@pytest.mark.parametrize("build, cap, message", [
+    (lambda a: TruthTable(a, (0,) * (1 << a)), ARITY_CAP, "arity {} exceeds cap"),
+    (Dist.uniform, ARITY_CAP, "arity {} exceeds cap"),
+    (lambda a: parse_truth_table(f"arity={a}\n{'0' * (1 << a)}\n"), ARITY_CAP,
+     "arity {} exceeds cap"),
+    (lambda a: best_success(_accept_all(a), Dist.uniform(a), 0), DP_CAP,
+     "arity {} exceeds the DP cap"),
+    (lambda a: compose_relation(_accept_all(1), xor_fn(a), 1), FLAT_CAP,
+     "composed arity {} exceeds the flat cap"),
+    (lambda a: xor_stack(identity1(), a), ARITY_CAP, "stacked arity {} exceeds cap"),
+], ids=["truth-table", "dist", "parse-truth-table", "dp", "compose-relation", "xor-stack"])
+def test_caps_accept_the_cap_and_refuse_one_more(build, cap, message):
+    assert build(cap) is not None
+    with pytest.raises(CapExceeded) as info:
+        build(cap + 1)
+    assert str(info.value) == message.format(cap + 1)
+
+
 class TestTruthTable:
     def test_eval_and(self):
         assert and_fn(2).value(0b11) == 1
@@ -86,6 +112,13 @@ class TestTruthTable:
         assert maj3().value(0b011) == 1
         assert maj3().value(0b100) == 0
         assert constant_fn(3, 1).outputs == (1,) * 8
+
+    def test_value_out_of_range(self):
+        g = xor_fn(2)
+        assert g.value(3) == 0
+        for x in (-1, 4):
+            with pytest.raises(ArityMismatch, match=f"point {x} out of range for arity 2"):
+                g.value(x)
 
     def test_bad_outputs_rejected(self):
         with pytest.raises(QclabError):
@@ -248,6 +281,9 @@ class TestSubcube:
         pts = sorted(c.points())
         assert pts == [2, 3, 6, 7]
         assert all(c.contains(x) for x in pts)
+
+    def test_fixed_is_sorted(self):
+        assert Subcube(3, ((2, 1), (0, 0))).fixed == ((0, 0), (2, 1))
 
 
 class TestDist:

@@ -306,6 +306,14 @@ class TestTreeFormat:
             with pytest.raises(Exception):
                 parse_tree(text, 2)
 
+    def test_one_level_deeper_than_the_arity(self):
+        """The parser refuses the third query of a 2-bit tree itself, before
+        the tree's own read-once check would."""
+        parse_tree("(q 1 (q 2 (leaf 0) (leaf 1)) (leaf 1))", 2)
+        with pytest.raises(ParseError) as info:
+            parse_tree("(q 1 (q 2 (q 1 (leaf 0) (leaf 1)) (leaf 0)) (leaf 1))", 2)
+        assert str(info.value) == "tree deeper than its arity 2"
+
 
 class TestInstanceManifest:
     def test_roundtrip(self, tmp_path):

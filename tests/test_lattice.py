@@ -17,6 +17,7 @@ from _oracles import (
     python_layers,
     random_dist,
     random_relation,
+    sliced_layers,
 )
 
 
@@ -172,23 +173,35 @@ class TestLayers:
     @pytest.mark.parametrize("m", range(8))
     @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
     def test_kernels_agree(self, m, big):
-        """The slicing kernel, under leading axes, agrees with the
-        cell-by-cell reference on each lattice."""
+        """``solve`` agrees with the cell-by-cell reference at every depth,
+        under trailing axes: solving depth d into a shared buffer, in any
+        order of depths, gives each cell of level k < d its V_{d-k} and
+        writes no other cell.  The slicing oracle agrees with the
+        reference too."""
         rng = random.Random(200 * m + big)
         scale = (1 << 62) + 1 if big else 1  # object values over a den >= 2^62
         dtype = object if big else np.int64
         rows = np.array([[rng.choice((0, rng.randrange(50))) * scale for _ in range(3**m)]
                          for _ in range(4)], dtype=dtype)
         expected = [python_layers(row, m) for row in rows.tolist()]
-        for answer in (rows[0], rows, rows.reshape(2, 2, 3**m)):
-            # every layer is kept until the end: the reused sum buffer
-            # must not show through them
-            got = list(lattice.layers(answer, m))
-            assert len(got) == m + 1
-            for d, layer in enumerate(got):
-                assert layer.shape == answer.shape and layer.dtype == dtype
-                flat = layer.reshape(-1, 3**m).tolist()
-                assert flat == [e[d] for e in expected[:len(flat)]]
+        for row, layers in zip(rows, expected):
+            assert [layer.tolist() for layer in sliced_layers(row, m)] == layers
+        codim = [len(lattice.assignment(c, m)) for c in range(3**m)]
+        depths = list(range(m + 1))
+        order = depths + depths[::-1] + rng.sample(depths, len(depths))
+        # cells first: one lattice, four as columns, and four under two axes
+        for answers in (rows[0], rows.T.copy(), rows.T.reshape(3**m, 2, 2).copy()):
+            kept = answers.copy()
+            values = np.full_like(answers, -1)  # no value is negative
+            for d in order:
+                before = values.reshape(3**m, -1).T.tolist()
+                lattice.solve(answers, values, m, d)
+                assert values.shape == answers.shape and values.dtype == dtype
+                got = values.reshape(3**m, -1).T.tolist()
+                for layers, old, new in zip(expected, before, got):
+                    assert new == [layers[d - k][c] if k < d else old[c]
+                                   for c, k in enumerate(codim)]
+            assert (answers == kept).all()
 
 
 class TestLevels:
@@ -197,15 +210,19 @@ class TestLevels:
         trits = [[c // 3**j % 3 for j in range(m)] for c in range(3**m)]
         seen = []
         for k in range(m + 1):
-            (table,) = lattice.level(m, k)  # one block up to BLOCK cells
-            assert table.dtype == np.intp and not table.flags.writeable
-            assert table.shape == (2 * (m - k) + 1, comb(m, k) << k)
-            cells = table[0].tolist()
+            ((cells, head, tail),) = lattice.level(m, k)  # one block up to BLOCK cells
+            n = comb(m, k) << k
+            assert cells.base is head.base is tail.base  # views of one table
+            for a in (cells, head, tail):
+                assert a.dtype == np.intp and not a.flags.writeable
+            assert (cells.shape, head.shape, tail.shape) == ((n,), (m - k + 1, n), (m - k, n))
+            cells = cells.tolist()
+            assert head[0].tolist() == cells
             assert cells == [c for c in range(3**m) if m - trits[c].count(0) == k]
             for i, c in enumerate(cells):
                 steps = [3**j for j in range(m) if trits[c][j] == 0]
-                assert table[1:m - k + 1, i].tolist() == [c + s for s in steps]
-                assert table[m - k + 1:, i].tolist() == [c + 2 * s for s in steps]
+                assert head[1:, i].tolist() == [c + s for s in steps]
+                assert tail[:, i].tolist() == [c + 2 * s for s in steps]
             seen += cells
         assert sorted(seen) == list(range(3**m))
 
@@ -213,21 +230,23 @@ class TestLevels:
     def test_blocks_of_large_levels(self, m, k):
         blocks = lattice.level(m, k)
         assert blocks is lattice.level(m, k)  # cached
-        sizes = [b.shape[1] for b in blocks]
+        sizes = [cells.size for cells, _, _ in blocks]
         assert sum(sizes) == comb(m, k) << k and all(0 < n <= lattice.BLOCK for n in sizes)
         assert sizes[:-1] == [lattice.BLOCK] * (len(sizes) - 1)
-        table = np.hstack(blocks)
-        cells = table[0]
-        assert (np.diff(cells) > 0).all()
+        cells = np.hstack([c for c, _, _ in blocks])
+        head = np.hstack([h for _, h, _ in blocks])
+        tail = np.hstack([t for _, _, t in blocks])
+        assert (head[0] == cells).all() and (np.diff(cells) > 0).all()
         trits = cells[:, None] // 3 ** np.arange(m) % 3
         assert ((trits > 0).sum(axis=1) == k).all()
         # each cell's free variables' steps 3^j, in increasing order
         steps = np.broadcast_to(3 ** np.arange(m), trits.shape)[trits == 0]
         steps = steps.reshape(len(cells), m - k).T
-        assert (table[1:m - k + 1] == cells + steps).all()
-        assert (table[m - k + 1:] == cells + 2 * steps).all()
-        for b in blocks:
-            assert b.flags.c_contiguous and not b.flags.writeable
+        assert (head[1:] == cells + steps).all()
+        assert (tail == cells + 2 * steps).all()
+        for block in blocks:
+            for a in block:
+                assert a.flags.c_contiguous and not a.flags.writeable
 
 
 class TestAutomorphisms:
