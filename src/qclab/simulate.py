@@ -33,11 +33,14 @@ them.
 Branch decisions compare a 128-bit uniform integer drawn from a seeded
 Mersenne Twister against the exact branch probability scaled by 2^128, so
 the only sampling bias is below 2^-128 per branch and identical seeds give
-identical traces.  Every walk reads exactly D words, D the tree's depth:
-walk k of a stream reads words [kD, (k+1)D) and follows them from the root
-until a leaf absorbs it, so a run, one walk, reads the words a walk that
-stops at its leaf reads.  Streams are drawn in bulk and walked with numpy
-(``walk.TreeWalker``); every count and trace is the one the
+identical traces.  A run is one walk in Python (``walk.TreeWalker.walk``):
+it draws one ``getrandbits(128)`` word per branch on its path, and never
+loads numpy.random.  In a stream every walk reads exactly D words, D the
+tree's depth: walk k reads words [kD, (k+1)D) and follows them from the
+root until a leaf absorbs it, so a run reads the words the first walk of
+its seed's stream reads.  Streams take their words from numpy's MT19937
+replaying the seed's ``random.Random`` bit for bit, and are walked with
+numpy (``walk.TreeWalker``); every count and trace is the one the
 walk-at-a-time loop over the same words gives, for every seed.
 """
 
@@ -264,8 +267,9 @@ class Simulation:
                           hi[bit, nodes], lo[bit, nodes], dead[bit, nodes], self.depth)
 
     def run(self, z: int, seed: int) -> SimulationTrace:
-        """One walk of the simulation on ``z``, on the stream of ``seed``."""
-        end = next(self.walker(z).ends(_rng(seed), 1))[0]
+        """One walk of the simulation on ``z``, on the stream of ``seed``;
+        it reads one word per branch on its path."""
+        end = self.walker(z).walk(_rng(seed))
         return replace(self.payload[end], z=z, rng_seed=seed)
 
     def q_terms(self, restricted: list) -> tuple[np.ndarray, np.ndarray]:

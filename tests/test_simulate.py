@@ -33,7 +33,7 @@ from qclab import lattice
 from qclab.compose import build_instance
 from qclab.dtree import DecisionTree, InternalNode, Leaf
 from qclab.simulate import AprimeSimulator, ChainReport, Simulation, _threshold
-from qclab.walk import CHUNK
+from qclab.walk import CHUNK, stream_words
 
 from _oracles import (
     _loop_walk,
@@ -55,6 +55,8 @@ from _oracles import (
     snip_dict,
     split_assignments,
 )
+
+VERDICTS = Path(__file__).parent / "data" / "verdicts"
 
 
 def rel(g):
@@ -309,33 +311,63 @@ def outcome(walk, *args):
 
 
 class _Words:
-    """Stands in for ``random.Random``: ``getrandbits(128 * k)`` returns the
-    next k of the given 128-bit words, placed as k successive draws are."""
+    """Stands in for ``random.Random`` in a single walk: each
+    ``getrandbits(128)`` returns the next of the given 128-bit words."""
 
     def __init__(self, words):
-        self.words = list(words)
+        self.words = iter(words)
 
     def getrandbits(self, bits):
-        k = bits // 128
-        take, self.words = self.words[:k], self.words[k:]
-        return sum(w << (128 * i) for i, w in enumerate(take))
+        assert bits == 128
+        return next(self.words)
+
+
+def word_array(words, depth: int) -> np.ndarray:
+    """128-bit words as ``TreeWalker.ends`` reads them: depth words per
+    walk, each as its (low, high) 64-bit halves."""
+    return np.array([(w & (1 << 64) - 1, w >> 64) for w in words], np.uint64).reshape(-1, depth, 2)
 
 
 class TestBulkWalk:
     def test_bulk_draw_is_successive_draws(self):
-        for k in (1, 3, 1000):
-            bulk, one = random.Random(k), random.Random(k)
-            raw = bulk.getrandbits(128 * k).to_bytes(16 * k, "little")
-            words = np.frombuffer(raw, "<u8").reshape(k, 2).tolist()
-            assert [(hi << 64) | lo for lo, hi in words] == [one.getrandbits(128) for _ in range(k)]
+        # seeds whose keys take one, two and three 32-bit words; a Random
+        # used before the stream: at an odd position, two outputs before a
+        # twist (its first word straddles the twist), and with a Gaussian
+        # held; and a stream of more than one CHUNK, across many twists
+        uses = (lambda r: None, lambda r: r.getrandbits(32), lambda r: r.getrandbits(32 * 622),
+                lambda r: r.gauss(0, 1))
+        for seed in (0, 1, 2**32, 2**70 + 3):
+            for use in uses:
+                for samples, depth in ((3, 2), (CHUNK + 5, 3)):
+                    rng, twin = random.Random(seed), random.Random(seed)
+                    use(rng), use(twin)
+                    chunks = list(stream_words(rng, samples, depth))
+                    assert [len(chunk) for chunk in chunks] == [min(CHUNK, samples - k)
+                                                                for k in range(0, samples, CHUNK)]
+                    halves = np.concatenate(chunks).reshape(-1, 2).tolist()
+                    draws = [twin.getrandbits(128) for _ in range(samples * depth)]
+                    assert [lo | hi << 64 for lo, hi in halves] == draws
+                    # the caller's Random is left where the draws leave it
+                    assert rng.getstate() == twin.getstate()
+
+    def test_depth_zero_reads_no_words(self):
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert [chunk.shape for chunk in stream_words(rng, 5, 0)] == [(5, 0, 2)]
+        walker = Simulation(xor_instance(), make_tree(4, 1)).walker(0)
+        assert walker.counts(rng, 5) == [5]
+        assert walker.walk(rng) == 0
+        assert rng.getstate() == state
 
     def test_threshold_edges_compare_exactly(self):
         edges = (0, 1, 2**64 - 1, 2**64, 2**128 - 1, 2**128)
+        draws = sorted({d for x in edges for d in (x - 1, x) if 0 <= d < 1 << 128})
         for t in edges:
-            draws = sorted({d for x in edges for d in (x - 1, x) if 0 <= d < 1 << 128})
             walker = node_walker([(t, 1, 2), "child0", "child1"], 1)
-            ends = np.concatenate(list(walker.ends(_Words(draws), len(draws))))
-            assert ends.tolist() == [2 if d < t else 1 for d in draws]
+            expected = [2 if d < t else 1 for d in draws]
+            assert walker.ends(word_array(draws, 1)).tolist() == expected
+            # the single walk of Simulation.run
+            assert [walker.walk(_Words([d])) for d in draws] == expected
 
     def test_streams_match_the_per_walk_loop(self):
         rng = random.Random(131)
@@ -376,10 +408,25 @@ class TestBulkWalk:
         assert [node[0] for node in nodes[:2]] == [1 << 127] * 2  # x0 then x2, each 1/2
         low, high = 0, (1 << 128) - 1
         words = [low, high, high, low]
-        ends = np.concatenate(list(sim.walker(0).ends(_Words(words), 2))).tolist()
-        assert ends == [4, 3]
+        assert sim.walker(0).ends(word_array(words, 2)).tolist() == [4, 3]
         source = _Words(words)
-        assert [_loop_walk(nodes, sim.depth, source) for _ in ends] == [nodes[4], nodes[3]]
+        assert [_loop_walk(nodes, sim.depth, source) for _ in range(2)] == [nodes[4], nodes[3]]
+
+    def test_single_walk_reads_one_word_per_branch(self):
+        # the tree above: a walk that ends at depth 1 reads one word, and
+        # one that ends at depth 2 reads two
+        sim = Simulation(xor_instance(), make_tree(4, (0, (2, 0, 1), 1)))
+        walker, seen = sim.walker(0), set()
+        for seed in range(8):
+            rng, twin = random.Random(seed), random.Random(seed)
+            end = walker.walk(rng)
+            path = sim.payload[end].path_length
+            seen.add(path)
+            for _ in range(path):
+                twin.getrandbits(128)
+            assert rng.getstate() == twin.getstate()
+            assert sim.run(0, seed).leaf_id == sim.payload[end].leaf_id
+        assert seen == {1, 2}
 
     def test_one_compiled_shape_serves_every_z(self):
         # qclab simulate compiles the tree once and runs every z on it, in
@@ -417,9 +464,9 @@ class TestBulkWalk:
         finally:
             gc.enable()
 
-    def test_memory_stays_bounded_without_numpy_random(self):
+    def test_stream_memory_stays_bounded(self):
         code = """if True:
-            import sys, tracemalloc
+            import tracemalloc
             from fractions import Fraction
             from qclab import AprimeSimulator, Dist, Relation, build_instance, xor_fn
             from qclab.io import parse_tree
@@ -428,6 +475,7 @@ class TestBulkWalk:
             tree = parse_tree("(q 1 (q 2 (q 3 (leaf 0) (leaf 1)) (q 4 (leaf 1) (leaf 0)))"
                               " (q 3 (q 4 (leaf 0) (leaf 1)) (leaf 1)))", 4)
             sim = AprimeSimulator(inst, tree, 1)
+            sim.run_stream(1, 7)  # the first stream imports numpy.random
 
             def peak(samples):
                 tracemalloc.start()
@@ -436,14 +484,36 @@ class TestBulkWalk:
                 tracemalloc.stop()
                 return out
 
-            print(peak(10_000), peak(200_000), "numpy.random" in sys.modules)
+            print(peak(10_000), peak(200_000))
         """
-        env = dict(os.environ, PYTHONPATH=str(Path(qclab.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout.split()
-        small, large = int(out[0]), int(out[1])
-        assert out[2] == "False"
+        small, large = map(int, _run_python(code).split())
         assert large <= small + 16_384, (small, large)
+
+    def test_simulate_command_leaves_numpy_random_unloaded(self):
+        # a command walks once per z, so it reads Python's stream directly
+        # and never pays for a stream's import
+        code = f"""if True:
+            import contextlib, io, sys
+            import qclab
+            from qclab import cli
+            v = {str(VERDICTS)!r}
+            argv = ["simulate", "--seed", "3", "--g", v + "/g.tt", "--f", v + "/f.rel",
+                    "--mu", v + "/mu.dist", "--tree", v + "/tree.sexp", "--eps", "7/16",
+                    "--theta", "1/2"]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(argv)
+            print(code, out.getvalue() == open(v + "/simulate.jsonl").read(),
+                  "numpy.random" in sys.modules)
+        """
+        assert _run_python(code).split() == ["0", "True", "False"]
+
+
+def _run_python(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that
+    imports this checkout's qclab."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qclab.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
 class TestExactQ:

@@ -404,6 +404,9 @@ def test_rbias_bound_sums_refused_from_2_to_the_63(monkeypatch):
     monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 2, 22)
     with pytest.raises(CapExceeded, match="int64"):
         sweeps.sweep_rbias(max_m=2)
+    sweeps._check_int64(2**63 - 1)
+    with pytest.raises(CapExceeded, match="int64"):
+        sweeps._check_int64(2**63)
 
 
 @pytest.mark.parametrize("sweep", [sweeps.sweep_unbias, sweeps.sweep_rbias, sweeps.sweep_fullbias])
