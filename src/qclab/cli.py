@@ -12,6 +12,12 @@ everything they report has been computed; their records go to standard
 output.  The process exits 0 exactly when every verdict in the run passes,
 1 when one fails, and 2 on an input or i/o error, such as an unwritable
 --out; a run that fails writes no records.
+
+Importing this module loads only the file formats (``io``, ``core`` and
+``dtree``).  Each command imports the solvers it calls when it runs:
+``dce`` and ``rqc`` load ``complexity``, ``simulate`` the simulator,
+``verify`` the simulator and the sweeps, ``build-instance`` and
+``xor-stack`` the composer.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .compose import xor_stack
-from .complexity import dist_solution, rand_complexity
 from .core import QclabError, Relation, TruthTable
 from .io import (
     _int,
@@ -39,8 +43,6 @@ from .io import (
     record_to_json,
     write_instance,
 )
-from .simulate import Simulation
-from .sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
 
 def _given(args, names) -> list[str]:
@@ -101,6 +103,8 @@ def _load_instance(args):
 
 
 def cmd_dce(args) -> list[dict]:
+    from .complexity import dist_solution
+
     _require(args, ("g", "f"), "mu", "eps")
     h = _load_problem(args)
     mu = parse_dist(Path(args.mu).read_text())
@@ -116,6 +120,8 @@ def cmd_dce(args) -> list[dict]:
 
 
 def cmd_rqc(args) -> list[dict]:
+    from .complexity import rand_complexity
+
     _require(args, ("g", "f"), "eps")
     h = _load_problem(args)
     result = rand_complexity(h, parse_fraction(args.eps))
@@ -150,6 +156,8 @@ def cmd_build_instance(args) -> list[dict]:
 
 
 def cmd_simulate(args) -> list[dict]:
+    from .simulate import Simulation
+
     seed = _int_flag(args, "seed", 0)
     if seed < 0:
         # Random(-s) seeds the stream Random(s) does, so z would repeat
@@ -194,6 +202,9 @@ def cmd_simulate(args) -> list[dict]:
 
 
 def cmd_verify(args) -> list[dict]:
+    from .simulate import Simulation
+    from .sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
+
     unread = [] if args.tree is not None else _given(args, _INSTANCE)
     if unread:
         raise QclabError(f"verify reads {', '.join(unread)} only with --tree")
@@ -236,6 +247,9 @@ def cmd_verify(args) -> list[dict]:
 
 
 def cmd_xor_stack(args) -> list[dict]:
+    from .complexity import rand_complexity
+    from .compose import xor_stack
+
     _require(args, "g")
     g = parse_truth_table(Path(args.g).read_text())
     t = _int_flag(args, "t", 2)

@@ -14,6 +14,10 @@ relation builds one frozenset per distinct label-list text and a
 distribution one ``Fraction`` per distinct line, which later lines share.
 Table files repeat few values over many lines.  Nothing is kept past the
 call, and a bad value still raises at its first line.
+
+The parsers and formatters need only ``core`` and ``dtree``, and no numpy.
+``load_instance`` alone needs the composer, and with it the solvers, so it
+imports ``compose`` when it is called.
 """
 
 from __future__ import annotations
@@ -23,10 +27,13 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import ARITY_CAP, CapExceeded, Dist, ParseError, Relation, TruthTable
-from .compose import ComposedInstance, build_instance
 from .dtree import DecisionTree, InternalNode, Leaf, Node
+
+if TYPE_CHECKING:
+    from .compose import ComposedInstance
 
 
 _SIGNED = re.compile(r"-?[0-9]+")
@@ -247,6 +254,7 @@ def format_tree(tree: DecisionTree) -> str:
 def load_instance(g, f, mu=None, lam=None, epsilon=None, theta=None) -> ComposedInstance:
     """The instance of the g, f, mu and lambda files and the epsilon and
     theta strings; ``build_instance`` supplies whatever is None."""
+    from .compose import build_instance
 
     def read(parse, path):
         return None if path is None else parse(Path(path).read_text())
