@@ -16,8 +16,8 @@ output.  The process exits 0 exactly when every verdict in the run passes,
 Importing this module loads only the file formats (``io``, ``core`` and
 ``dtree``).  Each command imports the solvers it calls when it runs:
 ``dce`` and ``rqc`` load ``complexity``, ``simulate`` the simulator,
-``verify`` the simulator and the sweeps, ``build-instance`` and
-``xor-stack`` the composer.
+``verify`` the sweeps, and the simulator too with --tree,
+``build-instance`` and ``xor-stack`` the composer.
 """
 
 from __future__ import annotations
@@ -202,7 +202,6 @@ def cmd_simulate(args) -> list[dict]:
 
 
 def cmd_verify(args) -> list[dict]:
-    from .simulate import Simulation
     from .sweeps import sweep_fullbias, sweep_rbias, sweep_unbias
 
     unread = [] if args.tree is not None else _given(args, _INSTANCE)
@@ -216,6 +215,8 @@ def cmd_verify(args) -> list[dict]:
     if max_m > 3:
         raise QclabError(f"verify --m must be at most 3, got {max_m}")
     if args.tree is not None:
+        from .simulate import Simulation
+
         inst = _load_instance(args)
         tree = parse_tree(Path(args.tree).read_text(), inst.total_arity)
     records = [{

@@ -20,10 +20,19 @@ g -> not g swaps the masses of g=0 and g=1, and every check is symmetric
 under that swap (unbias's up to its value b), so each representative is
 swept only on the functions with g = 0 on the top point and counts
 twice.  The representatives go to the numpy kernels in blocks, one row of
-point weights each, as many as keep a block within ``BLOCK_CELLS``
-lattice cells.  Only an orbit whose representative fails is swept again,
-point by point on every function, to list its violations.  The sampled
-4-bit unbias fixtures run as one batch, a point with one function each.
+point weights each, as many as keep a block within ``BLOCK_CELLS`` cells.
+Only an orbit whose representative fails is swept again, point by point on
+every function, to list its violations.
+
+The unbias sweep works per restriction class, the pair of a subcube C and
+g's values on C's points: C's masses of g = 0 and g = 1 depend on nothing
+else.  At 3 bits a point has 257 classes against 3,456 (function,
+subcube) pairs on the functions it sweeps, and at 4 bits it would have
+34,791 against 2,654,208.  Each block counts its cases by class and
+screens every class with a bound that no class fails at delta <= 1/2;
+only a block that the screen does not clear, the points of a failing
+orbit and the sampled 4-bit fixtures (one batch, a point with one function
+each) go to the kernel that compares every pair.
 
 The rbias sweep bounds before it enumerates trees.  Each (function, eps)
 row first sums the masses of g=0 and of g=1 over every active subcube
@@ -37,18 +46,20 @@ comparisons are numpy int64 comparisons; each sweep checks before it runs
 that its largest product stays below 2^63, so nothing can wrap and the
 verdicts are exact.  For rbias that includes the squared sums over every
 active subcube, which reach 2^m times the total, as each point lies in
-2^m subcubes.  The rbias event product runs in float64, as do
-:func:`lattice.masses`' small products, so that it runs through BLAS: its
-terms are nonnegative integers and every partial sum is at most the grid
-total, which is checked to be below 2^53, so each is exact and converts
-back to int64 unchanged.  Irrational
-square-root thresholds are compared through squares.
+2^m subcubes.  The rbias event product, unbias's class masses, the orbit
+keys and :func:`lattice.masses`' small products run in float64, so that
+they run through BLAS: their terms are nonnegative integers and every
+partial sum is at most an integer that is known to be below 2^53 (the
+grid total, or the largest key), so each is exact and converts back to
+int64 unchanged.  Irrational square-root thresholds are compared through
+squares.
 """
 
 from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -63,8 +74,10 @@ from .core import CapExceeded
 GRID_DENOMINATOR = {1: 6, 2: 5, 3: 4}
 UNBIAS_DENOMINATOR = 6
 # _orbit_sweep hands its sweep as many orbit representatives at a time as
-# keep representatives * functions * 3^m within this many lattice cells:
-# 4 at 3 bits, where larger blocks raise the peak memory for little time
+# keep representatives * cells within this many cells, where a point's cells
+# are functions * 3^m lattice cells for rbias and fullbias (4 points at 3
+# bits, where larger blocks raise the peak memory for little time) and its
+# functions and restriction classes for unbias (42 points at 3 bits)
 BLOCK_CELLS = 1 << 14
 
 
@@ -149,23 +162,30 @@ def _orbit_partition(m: int, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     group names its orbit.  The keys are below B^(2^m), which
     ``_check_int64`` bounds: 153^8 < 2^63 on the finest grid the sweeps
     accept (3 bits, denominator 22), where keys of the raw weights would
-    wrap.  The grid need not be closed under the automorphisms; an orbit
-    then holds only its points in the grid.
+    wrap.  Below ``lattice.FLOAT64_LIMIT`` the keys are one float64 product,
+    which runs through BLAS and is exact there, as every partial sum is an
+    integer of at most its key; above it they are one int64 product.  The
+    grid need not be closed under the automorphisms; an orbit then holds
+    only its points in the grid.
     """
     points, _ = lattice.automorphisms(m)
     # the distinct weights (all at least 0) by a sort, several times faster
     # here than np.unique with its inverse
     flat = np.sort(mus, axis=None)
     values = flat[np.flatnonzero(np.diff(flat, prepend=-1))]
-    _check_int64(len(values) ** (1 << m) - 1)  # the largest key
-    keys = np.searchsorted(values, mus) @ len(values) ** ((1 << m) - 1 - points.T)
-    _, first, orbit, sizes = np.unique(keys.min(axis=1), return_index=True,
+    largest = len(values) ** (1 << m) - 1
+    _check_int64(largest)
+    dtype = np.float64 if largest < lattice.FLOAT64_LIMIT else np.int64
+    powers = (len(values) ** ((1 << m) - 1 - points.T)).astype(dtype)
+    keys = (np.searchsorted(values, mus).astype(dtype) @ powers).min(axis=1).astype(np.int64)
+    _, first, orbit, sizes = np.unique(keys, return_index=True,
                                        return_inverse=True, return_counts=True)
     by_sight = np.argsort(first)
     return first[by_sight], sizes[by_sight], np.argsort(by_sight)[orbit.reshape(-1)]
 
 
-def _orbit_sweep(m: int, mus: np.ndarray, point) -> tuple[int, list]:
+def _orbit_sweep(m: int, mus: np.ndarray, point, cells: int | None = None,
+                 every=None) -> tuple[int, list]:
     """Run ``point`` once per orbit of the cube's automorphisms on the grid
     ``mus``, on blocks of orbit representatives, and again at every point of
     each orbit that fails.
@@ -177,26 +197,28 @@ def _orbit_sweep(m: int, mus: np.ndarray, point) -> tuple[int, list]:
     row of ``weights``, a later one a row of ``g_rows``, and for a block of
     one the rows are sorted by every column, first to last.  The first point
     of each orbit (``_orbit_partition``) is its representative; the
-    representatives are swept in grid order, as many at a time as
-    ``BLOCK_CELLS`` allows, on the half of the functions with g = 0 on the
-    top point, and each counts twice for each grid point of its orbit.
-    Returns the case total and ``(w, rows)`` for each point of a failing
-    orbit, in grid order, with ``rows`` from a block of one on all the
-    functions, less the first column, so that each names a function by its
-    index.
+    representatives are swept in grid order, as many at a time as keep
+    ``cells`` per point (by default the swept functions times 3^m) within
+    ``BLOCK_CELLS``, on the half of the functions with g = 0 on the top
+    point, and each counts twice for each grid point of its orbit.  The
+    points of a failing orbit are swept by ``every``, which keeps
+    ``point``'s contract and defaults to it.  Returns the case total and
+    ``(w, rows)`` for each point of a failing orbit, in grid order, with
+    ``rows`` from a block of one on all the functions, less the first
+    column, so that each names a function by its index.
     """
     tables = np.array(all_output_tables(m), dtype=np.int64)
     half = tables[:len(tables) // 2]
     first, sizes, orbit = _orbit_partition(m, mus)
-    size = max(1, BLOCK_CELLS // (len(half) * 3**m))
+    size = max(1, BLOCK_CELLS // (cells or len(half) * 3**m))
     cases, failing = 0, np.zeros(len(first), dtype=bool)
     for start in range(0, len(first), size):
         n, found = point(half, mus[first[start:start + size]])
         cases += 2 * int(np.dot(n, sizes[start:start + size]))
         for rows in found:
             failing[start + rows[:, 0]] = True
-    bad = mus[failing[orbit]]
-    return cases, [(tuple(w), np.vstack(point(tables, row[None])[1])[:, 1:].tolist())
+    bad, every = mus[failing[orbit]], every or point
+    return cases, [(tuple(w), np.vstack(every(tables, row[None])[1])[:, 1:].tolist())
                    for w, row in zip(bad.tolist(), bad)]
 
 
@@ -211,6 +233,116 @@ class SweepReport:
         return not self.violations
 
 
+def _unbias_direct(m: int, g_rows: np.ndarray, weights: np.ndarray, total: int, consts):
+    """Case counts and violation rows (point, delta index, b, function,
+    subcube) of the unbias check at each ``(nd, dd)`` of ``consts``, for
+    the functions ``g_rows`` at each of the point weights ``weights``,
+    shape ``(R, 2^m)``: ``g_rows`` has shape ``(1, F, 2^m)`` for the same F
+    functions at every point, or ``(R, F, 2^m)``.  It compares every
+    (point, function, subcube) triple that meets the hypotheses."""
+    gw = g_rows * weights[:, None, :]
+    M1 = gw.sum(axis=-1)                  # g=1 masses of the full cube
+    gap = np.abs(total - 2 * M1)          # |M0 - M1|
+    cases = np.zeros(len(weights), dtype=np.int64)
+    # only functions meeting the loosest hypothesis can be checked
+    nl, dl = max(consts, key=lambda c: Fraction(*c))
+    ri, ki = np.nonzero(gap * dl <= nl * total)
+    if not ri.size:
+        return cases, []
+    gap, M1 = gap[ri, ki], M1[ri, ki]
+    M0 = total - M1
+    m1 = lattice.masses(gw[ri, ki], m)    # g=1 masses, (n_sel, n_cubes)
+    mt = lattice.masses(weights, m)[ri]   # subcube masses
+    m0 = mt - m1
+    cube_gap = np.abs(m0 - m1)
+    positive = mt > 0
+    found = []
+    for d, (nd, dd) in enumerate(consts):
+        hyp = gap * dd <= nd * total
+        if not hyp.any():
+            continue
+        low_bias = (cube_gap * dd <= nd * mt) & positive
+        gi, ci = np.nonzero(low_bias & hyp[:, None])  # row-major
+        cases += np.bincount(ri[gi], minlength=len(weights))
+        lhs_c = mt[gi, ci] * dd
+        for b, (mb_cube, Mb) in enumerate(((m0, M0), (m1, M1))):
+            # Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
+            bad = np.nonzero(lhs_c * Mb[gi] > (dd + 4 * nd) * mb_cube[gi, ci] * total)[0]
+            if bad.size:
+                found.append(np.column_stack((ri[gi[bad]], np.full(bad.size, d),
+                                              np.full(bad.size, b), ki[gi[bad]], ci[bad])))
+    return cases, found
+
+
+def _restriction_classes(m: int, g_rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The restriction classes of the m-bit functions ``g_rows`` (bit x of
+    row k is g(x)): the distinct pairs of a subcube C and g's values on C's
+    points, by subcube and then by those values.
+
+    Returns ``(table, cubes, ones)``: ``table[k, c]`` is the class of
+    function k on subcube c, ``cubes`` each class's subcube, and ``ones``
+    the ``(2^m, classes)`` 0/1 float64 table of each class's points with
+    g = 1.  Cached per arity and function set, read-only."""
+    return _class_table(m, np.ascontiguousarray(g_rows, dtype=np.int64).tobytes())
+
+
+@lru_cache(maxsize=None)
+def _class_table(m: int, rows: bytes) -> tuple[np.ndarray, ...]:
+    """:func:`_restriction_classes` of the int64 function rows ``rows``."""
+    g_rows = np.frombuffer(rows, dtype=np.int64).reshape(-1, 1 << m)
+    # each pair's key: its subcube, then the bit mask of the subcube's
+    # points where g = 1, which are the masses of the weights g(x) 2^x
+    keys = np.arange(3**m) << (1 << m) | lattice.masses(g_rows << np.arange(1 << m), m)
+    classes, table = np.unique(keys, return_inverse=True)
+    ones = classes >> np.arange(1 << m)[:, None] & 1
+    tables = table.reshape(keys.shape), classes >> (1 << m), ones.astype(np.float64)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _unbias_classes(m: int, g_rows: np.ndarray, weights: np.ndarray, total: int, consts):
+    """The case counts of :func:`_unbias_direct` for the functions
+    ``g_rows`` (shape ``(F, 2^m)``) at each row of ``weights``, worked out
+    once per restriction class, and whether the screen clears every class:
+    then no (function, subcube) pair at these points violates the check.
+
+    A subcube's g = 1 mass, and so its bias, depends only on its class, so
+    each class of low bias is one case for each member function that meets
+    the hypothesis.  The screen: under the hypothesis |M0 - M1| <= delta
+    total, every member has M_b <= (1 + delta) total / 2, so a class of low
+    bias passes Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C] for every member when
+    mt (dd + nd) <= 2 (dd + 4 nd) mb for both of its subcube's g = b masses
+    mb, the lesser of which is (mt - |m0 - m1|) / 2.
+    """
+    table, cubes, ones = _restriction_classes(m, g_rows)
+    n_cls = len(cubes)
+    # exact in float64: the int64 guard bounds total^2 below 2^63, so every
+    # partial sum, at most total < 2^32, is an integer below 2^53
+    w = weights.astype(np.float64)
+    gap = np.abs(total - 2 * (w @ g_rows.T.astype(np.float64)).astype(np.int64))  # |M0 - M1|
+    mt = lattice.masses(weights, m)[:, cubes]                 # each class's subcube mass
+    cube_gap = np.abs(mt - 2 * (w @ ones).astype(np.int64))   # and its |m0 - m1|
+    positive = mt > 0
+    cases = np.zeros(len(weights), dtype=np.int64)
+    cleared = True
+    for nd, dd in consts:
+        ri, ki = np.nonzero(gap * dd <= nd * total)
+        low_bias = (cube_gap * dd <= nd * mt) & positive
+        # members meeting the hypothesis, per (point, class), on the
+        # subcubes with a class of low bias, found by a count, as a bare
+        # np.unique would import numpy.ma (some 0.5 MB resident)
+        live = np.flatnonzero(np.bincount(cubes[low_bias.any(axis=0)], minlength=3**m))
+        members = table[:, live][ki]
+        members += (ri * n_cls)[:, None]
+        count = np.bincount(members.ravel(), minlength=low_bias.size).reshape(low_bias.shape)
+        del members  # before the next delta's
+        cases += (count * low_bias).sum(axis=1)
+        cleared = cleared and not (low_bias & (count > 0)
+                                   & (mt * (dd + nd) > (dd + 4 * nd) * (mt - cube_gap))).any()
+    return cases, cleared
+
+
 def sweep_unbias(
     deltas=(Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)),
     max_denominator: int = UNBIAS_DENOMINATOR,
@@ -220,64 +352,55 @@ def sweep_unbias(
 ) -> SweepReport:
     """The restriction-mass inequality Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
     over every subcube C, exhaustively for all functions on 1 to ``max_m``
-    bits, plus ``sampled_m4`` sampled 4-bit fixtures.
+    bits, plus ``sampled_m4`` sampled 4-bit fixtures.  A (function,
+    subcube) pair is a case at delta when g's full-cube bias and C's bias
+    are both at most delta and C has positive mass.
 
     The lower twin Pr_mu[C] >= (1 - 4 delta) Pr_mu_b[C] is not checked
     because it cannot fail: full-cube bias at most delta gives
     Pr[g=b] >= (1 - delta)/2 and cube bias at most delta gives
     Pr[C, g=b] <= (1 + delta)/2 Pr[C], so Pr_mu[C]/Pr_mu_b[C] >=
-    (1 - delta)/(1 + delta) >= 1 - 4 delta for every delta >= 0.
+    (1 - delta)/(1 + delta) >= 1 - 4 delta for every delta >= 0.  The same
+    bounds the other way, Pr[g=b] <= (1 + delta)/2 and Pr[C, g=b] >=
+    (1 - delta)/2 Pr[C], give Pr_mu[C]/Pr_mu_b[C] <= (1 + delta)/(1 - delta),
+    which is at most 1 + 4 delta exactly when 4 delta^2 <= 2 delta: the
+    checked inequality can fail only at delta > 1/2.
+
+    The exhaustive arities run once per orbit of the grid
+    (:func:`_orbit_sweep`) and once per restriction class, the pair of a
+    subcube C and g's values on C's points (:func:`_restriction_classes`):
+    C's masses of g = 0 and g = 1, and so its bias, depend on its class
+    alone.  At 3 bits a point has 257 classes against 3,456 (function,
+    subcube) pairs on the functions it sweeps.  :func:`_unbias_classes`
+    counts each block's cases by class and screens every class with the
+    bound above, which clears them all at delta <= 1/2.  Only a block that
+    the screen does not clear goes to :func:`_unbias_direct`, which compares
+    every pair and lists the violations; so do the points of a failing
+    orbit and the 4-bit fixtures, one function per point.
     """
     _check_arity(max_m)
     total4 = lcm(*range(1, max_denominator + 1))  # the grid total of every arity
     _check_int64(total4**2 * max(d.denominator + 4 * d.numerator for d in deltas))
-    loosest = max(deltas)
     labels = [str(d) for d in deltas]
     consts = [(d.numerator, d.denominator) for d in deltas]
-
-    def run(m: int, g_rows: np.ndarray, weights: np.ndarray, total: int):
-        """Case counts and violation rows (point, delta index, b, function,
-        subcube) for the functions ``g_rows`` at each of the point weights
-        ``weights``, shape ``(R, 2^m)``: ``g_rows`` has shape ``(1, F, 2^m)``
-        for the same F functions at every point, or ``(R, F, 2^m)``."""
-        gw = g_rows * weights[:, None, :]
-        M1 = gw.sum(axis=-1)                  # g=1 masses of the full cube
-        gap = np.abs(total - 2 * M1)          # |M0 - M1|
-        cases = np.zeros(len(weights), dtype=np.int64)
-        # only functions meeting the loosest hypothesis can be checked
-        ri, ki = np.nonzero(gap * loosest.denominator <= loosest.numerator * total)
-        if not ri.size:
-            return cases, []
-        gap, M1 = gap[ri, ki], M1[ri, ki]
-        M0 = total - M1
-        m1 = lattice.masses(gw[ri, ki], m)    # g=1 masses, (n_sel, n_cubes)
-        mt = lattice.masses(weights, m)[ri]   # subcube masses
-        m0 = mt - m1
-        cube_gap = np.abs(m0 - m1)
-        positive = mt > 0
-        found = []
-        for d, (nd, dd) in enumerate(consts):
-            hyp = gap * dd <= nd * total
-            if not hyp.any():
-                continue
-            low_bias = (cube_gap * dd <= nd * mt) & positive
-            gi, ci = np.nonzero(low_bias & hyp[:, None])  # row-major
-            cases += np.bincount(ri[gi], minlength=len(weights))
-            lhs_c = mt[gi, ci] * dd
-            for b, (mb_cube, Mb) in enumerate(((m0, M0), (m1, M1))):
-                # Pr_mu[C] <= (1 + 4 delta) Pr_mu_b[C]
-                bad = np.nonzero(lhs_c * Mb[gi] > (dd + 4 * nd) * mb_cube[gi, ci] * total)[0]
-                if bad.size:
-                    found.append(np.column_stack((ri[gi[bad]], np.full(bad.size, d),
-                                                  np.full(bad.size, b), ki[gi[bad]], ci[bad])))
-        return cases, found
 
     cases, violations = 0, []
     fixings = {m: [lattice.assignment(c, m) for c in range(3**m)] for m in range(1, 5)}
     for m in range(1, max_m + 1):
         tables = all_output_tables(m)
         mus, total = grid_weight_vectors(1 << m, max_denominator)
-        n, found = _orbit_sweep(m, mus, lambda g_rows, w: run(m, g_rows[None], w, total))
+
+        def direct(g_rows, w):
+            return _unbias_direct(m, g_rows[None], w, total, consts)
+
+        def point(g_rows, w):
+            n, cleared = _unbias_classes(m, g_rows, w, total, consts)
+            return (n, []) if cleared else direct(g_rows, w)
+
+        # a block holds arrays over each point's functions and its classes
+        half = np.array(tables[:len(tables) // 2], dtype=np.int64)
+        cells = len(half) + len(_restriction_classes(m, half)[1])
+        n, found = _orbit_sweep(m, mus, point, cells, direct)
         cases += n
         violations.extend((m, tables[g], w, labels[d], fixings[m][c])
                           for w, rows in found for d, _, g, c in rows)
@@ -292,7 +415,7 @@ def sweep_unbias(
         cuts = sorted(rng.randrange(q + 1) for _ in range(15))
         mus.append(tuple((b - a) * (total4 // q) for a, b in zip([0] + cuts, cuts + [q])))
     g_rows, weights = np.array((tables, mus), dtype=np.int64).reshape(2, -1, 16)
-    n, found = run(4, g_rows[:, None], weights, total4)
+    n, found = _unbias_direct(4, g_rows[:, None], weights, total4, consts)
     cases += int(n.sum())
     if found:
         rows = np.vstack(found)

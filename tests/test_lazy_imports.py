@@ -95,10 +95,13 @@ COMMANDS = [
      "xor-stack.jsonl", COMPOSER),
     (["simulate", "--seed", "3", *INSTANCE], "simulate.jsonl", SIMULATOR),
     (["verify", "--m", "1", *INSTANCE], "verify.jsonl", SIMULATOR | {"sweeps"}),
+    # without --tree only the sweeps run
+    (["verify", "--m", "2"], "verify-m2.jsonl", FORMATS | {"cli", "lattice", "sweeps"}),
 ]
 
 
-@pytest.mark.parametrize("argv, golden, modules", COMMANDS, ids=[c[0][0] for c in COMMANDS])
+@pytest.mark.parametrize("argv, golden, modules", COMMANDS,
+                         ids=[c[0][0] for c in COMMANDS[:-1]] + ["verify-sweeps"])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, golden, modules):
     # build-instance writes its directory under the working directory,
     # relative, as its golden record names it

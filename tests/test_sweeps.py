@@ -124,6 +124,23 @@ def test_orbit_keys_refused_from_2_to_the_63():
         sweeps._orbit_sweep(3, mus, None)
 
 
+def test_orbit_keys_on_both_sides_of_2_to_the_53(monkeypatch):
+    # keys below 2^53 take the float64 product, exact there: 98 distinct
+    # weights at 3 bits, 98^8 - 1 < 2^53; 99 take the int64 product
+    assert 98**8 - 1 < 2**53 <= 99**8 - 1
+    grids = []
+    for distinct in (98, 99):
+        mus = np.arange(30 * 8).reshape(30, 8) % distinct
+        mus[[3, 17]] = mus[[4, 18], ::-1]  # images of two other grid points
+        _assert_partition(3, mus)
+        grids.append(mus)
+    # the int64 product gives the float64 path's partition below 2^53
+    partition = sweeps._orbit_partition(3, grids[0])
+    monkeypatch.setattr(lattice, "FLOAT64_LIMIT", 0)
+    assert [a.tolist() for a in sweeps._orbit_partition(3, grids[0])] == [
+        a.tolist() for a in partition]
+
+
 def test_unbias_where_raw_weight_keys_would_wrap():
     # at denominator 22 the 2-bit grid total is lcm(1..22), whose fourth
     # power is past 2^63; its 153 distinct weights give keys below 153^4.
@@ -337,6 +354,94 @@ def test_unbias_on_its_bound_matches_point_sums(monkeypatch):
     assert report.cases == cases > 0
     assert list(report.violations) == violations
     assert report.passed
+
+
+def test_restriction_class_counts():
+    # (classes, pairs) per point on the functions with g = 0 on the top
+    # point, and the classes of every function up to 3 bits
+    for m, half, every in [(1, 5, 8), (2, 27, 40), (3, 257, 416), (4, 34791, None)]:
+        tables = np.array(sweeps.all_output_tables(m), dtype=np.int64)
+        table, cubes, _ = sweeps._restriction_classes(m, tables[:len(tables) // 2])
+        assert (len(cubes), table.size) == (half, len(tables) // 2 * 3**m)
+        if every is not None:
+            assert len(sweeps._restriction_classes(m, tables)[1]) == every
+    sweeps._class_table.cache_clear()  # the 4-bit table alone holds some 21 MB
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_class_kernel_matches_the_direct_kernel_and_point_sums(m):
+    # seeded function subsets at seeded grid points, with zero weights, in
+    # blocks that the screen clears (deltas up to 1/2) and that it does not
+    # (deltas past 1/2, in the caller's order): equal case counts, and no
+    # violation in a block that the screen clears
+    rng = np.random.default_rng(m)
+    tables = np.array(sweeps.all_output_tables(m), dtype=np.int64)
+    mus, total = REAL_GRID(1 << m, 4)
+    for deltas, clears in [((F(1, 2), F(1, 8), F(0)), True),
+                           ((F(3, 4), F(1, 8), F(1), F(1, 2)), False)]:
+        consts = [(d.numerator, d.denominator) for d in deltas]
+        for _ in range(3):
+            g_rows = tables[rng.choice(len(tables), min(len(tables), 12), replace=False)]
+            weights = mus[rng.choice(len(mus), 6, replace=False)]
+            assert (weights == 0).any()
+            cases, cleared = sweeps._unbias_classes(m, g_rows, weights, total, consts)
+            direct, found = sweeps._unbias_direct(m, g_rows[None], weights, total, consts)
+            assert cases.tolist() == direct.tolist()
+            assert cleared == clears
+            rows = np.vstack(found or [np.zeros((0, 5), dtype=np.int64)]).tolist()
+            for r, w in enumerate(_rows(weights)):
+                n, violations = brute_sweep_unbias([(m, _rows(g_rows), [w], total)], deltas)
+                assert cases[r] == n
+                assert sorted(set(violations)) == sorted({
+                    (m, tuple(g_rows[k]), w, str(deltas[d]), lattice.assignment(c, m))
+                    for r_, d, _, k, c in rows if r_ == r})
+            assert bool(rows) == (not clears)
+
+
+def _spy_direct(monkeypatch):
+    """Record the shapes of the functions and points of every call to the
+    direct unbias kernel."""
+    calls, direct = [], sweeps._unbias_direct
+
+    def spy(m, g_rows, weights, total, consts):
+        calls.append((m, g_rows.shape, weights.shape))
+        return direct(m, g_rows, weights, total, consts)
+
+    monkeypatch.setattr(sweeps, "_unbias_direct", spy)
+    return calls
+
+
+def test_direct_kernel_runs_only_on_the_fixtures_at_default_deltas(monkeypatch):
+    calls = _spy_direct(monkeypatch)
+    report = sweeps.sweep_unbias()
+    assert (report.cases, report.violations) == (2756204, ())
+    assert calls == [(4, (200, 1, 16), (200, 16))]
+
+
+def test_direct_kernel_lists_the_violations_past_one_half(monkeypatch):
+    calls = _spy_direct(monkeypatch)
+    report = sweeps.sweep_unbias((F(1),), max_denominator=2, sampled_m4=0)
+    cases, violations = brute_sweep_unbias(_unbias_grids(REAL_GRID, 2, 0, 0), (F(1),))
+    assert report.cases == cases
+    assert list(report.violations) == violations
+    # blocks the screen did not clear, on half the functions, and the
+    # points of failing orbits, one at a time on every function
+    assert any(c[:2] == (3, (1, 128, 8)) for c in calls)
+    assert (3, (1, 256, 8), (1, 8)) in calls
+
+
+def test_screen_clears_a_class_on_its_bound(monkeypatch):
+    # the fixture of test_unbias_on_its_bound_matches_point_sums: at delta
+    # 1/2, g = (0, 1, 0, 0) has full-cube bias 1/2 and the class of its
+    # subcube x1 = 0, masses 5 and 15, has mt (dd + nd) = 60 = 2 (dd + 4 nd)
+    # mb, so the screen clears it and the direct kernel never runs
+    w = (5, 15, 40, 0)
+    _one_point_grid(monkeypatch, w, 60)
+    calls = _spy_direct(monkeypatch)
+    assert 20 * (2 + 1) == 2 * (2 + 4) * 5
+    report = sweeps.sweep_unbias((F(1, 2),), sampled_m4=0, max_m=2)
+    assert report.passed and report.cases > 0
+    assert calls == [(4, (0, 1, 16), (0, 16))]  # the empty fixture batch alone
 
 
 @pytest.mark.parametrize("eps_list", [(F(1, 4), F(1, 3), F(5, 12)), (F(0), F(7, 16))])
