@@ -53,6 +53,25 @@ partial sum is at most an integer that is known to be below 2^53 (the
 grid total, or the largest key), so each is exact and converts back to
 int64 unchanged.  Irrational square-root thresholds are compared through
 squares.
+
+What depends only on constants is built once per process, at its first
+use, and kept read-only in least-recently-used caches of at most
+``_CACHE_ENTRIES`` entries each: the plan of each (arity, denominator)
+(``_SweepPlan``: the grid, its orbit partition, and the output tables as
+tuples and as int64 rows), which the rbias and fullbias sweeps share at
+every arity and the unbias sweep shares with them at 1 bit; the rbias
+sweep's float64 tree incidence and subcube codimensions; each subcube's
+fixed variables; the restriction classes; and the unbias sweep's sampled
+4-bit fixtures per (seed, count, denominator).  A plan's key also holds
+the grid builder and ``lattice.FLOAT64_LIMIT``, which pick its grid and
+its orbit keys' product, and the rbias tables' key the leaf builder, so
+nothing is read under a builder or limit other than the one it was built
+with.  Every call still does all of the verdict work: the masses, the
+class screen, the DP, every comparison and the fixtures' direct check.
+After one ``qclab verify --m 3`` the caches hold about 0.5 MB (tracemalloc,
+Python 3.11, numpy 2.4): 251 KB of plans, 73 KB of fixtures, 61 KB of
+restriction classes, 57 KB of rbias tables, 50 KB of output tables and
+4 KB of fixed variables.
 """
 
 from __future__ import annotations
@@ -79,6 +98,10 @@ UNBIAS_DENOMINATOR = 6
 # bits, where larger blocks raise the peak memory for little time) and its
 # functions and restriction classes for unbias (42 points at 3 bits)
 BLOCK_CELLS = 1 << 14
+# each cache of what the sweeps build once keeps at most this many entries,
+# the least recently used out first: the default ``qclab verify --m 3``
+# reads five plans, three rbias tables and one fixture batch
+_CACHE_ENTRIES = 8
 
 
 def grid_weight_vectors(points: int, max_denominator: int) -> tuple[np.ndarray, int]:
@@ -106,6 +129,27 @@ def grid_weight_vectors(points: int, max_denominator: int) -> tuple[np.ndarray, 
 def all_output_tables(m: int) -> list[tuple[int, ...]]:
     size = 1 << m
     return list(map(tuple, ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1).tolist()))
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, each made read-only, as a cache hands them out."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _output_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """:func:`all_output_tables` as a tuple and as read-only int64 rows."""
+    tables = tuple(all_output_tables(m))
+    (rows,) = _frozen(np.array(tables, dtype=np.int64))
+    return tables, rows
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _fixings(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The ``(var, bit)`` pairs each m-bit subcube fixes, by lattice index."""
+    return tuple(lattice.assignment(c, m) for c in range(3**m))
 
 
 def readonce_leaves(m: int, depth: int) -> np.ndarray:
@@ -184,11 +228,46 @@ def _orbit_partition(m: int, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return first[by_sight], sizes[by_sight], np.argsort(by_sight)[orbit.reshape(-1)]
 
 
-def _orbit_sweep(m: int, mus: np.ndarray, point, cells: int | None = None,
+@dataclass(frozen=True)
+class _SweepPlan:
+    """What a sweep reads of one m-bit grid: the grid ``mus`` (one point's
+    weights per row) over ``total``, its orbit partition ``first``,
+    ``sizes`` and ``orbit`` (:func:`_orbit_partition`), and every output
+    table as ``tables`` and as the int64 ``rows``."""
+    m: int
+    mus: np.ndarray
+    total: int
+    first: np.ndarray
+    sizes: np.ndarray
+    orbit: np.ndarray
+    tables: tuple
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, m: int, mus: np.ndarray, total: int) -> _SweepPlan:
+        return cls(m, mus, total, *_orbit_partition(m, mus), *_output_tables(m))
+
+
+def _plan(m: int, max_denominator: int) -> _SweepPlan:
+    """The read-only plan of the m-bit grid at ``max_denominator``, built
+    once per process.  Its key holds the grid builder and
+    ``lattice.FLOAT64_LIMIT`` too, which pick the grid and the orbit keys'
+    product, so a plan is never read under another builder or limit."""
+    return _cached_plan(m, max_denominator, grid_weight_vectors, lattice.FLOAT64_LIMIT)
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _cached_plan(m: int, max_denominator: int, grid, float64_limit: int) -> _SweepPlan:
+    plan = _SweepPlan.of(m, *grid(1 << m, max_denominator))
+    _frozen(plan.mus, plan.first, plan.sizes, plan.orbit)
+    return plan
+
+
+def _orbit_sweep(plan: _SweepPlan, point, cells: int | None = None,
                  every=None) -> tuple[int, list]:
     """Run ``point`` once per orbit of the cube's automorphisms on the grid
-    ``mus``, on blocks of orbit representatives, and again at every point of
-    each orbit that fails.
+    of ``plan``, on blocks of orbit representatives, and again at every
+    point of each orbit that fails.
 
     ``point(g_rows, weights)`` sweeps the functions ``g_rows`` (bit x of row
     k is g(x)) at each row of the point weights ``weights``, shape
@@ -207,18 +286,17 @@ def _orbit_sweep(m: int, mus: np.ndarray, point, cells: int | None = None,
     ``rows`` from a block of one on all the functions, less the first
     column, so that each names a function by its index.
     """
-    tables = np.array(all_output_tables(m), dtype=np.int64)
-    half = tables[:len(tables) // 2]
-    first, sizes, orbit = _orbit_partition(m, mus)
-    size = max(1, BLOCK_CELLS // (cells or len(half) * 3**m))
+    mus, first, sizes = plan.mus, plan.first, plan.sizes
+    half = plan.rows[:len(plan.rows) // 2]
+    size = max(1, BLOCK_CELLS // (cells or len(half) * 3**plan.m))
     cases, failing = 0, np.zeros(len(first), dtype=bool)
     for start in range(0, len(first), size):
         n, found = point(half, mus[first[start:start + size]])
         cases += 2 * int(np.dot(n, sizes[start:start + size]))
         for rows in found:
             failing[start + rows[:, 0]] = True
-    bad, every = mus[failing[orbit]], every or point
-    return cases, [(tuple(w), np.vstack(every(tables, row[None])[1])[:, 1:].tolist())
+    bad, every = mus[failing[plan.orbit]], every or point
+    return cases, [(tuple(w), np.vstack(every(plan.rows, row[None])[1])[:, 1:].tolist())
                    for w, row in zip(bad.tolist(), bad)]
 
 
@@ -286,7 +364,7 @@ def _restriction_classes(m: int, g_rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return _class_table(m, np.ascontiguousarray(g_rows, dtype=np.int64).tobytes())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _class_table(m: int, rows: bytes) -> tuple[np.ndarray, ...]:
     """:func:`_restriction_classes` of the int64 function rows ``rows``."""
     g_rows = np.frombuffer(rows, dtype=np.int64).reshape(-1, 1 << m)
@@ -385,10 +463,9 @@ def sweep_unbias(
     consts = [(d.numerator, d.denominator) for d in deltas]
 
     cases, violations = 0, []
-    fixings = {m: [lattice.assignment(c, m) for c in range(3**m)] for m in range(1, 5)}
     for m in range(1, max_m + 1):
-        tables = all_output_tables(m)
-        mus, total = grid_weight_vectors(1 << m, max_denominator)
+        plan = _plan(m, max_denominator)
+        total = plan.total
 
         def direct(g_rows, w):
             return _unbias_direct(m, g_rows[None], w, total, consts)
@@ -398,31 +475,44 @@ def sweep_unbias(
             return (n, []) if cleared else direct(g_rows, w)
 
         # a block holds arrays over each point's functions and its classes
-        half = np.array(tables[:len(tables) // 2], dtype=np.int64)
+        half = plan.rows[:len(plan.rows) // 2]
         cells = len(half) + len(_restriction_classes(m, half)[1])
-        n, found = _orbit_sweep(m, mus, point, cells, direct)
+        n, found = _orbit_sweep(plan, point, cells, direct)
         cases += n
-        violations.extend((m, tables[g], w, labels[d], fixings[m][c])
+        fixings = _fixings(m)
+        violations.extend((m, plan.tables[g], w, labels[d], fixings[c])
                           for w, rows in found for d, _, g, c in rows)
 
     # single (function, distribution) pairs, no orbit to share: one batch,
     # each fixture a point with one function
-    rng = _random.Random(seed)
-    tables, mus = [], []
-    for _ in range(sampled_m4):
-        tables.append(tuple(rng.randrange(2) for _ in range(16)))
-        q = rng.randrange(1, max_denominator + 1)
-        cuts = sorted(rng.randrange(q + 1) for _ in range(15))
-        mus.append(tuple((b - a) * (total4 // q) for a, b in zip([0] + cuts, cuts + [q])))
-    g_rows, weights = np.array((tables, mus), dtype=np.int64).reshape(2, -1, 16)
+    g_rows, weights = _fixtures(seed, sampled_m4, max_denominator)
     n, found = _unbias_direct(4, g_rows[:, None], weights, total4, consts)
     cases += int(n.sum())
     if found:
         rows = np.vstack(found)
         rows = rows[np.lexsort(rows.T[[4, 2, 1, 0]])].tolist()  # by fixture, delta, b, subcube
-        violations.extend((4, tables[i], mus[i], labels[d], fixings[4][c]) for i, d, _, _, c in rows)
+        tables, mus, fixings = g_rows.tolist(), weights.tolist(), _fixings(4)
+        violations.extend((4, tuple(tables[i]), tuple(mus[i]), labels[d], fixings[c])
+                          for i, d, _, _, c in rows)
 
     return SweepReport("unbias", cases, tuple(violations))
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _fixtures(seed: int, count: int, max_denominator: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` sampled 4-bit fixtures of :func:`sweep_unbias` drawn
+    from ``seed``, as read-only int64 rows: each fixture's function (bit x
+    of its row is g(x)) and its point weights over lcm(1..max_denominator),
+    whose probabilities have a denominator q drawn from 1..max_denominator."""
+    total = lcm(*range(1, max_denominator + 1))
+    rng = _random.Random(seed)
+    tables, mus = [], []
+    for _ in range(count):
+        tables.append(tuple(rng.randrange(2) for _ in range(16)))
+        q = rng.randrange(1, max_denominator + 1)
+        cuts = sorted(rng.randrange(q + 1) for _ in range(15))
+        mus.append(tuple((b - a) * (total // q) for a, b in zip([0] + cuts, cuts + [q])))
+    return _frozen(*(np.array(rows, dtype=np.int64).reshape(-1, 16) for rows in (tables, mus)))
 
 
 def _rbias_bounds_hold(event, full, total: int, nd: int, dd: int) -> np.ndarray:
@@ -432,6 +522,20 @@ def _rbias_bounds_hold(event, full, total: int, nd: int, dd: int) -> np.ndarray:
     Pr[event | g=b]^2 < 16 delta for b = 0, 1."""
     return ((event.sum(axis=0)**2 * dd < nd * total**2)
             & (event**2 * dd < 16 * nd * full**2).all(axis=0))
+
+
+def _rbias_tables(m: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rbias sweep's read-only tables at arity m, built once per
+    process: the float64 incidence of :func:`readonce_leaves` at ``depth``
+    and each subcube's codimension, by lattice index.  The key holds the
+    leaf builder too, so a patched builder gets tables of its own."""
+    return _cached_rbias_tables(m, depth, readonce_leaves)
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _cached_rbias_tables(m: int, depth: int, leaves) -> tuple[np.ndarray, np.ndarray]:
+    codim = np.array(list(map(len, _fixings(m))))
+    return _frozen(leaves(m, depth).astype(np.float64), codim)
 
 
 def sweep_rbias(
@@ -451,14 +555,13 @@ def sweep_rbias(
         consts.append(((1 - eps).numerator, (1 - eps).denominator,
                        delta.numerator, delta.denominator))
     for m in range(1, max_m + 1):
-        tables = all_output_tables(m)
-        mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
+        plan = _plan(m, GRID_DENOMINATOR[m])
+        total = plan.total
         _check_float64(total)
         for _, de, nd, dd in consts:
             # the bound's row sums reach 2^m total: each point lies in 2^m subcubes
             _check_int64(max(total**2 * max(de, 16 * nd), (total << m)**2 * dd))
-        codim = np.array([len(lattice.assignment(i, m)) for i in range(3**m)])
-        incidence = readonce_leaves(m, tree_depth).astype(np.float64)
+        incidence, codim = _rbias_tables(m, tree_depth)
 
         def point(g_rows, weights):
             """Case counts and violation rows (point, eps index, function,
@@ -505,9 +608,10 @@ def sweep_rbias(
                     found.append(np.column_stack((gi // n_g, np.full(gi.size, e), gi % n_g, c_arr[gi])))
             return cases, found
 
-        n, found = _orbit_sweep(m, mus, point)
+        n, found = _orbit_sweep(plan, point)
         cases += n
-        violations.extend((m, tables[g], w, labels[e], c) for w, rows in found for e, g, c in rows)
+        violations.extend((m, plan.tables[g], w, labels[e], c)
+                          for w, rows in found for e, g, c in rows)
     return SweepReport("rbias", cases, tuple(violations))
 
 
@@ -522,8 +626,8 @@ def sweep_fullbias(
     labels = [str(eps) for eps in eps_list]
     consts = [(1 - eps, eps, 1 - 2 * eps) for eps in eps_list]
     for m in range(1, max_m + 1):
-        tables = all_output_tables(m)
-        mus, total = grid_weight_vectors(1 << m, GRID_DENOMINATOR[m])
+        plan = _plan(m, GRID_DENOMINATOR[m])
+        total = plan.total
         for c in consts:
             _check_int64(total * max(f.denominator for f in c))
 
@@ -543,7 +647,7 @@ def sweep_fullbias(
                     found.append(np.column_stack((ri, np.full(gi.size, e), gi)))
             return cases, found
 
-        n, found = _orbit_sweep(m, mus, point)
+        n, found = _orbit_sweep(plan, point)
         cases += n
-        violations.extend((m, tables[g], w, labels[e]) for w, rows in found for e, g in rows)
+        violations.extend((m, plan.tables[g], w, labels[e]) for w, rows in found for e, g in rows)
     return SweepReport("fullbias", cases, tuple(violations))

@@ -10,11 +10,12 @@ import random
 from fractions import Fraction as F
 from itertools import permutations
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qclab import lattice, sweeps
+from qclab import cli, lattice, sweeps
 from qclab.core import CapExceeded
 
 from _oracles import (
@@ -25,6 +26,7 @@ from _oracles import (
 )
 
 REAL_GRID = sweeps.grid_weight_vectors
+VERDICTS = Path(__file__).parent / "data" / "verdicts"
 
 
 def _rows(mus):
@@ -121,7 +123,7 @@ def test_orbit_keys_refused_from_2_to_the_63():
     _assert_partition(3, mus)
     mus[0, 0] = 234
     with pytest.raises(CapExceeded, match="int64"):
-        sweeps._orbit_sweep(3, mus, None)
+        sweeps._SweepPlan.of(3, mus, 234)
 
 
 def test_orbit_keys_on_both_sides_of_2_to_the_53(monkeypatch):
@@ -179,7 +181,7 @@ def test_orbit_sweep_sweeps_clean_orbits_once_and_failing_ones_everywhere(
                 for k in (len(g_rows) - 2, len(g_rows) - 1)]
         return np.full(len(weights), len(g_rows)), [np.array(rows)] if rows else []
 
-    cases, violations = sweeps._orbit_sweep(m, mus, point)
+    cases, violations = sweeps._orbit_sweep(sweeps._plan(m, max_denominator), point)
     assert cases == every * len(grid)
     blocks = [points for n, points in calls if n == half]
     # each representative once, in order of first sight, in full blocks
@@ -520,3 +522,172 @@ def test_arity_above_3_refused(sweep):
     # sweep would cover all 65,536 functions
     with pytest.raises(CapExceeded, match="^sweeps cover at most 3 bits, got max_m=4$"):
         sweep(max_m=4)
+
+
+# what the sweeps build once per process, each an lru_cache
+CACHES = (sweeps._cached_plan, sweeps._cached_rbias_tables, sweeps._fixtures,
+          sweeps._fixings, sweeps._output_tables, sweeps._class_table)
+DEFAULTS = ((sweeps.sweep_unbias, 2756204), (sweeps.sweep_rbias, 14653412),
+            (sweeps.sweep_fullbias, 82100))
+
+
+def _clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture()
+def warm():
+    """Every default sweep run once, so that its plans and tables are cached
+    before a test patches what they are built from."""
+    for sweep, cases in DEFAULTS:
+        assert sweep().cases == cases
+
+
+@pytest.mark.parametrize("sweep, args", [
+    (sweeps.sweep_unbias, ()),
+    (sweeps.sweep_rbias, ()),
+    (sweeps.sweep_fullbias, ()),
+    # violations on every arity and on the 4-bit fixtures
+    (sweeps.sweep_unbias, ((F(1),), 6, 200, 20240811, 2)),
+    (sweeps.sweep_rbias, ((F(1, 8), F(1, 3)), 3, 1)),
+    (sweeps.sweep_fullbias, ((F(0), F(7, 16)),)),
+])
+def test_a_warm_sweep_repeats_its_cold_report(sweep, args):
+    _clear_caches()
+    cold = sweep(*args)
+    assert sweep(*args) == cold
+    if args and sweep is sweeps.sweep_unbias:
+        assert {v[0] for v in cold.violations} == {1, 2, 4}
+
+
+def test_verify_goldens_cold_and_warm(capsys):
+    _clear_caches()
+    for m in (2, 3, 3):
+        assert cli.main(["verify", "--m", str(m)]) == 0
+        assert capsys.readouterr().out == (VERDICTS / f"verify-m{m}.jsonl").read_text()
+
+
+def _cached_arrays():
+    """Every array the default sweeps read from a cache."""
+    arrays = []
+    for m in (1, 2, 3):
+        for d in {sweeps.UNBIAS_DENOMINATOR, sweeps.GRID_DENOMINATOR[m]}:
+            plan = sweeps._plan(m, d)
+            arrays += [plan.mus, plan.first, plan.sizes, plan.orbit, plan.rows]
+        rows = sweeps._output_tables(m)[1]
+        arrays += [*sweeps._rbias_tables(m, 3), rows,
+                   *sweeps._restriction_classes(m, rows[:len(rows) // 2])]
+    return arrays + list(sweeps._fixtures(20240811, 200, sweeps.UNBIAS_DENOMINATOR))
+
+
+def test_cached_arrays_are_read_only(warm):
+    arrays = _cached_arrays()
+    assert len(arrays) == 45 and all(a.size for a in arrays)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+    with pytest.raises(AttributeError):
+        sweeps._plan(3, 4).mus = None
+
+
+def test_repeated_verify_adds_no_cache_entries(capsys):
+    cli.main(["verify", "--m", "3"])
+    sizes = [cache.cache_info().currsize for cache in CACHES]
+    hits = sweeps._cached_plan.cache_info().hits
+    for _ in range(2):
+        cli.main(["verify", "--m", "3"])
+    assert [cache.cache_info().currsize for cache in CACHES] == sizes
+    assert sweeps._cached_plan.cache_info().hits == hits + 2 * 9  # three sweeps, three arities
+    capsys.readouterr()
+
+
+def test_caches_stay_bounded_under_arbitrary_grids():
+    for max_denominator in range(1, 23):  # 22 is the largest the int64 guard takes
+        sweeps.sweep_unbias(max_denominator=max_denominator, max_m=1, sampled_m4=1,
+                            seed=max_denominator)
+    for cache in CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == sweeps._CACHE_ENTRIES and info.currsize <= info.maxsize
+
+
+def test_warm_patched_grids_match_point_sums(warm, two_bit_grids):
+    # the default unbias grids are cached at denominator 6: the patched
+    # builder, which drops the 3-bit grid, gets plans of its own
+    deltas = (F(1),)
+    report = sweeps.sweep_unbias(deltas, sampled_m4=20, seed=5)
+    cases, violations = brute_sweep_unbias(_unbias_grids(two_bit_grids, 6, 20, 5), deltas)
+    assert report.cases == cases > 0
+    assert list(report.violations) == violations and violations
+
+
+def test_warm_one_point_grid_and_leaf_sets_match_point_sums(warm, monkeypatch):
+    w, eps_list = (0, 0, 0, 1, 0, 1, 1, 3), (F(1, 4),)
+    _one_point_grid(monkeypatch, w, 6)
+    _extra_leaf_sets(monkeypatch, _every_cube((3,)))
+    report = sweeps.sweep_rbias(eps_list, max_m=3, tree_depth=3)
+    cases, violations = brute_sweep_rbias(
+        [(3, sweeps.all_output_tables(3), [w], 6)], eps_list, 3, _every_cube((3,)))
+    assert report.cases == cases > 0
+    assert list(report.violations) == violations and violations
+
+
+def test_warm_leaf_sets_and_grid_denominator_match_point_sums(warm, monkeypatch):
+    # the default rbias tables are cached at depth 3 and the default 2-bit
+    # grid at denominator 5
+    monkeypatch.setitem(sweeps.GRID_DENOMINATOR, 2, 4)
+    leaf_sets = _every_cube((1, 2))
+    _extra_leaf_sets(monkeypatch, leaf_sets)
+    eps_list = (F(1, 4), F(7, 16))
+    report = sweeps.sweep_rbias(eps_list, max_m=2)
+    grids = [(m, sweeps.all_output_tables(m), _rows(mus), total)
+             for m in (1, 2) for mus, total in [REAL_GRID(1 << m, sweeps.GRID_DENOMINATOR[m])]]
+    cases, violations = brute_sweep_rbias(grids, eps_list, 3, leaf_sets)
+    assert report.cases == cases > 0
+    assert list(report.violations) == violations and violations
+    report = sweeps.sweep_fullbias(eps_list, max_m=2)
+    assert (report.cases, list(report.violations)) == brute_sweep_fullbias(grids, eps_list)
+
+
+def test_warm_block_cells_apply(warm, monkeypatch):
+    # one representative per block on the cached default grids
+    monkeypatch.setattr(sweeps, "BLOCK_CELLS", 1)
+    calls, classes = [], sweeps._unbias_classes
+
+    def spy(m, g_rows, weights, total, consts):
+        calls.append((m, len(weights)))
+        return classes(m, g_rows, weights, total, consts)
+
+    monkeypatch.setattr(sweeps, "_unbias_classes", spy)
+    deltas = (F(1),)
+    report = sweeps.sweep_unbias(deltas, sampled_m4=0, max_m=2)
+    cases, violations = brute_sweep_unbias(_unbias_grids(REAL_GRID, 6, 0, 0)[:2], deltas)
+    assert report.cases == cases and list(report.violations) == violations
+    assert calls == [(m, 1) for m in (1, 2) for _ in sweeps._plan(m, 6).first]
+
+
+def test_warm_orbit_keys_take_the_int64_product(warm, monkeypatch):
+    # every cached plan keyed its orbits in float64; at a limit of 0 each
+    # sweep's plans are built again, by the int64 product, to equal partitions
+    float_plans = {(m, d): sweeps._plan(m, d) for m in (1, 2, 3)
+                   for d in (sweeps.UNBIAS_DENOMINATOR, sweeps.GRID_DENOMINATOR[m])}
+    partition, keyed = sweeps._orbit_partition, []
+
+    def spy(m, mus):
+        keyed.append((m, len(mus)))
+        return partition(m, mus)
+
+    monkeypatch.setattr(sweeps, "_orbit_partition", spy)
+    monkeypatch.setattr(lattice, "FLOAT64_LIMIT", 0)
+    assert sweeps.sweep_unbias().cases == 2756204
+    assert sweeps.sweep_fullbias().cases == 82100
+    assert keyed == [(m, len(float_plans[m, d].mus)) for m, d in [
+        (1, 6), (2, 6), (3, 6), (2, 5), (3, 4)]]
+    for (m, d), plan in float_plans.items():
+        int_plan = sweeps._plan(m, d)
+        assert int_plan is not plan
+        for name in ("mus", "first", "sizes", "orbit"):
+            assert (getattr(int_plan, name) == getattr(plan, name)).all()
+    # the float64 guard of the rbias event product refuses the limit
+    with pytest.raises(CapExceeded, match="float64"):
+        sweeps.sweep_rbias()
